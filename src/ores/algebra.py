@@ -123,10 +123,7 @@ class Presentation:
 
         self._nf_cache = {}
         self._basis_cache = {}
-        self._mul_subspaces = {}
         self._regular_cache = {}
-        self._candidate_cache = {}
-        self._sproduct_value_cache = {}
 
         if validate:
             self._check_dagger_closure()

@@ -25,6 +25,14 @@ class OreWitnessNotFound(OresError):
     """No Ore witness was found within the search budget."""
 
 
+class WitnessCheckError(OresError):
+    """A witness failed its exact re-check before being returned.
+
+    This is a defect in the search, never a budget outcome: the search
+    returns a witness only after the identity it claims holds exactly.
+    """
+
+
 class InsufficientDegree(OresError):
     """The requested construction needs a larger truncation degree."""
 

@@ -12,19 +12,30 @@ The witness solver enumerates candidate denominators t deterministically
 (the empty product, the query denominator itself, then products of
 1 + p'p over monomials and pairwise integer combinations of monomials)
 and decides membership of a*t in s*A by exact linear algebra over the
-span of bounded-degree words, with a floating point projection as a
-cheap prefilter.  Returned witnesses are always re-verified exactly.
+span of bounded-degree words.  Before that exact product, every
+candidate passes a modular screen (von zur Gathen and Gerhard, Modern
+Computer Algebra, ch. 5): t, a*t and s*A are reduced modulo a fixed prime
+p = 1 mod 4, with i sent to a square root of -1 mod p, and a*t mod p
+must lie in the span of s*A mod p.  Reduction mod p can only lower the
+rank of a subspace, so the screen is used only where the rank mod p
+equals the exact rank; then it never rejects a true member (the
+argument is in _MulSubspace).  Only survivors get the exact products t
+and a*t and the exact solve, so the scan order, the witness and the
+number of candidates tried are those of the exact scan.  Returned
+witnesses are always re-verified exactly.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction as Rational
 
 import numpy as np
 
 from .algebra import AlgebraElement, Presentation, _check_same, is_regular_up_to
-from .errors import DegreeOverflow, IrregularDenominator, OreWitnessNotFound
+from .errors import (DegreeOverflow, IrregularDenominator, OreWitnessNotFound,
+                     WitnessCheckError)
 from .linalg import RowSpace
 from .scalars import ONE, Scalar
 
@@ -73,14 +84,14 @@ class SProduct:
     @property
     def value(self) -> AlgebraElement:
         if self._value is None:
-            cache = self.presentation._sproduct_value_cache
+            values = _search_state(self.presentation).values
             key = self.key()
-            val = cache.get(key)
+            val = values.get(key)
             if val is None:
                 val = self.presentation.one()
                 for p in self.ps:
                     val = val * factor_value(p)
-                cache[key] = val
+                _remember(values, key, val, _VALUE_LIMIT)
             self._value = val
         return self._value
 
@@ -204,6 +215,266 @@ class OreSolveResult:
         return self.found
 
 
+# -- the search state: bounded caches and the modular images -----------------
+
+# The screen works modulo this prime.  p = 1 mod 4 gives i an image in
+# F_p.  An int64 dot product of vectors mod p is exact while it has at
+# most (2**63 - 1) // (p - 1)**2 terms (about 2**21, _SearchState.max_dot);
+# left_matrix refuses dimensions beyond that.
+_PRIME = 2097133
+
+# Cache limits, sized so that a few hundred searches on one presentation
+# at the default budget never fill them.  A full cache keeps what it has
+# and takes nothing new: the entries it keeps are the first candidates of
+# the scan, which every search reaches.
+_VALUE_LIMIT = 4096      # denominators in S: values, and candidates
+_SUBSPACE_LIMIT = 512    # spans s * A_{<=bound}, keyed by (s, bound)
+_LEFT_LIMIT = 256        # left multiplications by single words, mod p
+_PARAM_LIMIT = 8         # candidate factor parameters per max_degree
+
+
+def _remember(cache: dict, key, value, limit: int):
+    """Store value under key unless the cache is full; return value."""
+    if key in cache or len(cache) < limit:
+        cache[key] = value
+    return value
+
+
+def _sqrt_minus_one(prime: int) -> int:
+    """A square root of -1 mod a prime = 1 mod 4."""
+    for g in range(2, prime):
+        if pow(g, (prime - 1) // 2, prime) == prime - 1:
+            return pow(g, (prime - 1) // 4, prime)
+    raise ValueError("%d is not a prime = 1 mod 4" % prime)
+
+
+def _mod_rational(x: Rational, prime: int):
+    d = x.denominator % prime
+    if not d:
+        return None
+    return x.numerator * pow(d, -1, prime) % prime
+
+
+def _left_kernel_mod(m, prime: int):
+    """Rank of the matrix m mod prime and a basis K (as rows) of its left
+    kernel, K m = 0 mod prime, by row reduction of m transposed."""
+    a = m.T % prime
+    nrows, ncols = a.shape
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if not nz.size:
+            continue
+        i = r + nz[0]
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, prime) % prime
+        col = a[:, c].copy()
+        col[r] = 0
+        rows = np.flatnonzero(col)
+        if rows.size:
+            a[rows] = (a[rows] - np.outer(col[rows], a[r])) % prime
+        pivots.append(c)
+    rank = len(pivots)
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    kernel = np.zeros((len(free), ncols), dtype=np.int64)
+    kernel[np.arange(len(free)), free] = 1
+    if rank:
+        kernel[:, pivots] = (-a[:rank, free].T) % prime
+    return rank, kernel
+
+
+class _SearchState:
+    """The witness search's caches on one presentation, all bounded, and
+    the reductions mod p that its screen uses."""
+
+    def __init__(self, presentation: Presentation):
+        self.presentation = presentation
+        self.prime = _PRIME
+        self.imag = _sqrt_minus_one(_PRIME)
+        self.max_dot = (2 ** 63 - 1) // (_PRIME - 1) ** 2
+        self.params = {}       # max_degree -> (parameters, key -> position)
+        self.values = {}       # SProduct key -> value
+        self.candidates = {}   # (max_degree, combo) -> (t, degree, vector)
+        self.left = {}         # word -> (degree, map mod p)
+        self.subspaces = {}    # (s key, bound) -> _MulSubspace
+        self._index = {}
+        self._index_degree = -1
+        self._head = None      # the u of the last _product_vector
+        self._head_maps = {}   # deg f -> left multiplication by u mod p
+
+    def factor_parameters(self, max_degree: int):
+        hit = self.params.get(max_degree)
+        if hit is None:
+            p = self.presentation
+            words = [w for w in p.basis_words(max_degree) if w]
+            mons = [AlgebraElement(p, {w: ONE}, _trusted=True) for w in words]
+            ps = list(mons)
+            for i in range(len(mons)):
+                for j in range(i + 1, len(mons)):
+                    ps.append(mons[i] + mons[j])
+                    ps.append(mons[i] - mons[j])
+            ps = tuple(ps)
+            hit = _remember(self.params, max_degree,
+                            (ps, {q.key(): i for i, q in enumerate(ps)}),
+                            _PARAM_LIMIT)
+        return hit
+
+    def candidate(self, max_degree: int, combo: tuple):
+        """(t, degree, vector mod p) for the product t of the factor
+        parameters at the positions in combo; for two or more factors
+        the degree is a bound (see _product_vector)."""
+        key = (max_degree, combo)
+        hit = self.candidates.get(key)
+        if hit is None:
+            ps = self.factor_parameters(max_degree)[0]
+            t = SProduct(self.presentation, tuple(ps[i] for i in combo))
+            if len(combo) > 1:
+                image = self._product_vector(max_degree, combo, t)
+            else:
+                image = self.vector(t)
+            hit = _remember(self.candidates, key, (t,) + image, _VALUE_LIMIT)
+        return hit
+
+    def _product_vector(self, max_degree: int, combo: tuple, t: SProduct):
+        """(degree bound, vector mod p) of t = u * f, f its last factor,
+        without the exact product: the vector is left multiplication by
+        u mod p applied to the vector of f, over the words of degree <=
+        deg u + deg f >= deg t.  Both are None exactly when t.value
+        passes the degree cap: the left fold that builds t.value passes
+        it at u.value, or at the product u.value * (1 + q'q) with the
+        last parameter q, which the single factor's value shows."""
+        try:
+            u = SProduct(self.presentation, t.ps[:-1]).value
+        except DegreeOverflow:
+            return None, None
+        _, f_deg, f_vec = self.candidate(max_degree, combo[-1:])
+        if f_deg is None or u.degree() + f_deg > self.presentation.degree_cap:
+            return None, None
+        degree = u.degree() + f_deg
+        if f_vec is None:
+            return degree, None
+        # the scan runs through every last factor of one u in a row
+        head = (max_degree, combo[:-1])
+        if self._head != head:
+            self._head, self._head_maps = head, {}
+        if f_deg not in self._head_maps:
+            self._head_maps[f_deg] = self.left_matrix(u, f_deg)
+        m = self._head_maps[f_deg]
+        if m is None:
+            return degree, None
+        nz = np.flatnonzero(f_vec)
+        return degree, m[:, nz] @ f_vec[nz] % self.prime
+
+    def subspace(self, s_value: AlgebraElement, s_key, bound: int):
+        key = (s_key, bound)
+        sub = self.subspaces.get(key)
+        if sub is None:
+            sub = _remember(self.subspaces, key,
+                            _MulSubspace(self, s_value, bound), _SUBSPACE_LIMIT)
+        return sub
+
+    # -- reduction mod p --------------------------------------------------------
+
+    def index(self, degree: int) -> dict:
+        """Positions of the basis words; covers every word of degree <=
+        degree (basis_words(d) is a prefix of basis_words(d + 1))."""
+        if degree > self._index_degree:
+            words = self.presentation.basis_words(degree)
+            self._index = {w: i for i, w in enumerate(words)}
+            self._index_degree = degree
+        return self._index
+
+    def dim(self, degree: int) -> int:
+        return len(self.presentation.basis_words(degree))
+
+    def reduce(self, c: Scalar):
+        """c mod p, or None when p divides a denominator of c."""
+        re = _mod_rational(c.re, self.prime)
+        if re is None or not c.im:
+            return re
+        im = _mod_rational(c.im, self.prime)
+        if im is None:
+            return None
+        return (re + self.imag * im) % self.prime
+
+    def vector(self, t: SProduct):
+        """(degree, coefficient vector mod p over the words of degree <=
+        that degree) of t.value; the vector is None when p divides a
+        denominator, and both are None when t.value passes the degree
+        cap (the search skips such a t, as the exact scan does)."""
+        try:
+            val = t.value
+        except DegreeOverflow:
+            return None, None
+        degree = val.degree()
+        index = self.index(degree)
+        vec = np.zeros(self.dim(degree), dtype=np.int64)
+        for w, c in val.terms.items():
+            v = self.reduce(c)
+            if v is None:
+                return degree, None
+            vec[index[w]] = v
+        return degree, vec
+
+    def left_word(self, u, degree: int):
+        """Left multiplication by the word u mod p on the words of degree
+        <= degree, as (rows, cols, values) in column order; None when p
+        divides a denominator of a normal form."""
+        hit = self.left.get(u)
+        if hit is None or hit[0] < degree:
+            hit = _remember(self.left, u, (degree, self._left_word(u, degree)),
+                            _LEFT_LIMIT)
+        built, triples = hit
+        if triples is None or built == degree:
+            return triples
+        k = np.searchsorted(triples[1], self.dim(degree))
+        return tuple(arr[:k] for arr in triples)
+
+    def _left_word(self, u, degree: int):
+        p = self.presentation
+        index = self.index(len(u) + degree)
+        rows, cols, vals = [], [], []
+        for j, w in enumerate(p.basis_words(degree)):
+            for w2, c in p.normal_form_word(u + w).items():
+                v = self.reduce(c)
+                if v is None:
+                    return None
+                rows.append(index[w2])
+                cols.append(j)
+                vals.append(v)
+        return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+                np.array(vals, dtype=np.int64))
+
+    def left_matrix(self, el: AlgebraElement, degree: int):
+        """Dense matrix mod p of left multiplication by el from the words
+        of degree <= degree to those of degree <= deg el + degree; None
+        when p divides a denominator or a dot product could overflow."""
+        nrows = self.dim(max(el.degree(), 0) + degree)
+        if nrows > self.max_dot:
+            return None
+        out = np.zeros((nrows, self.dim(degree)), dtype=np.int64)
+        for u, c in el.terms.items():
+            cu = self.reduce(c)
+            triples = None if cu is None else self.left_word(u, degree)
+            if triples is None:
+                return None
+            rows, cols, vals = triples
+            # the (row, col) pairs of one word's map are distinct
+            out[rows, cols] = (out[rows, cols] + cu * vals) % self.prime
+        return out
+
+
+def _search_state(presentation: Presentation) -> _SearchState:
+    state = getattr(presentation, "_ore_search", None)
+    if state is None:
+        state = presentation._ore_search = _SearchState(presentation)
+    return state
+
+
 # -- candidate enumeration ---------------------------------------------------
 
 
@@ -213,131 +484,176 @@ def candidate_factor_parameters(presentation: Presentation, max_degree: int):
     all irreducible monomials of degree 1..max_degree in deglex order,
     then pairwise sums and differences of those monomials.
     """
-    cached = presentation._candidate_cache.get(max_degree)
-    if cached is not None:
-        return cached
-    words = [w for w in presentation.basis_words(max_degree) if w]
-    mons = [AlgebraElement(presentation, {w: ONE}, _trusted=True)
-            for w in words]
-    ps = list(mons)
-    for i in range(len(mons)):
-        for j in range(i + 1, len(mons)):
-            ps.append(mons[i] + mons[j])
-            ps.append(mons[i] - mons[j])
-    ps = tuple(ps)
-    presentation._candidate_cache[max_degree] = ps
-    return ps
+    return _search_state(presentation).factor_parameters(max_degree)[0]
 
 
-def _candidate_denominators(presentation, s: SProduct, budget: OreBudget):
-    seen = set()
-
-    def emit(t: SProduct):
-        k = t.key()
-        if k in seen:
-            return None
-        seen.add(k)
-        return t
-
-    t = emit(SProduct.one(presentation))
-    if t is not None:
-        yield t
-    if s is not None and s.ps:
-        t = emit(s)
-        if t is not None:
-            yield t
-    ps = candidate_factor_parameters(presentation, budget.max_degree)
+def _candidate_denominators(state: _SearchState, s: SProduct,
+                            budget: OreBudget):
+    """(t, degree, vector mod p) for each candidate t in scan order
+    (degree None when t.value passes the degree cap):
+    1, then s unless it is empty, then the products of one to
+    max_factors parameters, skipping the one equal to s (the parameters
+    are distinct, so no other product repeats)."""
+    one = SProduct.one(state.presentation)
+    yield (one,) + state.vector(one)
+    if s.ps:
+        yield (s,) + state.vector(s)
+    ps, position = state.factor_parameters(budget.max_degree)
+    s_combo = tuple(position.get(k) for k in s.key())
     for count in range(1, budget.max_factors + 1):
         for combo in itertools.product(range(len(ps)), repeat=count):
-            t = emit(SProduct(presentation, tuple(ps[i] for i in combo)))
-            if t is not None:
-                yield t
+            if combo != s_combo:
+                yield state.candidate(budget.max_degree, combo)
 
 
 # -- membership in s * span(words of bounded degree) --------------------------
 
 
 class _MulSubspace:
-    """The span of { s * w : w irreducible word, deg w <= bound } with a
-    float projection prefilter and a lazily built exact row space."""
+    """The span of { s * w : w irreducible word, deg w <= bound } inside
+    the words of degree <= bound + deg s.
 
-    def __init__(self, presentation, s_value: AlgebraElement, bound: int):
-        self.presentation = presentation
+    solve() decides membership exactly, with a lazily built RowSpace.
+    annihilator() gives the modular screen a basis K of the left kernel
+    of M mod p, where the columns of M are the vectors s * w; K kills the
+    image mod p of every member of the span.  Why a rejection is safe:
+
+    - Reduction mod p is a ring map from the Gaussian rationals whose
+      real and imaginary denominators p does not divide onto F_p.  The
+      screen runs only when the coefficients of s, of the rewrite rules,
+      of a and of the factors of t are all of that kind; otherwise it is
+      off for that subspace, query or candidate.  a*t mod p is then
+      computed as the matrix of left multiplication by a mod p applied
+      to t mod p, which is the image of a*t; t mod p of a product u*f is
+      likewise left multiplication by u mod p applied to f mod p.
+    - The rank of M mod p is at most the exact rank, since a minor that
+      is nonzero mod p is nonzero.  K is built only when the two are
+      equal: when the rank mod p is the number of columns no exact rank
+      is needed, otherwise it is read from the RowSpace, and if it
+      differs this subspace gets no screen.
+    - With equal ranks k, some k x k minor of M is a unit mod p, so its k
+      columns span the column space of M, and by Cramer's rule a member
+      r with reducible coefficients is a combination of them whose
+      coefficients reduce too.  So r mod p lies in the span of M mod p,
+      and K (r mod p) = 0.
+    - The screen asks about the bound B = deg a + D - deg s + slack (at
+      least 0, at most the room under the degree cap), where D >= deg t
+      is the degree the candidate carries; B is never below the bound of
+      the exact check, and the span grows with the bound, so a member
+      for the exact bound is a member for B.
+    - Every dot product mod p is exact in int64 (see _PRIME).
+
+    This is the modular method of von zur Gathen and Gerhard, Modern
+    Computer Algebra, ch. 5, used as a filter: the exact check still
+    decides every candidate that passes.
+    """
+
+    def __init__(self, state: _SearchState, s_value: AlgebraElement,
+                 bound: int):
+        self.state = state
         self.s_value = s_value
         self.bound = bound
-        self.basis = presentation.basis_words(bound)
-        self.target = presentation.basis_words(bound + max(s_value.degree(), 0))
-        self.index = {w: i for i, w in enumerate(self.target)}
-        self.products = []
-        cols = []
-        for w in self.basis:
-            wel = AlgebraElement(presentation, {w: ONE}, _trusted=True)
-            prod = s_value * wel
-            self.products.append(prod)
-            vec = np.zeros(len(self.target), dtype=complex)
-            for w2, c in prod.terms.items():
-                vec[self.index[w2]] = c.to_complex()
-            cols.append(vec)
-        mat = np.column_stack(cols) if cols else np.zeros((len(self.target), 0))
-        self._q, _ = np.linalg.qr(mat, mode="reduced")
+        p = state.presentation
+        self.basis = p.basis_words(bound)
+        self.ntarget = state.dim(bound + max(s_value.degree(), 0))
         self._rowspace = None
+        self._annihilator = None
+        self._screened = False
 
     def _vector(self, el: AlgebraElement):
-        vec = [Scalar(0)] * len(self.target)
+        index = self.state.index(self.bound + max(self.s_value.degree(), 0))
+        vec = [Scalar(0)] * self.ntarget
         for w, c in el.terms.items():
-            i = self.index.get(w)
-            if i is None:
+            i = index.get(w)
+            if i is None or i >= self.ntarget:
                 return None
             vec[i] = c
         return vec
 
-    def _float_vector(self, el: AlgebraElement):
-        vec = np.zeros(len(self.target), dtype=complex)
-        for w, c in el.terms.items():
-            i = self.index.get(w)
-            if i is None:
-                return None
-            vec[i] = c.to_complex()
-        return vec
+    def rowspace(self) -> RowSpace:
+        if self._rowspace is None:
+            p = self.state.presentation
+            rs = RowSpace(self.ntarget)
+            for w in self.basis:
+                rs.add(self._vector(
+                    self.s_value * AlgebraElement(p, {w: ONE}, _trusted=True)))
+            self._rowspace = rs
+        return self._rowspace
 
-    def maybe_member(self, el: AlgebraElement) -> bool:
-        """Fast float check; False means certainly not in the span."""
-        fv = self._float_vector(el)
-        if fv is None:
-            return False
-        norm = np.linalg.norm(fv)
-        if norm == 0:
-            return True
-        resid = fv - self._q @ (self._q.conj().T @ fv)
-        return np.linalg.norm(resid) <= 1e-9 * max(1.0, norm)
+    def annihilator(self):
+        """K as an int64 array, or None when the screen is off here."""
+        if not self._screened:
+            self._screened = True
+            m = self.state.left_matrix(self.s_value, self.bound)
+            if m is not None:
+                rank, kernel = _left_kernel_mod(m, self.state.prime)
+                if (rank == len(self.basis)
+                        or rank == len(self.rowspace().rows)):
+                    self._annihilator = kernel
+        return self._annihilator
 
     def solve(self, el: AlgebraElement) -> AlgebraElement | None:
         """Exact b with s*b = el and deg b <= bound, or None."""
         vec = self._vector(el)
         if vec is None:
             return None
-        if self._rowspace is None:
-            rs = RowSpace(len(self.target))
-            for prod in self.products:
-                pv = [Scalar(0)] * len(self.target)
-                for w, c in prod.terms.items():
-                    pv[self.index[w]] = c
-                rs.add(pv)
-            self._rowspace = rs
-        coeffs = self._rowspace.represent(vec)
+        coeffs = self.rowspace().represent(vec)
         if coeffs is None:
             return None
         raw = {w: c for w, c in zip(self.basis, coeffs) if c}
-        return self.presentation.normalize_raw(raw)
+        return self.state.presentation.normalize_raw(raw)
 
 
-def _subspace(presentation, s_value, bound) -> _MulSubspace:
-    key = (s_value.key(), bound)
-    sub = presentation._mul_subspaces.get(key)
-    if sub is None:
-        sub = _MulSubspace(presentation, s_value, bound)
-        presentation._mul_subspaces[key] = sub
-    return sub
+class _Screen:
+    """The modular screen of one query a t = s b.  rejects() is True only
+    when a*t mod p is outside s*A mod p, so a*t is not in s*A."""
+
+    def __init__(self, state: _SearchState, a: AlgebraElement,
+                 s_value: AlgebraElement, s_key, slack: int):
+        self.state = state
+        self.a = a
+        self.s_value = s_value
+        self.s_key = s_key
+        self.slack = slack
+        self.a_deg = a.degree()
+        self.s_deg = s_value.degree()
+        self.cap = state.presentation.degree_cap
+        self.kernels = {}      # bound -> annihilator of s * A_{<=bound}
+        self.matrix = None     # left multiplication by a mod p, built lazily
+        self.degree = -1       # the matrix covers t of degree <= this
+        self.off = False       # p divides a denominator of a or the rules
+
+    def rejects(self, t_deg: int, t_vec) -> bool:
+        """Screen the candidate t of degree at most t_deg with vector
+        t_vec."""
+        if self.off or t_vec is None or self.a_deg + t_deg > self.cap:
+            return False
+        state = self.state
+        bound = min(max(self.a_deg + t_deg - self.s_deg, 0) + self.slack,
+                    self.cap - self.s_deg)
+        if bound in self.kernels:
+            kernel = self.kernels[bound]
+        else:
+            kernel = self.kernels[bound] = state.subspace(
+                self.s_value, self.s_key, bound).annihilator()
+        if kernel is None:
+            return False
+        if t_deg > self.degree:
+            self.matrix = state.left_matrix(self.a, t_deg)
+            self.degree = t_deg
+            if self.matrix is None:
+                self.off = True
+                return False
+        prime = state.prime
+        nrows = state.dim(self.a_deg + t_deg)
+        image = self.matrix[:nrows, :len(t_vec)] @ t_vec % prime
+        return bool((kernel[:, :nrows] @ image % prime).any())
+
+
+def _verify(lhs: AlgebraElement, rhs: AlgebraElement, what: str):
+    """The exact re-check of a witness before it is returned."""
+    if lhs.terms != rhs.terms:
+        raise WitnessCheckError("%s fails its exact re-check" % what)
 
 
 # -- the solver ----------------------------------------------------------------
@@ -360,14 +676,19 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
     s_value = s.value
     if p.commutative:
         # a s = s a exactly, so (b, t) = (a, s) is always a witness
-        assert (a * s_value).terms == (s_value * a).terms
+        _verify(a * s_value, s_value * a, "commutative Ore witness")
         return OreSolveResult(OreWitness(a, s), 0, budget)
 
+    state = _search_state(p)
+    s_key = s_value.key()
     s_deg = s_value.degree()
     room = p.degree_cap - s_deg
+    screen = _Screen(state, a, s_value, s_key, budget.degree_slack)
     tried = 0
-    for t in _candidate_denominators(p, s, budget):
+    for t, t_deg, t_vec in _candidate_denominators(state, s, budget):
         tried += 1
+        if t_deg is None or screen.rejects(t_deg, t_vec):
+            continue
         try:
             r = a * t.value
         except DegreeOverflow:
@@ -375,13 +696,10 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
         bound = max(r.degree() - s_deg, 0) + budget.degree_slack
         if bound > room or r.degree() - s_deg > bound:
             continue
-        sub = _subspace(p, s_value, bound)
-        if not sub.maybe_member(r):
-            continue
-        b = sub.solve(r)
+        b = state.subspace(s_value, s_key, bound).solve(r)
         if b is None:
             continue
-        assert (a * t.value).terms == (s_value * b).terms
+        _verify(r, s_value * b, "right Ore witness")
         return OreSolveResult(OreWitness(b, t), tried, budget)
     return OreSolveResult(None, tried, budget)
 
@@ -398,7 +716,7 @@ def ore_solve_left(a: AlgebraElement, s: SProduct,
         return OreSolveResult(None, res.candidates_tried, budget)
     w = res.witness
     left = LeftOreWitness(w.b.dagger(), w.t.dagger())
-    assert (left.t.value * a).terms == (left.b * s.value).terms
+    _verify(left.t.value * a, left.b * s.value, "left Ore witness")
     return OreSolveResult(left, res.candidates_tried, budget)
 
 

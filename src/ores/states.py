@@ -23,6 +23,28 @@ from .linalg import PsdReport, graded_hermitian_reduce
 from .scalars import ONE, ZERO, Scalar
 
 
+def _dagger_nf(p: Presentation, w) -> dict:
+    """The normal form of the dagger of the word w.
+
+    The dagger word need not be normal (in poly_xy the dagger of x*y is
+    y*x), so hermitian symmetry compares f(w)* with f at this normal form.
+    """
+    return p.normal_form_word(p.dagger_word(w))
+
+
+def _at(table: dict, nf: dict) -> Scalar:
+    """f at the combination nf of normal words, from a table on them; an
+    irreducible word is its own normal form."""
+    if len(nf) == 1:
+        (w, c), = nf.items()
+        if c == ONE:
+            return table.get(w, ZERO)
+    out = ZERO
+    for w, c in nf.items():
+        out = out + c * table.get(w, ZERO)
+    return out
+
+
 class MomentFunctional:
     """An exact linear functional given by a full word table up to 2d."""
 
@@ -53,8 +75,8 @@ class MomentFunctional:
             if fixed[()] != ONE:
                 raise StateAxiomError("state normalization f(1) = 1 fails")
             for w in words:
-                wd = presentation.dagger_word(w)
-                if fixed[w].conjugate() != fixed.get(wd, ZERO):
+                if fixed[w].conjugate() != _at(
+                        fixed, _dagger_nf(presentation, w)):
                     raise StateAxiomError(
                         "hermitian symmetry fails at word %s"
                         % presentation.word_str(w))
@@ -124,7 +146,7 @@ def check_state_axioms(f: MomentFunctional, rng=None,
     p = f.presentation
     hermitian_ok = True
     for w, c in f.table.items():
-        if c.conjugate() != f.table.get(p.dagger_word(w), ZERO):
+        if c.conjugate() != _at(f.table, _dagger_nf(p, w)):
             hermitian_ok = False
             break
     normalized = f.table.get((), ZERO) == ONE
@@ -200,8 +222,8 @@ def from_numeric(presentation: Presentation, degree: int, values: dict,
     Each value is snapped to the nearest rational with denominator up to
     max_denominator; the snap must land within snap_tol or the value is
     rejected.  The table is then hermitian-symmetrized exactly (averaging
-    w against the conjugate at w'), so tiny float asymmetries cannot fail
-    the state axioms.
+    w against the conjugate at the normal form of w'), so tiny float
+    asymmetries cannot fail the state axioms.
     """
     def snap(x: float) -> Rational:
         r = Rational(x).limit_denominator(max_denominator)
@@ -220,17 +242,18 @@ def from_numeric(presentation: Presentation, degree: int, values: dict,
     half = Scalar(Rational(1, 2))
     table = {}
     for w in presentation.basis_words(2 * degree):
-        wd = presentation.dagger_word(w)
+        nf = _dagger_nf(presentation, w)
         a = raw.get(w, ZERO)
-        b = raw.get(wd, ZERO)
-        if w not in raw and wd not in raw:
+        b = _at(raw, nf).conjugate()
+        has_b = all(w2 in raw for w2 in nf)
+        if w not in raw and not has_b:
             table[w] = ZERO
-        elif wd not in raw:
+        elif not has_b:
             table[w] = a
         elif w not in raw:
-            table[w] = b.conjugate()
+            table[w] = b
         else:
-            table[w] = (a + b.conjugate()) * half
+            table[w] = (a + b) * half
     return MomentFunctional(presentation, degree, table, validate)
 
 

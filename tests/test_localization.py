@@ -5,18 +5,28 @@ syntactically by factor lists.  Witness searches are budgeted, so
 not-found outcomes are asserted only where they are structural.
 """
 
+import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction as Rational
 
 import pytest
 
-from ores.algebra import load_preset, random_element, Presentation
-from ores.errors import IrregularDenominator, OreWitnessNotFound
+import ores
+from ores import localization
+from ores.algebra import AlgebraElement, load_preset, random_element, \
+    Presentation
+from ores.errors import DegreeOverflow, IrregularDenominator, OreWitnessNotFound
+from ores.linalg import RowSpace
 from ores.localization import (DEFAULT_BUDGET, Fraction, OreBudget, SProduct,
                                candidate_factor_parameters, check_denominator,
                                embed, eq_fraction, factor_value, frac_add,
                                frac_dagger, frac_mul, ore_solve_left,
                                ore_solve_right, remark_mult_property_check)
-from ores.scalars import IMAG, Scalar
+from ores.scalars import IMAG, ONE, Scalar
 
 from oracles import (XPoly, X_ONE, fraction_as_rational_function,
                      left_witness_identity_holds, naive_product_normal_form,
@@ -331,3 +341,219 @@ def test_budget_defaults():
     assert DEFAULT_BUDGET == OreBudget()
     assert DEFAULT_BUDGET.max_factors == 2
     assert DEFAULT_BUDGET.max_degree == 2
+
+
+# -- the modular screen against an unscreened exact scan -----------------------
+
+
+def _exact_scan(a, s, budget):
+    """The witness search with no screen: every candidate, in scan order,
+    gets the exact product a*t and an exact solve of s*b = a*t.
+
+    Returns (b, key of t, candidates tried), with b and the key None when
+    no witness is within the budget.
+    """
+    p = a.presentation
+    s_value = s.value
+    s_deg = s_value.degree()
+    ps = candidate_factor_parameters(p, budget.max_degree)
+    candidates = [SProduct.one(p), s]
+    for count in range(1, budget.max_factors + 1):
+        candidates += [SProduct(p, tuple(ps[i] for i in combo))
+                       for combo in itertools.product(range(len(ps)),
+                                                      repeat=count)]
+    spans = {}
+    seen = set()
+    tried = 0
+    for t in candidates:
+        if t.key() in seen:
+            continue
+        seen.add(t.key())
+        tried += 1
+        try:
+            r = a * t.value
+        except DegreeOverflow:
+            continue
+        bound = max(r.degree() - s_deg, 0) + budget.degree_slack
+        if bound > p.degree_cap - s_deg:
+            continue
+        basis = p.basis_words(bound)
+        target = p.basis_words(bound + s_deg)
+        if any(w not in target for w in r.terms):
+            continue
+        if bound not in spans:
+            rs = RowSpace(len(target))
+            for w in basis:
+                col = s_value * AlgebraElement(p, {w: ONE}, _trusted=True)
+                rs.add([col.terms.get(w2, Scalar(0)) for w2 in target])
+            spans[bound] = rs
+        coeffs = spans[bound].represent(
+            [r.terms.get(w2, Scalar(0)) for w2 in target])
+        if coeffs is not None:
+            b = p.normalize_raw({w: c for w, c in zip(basis, coeffs) if c})
+            return b, t.key(), tried
+    return None, None, tried
+
+
+def _assert_same_as_exact_scan(a, s, budget):
+    res = ore_solve_right(a, s, budget)
+    b, t_key, tried = _exact_scan(a, s, budget)
+    assert res.candidates_tried == tried
+    assert res.found == (b is not None)
+    if res.found:
+        assert res.witness.t.key() == t_key
+        assert res.witness.b.terms == b.terms
+        assert witness_identity_holds(a, s, res.witness.b, res.witness.t)
+    return res.found
+
+
+# Small budgets keep the unscreened scan fast: it runs an exact solve for
+# every candidate.  Pairs of degree-one factors and single factors of
+# degree two reach candidates of degree 4 and several bounds per query.
+SMALL_BUDGETS = (OreBudget(max_factors=2, max_degree=1),
+                 OreBudget(max_factors=1, max_degree=2))
+
+
+def test_screen_matches_exact_scan_heisenberg():
+    p = load_preset("heisenberg")
+    rng = random.Random(41)
+    outcomes = []
+    for i in range(8):
+        a = random_element(p, rng, max_degree=2, max_terms=2, nonzero=True)
+        s = _sproduct(p, (rng.choice(_param_pool(p)),))
+        outcomes.append(_assert_same_as_exact_scan(a, s, SMALL_BUDGETS[i % 2]))
+    assert True in outcomes and False in outcomes
+
+
+def test_screen_matches_exact_scan_free_xy():
+    p = load_preset("free_xy")
+    x, y = p.generator("x"), p.generator("y")
+    rng = random.Random(42)
+    queries = [(x, (x,)), (y, (x,)), (x * y, (x + y,))]
+    for _ in range(5):
+        queries.append((random_element(p, rng, max_degree=2, max_terms=2,
+                                       nonzero=True),
+                        (rng.choice(_param_pool(p)),)))
+    outcomes = [_assert_same_as_exact_scan(a, _sproduct(p, ps),
+                                           SMALL_BUDGETS[i % 2])
+                for i, (a, ps) in enumerate(queries)]
+    assert True in outcomes and False in outcomes
+
+
+def _fresh_heisenberg(cap=20):
+    # a new object, so that its search state is built with the patched prime
+    return Presentation(("ad", "a"), (("a", "ad"),),
+                        ((("a", "ad"), ((1, ("ad", "a")), (1, ()))),),
+                        cap, name="heisenberg")
+
+
+def _first_past_cap(p, budget):
+    """How many candidates the scan tries up to and with the first whose
+    value passes the degree cap (the scan tries 1 and s first)."""
+    ps = candidate_factor_parameters(p, budget.max_degree)
+    tried = 2
+    for count in range(1, budget.max_factors + 1):
+        for combo in itertools.product(range(len(ps)), repeat=count):
+            tried += 1
+            try:
+                SProduct(p, tuple(ps[i] for i in combo)).value
+            except DegreeOverflow:
+                return tried
+    return None
+
+
+def test_screen_skips_candidates_past_the_degree_cap():
+    # at cap 5 a product of two factors of degree 4, or of three of
+    # degree 2, passes the cap: the scan skips it and goes on
+    p = _fresh_heisenberg(cap=5)
+    a, ad = p.generator("a"), p.generator("ad")
+    queries = [(a, ad + a), (p.one() + a, ad - a), (a, a), (a * a, ad)]
+    for budget in (OreBudget(max_factors=2, max_degree=2),
+                   OreBudget(max_factors=3, max_degree=1)):
+        assert _first_past_cap(p, budget) is not None
+        found = [_assert_same_as_exact_scan(x, _sproduct(p, (q,)), budget)
+                 for x, q in queries]
+        assert found == [True, True, False, False]
+    # with pairs of degree-2 parameters, both witnesses come after the
+    # first candidate past the cap
+    budget = OreBudget(max_factors=2, max_degree=2)
+    first = _first_past_cap(p, budget)
+    for x, q in queries[:2]:
+        assert ore_solve_right(x, _sproduct(p, (q,)),
+                               budget).candidates_tried > first
+    # at cap 3 every pair passes the cap, and so does every triple that
+    # starts with one
+    p = _fresh_heisenberg(cap=3)
+    a = p.generator("a")
+    assert not _assert_same_as_exact_scan(
+        a, _sproduct(p, (a,)), OreBudget(max_factors=3, max_degree=1))
+
+
+def test_screen_falls_back_where_the_prime_is_unlucky(monkeypatch):
+    fifth = Scalar(Rational(1, 5))
+
+    def queries(p):
+        a, ad = p.generator("a"), p.generator("ad")
+        s1 = factor_value(a + ad)
+        s2 = factor_value(ad + a.scale(fifth))
+        return [
+            # p = 5 divides a denominator of a; the first is s1 (1/5 + a'a)
+            (s1.scale(fifth) + s1 * ad * a, (a + ad,)),
+            (a.scale(fifth), (a,)),
+            # p = 5 divides a denominator of s; the first is s2 (25 a')
+            ((s2 * ad).scale(Scalar(25)), (ad + a.scale(fifth),)),
+            (ad * ad, (a.scale(fifth),)),
+            # s = 5 (1 + a'a) is zero mod 5, so every span drops rank
+            (a, (p.scalar(2), ad)),
+            (a * a, (p.scalar(2), a)),
+        ]
+
+    budget = SMALL_BUDGETS[0]
+    reference = _fresh_heisenberg()
+    want = []
+    for a, ps in queries(reference):
+        res = ore_solve_right(a, _sproduct(reference, ps), budget)
+        want.append((res.candidates_tried, res.found and
+                     (res.witness.b.key(), res.witness.t.key())))
+    assert {found is not False for _, found in want} == {True, False}
+
+    monkeypatch.setattr(localization, "_PRIME", 5)
+    p = _fresh_heisenberg()
+    got = []
+    for a, ps in queries(p):
+        res = ore_solve_right(a, _sproduct(p, ps), budget)
+        got.append((res.candidates_tried, res.found and
+                    (res.witness.b.key(), res.witness.t.key())))
+    assert got == want
+    # the rank check, not luck, kept the zero-mod-5 denominator sound
+    five = _sproduct(p, (p.scalar(2), p.generator("ad"))).value.key()
+    subs = [sub for (key, _), sub in p._ore_search.subspaces.items()
+            if key == five]
+    assert subs and all(sub.annihilator() is None for sub in subs)
+
+
+def test_witness_recheck_survives_python_O():
+    # under -O an assert would be stripped and the wrong b returned
+    code = textwrap.dedent("""
+        from ores import localization as loc
+        from ores.algebra import load_preset
+        from ores.errors import WitnessCheckError
+        p = load_preset("heisenberg")
+        a, ad = p.generator("a"), p.generator("ad")
+        loc._MulSubspace.solve = lambda self, el: p.one()
+        # unpatched, both searches find a witness at the third candidate
+        for solve, s in ((loc.ore_solve_right, ad), (loc.ore_solve_left, a)):
+            try:
+                solve(a, loc.SProduct(p, (s,)))
+            except WitnessCheckError:
+                print("raised")
+            else:
+                print("returned")
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ores.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [e for e in [env.get("PYTHONPATH")] if e])
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["raised", "raised"], out.stderr

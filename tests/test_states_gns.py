@@ -143,6 +143,29 @@ def test_dirac_gns_is_evaluation_at_origin():
     assert np.allclose(rep.matrix("y"), 0.0)
 
 
+def test_point_evaluation_on_commuting_variables():
+    # the dagger of x*y is y*x, whose normal form is x*y: hermitian
+    # symmetry compares f(x*y)* with f(x*y), not with a missing entry
+    from fractions import Fraction as Rational
+    p = load_preset("poly_xy")
+    point = (Rational(1, 2), Rational(1, 3))
+
+    def at_point(w):
+        return Scalar(math.prod(point[g] for g in w))
+
+    f = MomentFunctional.from_function(p, 3, at_point)
+    report = check_state_axioms(f, random.Random(5))
+    assert report.ok
+    rep = gns(f)
+    assert rep.gram_rank == 1
+    for names in (("x",), ("y",), ("x", "y"), ("x", "x", "y"), ("y", "y")):
+        want = float(at_point(p._word(names)).re)
+        assert abs(rep.moment(names) - want) <= 1e-12
+    g = from_numeric(p, 2, {w: float(at_point(w).re)
+                            for w in p.basis_words(4)})
+    assert g.table == MomentFunctional.from_function(p, 2, at_point).table
+
+
 def test_state_round_trip_through_representation():
     p = load_preset("poly_x")
     f = gaussian_state(p, 6)
