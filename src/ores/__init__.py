@@ -17,10 +17,9 @@ from .errors import (ConfigError, DegreeOverflow, ExpressionError,
                      IrregularDenominator, OresError, OreWitnessNotFound,
                      PresentationError, PresentationMismatch, StateAxiomError,
                      TruncationLimit)
-from .exprparse import (ParseError, ast_to_element, ast_to_fraction,
-                        element_to_ast, fraction_to_text, parse,
-                        parse_element, parse_fraction_text,
-                        parse_sproduct_text, print_ast)
+from .exprparse import (ParseError, ast_to_element, element_to_ast,
+                        fraction_to_text, parse, parse_element,
+                        parse_fraction_text, parse_sproduct_text, print_ast)
 from .formulas import CPoly, Formula, QPoly
 from .gns import GnsRepresentation, gns, state_from_representation
 from .localization import (DEFAULT_BUDGET, EqResult, Fraction, OreBudget,
@@ -30,10 +29,9 @@ from .localization import (DEFAULT_BUDGET, EqResult, Fraction, OreBudget,
 from .operators import (BandedOperator, ChainSolveResult, ExtensionResult,
                         FockAssignment, InversionResult, chain_solve,
                         core_density_probe, extend_representation,
-                        factor_operator, fock_assignment,
-                        invert_one_plus_AstarA, lemma_pis_equals_S_check,
-                        one_plus_AstarA, pi_s_surjectivity_probe,
-                        sproduct_operator, strong_product, strong_sum)
+                        fock_assignment, invert_one_plus_AstarA,
+                        lemma_pis_equals_S_check, one_plus_AstarA,
+                        pi_s_surjectivity_probe, sproduct_operator)
 from .positivity import (CofinalityResult, PositivityCertificate,
                          cofinal_dominator, cofinal_dominator_from_fraction,
                          square_expansion_certificate, verify_certificate)
@@ -41,7 +39,7 @@ from .scalars import IMAG, ONE, Scalar, ZERO
 from .scenarios import SCENARIOS, ScenarioConfig, run_scenario, \
     write_scenario_report
 from .states import (MomentFunctional, check_state_axioms, dirac_state,
-                     fock_state, from_numeric, gaussian_state)
+                     from_numeric, gaussian_state)
 
 __version__ = "0.1.0"
 

@@ -20,21 +20,13 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (DegreeOverflow, PresentationError, PresentationMismatch)
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, as_scalar
 
 Word = tuple
-
-_SCALAR_ONE = ONE
 
 
 def _deglex_key(w: Word):
     return (len(w), w)
-
-
-def _as_scalar(c) -> Scalar:
-    if isinstance(c, Scalar):
-        return c
-    return Scalar(c)
 
 
 class RewriteRule:
@@ -96,7 +88,7 @@ class Presentation:
             rhs = {}
             for coeff, word_names in rhs_pairs:
                 w = self._word(word_names)
-                c = _as_scalar(coeff)
+                c = as_scalar(coeff)
                 if not c:
                     continue
                 prev = rhs.get(w)
@@ -176,7 +168,7 @@ class Presentation:
             return cached
         hit = self._find_redex(w)
         if hit is None:
-            result = {w: _SCALAR_ONE}
+            result = {w: ONE}
         else:
             pos, rule = hit
             u, v = w[:pos], w[pos + len(rule.lhs):]
@@ -212,14 +204,11 @@ class Presentation:
                     del acc[w2]
         return AlgebraElement(self, acc, _trusted=True)
 
-    def is_irreducible(self, w: Word) -> bool:
-        return self._find_redex(w) is None
-
     # -- load-time checks ----------------------------------------------------
 
     def _check_dagger_closure(self):
         for rule in self.rules:
-            lhs_d = self.normalize_raw({self.dagger_word(rule.lhs): _SCALAR_ONE})
+            lhs_d = self.normalize_raw({self.dagger_word(rule.lhs): ONE})
             rhs_d = self.normalize_raw(
                 {self.dagger_word(w): c.conjugate() for w, c in rule.rhs.items()})
             if lhs_d.terms != rhs_d.terms:
@@ -276,15 +265,15 @@ class Presentation:
         return AlgebraElement(self, {}, _trusted=True)
 
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, {(): _SCALAR_ONE}, _trusted=True)
+        return AlgebraElement(self, {(): ONE}, _trusted=True)
 
     def scalar(self, c) -> "AlgebraElement":
-        c = _as_scalar(c)
+        c = as_scalar(c)
         return AlgebraElement(self, {(): c} if c else {}, _trusted=True)
 
     def generator(self, name) -> "AlgebraElement":
         g = self._gen_index(name)
-        return self.normalize_raw({(g,): _SCALAR_ONE})
+        return self.normalize_raw({(g,): ONE})
 
     def element(self, terms: dict) -> "AlgebraElement":
         """Build an element from a dict mapping name tuples to coefficients."""
@@ -295,7 +284,7 @@ class Presentation:
                 raise DegreeOverflow(
                     "input word of length %d exceeds degree cap %d"
                     % (len(w), self.degree_cap))
-            c = _as_scalar(c)
+            c = as_scalar(c)
             prev = raw.get(w)
             raw[w] = c + prev if prev is not None else c
         return self.normalize_raw(raw)
@@ -417,7 +406,7 @@ class AlgebraElement:
             _trusted=True)
 
     def scale(self, c) -> "AlgebraElement":
-        c = _as_scalar(c)
+        c = as_scalar(c)
         if not c:
             return self.presentation.zero()
         return AlgebraElement(
@@ -474,7 +463,7 @@ class AlgebraElement:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(): _SCALAR_ONE}
+        return self.terms == {(): ONE}
 
     def degree(self) -> int:
         """Maximal word length, or -1 for the zero element."""
@@ -575,26 +564,10 @@ def normalize(raw, presentation: Presentation) -> AlgebraElement:
             raise DegreeOverflow(
                 "input word of length %d exceeds degree cap %d"
                 % (len(w), presentation.degree_cap))
-        c = _as_scalar(c)
+        c = as_scalar(c)
         prev = fixed.get(w)
         fixed[w] = c + prev if prev is not None else c
     return presentation.normalize_raw(fixed)
-
-
-def add(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
-    return u + v
-
-
-def scale(c, u: AlgebraElement) -> AlgebraElement:
-    return u.scale(c)
-
-
-def mul(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
-    return u * v
-
-
-def dagger(u: AlgebraElement) -> AlgebraElement:
-    return u.dagger()
 
 
 @dataclass(frozen=True)
@@ -637,7 +610,7 @@ def is_regular_up_to(s: AlgebraElement, depth: int) -> RegularityResult:
     for side in ("left", "right"):
         cols = []
         for w in basis:
-            wel = AlgebraElement(p, {w: _SCALAR_ONE}, _trusted=True)
+            wel = AlgebraElement(p, {w: ONE}, _trusted=True)
             prod = (s * wel) if side == "left" else (wel * s)
             vec = [Scalar(0)] * len(target)
             for w2, c in prod.terms.items():

@@ -2,19 +2,22 @@
 
 Grammar (dagger is the postfix apostrophe; no unary minus):
 
-    expr    := term (('+' | '-') term)*
-    term    := factor ('*' factor)*
-    factor  := scalar | ident | factor "'" | '(' expr ')'
-             | 'frac' '(' expr ';' [expr (',' expr)*] ')'
-    scalar  := INT ['/' INT] | 'i'
+    expr      := term (('+' | '-') term)*
+    term      := factor ('*' factor)*
+    factor    := scalar | ident | factor "'" | '(' expr ')'
+    scalar    := INT ['/' INT] | 'i'
+    fraction  := '(' expr ')' '/' factors
+    sproduct  := '1' | factors
+    factors   := '(' expr ')' ('*' '(' expr ')')*
 
-``frac`` and ``i`` are reserved words.  The printer emits the canonical
-whitespace form (products tight, sums spaced), so printing after parsing
-normalizes whitespace and printing an AST reparses to the same AST.
+``i`` is a reserved word.  The printer emits the canonical whitespace
+form (products tight, sums spaced), so printing after parsing normalizes
+whitespace and printing an AST reparses to the same AST.
 
-Denominator factors of ``frac`` must be written in the shape 1 + q*p
-with q the dagger of p; the fraction builder checks that exactly and
-refuses anything else, since the localization only inverts such factors.
+Each parenthesized denominator factor is either the scalar 1, which
+contributes no factor, or has the shape 1 + q*p with q the dagger of p;
+the fraction builder checks that exactly and refuses anything else,
+since the localization only inverts such factors.
 """
 
 from __future__ import annotations
@@ -77,15 +80,9 @@ class Paren:
     child: object
 
 
-@dataclass(frozen=True)
-class FracNode:
-    num: object
-    dens: tuple
-
-
 # -- tokenizer -------------------------------------------------------------------
 
-_PUNCT = "+-*/'();,"
+_PUNCT = "+-*/'()"
 
 
 @dataclass(frozen=True)
@@ -129,12 +126,7 @@ def tokenize(text: str):
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
-            if word == "i":
-                kind = "i"
-            elif word == "frac":
-                kind = "frac"
-            else:
-                kind = "ident"
+            kind = "i" if word == "i" else "ident"
             tokens.append(_Token(kind, word, line, col))
             col += j - i
             i = j
@@ -146,7 +138,7 @@ def tokenize(text: str):
 
 # -- parser ------------------------------------------------------------------------
 
-_FACTOR_START = ("int", "i", "ident", "(", "frac")
+_FACTOR_START = ("int", "i", "ident", "(")
 
 
 class _Parser:
@@ -225,19 +217,6 @@ class _Parser:
             inner = self.parse_expr()
             self.expect(")")
             return Paren(inner)
-        if t.kind == "frac":
-            self.advance()
-            self.expect("(")
-            num = self.parse_expr()
-            self.expect(";")
-            dens = []
-            if self.peek().kind in _FACTOR_START:
-                dens.append(self.parse_expr())
-                while self.peek().kind == ",":
-                    self.advance()
-                    dens.append(self.parse_expr())
-            self.expect(")")
-            return FracNode(num, tuple(dens))
         self.fail("expected a scalar, symbol, or parenthesized expression",
                   _FACTOR_START)
 
@@ -273,10 +252,6 @@ def _print_factor(node) -> str:
         return _print_factor(node.child) + "'"
     if isinstance(node, Paren):
         return "(" + print_ast(node.child) + ")"
-    if isinstance(node, FracNode):
-        num = print_ast(node.num)
-        dens = ", ".join(print_ast(d) for d in node.dens)
-        return "frac(%s; %s)" % (num, dens) if dens else "frac(%s;)" % num
     raise ValueError("%r is not a factor-level node" % (node,))
 
 
@@ -311,7 +286,7 @@ def print_ast(node) -> str:
 
 
 def ast_to_element(node, presentation: Presentation) -> AlgebraElement:
-    """Evaluate an AST in the presentation; frac nodes are rejected."""
+    """Evaluate an AST in the presentation."""
     p = presentation
     if isinstance(node, ScalarLit):
         return p.scalar(node.value)
@@ -337,9 +312,6 @@ def ast_to_element(node, presentation: Presentation) -> AlgebraElement:
         for f in node.factors:
             acc = acc * ast_to_element(f, p)
         return acc
-    if isinstance(node, FracNode):
-        raise ExpressionError(
-            "a fraction constructor cannot appear inside an algebra element")
     raise TypeError("not an AST node: %r" % (node,))
 
 
@@ -372,9 +344,7 @@ def _match_one_plus_dagger_product(node, presentation) -> AlgebraElement:
     first, second = node.terms
     if isinstance(first, Neg) or isinstance(second, Neg):
         raise ExpressionError(shape)
-    cands = [(first, second), (second, first)]
-    for one_part, prod_part in cands:
-        one_el = None
+    for one_part, prod_part in ((first, second), (second, first)):
         try:
             one_el = ast_to_element(one_part, presentation)
         except ExpressionError:
@@ -394,36 +364,6 @@ def _match_one_plus_dagger_product(node, presentation) -> AlgebraElement:
             if q == p_el.dagger():
                 return p_el
     raise ExpressionError(shape)
-
-
-def ast_to_fraction(node, presentation: Presentation, regularity_depth=2):
-    """Build a right fraction from a frac(...) node.
-
-    A denominator factor that is literally the scalar 1 contributes no
-    factor; every other factor must match the 1 + q*p shape.
-    """
-    from .localization import Fraction, SProduct
-
-    node = _strip_paren(node)
-    if not isinstance(node, FracNode):
-        raise ExpressionError("expected a frac(numerator; factors) node")
-    num = ast_to_element(node.num, presentation)
-    ps = []
-    for d in node.dens:
-        stripped = _strip_paren(d)
-        if isinstance(stripped, ScalarLit) and stripped.value == Scalar(1):
-            continue
-        ps.append(_match_one_plus_dagger_product(stripped, presentation))
-    den = SProduct(presentation, tuple(ps))
-    return Fraction(num, den, regularity_depth=regularity_depth)
-
-
-def fraction_to_frac_text(f) -> str:
-    """Canonical frac(...) text of a fraction."""
-    num = format_element(f.num)
-    dens = ", ".join(
-        "1 + %s*%s" % (_dagger_text(p), _factor_text(p)) for p in f.den.ps)
-    return "frac(%s; %s)" % (num, dens) if dens else "frac(%s;)" % num
 
 
 def _factor_text(el: AlgebraElement) -> str:
@@ -492,14 +432,11 @@ def parse_sproduct_text(text: str, presentation: Presentation):
 
 def parse_fraction_text(text: str, presentation: Presentation,
                         regularity_depth=2):
-    """Parse the CLI fraction syntax ``(expr) / (factor)*(factor)...``;
-    also accepts the frac(...) constructor form."""
+    """Parse the CLI fraction syntax ``(expr) / (factor)*(factor)...``."""
     from .localization import Fraction, SProduct
 
     p = _Parser(text)
     first = p.parse_factor()
-    if p.peek().kind == "eof" and isinstance(_strip_paren(first), FracNode):
-        return ast_to_fraction(first, presentation, regularity_depth)
     if not isinstance(first, Paren):
         tok = p.tokens[0]
         raise ParseError("a fraction starts with a parenthesized numerator",

@@ -14,6 +14,14 @@ up to the Cauchy root bound); otherwise the radicand is kept whole.
 Both rules are deterministic functions of the radicand polynomial, so
 algebraically equal band expressions normalize to identical term data
 and evaluate to bit-identical floats.
+
+The rational split factors integers only by the primes below 512, so
+its cost stays bounded for any coefficient.  It is exact for every
+numerator and denominator below 512**3; past that, a square factor p^2
+with p >= 512 can stay under the root.  Such a radicand is still a
+deterministic function of its polynomial and evaluates correctly, but
+two equal formulas that carry it in different forms compare unequal;
+equal data always means equal formulas.
 """
 
 from __future__ import annotations
@@ -22,30 +30,28 @@ import math
 from fractions import Fraction as Rational
 
 from .errors import FormulaDomainError
-from .scalars import Scalar
+from .scalars import Scalar, as_scalar
 
 
-def _trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-class QPoly:
-    """Polynomial over the rationals, coefficients in ascending order."""
+class _Poly:
+    """Shared body of QPoly and CPoly: coefficients in ascending order
+    with trailing zeros trimmed.  A subclass fixes the coefficient type
+    through _coerce and _zero."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        self.coeffs = _trim(Rational(c) for c in coeffs)
+        fixed = [self._coerce(c) for c in coeffs]
+        while fixed and not fixed[-1]:
+            fixed.pop()
+        self.coeffs = tuple(fixed)
 
     @classmethod
-    def const(cls, c) -> "QPoly":
-        return cls((Rational(c),))
+    def const(cls, c):
+        return cls((c,))
 
     @classmethod
-    def of(cls, *coeffs) -> "QPoly":
+    def of(cls, *coeffs):
         return cls(coeffs)
 
     def is_zero(self) -> bool:
@@ -54,37 +60,81 @@ class QPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def leading(self) -> Rational:
-        return self.coeffs[-1]
-
     def __add__(self, o):
         n = max(len(self.coeffs), len(o.coeffs))
-        a = list(self.coeffs) + [Rational(0)] * (n - len(self.coeffs))
+        a = list(self.coeffs) + [self._zero] * (n - len(self.coeffs))
         for i, c in enumerate(o.coeffs):
-            a[i] += c
-        return QPoly(a)
+            a[i] = a[i] + c
+        return type(self)(a)
 
     def __neg__(self):
-        return QPoly(-c for c in self.coeffs)
+        return type(self)(-c for c in self.coeffs)
 
     def __sub__(self, o):
         return self + (-o)
 
     def __mul__(self, o):
         if not self.coeffs or not o.coeffs:
-            return QPoly()
-        out = [Rational(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
+            return type(self)()
+        out = [self._zero] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
             for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return QPoly(out)
+                out[i + j] = out[i + j] + a * b
+        return type(self)(out)
 
-    def scale(self, c) -> "QPoly":
-        c = Rational(c)
-        return QPoly(a * c for a in self.coeffs)
+    def scale(self, c):
+        c = self._coerce(c)
+        return type(self)(a * c for a in self.coeffs)
+
+    def shift(self, k: int):
+        """Compose with n -> n+k."""
+        if not k or self.is_zero():
+            return self
+        out = [self._zero] * len(self.coeffs)
+        for i, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            kp = 1
+            for j in range(i, -1, -1):
+                out[j] = out[j] + c * (math.comb(i, j) * kp)
+                kp *= k
+        return type(self)(out)
+
+    def eval(self, n):
+        """Horner evaluation, exact in the coefficient type."""
+        acc = self._zero
+        for c in reversed(self.coeffs):
+            acc = acc * n + c
+        return acc
+
+    def key(self):
+        return self.coeffs
+
+    def __eq__(self, o):
+        return type(o) is type(self) and self.coeffs == o.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        terms = " + ".join(self._term % (c, i)
+                           for i, c in enumerate(self.coeffs) if c)
+        return "%s(%s)" % (type(self).__name__, terms or 0)
+
+
+class QPoly(_Poly):
+    """Polynomial over the rationals."""
+
+    __slots__ = ()
+    _coerce = Rational
+    _zero = Rational(0)
+    _term = "%s*n^%d"
+
+    @property
+    def leading(self) -> Rational:
+        return self.coeffs[-1]
 
     def monic(self) -> "QPoly":
         if self.is_zero():
@@ -112,41 +162,6 @@ class QPoly:
 
     def __floordiv__(self, d):
         return self.divmod(d)[0]
-
-    def shift(self, k: int) -> "QPoly":
-        """Compose with n -> n+k."""
-        if not k or self.is_zero():
-            return self
-        out = [Rational(0)] * len(self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            kp = 1
-            for j in range(i, -1, -1):
-                out[j] += c * math.comb(i, j) * kp
-                kp *= k
-        return QPoly(out)
-
-    def eval(self, n) -> Rational:
-        acc = Rational(0)
-        for c in reversed(self.coeffs):
-            acc = acc * n + c
-        return acc
-
-    def key(self):
-        return self.coeffs
-
-    def __eq__(self, o):
-        return isinstance(o, QPoly) and self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if self.is_zero():
-            return "QPoly(0)"
-        return "QPoly(%s)" % " + ".join(
-            "%s*n^%d" % (c, i) for i, c in enumerate(self.coeffs) if c)
 
 
 QP_ZERO = QPoly()
@@ -187,20 +202,34 @@ def squarefree_decomposition(p: QPoly):
     return lc, out
 
 
+# primes below _PRIME_BOUND, the only trial divisors of radicand content
+_PRIME_BOUND = 512
+_SMALL_PRIMES = tuple(p for p in range(2, _PRIME_BOUND)
+                      if all(p % d for d in range(2, math.isqrt(p) + 1)))
+
+
 def _square_split_int(n: int):
-    """n = s^2 * f with f squarefree, for n >= 1; returns (s, f)."""
+    """n = s^2 * f for n >= 1; returns (s, f).
+
+    Trial division by the primes below _PRIME_BOUND; the cofactor left
+    after them moves out of the root whole when it is a perfect square
+    and stays under it otherwise.  So f is squarefree whenever that
+    cofactor is below _PRIME_BOUND**3, in particular for every
+    n < _PRIME_BOUND**3."""
     s, f = 1, 1
-    d = 2
-    while d * d <= n:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
         e = 0
-        while n % d == 0:
-            n //= d
+        while n % p == 0:
+            n //= p
             e += 1
-        if e:
-            s *= d ** (e // 2)
-            if e % 2:
-                f *= d
-        d += 1 if d == 2 else 2
+        s *= p ** (e // 2)
+        if e % 2:
+            f *= p
+    r = math.isqrt(n)
+    if r * r == n:
+        return s * r, f
     return s, f * n
 
 
@@ -255,97 +284,23 @@ def normalize_radicand(q: QPoly):
     return QP_ONE, q
 
 
-class CPoly:
+class CPoly(_Poly):
     """Polynomial over the Gaussian rationals."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        fixed = []
-        for c in coeffs:
-            fixed.append(c if isinstance(c, Scalar) else Scalar(c))
-        while fixed and not fixed[-1]:
-            fixed.pop()
-        self.coeffs = tuple(fixed)
-
-    @classmethod
-    def const(cls, c) -> "CPoly":
-        return cls((c,))
+    __slots__ = ()
+    _coerce = staticmethod(as_scalar)
+    _zero = Scalar(0)
+    _term = "(%s)*n^%d"
 
     @classmethod
     def from_qpoly(cls, q: QPoly) -> "CPoly":
-        return cls(Scalar(c) for c in q.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, o):
-        n = max(len(self.coeffs), len(o.coeffs))
-        a = list(self.coeffs) + [Scalar(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(o.coeffs):
-            a[i] = a[i] + c
-        return CPoly(a)
-
-    def __neg__(self):
-        return CPoly(-c for c in self.coeffs)
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __mul__(self, o):
-        if not self.coeffs or not o.coeffs:
-            return CPoly()
-        out = [Scalar(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return CPoly(out)
-
-    def scale(self, c) -> "CPoly":
-        c = c if isinstance(c, Scalar) else Scalar(c)
-        return CPoly(a * c for a in self.coeffs)
+        return cls(q.coeffs)
 
     def conj(self) -> "CPoly":
         return CPoly(c.conjugate() for c in self.coeffs)
 
-    def shift(self, k: int) -> "CPoly":
-        if not k or self.is_zero():
-            return self
-        out = [Scalar(0)] * len(self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            kp = 1
-            for j in range(i, -1, -1):
-                out[j] = out[j] + c * (math.comb(i, j) * kp)
-                kp *= k
-        return CPoly(out)
-
-    def eval(self, n) -> Scalar:
-        acc = Scalar(0)
-        for c in reversed(self.coeffs):
-            acc = acc * n + c
-        return acc
-
     def key(self):
         return tuple((c.re, c.im) for c in self.coeffs)
-
-    def __eq__(self, o):
-        return isinstance(o, CPoly) and self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if self.is_zero():
-            return "CPoly(0)"
-        return "CPoly(%s)" % " + ".join(
-            "(%s)*n^%d" % (c, i) for i, c in enumerate(self.coeffs) if c)
 
 
 CP_ZERO = CPoly()
@@ -375,7 +330,7 @@ class Formula:
 
     @classmethod
     def const(cls, c) -> "Formula":
-        c = c if isinstance(c, Scalar) else Scalar(c)
+        c = as_scalar(c)
         if not c:
             return cls()
         return cls({QP_ONE: CPoly.const(c)})
@@ -398,9 +353,6 @@ class Formula:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_polynomial(self) -> bool:
-        return all(rad == QP_ONE for rad in self.terms)
-
     # -- algebra ----------------------------------------------------------------
 
     def __add__(self, o: "Formula") -> "Formula":
@@ -421,7 +373,7 @@ class Formula:
         return self + (-o)
 
     def scale(self, c) -> "Formula":
-        c = c if isinstance(c, Scalar) else Scalar(c)
+        c = as_scalar(c)
         if not c:
             return Formula()
         return Formula({rad: amp.scale(c) for rad, amp in self.terms.items()})
@@ -462,6 +414,12 @@ class Formula:
 
     def sorted_terms(self):
         return tuple(sorted(self.terms.items(), key=lambda t: t[0].coeffs))
+
+    def is_zero_at(self, n: int) -> bool:
+        """Exact test that every term vanishes at n (a sufficient test:
+        terms that cancel only in sum count as nonzero)."""
+        return all(not amp.eval(n) or not rad.eval(n)
+                   for rad, amp in self.terms.items())
 
     def eval(self, n: int) -> complex:
         total = 0j

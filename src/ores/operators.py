@@ -22,7 +22,8 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import AlgebraElement, Presentation, _check_same
-from .errors import PresentationError, TruncationLimit
+from .errors import (FormulaDomainError, PresentationError,
+                     TruncationLimit)
 from .formulas import Formula, QPoly
 from .localization import SProduct, ore_solve_left
 
@@ -116,8 +117,9 @@ class BandedOperator:
         """Dense N x N truncation."""
         M = np.zeros((N, N), dtype=complex)
         for k, f in self.bands.items():
-            for n in range(max(0, -k), min(N, N - k)):
-                M[n, n + k] = f.eval(n)
+            lo, hi = max(0, -k), min(N, N - k)
+            rows = np.arange(lo, hi)
+            M[rows, rows + k] = _sample(f, lo, hi)
         return M
 
     # -- adjoint / sum / product -------------------------------------------------------
@@ -148,12 +150,23 @@ class BandedOperator:
         return BandedOperator({k: f.scale(c) for k, f in self.bands.items()})
 
     def __mul__(self, o: "BandedOperator") -> "BandedOperator":
-        """Composition: (AB)[n, n+k] = sum_j a_j(n) b_{k-j}(n+j)."""
+        """Composition: (AB)[n, n+k] = sum_j a_j(n) b_{k-j}(n+j).
+
+        For j < 0 the rows n < -j have no row n+j in the right factor, so
+        the symbolic term must vanish there wherever its column n+j+l
+        exists; a term that does not is refused with FormulaDomainError.
+        """
         acc = {}
         for j, fa in self.bands.items():
             for l, fb in o.bands.items():
                 k = j + l
                 term = fa.mul_shifted(fb, j)
+                for n in range(max(0, -k), -j):
+                    if not term.is_zero_at(n):
+                        raise FormulaDomainError(
+                            "band %+d times band %+d is nonzero at row %d, "
+                            "where the right factor has no row %d"
+                            % (j, l, n, n + j))
                 prev = acc.get(k)
                 term = term + prev if prev is not None else term
                 acc[k] = term
@@ -177,15 +190,17 @@ class BandedOperator:
             "%+d: %r" % (k, f) for k, f in sorted(self.bands.items()))
 
 
-def strong_sum(a: BandedOperator, b: BandedOperator) -> BandedOperator:
-    """On the banded class the strong sum restricts to the pointwise sum
-    of band formulas."""
-    return a + b
+def _sample(f: Formula, lo: int, hi: int) -> np.ndarray:
+    """f(n) for lo <= n < hi: the one place where bands are sampled."""
+    return np.array([f.eval(n) for n in range(lo, hi)], dtype=complex)
 
 
-def strong_product(a: BandedOperator, b: BandedOperator) -> BandedOperator:
-    """On the banded class the strong product restricts to composition."""
-    return a * b
+def _gap(u, v) -> np.ndarray:
+    """u - v with the shorter vector zero-padded."""
+    r = np.zeros(max(len(u), len(v)), dtype=complex)
+    r[:len(u)] = u
+    r[:len(v)] -= v
+    return r
 
 
 # -- assignments -----------------------------------------------------------------
@@ -277,10 +292,7 @@ def fock_assignment(presentation: Presentation) -> FockAssignment:
     return FockAssignment(p, ops)
 
 
-def factor_operator(assignment: FockAssignment,
-                    p_el: AlgebraElement) -> BandedOperator:
-    """1 + A*A for A the operator of the factor parameter."""
-    A = assignment.operator_of(p_el)
+def one_plus_AstarA(A: BandedOperator) -> BandedOperator:
     return BandedOperator.identity() + A.adjoint() * A
 
 
@@ -288,7 +300,7 @@ def sproduct_operator(assignment: FockAssignment, s: SProduct) -> BandedOperator
     """The left-to-right product of the factor operators of s."""
     out = BandedOperator.identity()
     for p_el in s.ps:
-        out = out * factor_operator(assignment, p_el)
+        out = out * one_plus_AstarA(assignment.operator_of(p_el))
     return out
 
 
@@ -302,27 +314,17 @@ class InversionResult:
     truncation_size: int
 
 
-def one_plus_AstarA(A: BandedOperator) -> BandedOperator:
-    return BandedOperator.identity() + A.adjoint() * A
-
-
 def _banded_cholesky_solve(M: BandedOperator, rhs: np.ndarray) -> np.ndarray:
     """Solve the N x N truncation of the hermitian positive definite
     banded operator M against rhs (length N)."""
     N = len(rhs)
     K = M.max_offset
     if K == 0:
-        f = M.bands[0]
-        d = np.array([f.eval(n) for n in range(N)], dtype=complex)
-        return rhs / d
+        return rhs / _sample(M.bands[0], 0, N)
     ab = np.zeros((K + 1, N), dtype=complex)
-    for k in range(0, K + 1):
-        f = M.bands.get(k)
-        if f is None:
-            continue
-        row = K - k
-        for n in range(0, N - k):
-            ab[row, n + k] = f.eval(n)
+    for k, f in M.bands.items():
+        if k >= 0:
+            ab[K - k, k:] = _sample(f, 0, N - k)
     return scipy.linalg.solveh_banded(ab, rhs, lower=False)
 
 
@@ -348,12 +350,7 @@ def invert_one_plus_AstarA(A: BandedOperator, y, tol: float,
         rhs = np.zeros(N, dtype=complex)
         rhs[:min(L, N)] = y[:min(L, N)]
         x = _banded_cholesky_solve(M, rhs)
-        z = M.apply(x)
-        m = max(len(z), L)
-        r = np.zeros(m, dtype=complex)
-        r[:len(z)] = z
-        r[:L] -= y
-        residual = float(np.linalg.norm(r))
+        residual = float(np.linalg.norm(_gap(M.apply(x), y)))
         if residual <= tol:
             return InversionResult(x, residual, N)
         if N >= size_cap:
@@ -396,12 +393,7 @@ def chain_solve(assignment: FockAssignment, s: SProduct, y, tol: float,
             z = res.x
             sizes.append(res.truncation_size)
             inner.append(res.residual)
-        v = total.apply(z)
-        m = max(len(v), len(y))
-        r = np.zeros(m, dtype=complex)
-        r[:len(v)] = v
-        r[:len(y)] -= y
-        residual = float(np.linalg.norm(r))
+        residual = float(np.linalg.norm(_gap(total.apply(z), y)))
         last = ChainSolveResult(z, residual, tuple(sizes), tuple(inner))
         if residual <= tol:
             return last
@@ -480,10 +472,7 @@ def lemma_pis_equals_S_check(assignment: FockAssignment, s: SProduct,
         va = route_a.apply(xi)
         vb = route_b.apply(xi)
         same = va.shape == vb.shape and bool(np.all(va == vb))
-        gap = 0.0 if same else float(
-            np.linalg.norm(
-                np.resize(va, max(len(va), len(vb)))
-                - np.resize(vb, max(len(va), len(vb)))))
+        gap = 0.0 if same else float(np.linalg.norm(_gap(va, vb)))
         items.append(ProbeItem("sample_%d" % idx, gap, len(np.asarray(xi)),
                                same))
     return ProbeReport("composite_equals_product", 0.0, items)
@@ -505,11 +494,7 @@ def core_density_probe(assignment: FockAssignment, a: AlgebraElement,
             res = chain_solve(assignment, s, xi[:N], tol / 4, size_cap)
         except TruncationLimit:
             break
-        v = total.apply(res.x)
-        m = max(len(v), len(xi))
-        diff = np.zeros(m, dtype=complex)
-        diff[:len(v)] = v
-        diff[:len(xi)] -= xi
+        diff = _gap(total.apply(res.x), xi)
         graph_sq = float(np.linalg.norm(diff)) ** 2
         adiff = Aop.apply(diff)
         graph_sq += float(np.linalg.norm(adiff)) ** 2
@@ -571,10 +556,6 @@ def extend_representation(assignment: FockAssignment, frac, xi, tol: float,
             bxi = assignment.operator_of(w.b).apply(xi)
             alt = chain_solve(assignment, w.t, bxi, tol, size_cap)
             witness_vector = alt.x
-            m = max(len(vector), len(witness_vector))
-            gap = np.zeros(m, dtype=complex)
-            gap[:len(vector)] = vector
-            gap[:len(witness_vector)] -= witness_vector
-            route_gap = float(np.linalg.norm(gap))
+            route_gap = float(np.linalg.norm(_gap(vector, witness_vector)))
     return ExtensionResult(vector, sol.residual, sol.truncation_sizes,
                            witness_found, witness_vector, route_gap)

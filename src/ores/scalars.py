@@ -143,6 +143,10 @@ class Scalar:
         return "%s %s %s" % (self.re, sign, imag)
 
 
+def as_scalar(c) -> Scalar:
+    return c if isinstance(c, Scalar) else Scalar(c)
+
+
 ZERO = Scalar(0)
 ONE = Scalar(1)
 IMAG = Scalar(0, 1)

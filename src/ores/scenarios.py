@@ -28,14 +28,14 @@ from .gns import gns
 from .localization import (Fraction, OreBudget, SProduct, embed, eq_fraction,
                            frac_add, frac_dagger, frac_mul,
                            remark_mult_property_check)
-from .operators import (BandedOperator, extend_representation,
+from .operators import (BandedOperator, _gap, extend_representation,
                         fock_assignment, invert_one_plus_AstarA,
                         lemma_pis_equals_S_check, one_plus_AstarA,
                         pi_s_surjectivity_probe)
 from .positivity import (cofinal_dominator, square_expansion_certificate,
                          verify_certificate)
 from .scalars import Scalar
-from .states import fock_state, gaussian_state
+from .states import dirac_state, double_factorial_moments, gaussian_state
 
 
 @dataclass(frozen=True)
@@ -422,14 +422,6 @@ def scenario_cofinality(cfg: ScenarioConfig) -> dict:
 # -- gaussian-gns ----------------------------------------------------------------------------
 
 
-def _double_factorial(k: int) -> int:
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
-
-
 def scenario_gaussian_gns(cfg: ScenarioConfig) -> dict:
     items = []
     d = cfg.gns_degree
@@ -454,8 +446,9 @@ def scenario_gaussian_gns(cfg: ScenarioConfig) -> dict:
                        size=r))
 
     worst = 0.0
+    moments = double_factorial_moments(2 * (d - 1))
     for k in range(0, 2 * (d - 1) + 1):
-        expected = 0.0 if k % 2 else float(_double_factorial(k - 1))
+        expected = float(moments[k])
         got = rep.moment(("x",) * k)
         worst = max(worst, abs(got - expected))
     items.append(_item("moment_recovery", worst <= tol,
@@ -501,7 +494,7 @@ def scenario_fock(cfg: ScenarioConfig) -> dict:
     cap = cfg.truncation_cap
 
     # vacuum-state GNS adjoint window
-    rep = gns(fock_state(p, cfg.gns_degree))
+    rep = gns(dirac_state(p, cfg.gns_degree))
     worst = max(rep.adjoint_defect("a"), rep.adjoint_defect("ad"))
     items.append(_item("gns_adjoint_window", worst <= 1e-10,
                        defect=float(worst), degree=cfg.gns_degree))
@@ -514,12 +507,7 @@ def scenario_fock(cfg: ScenarioConfig) -> dict:
     for n in range(0, 21):
         y = _basis_vector(n)
         res = invert_one_plus_AstarA(A, y, cfg.solve_tol, size_cap=cap)
-        expected = y / (1.0 + n)
-        m = max(len(res.x), len(y))
-        gap = np.zeros(m, dtype=complex)
-        gap[:len(res.x)] = res.x
-        gap[:len(y)] -= expected
-        err = float(np.max(np.abs(gap)))
+        err = float(np.max(np.abs(_gap(res.x, y / (1.0 + n)))))
         if err != 0.0:
             exact = False
         worst = max(worst, err)
@@ -539,12 +527,8 @@ def scenario_fock(cfg: ScenarioConfig) -> dict:
     rhs = np.zeros(N4, dtype=complex)
     rhs[:len(y)] = y
     oracle = np.linalg.solve(dense, rhs)
-    back = M.apply(oracle)
-    back[:len(y)] -= y
-    oracle_residual = float(np.linalg.norm(back))
-    xpad = np.zeros(N4, dtype=complex)
-    xpad[:len(res.x)] = res.x
-    err = float(np.linalg.norm(xpad - oracle))
+    oracle_residual = float(np.linalg.norm(_gap(M.apply(oracle), y)))
+    err = float(np.linalg.norm(_gap(res.x, oracle)))
     items.append(_item("inversion_poly_shift",
                        err <= 1e-9 and err <= res.residual + oracle_residual,
                        oracle_error=err, residual=float(res.residual),

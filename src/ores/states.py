@@ -20,7 +20,7 @@ from fractions import Fraction as Rational
 from .algebra import AlgebraElement, Presentation, _check_same
 from .errors import InsufficientDegree, StateAxiomError
 from .linalg import PsdReport, graded_hermitian_reduce
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, as_scalar
 
 
 def _dagger_nf(p: Presentation, w) -> dict:
@@ -63,9 +63,7 @@ class MomentFunctional:
         words = presentation.basis_words(2 * degree)
         fixed = {}
         for w in words:
-            c = table.get(w, ZERO)
-            c = c if isinstance(c, Scalar) else Scalar(c)
-            fixed[w] = c
+            fixed[w] = as_scalar(table.get(w, ZERO))
         if validate:
             extra = set(table) - set(words)
             if extra:
@@ -188,11 +186,6 @@ def dirac_state(presentation: Presentation, degree: int) -> MomentFunctional:
     """
     return MomentFunctional.from_function(
         presentation, degree, lambda w: ONE if not w else ZERO)
-
-
-def fock_state(presentation: Presentation, degree: int) -> MomentFunctional:
-    """Vacuum expectation on the normal-ordered oscillator presentation."""
-    return dirac_state(presentation, degree)
 
 
 def double_factorial_moments(max_power: int):

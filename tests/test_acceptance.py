@@ -20,7 +20,7 @@ from ores.operators import (extend_representation, fock_assignment,
                             invert_one_plus_AstarA)
 from ores.positivity import square_expansion_certificate, verify_certificate
 from ores.scalars import Scalar
-from ores.states import fock_state, gaussian_state
+from ores.states import dirac_state, gaussian_state
 from ores.files import canonical_json, render_text_report
 
 from oracles import (gaussian_moment, hermite_jacobi,
@@ -145,7 +145,7 @@ def test_criterion_05_hermite_window_and_moments():
 def test_criterion_06_adjoint_windows():
     gauss = gns(gaussian_state(load_preset("poly_x"), 6))
     defects = {"x": gauss.adjoint_defect("x")}
-    fock = gns(fock_state(load_preset("heisenberg"), 6))
+    fock = gns(dirac_state(load_preset("heisenberg"), 6))
     defects["a"] = fock.adjoint_defect("a")
     defects["ad"] = fock.adjoint_defect("ad")
     assert all(d <= 1e-10 for d in defects.values())

@@ -7,10 +7,14 @@ in-process and read captured stdout/stderr.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 from ores.cli import main
 from ores.files import save_moments, save_operator, save_presentation
 from ores.algebra import load_preset
+from ores.formulas import Formula
 from ores.operators import BandedOperator
 from ores.states import gaussian_state
 
@@ -37,6 +41,16 @@ def test_normalize(capsys):
                        ["normalize", "--presentation", "poly_xy", "y*x"])
     assert code == 0
     assert out == "x*y\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-m", "ores", "normalize",
+                           "a*a' - a'*a"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
 
 
 def test_normalize_usage_errors(capsys):
@@ -229,6 +243,16 @@ def test_op_invert_truncation_cap_is_check_failure(tmp_path, capsys):
         "--tol", "1e-30"])
     assert code == 1
     assert "check failed:" in err
+
+
+def test_op_invert_refuses_product_on_missing_rows(tmp_path, capsys):
+    path = tmp_path / "shift.json"
+    save_operator(BandedOperator.weighted_shift(1, Formula.poly([1, 2])),
+                  path)
+    code, _, err = run(capsys, [
+        "op", "invert", "--operator", str(path), "--vector", "1"])
+    assert code == 2
+    assert "no row" in err
 
 
 def test_op_probe_surjectivity(capsys):

@@ -106,8 +106,8 @@ def test_moment_table_round_trip(tmp_path):
 
 def test_moment_words_are_dot_joined():
     p = load_preset("heisenberg")
-    from ores.states import fock_state
-    d = moments_to_dict(fock_state(p, 3))
+    from ores.states import dirac_state
+    d = moments_to_dict(dirac_state(p, 3))
     assert "1" in d["moments"]
     assert d["moments"]["1"] == [1, 1, 0, 1]
     assert "ad.a" in d["moments"]

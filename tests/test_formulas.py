@@ -1,13 +1,17 @@
 """Closed entry formulas: square-root sums with canonical radicands."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Rational
 
 import pytest
 
 from ores.errors import FormulaDomainError
-from ores.formulas import (CPoly, Formula, QPoly, nonneg_on_naturals,
+from ores.formulas import (_PRIME_BOUND, CPoly, Formula, QPoly,
+                           _square_split_int, nonneg_on_naturals,
                            normalize_radicand, qpoly_gcd,
                            rational_square_split, squarefree_decomposition)
 from ores.scalars import IMAG, Scalar
@@ -89,6 +93,43 @@ def test_rational_square_split():
     assert f < 0
     s, f = rational_square_split(Rational(1, 3))
     assert s * s * f == Rational(1, 3)
+
+
+def test_square_split_matches_full_factoring_below_bound_squared():
+    # full factorization through a smallest-prime-factor sieve
+    top = _PRIME_BOUND ** 2
+    spf = list(range(top))
+    for d in range(2, math.isqrt(top) + 1):
+        if spf[d] == d:
+            for m in range(d * d, top, d):
+                if spf[m] == m:
+                    spf[m] = d
+    for n in range(1, top):
+        s, f, m = 1, 1, n
+        while m > 1:
+            d, e = spf[m], 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            s *= d ** (e // 2)
+            f *= d ** (e % 2)
+        assert _square_split_int(n) == (s, f), n
+    # a square cofactor of large primes still leaves the root
+    assert _square_split_int(521 ** 2 * 6) == (521, 6)
+    assert _square_split_int((521 * 523) ** 2) == (521 * 523, 1)
+
+
+def test_large_prime_radicand_does_not_hang():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    # the leading coefficient is prime, so the radicand stays whole
+    code = ("from ores.formulas import Formula, QPoly\n"
+            "q = QPoly.of(1, 10**20 + 39)\n"
+            "print(list(Formula.sqrt(q).terms) == [q])\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 def test_nonneg_on_naturals():

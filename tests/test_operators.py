@@ -8,17 +8,19 @@ import numpy as np
 import pytest
 
 from ores.algebra import load_preset
-from ores.errors import PresentationError, TruncationLimit
+from ores.errors import (FormulaDomainError, PresentationError,
+                         TruncationLimit)
 from ores.formulas import Formula, QPoly
 from ores.localization import Fraction, SProduct
 from ores.operators import (BandedOperator, FockAssignment, chain_solve,
                             core_density_probe, extend_representation,
-                            factor_operator, fock_assignment,
+                            fock_assignment,
                             invert_one_plus_AstarA, lemma_pis_equals_S_check,
                             one_plus_AstarA, pi_s_surjectivity_probe,
                             sproduct_operator)
 from ores.scalars import IMAG, Scalar
 
+import ores.operators
 from oracles import (dense_annihilation, dense_apply, dense_creation,
                      dense_matrix, dense_one_plus_AstarA_solve)
 
@@ -102,6 +104,20 @@ def test_number_operator_identities():
     assert A * C - C * A == BandedOperator.identity()
 
 
+def test_product_refuses_terms_on_missing_rows():
+    # A*A with weight 1+2n keeps (2n-1)^2 at row 0, where A has no row -1:
+    # the dense (0,0) entry of 1 + A*A is 1, the symbolic one would be 2
+    bad = BandedOperator.weighted_shift(1, Formula.poly([1, 2]))
+    with pytest.raises(FormulaDomainError):
+        one_plus_AstarA(bad)
+    # weight 1+n gives n^2, which vanishes at row 0
+    A = BandedOperator.weighted_shift(1, Formula.poly([1, 1]))
+    N = 12
+    Ad = dense_matrix(A, N)
+    want = np.eye(N, dtype=complex) + Ad.conj().T @ Ad
+    assert np.array_equal(one_plus_AstarA(A).matrix(N), want)
+
+
 def test_operator_equality_and_bandwidth():
     I = BandedOperator.identity()
     assert I == BandedOperator.diagonal(Formula.const(1))
@@ -167,7 +183,7 @@ def test_sproduct_operator_and_factors():
     asg = fock_assignment(p)
     a = p.generator("a")
     ad = p.generator("ad")
-    f = factor_operator(asg, a)
+    f = one_plus_AstarA(asg.operator_of(a))
     assert f == BandedOperator.diagonal(Formula.poly([1, 1]))
     s = SProduct(p, (a, ad))
     prod = sproduct_operator(asg, s)
@@ -271,6 +287,26 @@ def test_lemma_check_routes_agree_bitwise():
                                           [_basis(n, 9) for n in range(9)])
         assert report.ok
         assert all(item.residual == 0.0 for item in report.items)
+
+
+def test_lemma_check_gap_pads_with_zeros(monkeypatch):
+    p = load_preset("heisenberg")
+    asg = fock_assignment(p)
+    a = p.generator("a")
+    s = SProduct(p, (a,))
+    plain = ores.operators.sproduct_operator
+    monkeypatch.setattr(
+        ores.operators, "sproduct_operator",
+        lambda asg, s: plain(asg, s) + BandedOperator.weighted_shift(
+            -2, Formula.const(1)))
+    xi = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
+    report = lemma_pis_equals_S_check(asg, s, [xi])
+    va = asg.operator_of(s.value).apply(xi)
+    vb = ores.operators.sproduct_operator(asg, s).apply(xi)
+    assert len(vb) == len(va) + 2
+    want = np.linalg.norm(np.concatenate([va, np.zeros(2)]) - vb)
+    assert not report.items[1].passed
+    assert report.items[1].residual == float(want)
 
 
 def test_core_density_probe():

@@ -6,10 +6,9 @@ import pytest
 
 from ores.algebra import load_preset, random_element
 from ores.errors import ExpressionError
-from ores.exprparse import (Dagger, FracNode, Neg, ParseError, Paren, Prod,
-                            ScalarLit, Sum, Sym, ast_to_element,
-                            ast_to_fraction, element_to_ast, fraction_to_text,
-                            fraction_to_frac_text, parse, parse_element,
+from ores.exprparse import (Dagger, Neg, ParseError, Paren, Prod, ScalarLit,
+                            Sum, Sym, ast_to_element, element_to_ast,
+                            fraction_to_text, parse, parse_element,
                             parse_fraction_text, parse_sproduct_text,
                             print_ast)
 from ores.localization import Fraction, SProduct, eq_fraction
@@ -33,17 +32,6 @@ def test_dagger_binds_to_parenthesized_group():
     assert inner.terms[0] == ScalarLit(Scalar(1))
 
 
-def test_frac_node():
-    ast = parse("frac(x; 1+x*x)")
-    assert isinstance(ast, FracNode)
-    assert ast.num == Sym("x")
-    assert len(ast.dens) == 1
-    ast2 = parse("frac(x;)")
-    assert ast2.dens == ()
-    ast3 = parse("frac(x + 1; 1+x*x, 1+x*x)")
-    assert len(ast3.dens) == 2
-
-
 def test_scalar_literals():
     from fractions import Fraction as Rational
     assert parse("3/4") == ScalarLit(Scalar(Rational(3, 4)))
@@ -54,8 +42,6 @@ def test_scalar_literals():
 def test_print_is_canonical():
     assert print_ast(parse("a * a'- a' *a")) == "a*a' - a'*a"
     assert print_ast(parse("( 1+ x*x )'")) == "(1 + x*x)'"
-    assert print_ast(parse("frac( x ;1+x*x )")) == "frac(x; 1 + x*x)"
-    assert print_ast(parse("frac(x;)")) == "frac(x;)"
     assert print_ast(parse("2 * x + 1/2")) == "2*x + 1/2"
 
 
@@ -93,8 +79,6 @@ def test_positioned_errors():
 
 
 def test_reserved_words():
-    with pytest.raises(ParseError):
-        parse("frac + 1")
     # i is a scalar literal, never a symbol
     ast = parse("i*x")
     assert ast == Prod((ScalarLit(Scalar(0, 1)), Sym("x")))
@@ -162,9 +146,10 @@ def test_fraction_text_round_trip():
     g = parse_fraction_text(text, p)
     assert g.num == f.num
     assert g.den.key() == f.den.key()
-    # frac() form parses to the same fraction
-    h = parse_fraction_text(fraction_to_frac_text(f), p)
-    assert h.num == f.num and h.den.key() == f.den.key()
+    # two factors, one of them not atomic, survive the round trip too
+    h = Fraction(a * a, SProduct(p, (a, a + p.generator("ad"))))
+    back = parse_fraction_text(fraction_to_text(h), p)
+    assert back.num == h.num and back.den.key() == h.den.key()
 
 
 def test_fraction_text_slash_form():
@@ -179,11 +164,10 @@ def test_fraction_text_slash_form():
     assert parse_fraction_text(got, p).num == x
 
 
-def test_frac_node_to_fraction():
+def test_fraction_with_two_factors():
     p = load_preset("poly_x")
     x = p.generator("x")
-    node = parse("frac(x + x*x; 1+x*x, 1+x'*x)")
-    f = ast_to_fraction(node, p)
+    f = parse_fraction_text("(x + x*x) / (1+x*x)*(1+x'*x)", p)
     assert f.num == x + x * x
     assert len(f.den.ps) == 2
     expected = Fraction(f.num, SProduct(p, (x, x)))
@@ -192,7 +176,7 @@ def test_frac_node_to_fraction():
 
 def test_scalar_one_factors_are_skipped_in_fractions():
     p = load_preset("poly_x")
-    f = ast_to_fraction(parse("frac(x; 1)"), p)
+    f = parse_fraction_text("(x) / (1)", p)
     assert f.den.is_one()
-    g = ast_to_fraction(parse("frac(x; 1, 1+x*x, 1)"), p)
+    g = parse_fraction_text("(x) / (1)*(1+x*x)*(1)", p)
     assert g.den.ps == (p.generator("x"),)

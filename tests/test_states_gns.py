@@ -12,7 +12,7 @@ from ores.gns import gns, state_from_representation
 from ores.localization import Fraction, SProduct
 from ores.scalars import Scalar
 from ores.states import (MomentFunctional, check_state_axioms, dirac_state,
-                         double_factorial_moments, fock_state, from_numeric,
+                         double_factorial_moments, from_numeric,
                          gauss_hermite_fraction_expectation, gaussian_state)
 
 from oracles import (dense_annihilation, double_factorial, gaussian_moment,
@@ -72,7 +72,7 @@ def test_shipped_states_satisfy_axioms():
         f = dirac_state(p, 2)
         assert check_state_axioms(f, rng=random.Random(52), samples=8).ok
     p = load_preset("heisenberg")
-    assert check_state_axioms(fock_state(p, 4), rng=random.Random(53),
+    assert check_state_axioms(dirac_state(p, 4), rng=random.Random(53),
                               samples=8).ok
 
 
@@ -117,7 +117,7 @@ def test_gaussian_gns_moment_recovery():
 
 def test_fock_gns_recovers_truncated_oscillator():
     p = load_preset("heisenberg")
-    rep = gns(fock_state(p, 6))
+    rep = gns(dirac_state(p, 6))
     assert rep.gram_rank == 7
     assert rep.ranks == (1, 2, 3, 4, 5, 6, 7)
     # null ideal is nontrivial: any word containing the annihilator
@@ -181,7 +181,7 @@ def test_state_from_operator_assignment():
     omega = np.zeros(1, dtype=complex)
     omega[0] = 1.0
     g = state_from_representation(fock_assignment(p), omega=omega, degree=3)
-    assert g.table == fock_state(p, 3).table
+    assert g.table == dirac_state(p, 3).table
     with pytest.raises(ValueError):
         state_from_representation(fock_assignment(p))
 
