@@ -9,8 +9,9 @@ band arithmetic of operator sums/products/adjoints needs.
 Canonicalization of radicands: square factors are moved out of the root
 into the amplitude (via squarefree decomposition and a rational square
 split), but only when the extracted amplitude is provably nonnegative on
-all natural numbers (positive leading coefficient plus an integer scan
-up to the Cauchy root bound); otherwise the radicand is kept whole.
+all natural numbers (positive leading coefficient, and no negative value
+at the integers up to the Cauchy root bound, decided by a scan or by
+Sturm bisection); otherwise the radicand is kept whole.
 Both rules are deterministic functions of the radicand polynomial, so
 algebraically equal band expressions normalize to identical term data
 and evaluate to bit-identical floats.
@@ -28,6 +29,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Rational
+
+import numpy as np
 
 from .errors import FormulaDomainError
 from .scalars import Scalar, as_scalar
@@ -247,20 +250,52 @@ def rational_square_split(c: Rational):
     return s, f
 
 
+_SCAN_LIMIT = 16   # root bounds up to which nonneg_on_naturals scans
+
+
 def nonneg_on_naturals(p: QPoly) -> bool:
-    """Exact check that p(n) >= 0 for every natural n: the leading
-    coefficient must be positive and every integer up to the Cauchy root
-    bound must evaluate nonnegative (p is positive beyond the bound)."""
+    """Exact check that p(n) >= 0 for every natural n.
+
+    The leading coefficient must be positive; p is then positive from the
+    Cauchy root bound B on.  Up to _SCAN_LIMIT the integers 0..B are
+    evaluated one by one; past it they are decided by bisection with
+    Sturm root counts (Basu, Pollack and Roy, Algorithms in Real
+    Algebraic Geometry, sec. 2.2): an integer interval with no real root
+    strictly inside has one sign there, so only intervals that hold a
+    root are split, about deg p * log2 B steps in all."""
     if p.is_zero():
         return True
     if p.degree() == 0:
         return p.coeffs[0] >= 0
     if p.leading <= 0:
         return False
-    bound = 1 + max(abs(c / p.leading) for c in p.coeffs[:-1])
-    for n in range(int(bound) + 2):
-        if p.eval(n) < 0:
+    bound = int(1 + max(abs(c / p.leading) for c in p.coeffs[:-1])) + 1
+    if bound <= _SCAN_LIMIT:
+        return all(p.eval(n) >= 0 for n in range(bound + 1))
+    q = p // qpoly_gcd(p, p.derivative())   # the roots of p, all simple
+    sturm = [q, q.derivative()]
+    while sturm[-1].degree() > 0:
+        sturm.append(-sturm[-2].divmod(sturm[-1])[1])
+
+    def variations(x):
+        signs = [v > 0 for v in (s.eval(x) for s in sturm) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    if p.eval(0) < 0:
+        return False
+    # p(a), p(b) >= 0 on every interval on the stack; since q is
+    # squarefree, variations(a) - variations(b) counts its roots in (a, b]
+    stack = [(0, bound)]
+    while stack:
+        a, b = stack.pop()
+        if b - a < 2:
+            continue
+        inside = variations(a) - variations(b) - (not q.eval(b))
+        m = a + 1 if not inside else (a + b) // 2
+        if p.eval(m) < 0:
             return False
+        if inside:
+            stack += [(a, m), (m, b)]
     return True
 
 
@@ -429,8 +464,7 @@ class Formula:
                 continue
             r = rad.eval(n)
             if r < 0:
-                raise FormulaDomainError(
-                    "radicand %r is negative at n = %d" % (rad, n))
+                raise _negative_radicand(rad, n)
             total += complex(a.to_complex()) * math.sqrt(r)
         return total
 
@@ -455,3 +489,110 @@ class Formula:
             else:
                 parts.append("%r*sqrt(%r)" % (amp, rad))
         return "Formula(%s)" % " + ".join(parts)
+
+
+def _negative_radicand(rad: QPoly, n: int) -> FormulaDomainError:
+    return FormulaDomainError("radicand %r is negative at n = %d" % (rad, n))
+
+
+# -- sampling on index ranges -----------------------------------------------------
+
+_EXACT = 2 ** 53   # every integer of smaller magnitude is a float exactly
+
+
+def _over_common_denominator(coeffs):
+    """(integer coefficients, their positive common denominator)."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+
+
+def _exact_values(poly, lo: int, hi: int):
+    """(p(n), p(n) / den) for lo <= n < hi, poly = (p, den) with p over
+    the integers: the exact integers and their correctly rounded
+    quotients.  Horner runs in int64 when sum |c_i| hi^i < 2**53, which
+    bounds every partial sum, and in Python ints otherwise."""
+    coeffs, den = poly
+    top = int(hi)   # a Python int, so the bound itself cannot overflow
+    small = den < _EXACT and sum(abs(c) * top ** i
+                                 for i, c in enumerate(coeffs)) < _EXACT
+    n = np.arange(lo, hi, dtype=np.int64)
+    if not small:
+        n = n.astype(object)
+    acc = np.zeros(len(n), dtype=n.dtype)
+    for c in reversed(coeffs):
+        acc = acc * n + c
+    if small:
+        # both operands are exact floats, so IEEE division rounds the
+        # exact quotient once, as int / int does
+        return acc, acc.astype(np.float64) / float(den)
+    return acc, (acc / den).astype(np.float64)
+
+
+class Sampler:
+    """A Formula compiled for evaluation on whole index ranges.
+
+    Each term's radicand and the real and imaginary parts of its
+    amplitude become integer polynomials over a common denominator.  A
+    range is evaluated exactly, each value is rounded once by a
+    correctly rounded division, which is how Fraction.__float__ rounds,
+    and the terms are combined in sorted_terms() order with the float
+    operations of eval (a complex times a float, summed from 0j,
+    skipping terms whose amplitude is exactly zero).  So every sample is
+    bit-identical to Formula.eval.  The samples of 0 <= n < size are kept
+    for size up to PREFIX_LIMIT, in read-only arrays.  A value too large
+    for a float raises OverflowError, as in eval, but at any index of
+    the evaluated range, not only at the index asked for.
+    """
+
+    PREFIX_LIMIT = 1 << 14
+
+    __slots__ = ("terms", "prefix")
+
+    def __init__(self, f: Formula):
+        self.terms = tuple(
+            (rad,
+             _over_common_denominator([c.re for c in amp.coeffs]),
+             _over_common_denominator([c.im for c in amp.coeffs]),
+             _over_common_denominator(rad.coeffs))
+            for rad, amp in f.sorted_terms())
+        self.prefix = (np.zeros(0, dtype=complex), np.zeros(0, dtype=np.int32))
+
+    def _evaluate(self, lo: int, hi: int):
+        re = np.zeros(hi - lo)
+        im = np.zeros(hi - lo)
+        bad = np.full(hi - lo, -1, dtype=np.int32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, (_, amp_re, amp_im, rad) in enumerate(self.terms):
+                a_num, ar = _exact_values(amp_re, lo, hi)
+                b_num, ai = _exact_values(amp_im, lo, hi)
+                live = (a_num != 0) | (b_num != 0)
+                r_num, r = _exact_values(rad, lo, hi)
+                bad[live & (r_num < 0) & (bad < 0)] = t
+                s = np.sqrt(np.maximum(r, 0.0))
+                # CPython's complex(ar, ai) * s multiplies by (s, 0.0)
+                np.add(re, ar * s - ai * 0.0, out=re, where=live)
+                np.add(im, ar * 0.0 + ai * s, out=im, where=live)
+        values = np.empty(hi - lo, dtype=complex)
+        values.real = re
+        values.imag = im
+        return values, bad
+
+    def samples(self, hi: int):
+        """(values, bad) for 0 <= n < hi, read-only.  values[n] is f(n)
+        wherever bad[n] < 0; elsewhere bad[n] is the first term whose
+        radicand is negative at n under a nonzero amplitude, the term at
+        which eval raises."""
+        values, bad = self.prefix
+        size = len(values)
+        if hi <= size:
+            return values[:hi], bad[:hi]
+        more, more_bad = self._evaluate(size, hi)
+        values = np.concatenate((values, more))
+        bad = np.concatenate((bad, more_bad))
+        values.flags.writeable = bad.flags.writeable = False
+        if hi <= self.PREFIX_LIMIT:
+            self.prefix = values, bad
+        return values, bad
+
+    def domain_error(self, term: int, n: int) -> FormulaDomainError:
+        return _negative_radicand(self.terms[term][0], n)

@@ -6,7 +6,13 @@ xi_{n+k}, i.e. matrix entry [n, n+k] = c_k(n).  Band formulas live in the
 exact radical-formula algebra, so adjoints, sums, and products are
 computed symbolically and identities between operators are decidable as
 data equality; floating point enters only when a formula is evaluated at
-a concrete index.
+a concrete index, where each exact rational is rounded once, correctly,
+before the square root and the sum of the terms.  Bands are sampled on
+whole index ranges by formulas.Sampler, bit-identical to Formula.eval.
+Samplers are kept per band formula, keyed by formula equality, with
+their samples, so repeated solves and freshly built copies of an
+operator reuse them.  Every cache here has a fixed size and stops
+taking entries when full.
 
 Truncated inversion of 1 + A*A uses the positive-definite banded solver
 and reports the global residual recomputed from the band formulas; the
@@ -24,8 +30,8 @@ import scipy.linalg
 from .algebra import AlgebraElement, Presentation, _check_same
 from .errors import (FormulaDomainError, PresentationError,
                      TruncationLimit)
-from .formulas import Formula, QPoly
-from .localization import SProduct, ore_solve_left
+from .formulas import Formula, QPoly, Sampler
+from .localization import SProduct, _remember, ore_solve_left
 
 
 class BandedOperator:
@@ -107,10 +113,16 @@ class BandedOperator:
         for k, f in sorted(self.bands.items()):
             lo = max(0, -k)
             hi = min(out_len, L - k)
-            for n in range(lo, hi):
-                x = xi[n + k]
-                if x:
-                    out[n] += f.eval(n) * x
+            rows = lo + np.flatnonzero(xi[lo + k:hi + k])
+            if not len(rows):
+                continue
+            c = _sample(f, lo, hi, rows)
+            x = xi[rows + k]
+            # the complex product of numpy's scalar type, part by part
+            term = np.empty(len(rows), dtype=complex)
+            term.real = c.real * x.real - c.imag * x.imag
+            term.imag = c.real * x.imag + c.imag * x.real
+            out[rows] += term
         return out
 
     def matrix(self, N: int) -> np.ndarray:
@@ -190,9 +202,26 @@ class BandedOperator:
             "%+d: %r" % (k, f) for k, f in sorted(self.bands.items()))
 
 
-def _sample(f: Formula, lo: int, hi: int) -> np.ndarray:
-    """f(n) for lo <= n < hi: the one place where bands are sampled."""
-    return np.array([f.eval(n) for n in range(lo, hi)], dtype=complex)
+_SAMPLER_LIMIT = 128   # band formulas whose compiled form and samples are kept
+_SAMPLERS = {}
+
+
+def _sample(f: Formula, lo: int, hi: int, rows=None) -> np.ndarray:
+    """f(n) for lo <= n < hi, or for the sorted indices rows within that
+    range only: the one place where bands are sampled, bit-identical to
+    f.eval(n).  Raises FormulaDomainError at the first requested index
+    where f.eval raises."""
+    hi = max(lo, hi)
+    sampler = _SAMPLERS.get(f)
+    if sampler is None:
+        sampler = _remember(_SAMPLERS, f, Sampler(f), _SAMPLER_LIMIT)
+    values, bad = sampler.samples(hi)
+    at = slice(lo, hi) if rows is None else rows
+    hit = np.flatnonzero(bad[at] >= 0)
+    if len(hit):
+        n = int(lo + hit[0] if rows is None else rows[hit[0]])
+        raise sampler.domain_error(int(bad[n]), n)
+    return values[at]
 
 
 def _gap(u, v) -> np.ndarray:
@@ -204,6 +233,9 @@ def _gap(u, v) -> np.ndarray:
 
 
 # -- assignments -----------------------------------------------------------------
+
+_WORD_LIMIT = 1024      # word operators kept per assignment
+_ELEMENT_LIMIT = 1024   # element operators kept per assignment
 
 
 class FockAssignment:
@@ -255,8 +287,8 @@ class FockAssignment:
         cached = self._word_cache.get(w)
         if cached is None:
             head = self.ops[self.presentation.generators[w[0]]]
-            cached = head * self._word_operator(w[1:])
-            self._word_cache[w] = cached
+            cached = _remember(self._word_cache, w,
+                               head * self._word_operator(w[1:]), _WORD_LIMIT)
         return cached
 
     def operator_of(self, el: AlgebraElement) -> BandedOperator:
@@ -268,7 +300,7 @@ class FockAssignment:
             cached = BandedOperator.zero()
             for w, c in el.sorted_terms():
                 cached = cached + self._word_operator(w).scale(c)
-            self._el_cache[key] = cached
+            _remember(self._el_cache, key, cached, _ELEMENT_LIMIT)
         return cached
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction as Rational
 
 import pytest
 
+import ores.formulas
 from ores.errors import FormulaDomainError
 from ores.formulas import (_PRIME_BOUND, CPoly, Formula, QPoly,
                            _square_split_int, nonneg_on_naturals,
@@ -141,6 +142,64 @@ def test_nonneg_on_naturals():
     assert nonneg_on_naturals(QPoly.of(2, -3, 1))
     assert nonneg_on_naturals(QPoly.const(Rational(0)))
     assert not nonneg_on_naturals(QPoly.const(Rational(-1)))
+
+
+def _scan_nonneg(p):
+    """The exhaustive check: every integer up to the Cauchy bound."""
+    if p.is_zero():
+        return True
+    if p.degree() == 0:
+        return p.coeffs[0] >= 0
+    if p.leading <= 0:
+        return False
+    bound = 1 + max(abs(c / p.leading) for c in p.coeffs[:-1])
+    return all(p.eval(n) >= 0 for n in range(int(bound) + 2))
+
+
+@pytest.mark.parametrize("scan_limit", [0, 16])
+def test_nonneg_on_naturals_matches_the_scan(monkeypatch, scan_limit):
+    # scan_limit 0 decides every polynomial by Sturm bisection
+    monkeypatch.setattr(ores.formulas, "_SCAN_LIMIT", scan_limit)
+    rng = random.Random(31)
+    for _ in range(1500):
+        if rng.random() < 0.5:
+            p = QPoly([Rational(rng.randint(-30, 30), rng.choice([1, 2, 3]))
+                       for _ in range(rng.randint(1, 5))])
+        else:
+            # products of (n - r): roots at, between and near integers
+            p = QPoly.const(Rational(rng.choice([1, 2]), rng.choice([1, 3])))
+            for _ in range(rng.randint(1, 4)):
+                r = Rational(rng.randint(-2, 40), rng.choice([1, 2, 3]))
+                p = p * QPoly.of(-r, 1)
+        assert nonneg_on_naturals(p) == _scan_nonneg(p), p
+
+
+def test_nonneg_on_naturals_with_large_roots():
+    big = 10 ** 12
+    # negative only between the roots big and big + 1/2, or big and big + 1
+    half = Rational(1, 2)
+    assert nonneg_on_naturals(QPoly.of(-big, 1) * QPoly.of(-big - half, 1))
+    assert nonneg_on_naturals(QPoly.of(-big, 1) * QPoly.of(-big - 1, 1))
+    assert not nonneg_on_naturals(QPoly.of(-big, 1) * QPoly.of(-big - 2, 1))
+    assert nonneg_on_naturals(QPoly.of(-big, 1) * QPoly.of(-big, 1))
+    assert not nonneg_on_naturals(QPoly.of(-big, 1) * QPoly.of(-big, 1)
+                                  * QPoly.of(-big - 3, 1))
+
+
+def test_large_root_bound_does_not_hang():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    # the square factor n + 10^12 folds out; n - 10^12 dips negative and
+    # stays under the root
+    code = ("from ores.formulas import Formula, QPoly, nonneg_on_naturals\n"
+            "p, m = QPoly.of(10**12, 1), QPoly.of(-10**12, 1)\n"
+            "print(Formula.sqrt(p * p) == Formula.poly([10**12, 1]),\n"
+            "      list(Formula.sqrt(m * m).terms) == [m * m],\n"
+            "      nonneg_on_naturals(QPoly.of(10**6, 1)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True True True\n"
 
 
 def test_normalize_radicand_folds():

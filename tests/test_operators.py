@@ -3,6 +3,7 @@ probes, and fraction extension."""
 
 import math
 import random
+from fractions import Fraction as Rational
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from ores.algebra import load_preset
 from ores.errors import (FormulaDomainError, PresentationError,
                          TruncationLimit)
-from ores.formulas import Formula, QPoly
+from ores.formulas import CPoly, Formula, QPoly
 from ores.localization import Fraction, SProduct
 from ores.operators import (BandedOperator, FockAssignment, chain_solve,
                             core_density_probe, extend_representation,
@@ -344,3 +345,191 @@ def test_extension_embedded_element():
     assert res.inverse_residual == 0.0
     want = math.sqrt(2.0) * _basis(2, len(res.vector))
     assert np.linalg.norm(res.vector - want) == 0.0
+
+
+# -- band sampling -------------------------------------------------------------
+
+
+def _bits(v):
+    return np.asarray(v, dtype=complex).view(np.float64)
+
+
+def _loop_apply(op, xi):
+    """The per-index action: f.eval(n) * xi[n+k] where xi[n+k] != 0."""
+    xi = np.asarray(xi, dtype=complex)
+    L = len(xi)
+    out_len = L + max(0, -op.min_offset)
+    out = np.zeros(out_len, dtype=complex)
+    for k, f in sorted(op.bands.items()):
+        for n in range(max(0, -k), min(out_len, L - k)):
+            x = xi[n + k]
+            if x:
+                out[n] += f.eval(n) * x
+    return out
+
+
+def _panel_bands():
+    A = BandedOperator.annihilation()
+    C = BandedOperator.creation()
+    N = C * A
+    field = A + C
+    bands = list(one_plus_AstarA(N).bands.values())             # 1 + N^2
+    bands += one_plus_AstarA(N * field).bands.values()
+    bands += one_plus_AstarA(field).bands.values()
+    for w in ([1, 1], [2, 3, 1]):
+        shift = BandedOperator.weighted_shift(1, Formula.poly(w))
+        bands += one_plus_AstarA(shift).bands.values()
+    m3 = QPoly.of(-3, 1)
+    return bands + [Formula.poly([1, 2]), _GAUSSIAN, Formula.sqrt(m3 * m3)]
+
+
+_GAUSSIAN = (Formula.poly([Scalar(Rational(1, 3), Rational(-2, 7)),
+                           Scalar(Rational(5, 11), 1)])
+             + Formula.sqrt(QPoly.of(Rational(1, 3), Rational(2, 5)))
+             .scale(Scalar(Rational(-1, 7), Rational(2, 9))))
+
+
+# 10^4 n^5 + 1 and 7 + 3 10^6 n^4 pass 2^53 below n = 4000, so they are
+# evaluated in Python ints there
+_HUGE_RADICAND = Formula.sqrt(QPoly.of(1, 0, 0, 0, 0, 10 ** 4))
+_HUGE_AMPLITUDE = Formula.poly([Rational(1, 3), 0, 0, 0, Rational(10 ** 6, 7)])
+
+
+def test_sampling_is_bit_identical_to_eval(monkeypatch):
+    monkeypatch.setattr(ores.operators, "_SAMPLERS", {})
+    assert 7 + 3 * 10 ** 6 * 3999 ** 4 > 2 ** 53
+    for f in _panel_bands() + [_HUGE_RADICAND, _HUGE_AMPLITUDE]:
+        want = np.array([f.eval(n) for n in range(4000)], dtype=complex)
+        # a fresh range, a cached one, and one that extends the prefix
+        for lo, hi in ((3, 40), (0, 17), (5, 700), (0, 4000)):
+            got = ores.operators._sample(f, lo, hi)
+            assert np.array_equal(_bits(got), _bits(want[lo:hi])), (f, lo, hi)
+            assert not got.flags.writeable
+
+
+def test_sampling_bound_with_a_numpy_size(monkeypatch):
+    # 1499^6 passes 2^63: the int64 bound must be computed in Python ints
+    monkeypatch.setattr(ores.operators, "_SAMPLERS", {})
+    f = Formula.poly([0, 0, 0, 0, 0, 0, 1])
+    diag = BandedOperator.diagonal(f).matrix(np.int64(1500)).diagonal().copy()
+    assert np.array_equal(_bits(diag), _bits([f.eval(n) for n in range(1500)]))
+
+
+def test_sampling_past_the_kept_prefix(monkeypatch):
+    monkeypatch.setattr(ores.operators, "_SAMPLERS", {})
+    monkeypatch.setattr(ores.formulas.Sampler, "PREFIX_LIMIT", 64)
+    f = _panel_bands()[0]
+    want = np.array([f.eval(n) for n in range(200)], dtype=complex)
+    for lo, hi in ((0, 50), (10, 200), (0, 60), (0, 200)):
+        got = ores.operators._sample(f, lo, hi)
+        assert np.array_equal(_bits(got), _bits(want[lo:hi]))
+    assert len(ores.operators._SAMPLERS[f].prefix[0]) == 60
+
+
+def test_apply_is_bit_identical_to_the_index_loop():
+    rng = np.random.default_rng(5)
+    A = BandedOperator.annihilation()
+    C = BandedOperator.creation()
+    N = C * A
+    ops = [one_plus_AstarA(N), one_plus_AstarA(N * (A + C)), N * (A + C),
+           one_plus_AstarA(BandedOperator.weighted_shift(1, Formula.poly(
+               [2, 3, 1]))),
+           BandedOperator.weighted_shift(-2, _GAUSSIAN),
+           BandedOperator.diagonal(_HUGE_RADICAND) + A.scale(Scalar(1, 2))]
+    for op in ops:
+        for L in (1, 2, 9, 300, 3000):
+            xi = rng.normal(size=L) + 1j * rng.normal(size=L)
+            xi[rng.random(L) < 0.4] = 0.0
+            xi[rng.random(L) < 0.1] = -0.0
+            xi[rng.random(L) < 0.1] *= 1e-300
+            assert np.array_equal(_bits(op.apply(xi)),
+                                  _bits(_loop_apply(op, xi)))
+
+
+def _domain_message(f, n):
+    with pytest.raises(FormulaDomainError) as scalar:
+        f.eval(n)
+    return str(scalar.value)
+
+
+def test_sampling_from_above_a_negative_prefix(monkeypatch):
+    monkeypatch.setattr(ores.operators, "_SAMPLERS", {})
+    f = Formula.sqrt(QPoly.of(-1, 1))               # sqrt(n - 1)
+    want = np.array([f.eval(n) for n in range(1, 30)], dtype=complex)
+    got = ores.operators._sample(f, 1, 30)
+    assert np.array_equal(_bits(got), _bits(want))
+    with pytest.raises(FormulaDomainError) as err:
+        ores.operators._sample(f, 0, 5)
+    assert str(err.value) == _domain_message(f, 0)
+    # the cached prefix holds the bad index 0; a range above it is fine
+    assert np.array_equal(_bits(ores.operators._sample(f, 1, 10)),
+                          _bits(want[:9]))
+    assert np.array_equal(_bits(ores.operators._sample(f, 1, 60)[:29]),
+                          _bits(want))
+
+
+def test_apply_skips_negative_radicands_under_zero_inputs(monkeypatch):
+    monkeypatch.setattr(ores.operators, "_SAMPLERS", {})
+    op = BandedOperator.weighted_shift(1, Formula.sqrt(QPoly.of(-2, 1)))
+    # band +1 reads xi[n+1]; rows 0 and 1 have negative radicands
+    xi = np.array([5.0, 0.0, 0.0, 1.0, 2.0], dtype=complex)
+    assert np.array_equal(_bits(op.apply(xi)), _bits(_loop_apply(op, xi)))
+    xi[2] = 1.0
+    with pytest.raises(FormulaDomainError) as err:
+        op.apply(xi)
+    with pytest.raises(FormulaDomainError) as loop:
+        _loop_apply(op, xi)
+    assert str(err.value) == str(loop.value) == _domain_message(op.band(1), 1)
+
+
+def test_domain_error_names_the_first_failing_term(monkeypatch):
+    monkeypatch.setattr(ores.operators, "_SAMPLERS", {})
+    # terms in sorted order: sqrt(n - 2), then (n - 4) * sqrt(1/2 - n);
+    # both radicands are negative at n = 1, and the second amplitude
+    # vanishes at n = 4, the one index where eval does not raise
+    f = Formula.sqrt(QPoly.of(-2, 1)) + Formula(
+        {QPoly.of(Rational(1, 2), -1): CPoly.from_qpoly(QPoly.of(-4, 1))})
+    got = ores.operators._sample(f, 4, 5)
+    assert np.array_equal(_bits(got), _bits([f.eval(4)]))
+    assert _domain_message(f, 1).startswith("radicand QPoly(-2")
+    for lo, n in ((0, 0), (1, 1), (2, 2), (3, 3), (4, 5)):
+        with pytest.raises(FormulaDomainError) as err:
+            ores.operators._sample(f, lo, 9)
+        assert str(err.value) == _domain_message(f, n)
+
+
+def test_operator_layer_caches_are_bounded(monkeypatch):
+    monkeypatch.setattr(ores.operators, "_SAMPLERS", {})
+    limit = ores.operators._SAMPLER_LIMIT
+    xi = np.arange(1, 9, dtype=complex)
+    for k in range(limit + 20):
+        op = BandedOperator.weighted_shift(1, Formula.poly([k, 1]))
+        want = np.array([(k + n) * xi[n + 1] for n in range(7)] + [0])
+        assert np.array_equal(op.apply(xi), want)
+        assert len(ores.operators._SAMPLERS) <= limit
+    p = load_preset("heisenberg")
+    a = p.generator("a")
+    # a^j shifted by c, for 24 distinct elements over 9 words
+    els = [(j, c, p.one().scale(c) + _power(p, a, j)) for j in range(8)
+           for c in range(3)]
+    reference = [fock_assignment(p).operator_of(el) for _, _, el in els]
+    monkeypatch.setattr(ores.operators, "_WORD_LIMIT", 6)
+    monkeypatch.setattr(ores.operators, "_ELEMENT_LIMIT", 5)
+    asg = fock_assignment(p)
+    e5 = _basis(5, 8)
+    for (j, c, el), ref in zip(els, reference):
+        op = asg.operator_of(el)
+        assert op == ref
+        want = c * e5
+        if j <= 5:
+            want = want + math.perm(5, j) ** 0.5 * _basis(5 - j, 8)
+        assert np.allclose(op.apply(e5), want, rtol=1e-15, atol=0)
+        assert len(asg._word_cache) <= 6
+        assert len(asg._el_cache) <= 5
+
+
+def _power(p, x, j):
+    out = p.one()
+    for _ in range(j):
+        out = out * x
+    return out
