@@ -10,8 +10,8 @@ Canonicalization of radicands: square factors are moved out of the root
 into the amplitude (via squarefree decomposition and a rational square
 split), but only when the extracted amplitude is provably nonnegative on
 all natural numbers (positive leading coefficient, and no negative value
-at the integers up to the Cauchy root bound, decided by a scan or by
-Sturm bisection); otherwise the radicand is kept whole.
+at the integers up to the Cauchy root bound, decided by Sturm
+bisection); otherwise the radicand is kept whole.
 Both rules are deterministic functions of the radicand polynomial, so
 algebraically equal band expressions normalize to identical term data
 and evaluate to bit-identical floats.
@@ -250,16 +250,12 @@ def rational_square_split(c: Rational):
     return s, f
 
 
-_SCAN_LIMIT = 16   # root bounds up to which nonneg_on_naturals scans
-
-
 def nonneg_on_naturals(p: QPoly) -> bool:
     """Exact check that p(n) >= 0 for every natural n.
 
     The leading coefficient must be positive; p is then positive from the
-    Cauchy root bound B on.  Up to _SCAN_LIMIT the integers 0..B are
-    evaluated one by one; past it they are decided by bisection with
-    Sturm root counts (Basu, Pollack and Roy, Algorithms in Real
+    Cauchy root bound B on.  The integers 0..B are decided by bisection
+    with Sturm root counts (Basu, Pollack and Roy, Algorithms in Real
     Algebraic Geometry, sec. 2.2): an integer interval with no real root
     strictly inside has one sign there, so only intervals that hold a
     root are split, about deg p * log2 B steps in all."""
@@ -270,8 +266,6 @@ def nonneg_on_naturals(p: QPoly) -> bool:
     if p.leading <= 0:
         return False
     bound = int(1 + max(abs(c / p.leading) for c in p.coeffs[:-1])) + 1
-    if bound <= _SCAN_LIMIT:
-        return all(p.eval(n) >= 0 for n in range(bound + 1))
     q = p // qpoly_gcd(p, p.derivative())   # the roots of p, all simple
     sturm = [q, q.derivative()]
     while sturm[-1].degree() > 0:
@@ -456,7 +450,14 @@ class Formula:
         return all(not amp.eval(n) or not rad.eval(n)
                    for rad, amp in self.terms.items())
 
-    def eval(self, n: int) -> complex:
+    def eval(self, n: int, stop: int | None = None, rows=None):
+        """The value at index n, a complex.  With stop, the values at
+        n <= k < stop as a read-only complex array, or at the sorted
+        indices rows within that range only: sampled by a Sampler, bit
+        for bit the values index by index, and raising the error the
+        first requested index raises."""
+        if stop is not None:
+            return _sample(self, n, stop, rows)
         total = 0j
         for rad, amp in self.sorted_terms():
             a = amp.eval(n)
@@ -464,7 +465,8 @@ class Formula:
                 continue
             r = rad.eval(n)
             if r < 0:
-                raise _negative_radicand(rad, n)
+                raise FormulaDomainError(
+                    "radicand %r is negative at n = %d" % (rad, n))
             total += complex(a.to_complex()) * math.sqrt(r)
         return total
 
@@ -491,10 +493,6 @@ class Formula:
         return "Formula(%s)" % " + ".join(parts)
 
 
-def _negative_radicand(rad: QPoly, n: int) -> FormulaDomainError:
-    return FormulaDomainError("radicand %r is negative at n = %d" % (rad, n))
-
-
 # -- sampling on index ranges -----------------------------------------------------
 
 _EXACT = 2 ** 53   # every integer of smaller magnitude is a float exactly
@@ -506,11 +504,24 @@ def _over_common_denominator(coeffs):
     return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
 
 
+def _quotient(num: int, den: int) -> float:
+    """num / den correctly rounded, or nan where it is too large for a
+    float (int / int raises OverflowError there)."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.nan
+
+
+_quotients = np.frompyfunc(_quotient, 2, 1)
+
+
 def _exact_values(poly, lo: int, hi: int):
     """(p(n), p(n) / den) for lo <= n < hi, poly = (p, den) with p over
     the integers: the exact integers and their correctly rounded
-    quotients.  Horner runs in int64 when sum |c_i| hi^i < 2**53, which
-    bounds every partial sum, and in Python ints otherwise."""
+    quotients, nan where a quotient is too large for a float.  Horner
+    runs in int64 when sum |c_i| hi^i < 2**53, which bounds every partial
+    sum, and in Python ints otherwise."""
     coeffs, den = poly
     top = int(hi)   # a Python int, so the bound itself cannot overflow
     small = den < _EXACT and sum(abs(c) * top ** i
@@ -525,7 +536,7 @@ def _exact_values(poly, lo: int, hi: int):
         # both operands are exact floats, so IEEE division rounds the
         # exact quotient once, as int / int does
         return acc, acc.astype(np.float64) / float(den)
-    return acc, (acc / den).astype(np.float64)
+    return acc, _quotients(acc, den).astype(np.float64)
 
 
 class Sampler:
@@ -539,35 +550,36 @@ class Sampler:
     operations of eval (a complex times a float, summed from 0j,
     skipping terms whose amplitude is exactly zero).  So every sample is
     bit-identical to Formula.eval.  The samples of 0 <= n < size are kept
-    for size up to PREFIX_LIMIT, in read-only arrays.  A value too large
-    for a float raises OverflowError, as in eval, but at any index of
-    the evaluated range, not only at the index asked for.
+    for size up to PREFIX_LIMIT, the solvers' default size cap, in
+    read-only arrays, with a mask of the indices where eval raises.
     """
 
-    PREFIX_LIMIT = 1 << 14
+    PREFIX_LIMIT = 4096
 
     __slots__ = ("terms", "prefix")
 
     def __init__(self, f: Formula):
         self.terms = tuple(
-            (rad,
-             _over_common_denominator([c.re for c in amp.coeffs]),
+            (_over_common_denominator([c.re for c in amp.coeffs]),
              _over_common_denominator([c.im for c in amp.coeffs]),
              _over_common_denominator(rad.coeffs))
             for rad, amp in f.sorted_terms())
-        self.prefix = (np.zeros(0, dtype=complex), np.zeros(0, dtype=np.int32))
+        self.prefix = (np.zeros(0, dtype=complex), np.zeros(0, dtype=bool))
 
     def _evaluate(self, lo: int, hi: int):
         re = np.zeros(hi - lo)
         im = np.zeros(hi - lo)
-        bad = np.full(hi - lo, -1, dtype=np.int32)
+        bad = np.zeros(hi - lo, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
-            for t, (_, amp_re, amp_im, rad) in enumerate(self.terms):
+            for amp_re, amp_im, rad in self.terms:
                 a_num, ar = _exact_values(amp_re, lo, hi)
                 b_num, ai = _exact_values(amp_im, lo, hi)
                 live = (a_num != 0) | (b_num != 0)
                 r_num, r = _exact_values(rad, lo, hi)
-                bad[live & (r_num < 0) & (bad < 0)] = t
+                # eval raises at a live term whose radicand is negative
+                # or whose parts are too large for a float
+                bad |= live & ((r_num < 0) | np.isnan(ar) | np.isnan(ai)
+                               | np.isnan(r))
                 s = np.sqrt(np.maximum(r, 0.0))
                 # CPython's complex(ar, ai) * s multiplies by (s, 0.0)
                 np.add(re, ar * s - ai * 0.0, out=re, where=live)
@@ -578,10 +590,8 @@ class Sampler:
         return values, bad
 
     def samples(self, hi: int):
-        """(values, bad) for 0 <= n < hi, read-only.  values[n] is f(n)
-        wherever bad[n] < 0; elsewhere bad[n] is the first term whose
-        radicand is negative at n under a nonzero amplitude, the term at
-        which eval raises."""
+        """(values, bad) for 0 <= n < hi, read-only: values[n] is f(n)
+        wherever bad[n] is False, and bad[n] is True where eval raises."""
         values, bad = self.prefix
         size = len(values)
         if hi <= size:
@@ -594,5 +604,26 @@ class Sampler:
             self.prefix = values, bad
         return values, bad
 
-    def domain_error(self, term: int, n: int) -> FormulaDomainError:
-        return _negative_radicand(self.terms[term][0], n)
+
+_SAMPLER_LIMIT = 128   # band formulas whose compiled form and samples are kept
+_SAMPLERS = {}
+
+
+def _sample(f: Formula, lo: int, hi: int, rows=None) -> np.ndarray:
+    """Formula.eval on a range: samplers are kept per formula, keyed by
+    equality, so freshly built copies of an operator reuse them; a full
+    cache keeps what it has and takes nothing new."""
+    hi = max(lo, hi)
+    sampler = _SAMPLERS.get(f)
+    if sampler is None:
+        sampler = Sampler(f)
+        if len(_SAMPLERS) < _SAMPLER_LIMIT:
+            _SAMPLERS[f] = sampler
+    values, bad = sampler.samples(hi)
+    at = slice(lo, hi) if rows is None else rows
+    hit = np.flatnonzero(bad[at])
+    if len(hit):
+        n = int(lo + hit[0] if rows is None else rows[hit[0]])
+        f.eval(n)   # raises the error of the scalar path at n
+        raise AssertionError("Sampler and eval disagree at n = %d" % n)
+    return values[at]

@@ -8,11 +8,11 @@ computed symbolically and identities between operators are decidable as
 data equality; floating point enters only when a formula is evaluated at
 a concrete index, where each exact rational is rounded once, correctly,
 before the square root and the sum of the terms.  Bands are sampled on
-whole index ranges by formulas.Sampler, bit-identical to Formula.eval.
-Samplers are kept per band formula, keyed by formula equality, with
-their samples, so repeated solves and freshly built copies of an
-operator reuse them.  Every cache here has a fixed size and stops
-taking entries when full.
+whole index ranges by Formula.eval(lo, hi), bit-identical to evaluating
+index by index; the compiled bands and their samples are kept per
+formula, so repeated solves and freshly built copies of an operator
+reuse them.  Every cache here has a fixed size and stops taking entries
+when full.
 
 Truncated inversion of 1 + A*A uses the positive-definite banded solver
 and reports the global residual recomputed from the band formulas; the
@@ -30,7 +30,7 @@ import scipy.linalg
 from .algebra import AlgebraElement, Presentation, _check_same
 from .errors import (FormulaDomainError, PresentationError,
                      TruncationLimit)
-from .formulas import Formula, QPoly, Sampler
+from .formulas import Formula, QPoly
 from .localization import SProduct, _remember, ore_solve_left
 
 
@@ -116,7 +116,7 @@ class BandedOperator:
             rows = lo + np.flatnonzero(xi[lo + k:hi + k])
             if not len(rows):
                 continue
-            c = _sample(f, lo, hi, rows)
+            c = f.eval(lo, hi, rows)
             x = xi[rows + k]
             # the complex product of numpy's scalar type, part by part
             term = np.empty(len(rows), dtype=complex)
@@ -131,7 +131,7 @@ class BandedOperator:
         for k, f in self.bands.items():
             lo, hi = max(0, -k), min(N, N - k)
             rows = np.arange(lo, hi)
-            M[rows, rows + k] = _sample(f, lo, hi)
+            M[rows, rows + k] = f.eval(lo, hi)
         return M
 
     # -- adjoint / sum / product -------------------------------------------------------
@@ -200,28 +200,6 @@ class BandedOperator:
             return "BandedOperator(0)"
         return "BandedOperator({%s})" % ", ".join(
             "%+d: %r" % (k, f) for k, f in sorted(self.bands.items()))
-
-
-_SAMPLER_LIMIT = 128   # band formulas whose compiled form and samples are kept
-_SAMPLERS = {}
-
-
-def _sample(f: Formula, lo: int, hi: int, rows=None) -> np.ndarray:
-    """f(n) for lo <= n < hi, or for the sorted indices rows within that
-    range only: the one place where bands are sampled, bit-identical to
-    f.eval(n).  Raises FormulaDomainError at the first requested index
-    where f.eval raises."""
-    hi = max(lo, hi)
-    sampler = _SAMPLERS.get(f)
-    if sampler is None:
-        sampler = _remember(_SAMPLERS, f, Sampler(f), _SAMPLER_LIMIT)
-    values, bad = sampler.samples(hi)
-    at = slice(lo, hi) if rows is None else rows
-    hit = np.flatnonzero(bad[at] >= 0)
-    if len(hit):
-        n = int(lo + hit[0] if rows is None else rows[hit[0]])
-        raise sampler.domain_error(int(bad[n]), n)
-    return values[at]
 
 
 def _gap(u, v) -> np.ndarray:
@@ -352,11 +330,11 @@ def _banded_cholesky_solve(M: BandedOperator, rhs: np.ndarray) -> np.ndarray:
     N = len(rhs)
     K = M.max_offset
     if K == 0:
-        return rhs / _sample(M.bands[0], 0, N)
+        return rhs / M.bands[0].eval(0, N)
     ab = np.zeros((K + 1, N), dtype=complex)
     for k, f in M.bands.items():
         if k >= 0:
-            ab[K - k, k:] = _sample(f, 0, N - k)
+            ab[K - k, k:] = f.eval(0, N - k)
     return scipy.linalg.solveh_banded(ab, rhs, lower=False)
 
 

@@ -9,7 +9,6 @@ from fractions import Fraction as Rational
 
 import pytest
 
-import ores.formulas
 from ores.errors import FormulaDomainError
 from ores.formulas import (_PRIME_BOUND, CPoly, Formula, QPoly,
                            _square_split_int, nonneg_on_naturals,
@@ -156,10 +155,7 @@ def _scan_nonneg(p):
     return all(p.eval(n) >= 0 for n in range(int(bound) + 2))
 
 
-@pytest.mark.parametrize("scan_limit", [0, 16])
-def test_nonneg_on_naturals_matches_the_scan(monkeypatch, scan_limit):
-    # scan_limit 0 decides every polynomial by Sturm bisection
-    monkeypatch.setattr(ores.formulas, "_SCAN_LIMIT", scan_limit)
+def test_nonneg_on_naturals_matches_the_scan():
     rng = random.Random(31)
     for _ in range(1500):
         if rng.random() < 0.5:

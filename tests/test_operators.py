@@ -21,6 +21,7 @@ from ores.operators import (BandedOperator, FockAssignment, chain_solve,
                             sproduct_operator)
 from ores.scalars import IMAG, Scalar
 
+import ores.formulas
 import ores.operators
 from oracles import (dense_annihilation, dense_apply, dense_creation,
                      dense_matrix, dense_one_plus_AstarA_solve)
@@ -396,34 +397,34 @@ _HUGE_AMPLITUDE = Formula.poly([Rational(1, 3), 0, 0, 0, Rational(10 ** 6, 7)])
 
 
 def test_sampling_is_bit_identical_to_eval(monkeypatch):
-    monkeypatch.setattr(ores.operators, "_SAMPLERS", {})
+    monkeypatch.setattr(ores.formulas, "_SAMPLERS", {})
     assert 7 + 3 * 10 ** 6 * 3999 ** 4 > 2 ** 53
     for f in _panel_bands() + [_HUGE_RADICAND, _HUGE_AMPLITUDE]:
         want = np.array([f.eval(n) for n in range(4000)], dtype=complex)
         # a fresh range, a cached one, and one that extends the prefix
         for lo, hi in ((3, 40), (0, 17), (5, 700), (0, 4000)):
-            got = ores.operators._sample(f, lo, hi)
+            got = f.eval(lo, hi)
             assert np.array_equal(_bits(got), _bits(want[lo:hi])), (f, lo, hi)
             assert not got.flags.writeable
 
 
 def test_sampling_bound_with_a_numpy_size(monkeypatch):
     # 1499^6 passes 2^63: the int64 bound must be computed in Python ints
-    monkeypatch.setattr(ores.operators, "_SAMPLERS", {})
+    monkeypatch.setattr(ores.formulas, "_SAMPLERS", {})
     f = Formula.poly([0, 0, 0, 0, 0, 0, 1])
     diag = BandedOperator.diagonal(f).matrix(np.int64(1500)).diagonal().copy()
     assert np.array_equal(_bits(diag), _bits([f.eval(n) for n in range(1500)]))
 
 
 def test_sampling_past_the_kept_prefix(monkeypatch):
-    monkeypatch.setattr(ores.operators, "_SAMPLERS", {})
+    monkeypatch.setattr(ores.formulas, "_SAMPLERS", {})
     monkeypatch.setattr(ores.formulas.Sampler, "PREFIX_LIMIT", 64)
     f = _panel_bands()[0]
     want = np.array([f.eval(n) for n in range(200)], dtype=complex)
     for lo, hi in ((0, 50), (10, 200), (0, 60), (0, 200)):
-        got = ores.operators._sample(f, lo, hi)
+        got = f.eval(lo, hi)
         assert np.array_equal(_bits(got), _bits(want[lo:hi]))
-    assert len(ores.operators._SAMPLERS[f].prefix[0]) == 60
+    assert len(ores.formulas._SAMPLERS[f].prefix[0]) == 60
 
 
 def test_apply_is_bit_identical_to_the_index_loop():
@@ -453,23 +454,23 @@ def _domain_message(f, n):
 
 
 def test_sampling_from_above_a_negative_prefix(monkeypatch):
-    monkeypatch.setattr(ores.operators, "_SAMPLERS", {})
+    monkeypatch.setattr(ores.formulas, "_SAMPLERS", {})
     f = Formula.sqrt(QPoly.of(-1, 1))               # sqrt(n - 1)
     want = np.array([f.eval(n) for n in range(1, 30)], dtype=complex)
-    got = ores.operators._sample(f, 1, 30)
+    got = f.eval(1, 30)
     assert np.array_equal(_bits(got), _bits(want))
     with pytest.raises(FormulaDomainError) as err:
-        ores.operators._sample(f, 0, 5)
+        f.eval(0, 5)
     assert str(err.value) == _domain_message(f, 0)
     # the cached prefix holds the bad index 0; a range above it is fine
-    assert np.array_equal(_bits(ores.operators._sample(f, 1, 10)),
+    assert np.array_equal(_bits(f.eval(1, 10)),
                           _bits(want[:9]))
-    assert np.array_equal(_bits(ores.operators._sample(f, 1, 60)[:29]),
+    assert np.array_equal(_bits(f.eval(1, 60)[:29]),
                           _bits(want))
 
 
 def test_apply_skips_negative_radicands_under_zero_inputs(monkeypatch):
-    monkeypatch.setattr(ores.operators, "_SAMPLERS", {})
+    monkeypatch.setattr(ores.formulas, "_SAMPLERS", {})
     op = BandedOperator.weighted_shift(1, Formula.sqrt(QPoly.of(-2, 1)))
     # band +1 reads xi[n+1]; rows 0 and 1 have negative radicands
     xi = np.array([5.0, 0.0, 0.0, 1.0, 2.0], dtype=complex)
@@ -483,30 +484,54 @@ def test_apply_skips_negative_radicands_under_zero_inputs(monkeypatch):
 
 
 def test_domain_error_names_the_first_failing_term(monkeypatch):
-    monkeypatch.setattr(ores.operators, "_SAMPLERS", {})
+    monkeypatch.setattr(ores.formulas, "_SAMPLERS", {})
     # terms in sorted order: sqrt(n - 2), then (n - 4) * sqrt(1/2 - n);
     # both radicands are negative at n = 1, and the second amplitude
     # vanishes at n = 4, the one index where eval does not raise
     f = Formula.sqrt(QPoly.of(-2, 1)) + Formula(
         {QPoly.of(Rational(1, 2), -1): CPoly.from_qpoly(QPoly.of(-4, 1))})
-    got = ores.operators._sample(f, 4, 5)
+    got = f.eval(4, 5)
     assert np.array_equal(_bits(got), _bits([f.eval(4)]))
     assert _domain_message(f, 1).startswith("radicand QPoly(-2")
     for lo, n in ((0, 0), (1, 1), (2, 2), (3, 3), (4, 5)):
         with pytest.raises(FormulaDomainError) as err:
-            ores.operators._sample(f, lo, 9)
+            f.eval(lo, 9)
         assert str(err.value) == _domain_message(f, n)
 
 
+# 10^308 n is too large for a float from n = 2; so is the squarefree
+# radicand M607 M521 n, a product of two Mersenne primes, from n = 1
+@pytest.mark.parametrize("f, first", [
+    (Formula.poly([0, 10 ** 308]), 2),
+    (Formula.sqrt(QPoly.of(0, (2 ** 607 - 1) * (2 ** 521 - 1))), 1)])
+def test_overflow_only_at_requested_rows(monkeypatch, f, first):
+    monkeypatch.setattr(ores.formulas, "_SAMPLERS", {})
+    with pytest.raises(OverflowError) as scalar:
+        f.eval(first)
+    want = [f.eval(n) for n in range(first)]
+    assert np.array_equal(_bits(f.eval(0, first)), _bits(want))
+    with pytest.raises(OverflowError) as err:
+        f.eval(0, 6)
+    assert str(err.value) == str(scalar.value)
+    # band +1 reads xi[n+1]: only row 0 is asked for, then row 2 too
+    op = BandedOperator.weighted_shift(1, f)
+    xi = np.array([7.0, 1.0, 0.0, 0.0, 0.0], dtype=complex)
+    assert np.array_equal(_bits(op.apply(xi)), _bits(_loop_apply(op, xi)))
+    xi[3] = 1.0
+    with pytest.raises(OverflowError) as err:
+        op.apply(xi)
+    assert str(err.value) == str(scalar.value)
+
+
 def test_operator_layer_caches_are_bounded(monkeypatch):
-    monkeypatch.setattr(ores.operators, "_SAMPLERS", {})
-    limit = ores.operators._SAMPLER_LIMIT
+    monkeypatch.setattr(ores.formulas, "_SAMPLERS", {})
+    limit = ores.formulas._SAMPLER_LIMIT
     xi = np.arange(1, 9, dtype=complex)
     for k in range(limit + 20):
         op = BandedOperator.weighted_shift(1, Formula.poly([k, 1]))
         want = np.array([(k + n) * xi[n + 1] for n in range(7)] + [0])
         assert np.array_equal(op.apply(xi), want)
-        assert len(ores.operators._SAMPLERS) <= limit
+        assert len(ores.formulas._SAMPLERS) <= limit
     p = load_preset("heisenberg")
     a = p.generator("a")
     # a^j shifted by c, for 24 distinct elements over 9 words
