@@ -52,7 +52,7 @@ class Presentation:
     """
 
     def __init__(self, generators, dagger_pairs, relations, degree_cap,
-                 name=None, validate=True):
+                 name=None):
         self.generators = tuple(generators)
         if len(set(self.generators)) != len(self.generators):
             raise PresentationError("duplicate generator names")
@@ -117,9 +117,8 @@ class Presentation:
         self._basis_cache = {}
         self._regular_cache = {}
 
-        if validate:
-            self._check_dagger_closure()
-            self._check_confluence()
+        self._check_dagger_closure()
+        self._check_confluence()
         self.commutative = self._detect_commutative()
 
     # -- construction helpers ------------------------------------------------
@@ -274,20 +273,6 @@ class Presentation:
     def generator(self, name) -> "AlgebraElement":
         g = self._gen_index(name)
         return self.normalize_raw({(g,): ONE})
-
-    def element(self, terms: dict) -> "AlgebraElement":
-        """Build an element from a dict mapping name tuples to coefficients."""
-        raw = {}
-        for names, c in terms.items():
-            w = self._word(tuple(names))
-            if len(w) > self.degree_cap:
-                raise DegreeOverflow(
-                    "input word of length %d exceeds degree cap %d"
-                    % (len(w), self.degree_cap))
-            c = as_scalar(c)
-            prev = raw.get(w)
-            raw[w] = c + prev if prev is not None else c
-        return self.normalize_raw(raw)
 
     # -- word enumeration ----------------------------------------------------
 
@@ -707,26 +692,26 @@ def load_preset(name: str, degree_cap: int | None = None) -> Presentation:
 # -- sampling --------------------------------------------------------------------
 
 
-def random_scalar(rng, complex_coeffs=True) -> Scalar:
+def random_scalar(rng) -> Scalar:
     from fractions import Fraction
     num = rng.randint(-3, 3)
     den = rng.randint(1, 3)
     re = Fraction(num, den)
     im = Fraction(0)
-    if complex_coeffs and rng.random() < 0.4:
+    if rng.random() < 0.4:
         im = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
     return Scalar(re, im)
 
 
 def random_element(presentation, rng, max_degree=2, max_terms=3,
-                   complex_coeffs=True, nonzero=False) -> AlgebraElement:
+                   nonzero=False) -> AlgebraElement:
     """A deterministic pseudo-random element driven by the given rng."""
     words = presentation.basis_words(max_degree)
     while True:
         raw = {}
         for _ in range(rng.randint(1, max_terms)):
             w = words[rng.randrange(len(words))]
-            c = random_scalar(rng, complex_coeffs)
+            c = random_scalar(rng)
             prev = raw.get(w)
             raw[w] = c + prev if prev is not None else c
         el = presentation.normalize_raw(raw)

@@ -30,8 +30,8 @@ from .operators import (core_density_probe, fock_assignment,
                         pi_s_surjectivity_probe)
 from .positivity import PositivityCertificate, verify_certificate
 from .scalars import Scalar
-from .scenarios import SCENARIOS, ScenarioConfig, run_scenario, \
-    write_scenario_report
+from .scenarios import SCENARIOS, ScenarioConfig, _basis_vector, \
+    run_scenario, write_scenario_report
 from .states import dirac_state, gaussian_state
 
 USAGE_ERRORS = (ConfigError, ExpressionError, PresentationError,
@@ -41,105 +41,105 @@ USAGE_ERRORS = (ConfigError, ExpressionError, PresentationError,
 CHECK_ERRORS = (OreWitnessNotFound, TruncationLimit, StateAxiomError)
 
 
-def _global_flags() -> argparse.ArgumentParser:
-    g = argparse.ArgumentParser(add_help=False)
-    g.add_argument("--presentation", default="heisenberg",
-                   help="preset name or presentation file path "
-                        "(default: heisenberg)")
-    g.add_argument("--budget-factors", type=int, default=2, metavar="N",
-                   help="max denominator factors in witness search")
-    g.add_argument("--budget-degree", type=int, default=2, metavar="N",
-                   help="max parameter degree in witness search")
-    g.add_argument("--tol", type=float, default=1e-10, metavar="X",
-                   help="linear solve tolerance")
-    g.add_argument("--probe-tol", type=float, default=1e-8, metavar="X",
-                   help="probe tolerance")
-    g.add_argument("--seed", type=int, default=0, metavar="N",
-                   help="random seed")
-    g.add_argument("--out", default=None, metavar="DIR",
-                   help="output directory for report files")
-    return g
+# each command takes only the flags its handler reads
+_FLAGS = {
+    "presentation": dict(default="heisenberg",
+                         help="preset name or presentation file path "
+                              "(default: heisenberg)"),
+    "budget-factors": dict(type=int, default=2, metavar="N",
+                           help="max denominator factors in witness search"),
+    "budget-degree": dict(type=int, default=2, metavar="N",
+                          help="max parameter degree in witness search"),
+    "tol": dict(type=float, default=1e-10, metavar="X",
+                help="linear solve tolerance"),
+    "probe-tol": dict(type=float, default=1e-8, metavar="X",
+                      help="probe tolerance"),
+    "seed": dict(type=int, default=0, metavar="N", help="random seed"),
+    "out": dict(default=None, metavar="DIR",
+                help="output directory for report files"),
+}
+_BUDGET_FLAGS = ("presentation", "budget-factors", "budget-degree")
+
+
+def _command(sub, name, handler, summary, flags=("presentation",)):
+    p = sub.add_parser(name, help=summary)
+    for flag in flags:
+        p.add_argument("--" + flag, **_FLAGS[flag])
+    p.set_defaults(handler=handler)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    g = _global_flags()
     root = argparse.ArgumentParser(
         prog="ores",
         description="Ore localization, moment-functional representations, "
                     "and banded operator calculus.")
     sub = root.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("normalize", parents=[g],
-                       help="normalize an expression to canonical form")
+    p = _command(sub, "normalize", cmd_normalize,
+                 "normalize an expression to canonical form")
     p.add_argument("expr")
-    p.set_defaults(handler=cmd_normalize)
 
     ore = sub.add_parser("ore", help="Ore condition witness search")
     ore_sub = ore.add_subparsers(dest="ore_command", required=True)
-    p = ore_sub.add_parser("solve", parents=[g],
-                           help="find (b, t) with a*t = s*b")
+    p = _command(ore_sub, "solve", cmd_ore_solve,
+                 "find (b, t) with a*t = s*b", _BUDGET_FLAGS)
     p.add_argument("numerator", help="expression a")
     p.add_argument("denominator",
                    help="denominator: 1 or (1 + q*p)*(1 + q*p)...")
-    p.set_defaults(handler=cmd_ore_solve)
 
     frac = sub.add_parser("frac", help="right-fraction arithmetic")
     frac_sub = frac.add_subparsers(dest="frac_command", required=True)
-    p = frac_sub.add_parser("add", parents=[g], help="lambda*f + g")
+    p = _command(frac_sub, "add", cmd_frac_add, "lambda*f + g", _BUDGET_FLAGS)
     p.add_argument("scalar", help="expression for lambda")
     p.add_argument("f")
     p.add_argument("g")
-    p.set_defaults(handler=cmd_frac_add)
-    p = frac_sub.add_parser("mul", parents=[g], help="f * g")
+    p = _command(frac_sub, "mul", cmd_frac_mul, "f * g", _BUDGET_FLAGS)
     p.add_argument("f")
     p.add_argument("g")
-    p.set_defaults(handler=cmd_frac_mul)
-    p = frac_sub.add_parser("dagger", parents=[g], help="f dagger")
+    p = _command(frac_sub, "dagger", cmd_frac_dagger, "f dagger",
+                 _BUDGET_FLAGS)
     p.add_argument("f")
-    p.set_defaults(handler=cmd_frac_dagger)
-    p = frac_sub.add_parser("eq", parents=[g],
-                            help="decide equality of two fractions")
+    p = _command(frac_sub, "eq", cmd_frac_eq,
+                 "decide equality of two fractions", _BUDGET_FLAGS)
     p.add_argument("f")
     p.add_argument("g")
-    p.set_defaults(handler=cmd_frac_eq)
 
     cone = sub.add_parser("cone", help="positivity certificates")
     cone_sub = cone.add_subparsers(dest="cone_command", required=True)
-    p = cone_sub.add_parser("verify", parents=[g],
-                            help="check target = sum lambda_i a_i' a_i")
+    p = _command(cone_sub, "verify", cmd_cone_verify,
+                 "check target = sum lambda_i a_i' a_i")
     p.add_argument("target")
     p.add_argument("--term", nargs=2, action="append", required=True,
                    metavar=("LAMBDA", "EXPR"),
                    help="certificate term (repeatable)")
-    p.set_defaults(handler=cmd_cone_verify)
 
     gns_cmd = sub.add_parser("gns", help="representations from moments")
     gns_sub = gns_cmd.add_subparsers(dest="gns_command", required=True)
-    p = gns_sub.add_parser("build", parents=[g],
-                           help="build the representation of a state")
+    p = _command(gns_sub, "build", cmd_gns_build,
+                 "build the representation of a state",
+                 ("presentation", "out"))
     p.add_argument("--moments", default=None, metavar="FILE",
                    help="moment table file")
     p.add_argument("--state", default=None, choices=("gaussian", "vacuum"),
                    help="built-in state instead of a moment file")
     p.add_argument("--degree", type=int, default=6,
                    help="truncation degree d (moments to 2d)")
-    p.set_defaults(handler=cmd_gns_build)
 
     op = sub.add_parser("op", help="banded operator calculus")
     op_sub = op.add_subparsers(dest="op_command", required=True)
-    p = op_sub.add_parser("apply", parents=[g],
-                          help="apply an operator to a vector")
+    p = _command(op_sub, "apply", cmd_op_apply,
+                 "apply an operator to a vector")
     _op_source_args(p)
     p.add_argument("--vector", required=True,
                    help="comma-separated complex entries")
-    p.set_defaults(handler=cmd_op_apply)
-    p = op_sub.add_parser("invert", parents=[g],
-                          help="solve (1 + A*A) x = y")
+    p = _command(op_sub, "invert", cmd_op_invert, "solve (1 + A*A) x = y",
+                 ("presentation", "tol"))
     _op_source_args(p)
     p.add_argument("--vector", required=True, help="the right-hand side y")
-    p.set_defaults(handler=cmd_op_invert)
-    p = op_sub.add_parser("probe", parents=[g],
-                          help="integrability probes for a denominator")
+    p = _command(op_sub, "probe", cmd_op_probe,
+                 "integrability probes for a denominator",
+                 ("presentation", "probe-tol"))
     p.add_argument("--probe", default="surjectivity",
                    choices=("surjectivity", "factorization", "core-density"))
     p.add_argument("--den", required=True,
@@ -150,13 +150,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="graph-norm element for core-density")
     p.add_argument("--vector", default=None,
                    help="explicit target vector")
-    p.set_defaults(handler=cmd_op_probe)
 
     scen = sub.add_parser("scenario", help="reproducible scenario reports")
     scen_sub = scen.add_subparsers(dest="scenario_command", required=True)
-    p = scen_sub.add_parser("run", parents=[g], help="run scenarios")
+    p = _command(scen_sub, "run", cmd_scenario_run, "run scenarios",
+                 ("budget-factors", "budget-degree", "tol", "probe-tol",
+                  "seed", "out"))
     p.add_argument("name", help="scenario name or 'all'")
-    p.set_defaults(handler=cmd_scenario_run)
 
     return root
 
@@ -355,8 +355,10 @@ def cmd_op_probe(args) -> int:
     s = parse_sproduct_text(args.den, p)
     if args.vector is not None:
         targets = [_parse_vector(args.vector)]
+    elif args.targets < 1:
+        raise ConfigError("--targets must be at least 1")
     else:
-        targets = [np.eye(n + 1, dtype=complex)[n] for n in range(args.targets)]
+        targets = [_basis_vector(n) for n in range(args.targets)]
     if args.probe == "surjectivity":
         report = pi_s_surjectivity_probe(assignment, s, targets,
                                          args.probe_tol)
@@ -382,18 +384,12 @@ def cmd_op_probe(args) -> int:
 
 
 def cmd_scenario_run(args) -> int:
-    if args.presentation != "heisenberg":
-        # scenarios choose their own presets; a presentation file makes
-        # no sense here
-        if args.presentation not in PRESETS:
-            raise ConfigError("scenarios do not take a presentation file")
     cfg = ScenarioConfig(
         seed=args.seed,
         max_factors=args.budget_factors,
         max_degree=args.budget_degree,
         solve_tol=args.tol,
         probe_tol=args.probe_tol,
-        out_dir=args.out,
     )
     cfg.validate()
     names = sorted(SCENARIOS) if args.name == "all" else [args.name]

@@ -332,10 +332,6 @@ class CPoly(_Poly):
         return tuple((c.re, c.im) for c in self.coeffs)
 
 
-CP_ZERO = CPoly()
-CP_ONE = CPoly.const(Scalar(1))
-
-
 class Formula:
     """A finite sum of amplitude * sqrt(radicand) terms in the index n."""
 

@@ -192,8 +192,8 @@ def gns(f: MomentFunctional) -> GnsRepresentation:
     return GnsRepresentation(f, piv_words, ranks, B, matrices, cyclic, kernel)
 
 
-def state_from_representation(rep, omega=None, degree=None,
-                              presentation=None) -> MomentFunctional:
+def state_from_representation(rep, omega=None,
+                              degree=None) -> MomentFunctional:
     """Recover a moment table from a representation and a unit vector.
 
     Accepts a GnsRepresentation (omega defaults to its cyclic vector and
@@ -226,7 +226,7 @@ def state_from_representation(rep, omega=None, degree=None,
         if omega is None or degree is None:
             raise ValueError(
                 "an operator assignment needs an explicit omega and degree")
-        p = presentation or rep.presentation
+        p = rep.presentation
         omega = np.asarray(omega, dtype=complex)
         values = {}
         for w in p.basis_words(2 * degree):

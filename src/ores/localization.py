@@ -28,7 +28,7 @@ witnesses are always re-verified exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction as Rational
 
 import numpy as np
@@ -49,11 +49,20 @@ class OreBudget:
     degree_slack      extra degree allowed for the solved numerator b
     regularity_depth  depth of the bounded zero-divisor check applied to
                       denominators entering Fraction
+
+    Every field must be a nonnegative int; anything else is a ValueError.
     """
     max_factors: int = 2
     max_degree: int = 2
     degree_slack: int = 0
     regularity_depth: int = 2
+
+    def __post_init__(self):
+        for field in fields(self):
+            v = getattr(self, field.name)
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                raise ValueError("budget %s must be a nonnegative int, got %r"
+                                 % (field.name, v))
 
 
 DEFAULT_BUDGET = OreBudget()

@@ -225,9 +225,8 @@ class FockAssignment:
     vector with no truncation-boundary caveat.
     """
 
-    def __init__(self, presentation: Presentation, ops: dict,
-                 validate: bool = True):
-        self.presentation = presentation
+    def __init__(self, presentation: Presentation, ops: dict):
+        self.presentation = p = presentation
         fixed = {}
         for name in presentation.generators:
             if name not in ops:
@@ -237,11 +236,6 @@ class FockAssignment:
         self.ops = fixed
         self._word_cache = {(): BandedOperator.identity()}
         self._el_cache = {}
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        p = self.presentation
         for gi, name in enumerate(p.generators):
             partner = p.generators[p.dagger_map[gi]]
             if self.ops[partner] != self.ops[name].adjoint():
@@ -339,7 +333,6 @@ def _banded_cholesky_solve(M: BandedOperator, rhs: np.ndarray) -> np.ndarray:
 
 
 def invert_one_plus_AstarA(A: BandedOperator, y, tol: float,
-                           start_size: int | None = None,
                            size_cap: int = 4096) -> InversionResult:
     """Solve (1 + A*A) x = y on growing truncations until the recomputed
     global residual meets tol.
@@ -354,8 +347,7 @@ def invert_one_plus_AstarA(A: BandedOperator, y, tol: float,
     M = one_plus_AstarA(A)
     L = len(y)
     K = max(M.bandwidth, 1)
-    N = start_size or max(2 * L, L + 4 * K, 16)
-    N = min(N, size_cap)
+    N = min(max(2 * L, L + 4 * K, 16), size_cap)
     while True:
         rhs = np.zeros(N, dtype=complex)
         rhs[:min(L, N)] = y[:min(L, N)]

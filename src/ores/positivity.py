@@ -16,11 +16,11 @@ from .algebra import AlgebraElement, _check_same
 from .errors import OreWitnessNotFound
 from .localization import (DEFAULT_BUDGET, Fraction, LeftOreWitness, OreBudget,
                            SProduct, ore_solve_left)
-from .scalars import Scalar
+from .scalars import Scalar, as_scalar
 
 
 def _positive_rational(lam) -> Scalar:
-    lam = lam if isinstance(lam, Scalar) else Scalar(lam)
+    lam = as_scalar(lam)
     if not lam.is_positive_real():
         raise ValueError("certificate weights must be positive rationals")
     return lam

@@ -38,67 +38,27 @@ from .scalars import Scalar
 from .states import dirac_state, double_factorial_moments, gaussian_state
 
 
+_GNS_DEGREE = 6   # truncation degree of the scenarios' GNS builds
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: int = 0
     max_factors: int = 2
     max_degree: int = 2
-    degree_slack: int = 0
-    regularity_depth: int = 2
     solve_tol: float = 1e-10
     probe_tol: float = 1e-8
-    truncation_cap: int = 4096
-    gns_degree: int = 6
-    out_dir: str | None = None
-
-    _INT_FIELDS = ("seed", "max_factors", "max_degree", "degree_slack",
-                   "regularity_depth", "truncation_cap", "gns_degree")
-    _FLOAT_FIELDS = ("solve_tol", "probe_tol")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioConfig":
-        known = set(cls._INT_FIELDS) | set(cls._FLOAT_FIELDS) | {"out_dir"}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError("unknown config keys: %s" % ", ".join(sorted(extra)))
-        kwargs = {}
-        for k in cls._INT_FIELDS:
-            if k in d:
-                v = d[k]
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise ConfigError("config key %r must be an integer" % k)
-                kwargs[k] = v
-        for k in cls._FLOAT_FIELDS:
-            if k in d:
-                v = d[k]
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
-                    raise ConfigError("config key %r must be a number" % k)
-                kwargs[k] = float(v)
-        if "out_dir" in d:
-            if d["out_dir"] is not None and not isinstance(d["out_dir"], str):
-                raise ConfigError("config key 'out_dir' must be a path")
-            kwargs["out_dir"] = d["out_dir"]
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
 
     def validate(self):
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.max_factors < 0 or self.max_degree < 0 or self.degree_slack < 0:
-            raise ConfigError("budget fields must be nonnegative")
-        if self.regularity_depth < 1:
-            raise ConfigError("regularity_depth must be at least 1")
         if self.solve_tol <= 0 or self.probe_tol <= 0:
             raise ConfigError("tolerances must be positive")
-        if self.truncation_cap < 8:
-            raise ConfigError("truncation_cap must be at least 8")
-        if self.gns_degree < 2:
-            raise ConfigError("gns_degree must be at least 2")
+        self.budget()
 
     def budget(self) -> OreBudget:
-        return OreBudget(self.max_factors, self.max_degree,
-                         self.degree_slack, self.regularity_depth)
+        """The search budget; OreBudget rejects negative fields."""
+        return OreBudget(self.max_factors, self.max_degree)
 
 
 def _item(item_id: str, ok, **extra) -> dict:
@@ -109,13 +69,14 @@ def _item(item_id: str, ok, **extra) -> dict:
 
 def _report(name: str, cfg: ScenarioConfig, items) -> dict:
     items = sorted(items, key=lambda it: it["id"])
+    b = cfg.budget()
     return {
         "scenario": name,
         "seed": cfg.seed,
-        "budget": {"max_factors": cfg.max_factors,
-                   "max_degree": cfg.max_degree,
-                   "degree_slack": cfg.degree_slack,
-                   "regularity_depth": cfg.regularity_depth},
+        "budget": {"max_factors": b.max_factors,
+                   "max_degree": b.max_degree,
+                   "degree_slack": b.degree_slack,
+                   "regularity_depth": b.regularity_depth},
         "items": items,
         "pass": all(it["pass"] for it in items),
     }
@@ -142,12 +103,11 @@ def _random_sproduct(p, rng, pool, max_factors: int,
     return SProduct(p, ps)
 
 
-def _random_fraction(p, rng, pool, cfg: ScenarioConfig,
-                     max_den_factors: int = 1,
+def _random_fraction(p, rng, pool, max_den_factors: int = 1,
                      max_num_degree: int = 2) -> Fraction:
     num = random_element(p, rng, max_degree=max_num_degree, max_terms=2)
     den = _random_sproduct(p, rng, pool, max_den_factors)
-    return Fraction(num, den, regularity_depth=cfg.regularity_depth)
+    return Fraction(num, den)
 
 
 _SEARCH_MISSES = (OreWitnessNotFound, DegreeOverflow)
@@ -178,11 +138,11 @@ def _axiom_counts(p, rng, pool, cfg, samples: int, exact: bool):
             bad += 1
 
     for _ in range(samples):
-        f = _random_fraction(p, rng, pool, cfg, max_den_factors=1,
+        f = _random_fraction(p, rng, pool, max_den_factors=1,
                              max_num_degree=2)
-        g = _random_fraction(p, rng, pool, cfg, max_den_factors=1,
+        g = _random_fraction(p, rng, pool, max_den_factors=1,
                              max_num_degree=1)
-        h = _random_fraction(p, rng, pool, cfg, max_den_factors=1,
+        h = _random_fraction(p, rng, pool, max_den_factors=1,
                              max_num_degree=1)
         lam = random_scalar(rng)
         try:
@@ -225,14 +185,12 @@ def _amplified_counts(p, rng, pool, cfg, samples: int, exact: bool):
     budget = cfg.budget()
     checked = found = bad = 0
     for _ in range(samples):
-        f = _random_fraction(p, rng, pool, cfg, max_den_factors=1)
+        f = _random_fraction(p, rng, pool, max_den_factors=1)
         u1 = _random_sproduct(p, rng, pool, 1, allow_empty=False)
         u2 = _random_sproduct(p, rng, pool, 1, allow_empty=False)
         try:
-            f2 = Fraction(f.num * u1.value, f.den * u1,
-                          regularity_depth=cfg.regularity_depth)
-            f3 = Fraction(f2.num * u2.value, f2.den * u2,
-                          regularity_depth=cfg.regularity_depth)
+            f2 = Fraction(f.num * u1.value, f.den * u1)
+            f3 = Fraction(f2.num * u2.value, f2.den * u2)
         except DegreeOverflow:
             continue
         for lhs, rhs in ((f, f2), (f2, f3), (f, f3)):
@@ -284,10 +242,7 @@ def scenario_ore_axioms(cfg: ScenarioConfig) -> dict:
                                embed(a.dagger()), budget):
                 bad += 1
             if not eq_fraction(
-                    frac_mul(embed(s.value),
-                             Fraction(p.one(), s,
-                                      regularity_depth=cfg.regularity_depth),
-                             budget),
+                    frac_mul(embed(s.value), Fraction(p.one(), s), budget),
                     embed(p.one()), budget):
                 bad += 1
         items.append(_item("embedding_%s" % preset_name, bad == 0,
@@ -344,8 +299,8 @@ def _involution_counts(p, rng, pool, cfg, samples: int, exact: bool,
             checked_found_bad[2] += 1
 
     for _ in range(samples):
-        f = _random_fraction(p, rng, pool, cfg, max_den_factors)
-        g = _random_fraction(p, rng, pool, cfg, max_den_factors)
+        f = _random_fraction(p, rng, pool, max_den_factors)
+        g = _random_fraction(p, rng, pool, max_den_factors)
         lam = random_scalar(rng)
 
         attempt("antilinear", lambda: _eq_or_none(
@@ -424,7 +379,7 @@ def scenario_cofinality(cfg: ScenarioConfig) -> dict:
 
 def scenario_gaussian_gns(cfg: ScenarioConfig) -> dict:
     items = []
-    d = cfg.gns_degree
+    d = _GNS_DEGREE
     p = load_preset("poly_x")
     f = gaussian_state(p, d)
     rep = gns(f)
@@ -491,13 +446,12 @@ def scenario_fock(cfg: ScenarioConfig) -> dict:
     items = []
     p = load_preset("heisenberg")
     assignment = fock_assignment(p)
-    cap = cfg.truncation_cap
 
     # vacuum-state GNS adjoint window
-    rep = gns(dirac_state(p, cfg.gns_degree))
+    rep = gns(dirac_state(p, _GNS_DEGREE))
     worst = max(rep.adjoint_defect("a"), rep.adjoint_defect("ad"))
     items.append(_item("gns_adjoint_window", worst <= 1e-10,
-                       defect=float(worst), degree=cfg.gns_degree))
+                       defect=float(worst), degree=_GNS_DEGREE))
 
     # resolvent of the number operator on basis vectors, float-exact
     A = assignment.operator("a")
@@ -506,7 +460,7 @@ def scenario_fock(cfg: ScenarioConfig) -> dict:
     exact = True
     for n in range(0, 21):
         y = _basis_vector(n)
-        res = invert_one_plus_AstarA(A, y, cfg.solve_tol, size_cap=cap)
+        res = invert_one_plus_AstarA(A, y, cfg.solve_tol)
         err = float(np.max(np.abs(_gap(res.x, y / (1.0 + n)))))
         if err != 0.0:
             exact = False
@@ -521,7 +475,7 @@ def scenario_fock(cfg: ScenarioConfig) -> dict:
     shift = BandedOperator.weighted_shift(1, Formula.poly([1, 1]))
     M = one_plus_AstarA(shift)
     y = _basis_vector(0, 6) + _basis_vector(5, 6)
-    res = invert_one_plus_AstarA(shift, y, cfg.solve_tol, size_cap=cap)
+    res = invert_one_plus_AstarA(shift, y, cfg.solve_tol)
     N4 = 4 * res.truncation_size
     dense = M.matrix(N4)
     rhs = np.zeros(N4, dtype=complex)
@@ -539,7 +493,7 @@ def scenario_fock(cfg: ScenarioConfig) -> dict:
     targets = [_basis_vector(n) for n in range(6)]
     for label, s in _fock_denominators(p):
         report = pi_s_surjectivity_probe(assignment, s, targets,
-                                         cfg.probe_tol, size_cap=cap)
+                                         cfg.probe_tol)
         worst = max((it.residual for it in report.items), default=0.0)
         items.append(_item("surjectivity_%s" % label, report.ok,
                            max_residual=float(worst), targets=len(targets)))
@@ -567,11 +521,10 @@ def scenario_extend(cfg: ScenarioConfig) -> dict:
     ad = p.generator("ad")
 
     # [a, 1+a'a] applied to e_3 must give sqrt(3)/4 e_2
-    frac = Fraction(a, SProduct(p, (a,)),
-                    regularity_depth=cfg.regularity_depth)
+    frac = Fraction(a, SProduct(p, (a,)))
     xi = _basis_vector(3)
     res = extend_representation(assignment, frac, xi, cfg.solve_tol,
-                                budget=budget, size_cap=cfg.truncation_cap)
+                                budget=budget)
     expected = _basis_vector(2, len(res.vector)) * (np.sqrt(3.0) / 4.0)
     err = float(np.max(np.abs(res.vector - expected)))
     items.append(_item("annihilator_over_number", err <= 1e-10,
@@ -588,14 +541,13 @@ def scenario_extend(cfg: ScenarioConfig) -> dict:
     for _ in range(20):
         num = random_element(p, rng, max_degree=2, max_terms=2)
         den = _random_sproduct(p, rng, pool, 1, allow_empty=False)
-        f = Fraction(num, den, regularity_depth=cfg.regularity_depth)
+        f = Fraction(num, den)
         xi = np.array([complex(2 * rng.random() - 1, 2 * rng.random() - 1)
                        for _ in range(6)])
         checked += 1
         try:
             res = extend_representation(assignment, f, xi, cfg.solve_tol,
-                                        budget=budget,
-                                        size_cap=cfg.truncation_cap)
+                                        budget=budget)
         except _SEARCH_MISSES:
             continue
         if not res.witness_found:

@@ -207,23 +207,26 @@ def gaussian_state(presentation: Presentation, degree: int) -> MomentFunctional:
         presentation, degree, lambda w: Scalar(ms[len(w)]))
 
 
+_SNAP_TOL = 1e-9
+
+
 def from_numeric(presentation: Presentation, degree: int, values: dict,
-                 snap_tol: float = 1e-9, max_denominator: int = 10 ** 6,
+                 max_denominator: int = 10 ** 6,
                  validate: bool = True) -> MomentFunctional:
     """Build an exact table from floating moments.
 
     Each value is snapped to the nearest rational with denominator up to
-    max_denominator; the snap must land within snap_tol or the value is
+    max_denominator; the snap must land within 1e-9 or the value is
     rejected.  The table is then hermitian-symmetrized exactly (averaging
     w against the conjugate at the normal form of w'), so tiny float
     asymmetries cannot fail the state axioms.
     """
     def snap(x: float) -> Rational:
         r = Rational(x).limit_denominator(max_denominator)
-        if abs(float(r) - x) > snap_tol:
+        if abs(float(r) - x) > _SNAP_TOL:
             raise StateAxiomError(
                 "moment %r does not snap to a rational within %g"
-                % (x, snap_tol))
+                % (x, _SNAP_TOL))
         return r
 
     raw = {}

@@ -295,6 +295,96 @@ def test_scenario_run(tmp_path, capsys):
     assert (tmp_path / "gaussian-gns.txt").exists()
 
 
+def test_op_probe_needs_a_target(capsys):
+    for n in ("0", "-1"):
+        code, out, err = run(capsys, ["op", "probe", "--den", "(1 + a'*a)",
+                                      "--targets", n])
+        assert code == 2
+        assert "--targets must be at least 1" in err
+        assert out == ""
+
+
+def test_negative_budget_is_a_usage_error(capsys):
+    for flag, value in (("--budget-factors", "-1"), ("--budget-degree", "-3")):
+        code, out, err = run(capsys, ["ore", "solve", flag, value,
+                                      "a", "(1 + a'*a)"])
+        assert code == 2
+        assert "must be a nonnegative int" in err
+        assert "no witness" not in out
+    code, _, err = run(capsys, ["frac", "dagger", "--budget-degree", "-1",
+                                "(a) / (1 + a'*a)"])
+    assert code == 2
+
+
+# the flags several commands share, with a valid value for each
+SHARED_FLAGS = {"--presentation": "heisenberg", "--budget-factors": "1",
+                "--budget-degree": "1", "--tol": "1e-9", "--probe-tol": "1e-7",
+                "--seed": "1", "--out": "out"}
+BUDGET_FLAGS = ("--presentation", "--budget-factors", "--budget-degree")
+# a valid invocation of every command and the shared flags its handler reads
+COMMANDS = (
+    (["normalize", "a"], ("--presentation",)),
+    (["ore", "solve", "a", "(1 + ad'*ad)"], BUDGET_FLAGS),
+    (["frac", "add", "2", "(a) / (1 + a'*a)", "(a) / (1 + a'*a)"],
+     BUDGET_FLAGS),
+    (["frac", "mul", "(1) / (1 + a'*a)", "(1) / (1 + a'*a)"], BUDGET_FLAGS),
+    (["frac", "dagger", "(a) / (1 + a'*a)"], BUDGET_FLAGS),
+    (["frac", "eq", "(a) / (1 + a'*a)", "(a) / (1 + a'*a)"], BUDGET_FLAGS),
+    (["cone", "verify", "a'*a", "--term", "1", "a"], ("--presentation",)),
+    (["gns", "build", "--state", "vacuum", "--degree", "2"],
+     ("--presentation", "--out")),
+    (["op", "apply", "--expr", "a", "--vector", "0,1"], ("--presentation",)),
+    (["op", "invert", "--expr", "a", "--vector", "1,0"],
+     ("--presentation", "--tol")),
+    (["op", "probe", "--den", "(1 + a'*a)", "--targets", "2"],
+     ("--presentation", "--probe-tol")),
+    (["scenario", "run", "gaussian-gns"],
+     ("--budget-factors", "--budget-degree", "--tol", "--probe-tol",
+      "--seed", "--out")),
+)
+
+
+def test_commands_reject_shared_flags_they_do_not_read(tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    pairs = [(argv, flag) for argv, kept in COMMANDS
+             for flag in SHARED_FLAGS if flag not in kept]
+    assert len(pairs) == 54
+    accepted = []
+    for argv, flag in pairs:
+        code, _, err = run(capsys, argv + [flag, SHARED_FLAGS[flag]])
+        if code != 2 or "unrecognized arguments: %s" % flag not in err:
+            accepted.append((argv[0], argv[1], flag, code))
+    assert accepted == []
+
+
+def test_commands_accept_the_shared_flags_they_read(tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    assert sum(len(kept) for _, kept in COMMANDS) == 30
+    for argv, kept in COMMANDS:
+        flags = [tok for flag in kept for tok in (flag, SHARED_FLAGS[flag])]
+        code, _, err = run(capsys, argv + flags)
+        assert code == 0, (argv, err)
+
+
+def test_shared_flags_reach_the_handler(tmp_path, capsys):
+    code, out, _ = run(capsys, ["ore", "solve", "--budget-factors", "1",
+                                "--budget-degree", "1", "a", "(1 + a'*a)"])
+    assert code == 1
+    assert out == ("no witness within budget (factors <= 1, degree <= 1); "
+                   "candidates tried: 5\n")
+    code, _, _ = run(capsys, [
+        "scenario", "run", "gaussian-gns", "--seed", "3",
+        "--budget-factors", "1", "--budget-degree", "0", "--tol", "1e-9",
+        "--probe-tol", "1e-7", "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "gaussian-gns.json").read_text())
+    assert report["seed"] == 3
+    assert report["budget"] == {"max_factors": 1, "max_degree": 0,
+                                "degree_slack": 0, "regularity_depth": 2}
+
+
 def test_scenario_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys,
                        ["scenario", "run", "nope", "--out", str(tmp_path)])

@@ -343,6 +343,16 @@ def test_budget_defaults():
     assert DEFAULT_BUDGET.max_degree == 2
 
 
+def test_budget_fields_must_be_nonnegative_ints():
+    for bad in ({"max_factors": -1}, {"max_degree": -3},
+                {"degree_slack": -1}, {"regularity_depth": -1},
+                {"max_degree": 1.5}, {"max_factors": True},
+                {"max_degree": "2"}):
+        with pytest.raises(ValueError, match="nonnegative int"):
+            OreBudget(**bad)
+    assert OreBudget(0, 0, 0, 0).max_factors == 0
+
+
 # -- the modular screen against an unscreened exact scan -----------------------
 
 
