@@ -25,7 +25,7 @@ from .exprparse import (fraction_to_text, parse_element, parse_fraction_text,
 from .gns import gns
 from .localization import OreBudget, eq_fraction, frac_add, frac_dagger, \
     frac_mul, ore_solve_right
-from .operators import (core_density_probe, fock_assignment,
+from .operators import (SIZE_CAP, core_density_probe, fock_assignment,
                         invert_one_plus_AstarA, lemma_pis_equals_S_check,
                         pi_s_surjectivity_probe)
 from .positivity import PositivityCertificate, verify_certificate
@@ -357,6 +357,11 @@ def cmd_op_probe(args) -> int:
         targets = [_parse_vector(args.vector)]
     elif args.targets < 1:
         raise ConfigError("--targets must be at least 1")
+    elif args.targets > SIZE_CAP:
+        # e_n needs a truncation beyond n, and the targets are built
+        # before the first probe: N of them hold N(N+1)/2 entries
+        raise ConfigError("--targets must be at most %d, the solvers' "
+                          "size cap" % SIZE_CAP)
     else:
         targets = [_basis_vector(n) for n in range(args.targets)]
     if args.probe == "surjectivity":

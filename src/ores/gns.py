@@ -1,10 +1,13 @@
 """GNS construction from an exact moment table.
 
 The Gram matrix on words of degree at most d is built exactly and
-reduced by exact graded hermitian pivoting, which certifies positivity,
-yields the null ideal, and selects a pivot set that is nested along the
-degree filtration.  Orthonormalization and generator matrices are then
-computed in floating point on the certified-positive pivot block.
+reduced by exact graded hermitian pivoting, fraction-free over the
+Gaussian integers, which certifies positivity, yields the null ideal,
+and selects a pivot set that is nested along the degree filtration.
+The moment table keeps that reduction, so a state whose axioms were
+checked is not reduced a second time here.  Orthonormalization and
+generator matrices are then computed in floating point on the
+certified-positive pivot block.
 
 Truncation convention: generator matrices map the degree-(d-1) block
 into the degree-d block, so adjoint identities are only claimed on the
@@ -18,7 +21,6 @@ import numpy as np
 
 from .algebra import AlgebraElement, Presentation, _check_same
 from .errors import InsufficientDegree, StateAxiomError
-from .linalg import graded_hermitian_reduce
 from .scalars import ONE, Scalar
 from .states import MomentFunctional, from_numeric
 
@@ -137,18 +139,17 @@ class GnsRepresentation:
 def gns(f: MomentFunctional) -> GnsRepresentation:
     """Build the representation carried by the moment table.
 
-    Exact steps: Gram assembly, graded hermitian reduction (positivity
-    verdict, nested pivots, null ideal).  Floating steps: Cholesky of the
-    pivot block and the generator matrices, with invariants holding to
-    1e-10 on the inner window.
+    Exact steps: Gram assembly and graded hermitian reduction (positivity
+    verdict, nested pivots, null ideal), both taken from the functional,
+    which makes them once.  Floating steps: Cholesky of the pivot block
+    and the generator matrices, with invariants holding to 1e-10 on the
+    inner window.
     """
     p = f.presentation
     d = f.degree
     if d < 1:
         raise InsufficientDegree("the construction needs degree at least 1")
-    all_words, G = f.gram()
-    grades = [len(w) for w in all_words]
-    report = graded_hermitian_reduce(G, grades)
+    all_words, G, report = f._reduced()
     if not report.psd:
         raise StateAxiomError(
             "the moment table is not positive semidefinite "

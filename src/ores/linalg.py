@@ -2,13 +2,18 @@
 
 Row reduction, solving, kernels, an incremental row space with
 combination tracking, and a pivoted semidefinite reduction for hermitian
-matrices.  Matrices are plain lists of lists of Scalar.  Sizes here are
-tens of rows, so clarity wins over asymptotics.
+matrices.  Matrices are plain lists of lists of Scalar.  Row reduction
+works in Scalars on systems of tens of rows.  The semidefinite reduction
+meets Gram matrices whose denominators grow with the degree, so it
+eliminates fraction-free over the Gaussian integers and solves in
+Scalars only for the vectors it returns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .scalars import Scalar
 
@@ -160,11 +165,21 @@ def graded_hermitian_reduce(G, grades=None) -> PsdReport:
 
     Pivots are chosen stage by stage: within stage g only indices i with
     grades[i] <= g are eligible, and among them the largest positive
-    diagonal entry is taken.  Any positive diagonal is a valid
-    semidefiniteness-preserving pivot, so the verdict is exact: the
-    matrix is PSD iff the reduction never meets a negative diagonal
-    entry or a zero diagonal with a nonzero row.  For a PSD matrix the
-    zero-diagonal columns of the accumulated transform span the kernel.
+    diagonal entry is taken, the first index on ties.  Any positive
+    diagonal is a valid semidefiniteness-preserving pivot, so the verdict
+    is exact: the matrix is PSD iff the reduction never meets a negative
+    diagonal entry or a zero diagonal with a nonzero row.  For a PSD
+    matrix the kernel vectors, one per non-pivot index i with entry 1 at
+    i, span the kernel.
+
+    The elimination is fraction-free (Bareiss): G is scaled by the lcm D
+    of its denominators into a matrix over Z[i], and each symmetric step
+    divides exactly by the previous pivot.  With pivots P taken, every
+    open entry is the Schur complement of G_PP in G times det((D G)_PP)
+    * D, the same positive factor throughout, so the pivots and signs
+    are those of the reduction in Gaussian rationals.  Kernel vectors and
+    witnesses are the columns e_i - G_PP^-1 G_Pi of the congruence that
+    reduces G, solved exactly.
 
     The staging makes the pivot set nested along grades, which downstream
     code uses to build nested orthonormal bases.
@@ -172,82 +187,106 @@ def graded_hermitian_reduce(G, grades=None) -> PsdReport:
     n = len(G)
     if grades is None:
         grades = [0] * n
-    work = [[G[i][j] for j in range(n)] for i in range(n)]
-    # columns of U express current coordinates in terms of the originals
-    U = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-    state = ["open"] * n
+    for i in range(n):
+        for j in range(i, n):
+            if G[i][j] != G[j][i].conjugate():
+                raise ValueError("matrix is not hermitian")
+    D = math.lcm(*(x.denominator for row in G for s in row
+                   for x in (s.re, s.im)))
+    re = [[s.re.numerator * (D // s.re.denominator) for s in row]
+          for row in G]
+    im = [[s.im.numerator * (D // s.im.denominator) for s in row]
+          for row in G]
+    open_ = list(range(n))   # row and column k of re, im are index open_[k]
     pivots = []
-
-    def eliminate(p):
-        d = work[p][p]
-        for j in range(n):
-            if j == p or state[j] != "open":
-                continue
-            f = work[p][j] / d
-            if not f:
-                continue
-            for i in range(n):
-                U[i][j] = U[i][j] - f * U[i][p]
-            fc = f.conjugate()
-            for i in range(n):
-                work[i][j] = work[i][j] - f * work[i][p]
-            for i in range(n):
-                work[j][i] = work[j][i] - fc * work[p][i]
-
-    max_grade = max(grades) if n else 0
-    for stage in range(max_grade + 1):
+    prev = 1                 # det((D G)_PP), the last pivot taken
+    for stage in range(max(grades, default=0) + 1):
         while True:
             best = None
-            for i in range(n):
-                if state[i] != "open" or grades[i] > stage:
+            for k, i in enumerate(open_):
+                if grades[i] > stage:
                     continue
-                d = work[i][i]
-                if not d.is_real():
-                    # hermitian matrices have real diagonals; treat as corrupt
-                    raise ValueError("matrix is not hermitian")
-                if d.re < 0:
+                d = re[k][k]
+                if d < 0:
+                    witness, = _transform_columns(G, pivots, [i])
                     return PsdReport(False, len(pivots), pivots, [],
-                                     [row[i] for row in U], i)
-                if d.re > 0 and (best is None or d.re > work[best][best].re):
-                    best = i
+                                     witness, i)
+                if d > 0 and (best is None or d > re[best][best]):
+                    best = k
             if best is None:
                 break
-            pivots.append(best)
-            eliminate(best)
-            state[best] = "pivot"
+            pivots.append(open_.pop(best))
+            re, im, prev = _bareiss_step(re, im, best, prev)
         # zero-diagonal entries of this stage must have fully zero rows
-        for i in range(n):
-            if state[i] != "open" or grades[i] > stage:
+        nulls = set()
+        for k, i in enumerate(open_):
+            if grades[i] > stage:
                 continue
-            bad = None
-            for j in range(n):
-                if state[j] == "open" and j != i and work[i][j]:
-                    bad = j
-                    break
+            re_k, im_k = re[k], im[k]
+            bad = next((b for b in range(len(open_))
+                        if b != k and (re_k[b] or im_k[b])), None)
             if bad is not None:
-                z = work[i][bad]
-                witness = [U[r][i] - z.conjugate() * U[r][bad]
-                           for r in range(n)]
-                return PsdReport(False, len(pivots), pivots, [],
-                                 witness, i)
-            state[i] = "null"
-    kernel = [[U[r][i] for r in range(n)]
-              for i in range(n) if state[i] == "null"]
+                # conj(z) for the entry z = a[k][bad] / (prev * D) of G's
+                # Schur complement
+                zc = Scalar(Fraction(re_k[bad], prev * D),
+                            Fraction(-im_k[bad], prev * D))
+                u_i, u_bad = _transform_columns(G, pivots, [i, open_[bad]])
+                witness = [a - zc * b for a, b in zip(u_i, u_bad)]
+                return PsdReport(False, len(pivots), pivots, [], witness, i)
+            nulls.add(k)
+        if nulls:
+            keep = [k for k in range(len(open_)) if k not in nulls]
+            re = [[re[a][b] for b in keep] for a in keep]
+            im = [[im[a][b] for b in keep] for a in keep]
+            open_ = [open_[k] for k in keep]
+    # every index is now a pivot or null; a null i's column is the same
+    # for every later pivot prefix, since its Schur row stays zero
+    pivot_set = set(pivots)
+    kernel = _transform_columns(
+        G, pivots, [i for i in range(n) if i not in pivot_set])
     return PsdReport(True, len(pivots), pivots, kernel, None, None)
 
 
-def hermitian_quadratic_form(G, x):
-    """x* G x as an exact Scalar."""
-    n = len(G)
-    total = Scalar(0)
-    for i in range(n):
-        xi = x[i]
-        if not xi:
+def _bareiss_step(re, im, t, prev):
+    """Eliminate position t of the hermitian matrix re + i*im over Z[i]:
+    a[k][j] <- (a[t][t] a[k][j] - a[k][t] a[t][j]) / prev on the other
+    positions, with a[k][t] = conj(a[t][k]) read from row t.  The
+    division by prev, the previous pivot, is exact (Bareiss).  Returns
+    the matrix without row and column t, and the pivot a[t][t]."""
+    piv = re[t][t]
+    px = re[t][:t] + re[t][t + 1:]
+    py = im[t][:t] + im[t][t + 1:]
+    new_re, new_im = [], []
+    for k in range(len(re)):
+        if k == t:
             continue
-        row = G[i]
-        acc = Scalar(0)
-        for j in range(n):
-            if x[j]:
-                acc = acc + row[j] * x[j]
-        total = total + xi.conjugate() * acc
-    return total
+        xa, ya = re[t][k], im[t][k]
+        row_re = re[k][:t] + re[k][t + 1:]
+        row_im = im[k][:t] + im[k][t + 1:]
+        if xa or ya:
+            new_re.append([(piv * v - xa * xb - ya * yb) // prev
+                           for v, xb, yb in zip(row_re, px, py)])
+            new_im.append([(piv * v - xa * yb + ya * xb) // prev
+                           for v, xb, yb in zip(row_im, px, py)])
+        else:
+            new_re.append([piv * v // prev for v in row_re])
+            new_im.append([piv * v // prev for v in row_im])
+    return new_re, new_im, piv
+
+
+def _transform_columns(G, pivots, targets):
+    """For each index i in targets, outside the pivots P, the vector
+    e_i - G_PP^-1 G_Pi: the column at i of the congruence that takes G
+    to its Schur complement on P.  One exact solve serves all targets."""
+    r = len(pivots)
+    rows = [[G[a][b] for b in pivots] + [G[a][i] for i in targets]
+            for a in pivots]
+    _rref(rows)   # G_PP is nonsingular: row k now solves for pivots[k]
+    out = []
+    for t, i in enumerate(targets):
+        vec = [_ZERO] * len(G)
+        vec[i] = _ONE
+        for k, a in enumerate(pivots):
+            vec[a] = -rows[k][r + t]
+        out.append(vec)
+    return out

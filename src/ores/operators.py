@@ -310,6 +310,9 @@ def sproduct_operator(assignment: FockAssignment, s: SProduct) -> BandedOperator
 
 # -- truncated inversion of 1 + A*A ------------------------------------------------
 
+# the largest truncation a solver builds unless a caller sets size_cap
+SIZE_CAP = 4096
+
 
 @dataclass(frozen=True)
 class InversionResult:
@@ -333,7 +336,7 @@ def _banded_cholesky_solve(M: BandedOperator, rhs: np.ndarray) -> np.ndarray:
 
 
 def invert_one_plus_AstarA(A: BandedOperator, y, tol: float,
-                           size_cap: int = 4096) -> InversionResult:
+                           size_cap: int = SIZE_CAP) -> InversionResult:
     """Solve (1 + A*A) x = y on growing truncations until the recomputed
     global residual meets tol.
 
@@ -371,7 +374,7 @@ class ChainSolveResult:
 
 
 def chain_solve(assignment: FockAssignment, s: SProduct, y, tol: float,
-                size_cap: int = 4096) -> ChainSolveResult:
+                size_cap: int = SIZE_CAP) -> ChainSolveResult:
     """Solve pi(s) x = y by chaining factor inversions.
 
     pi(s) factors as the product of the operators 1 + A_i*A_i, so x is
@@ -445,7 +448,7 @@ class ProbeReport:
 
 def pi_s_surjectivity_probe(assignment: FockAssignment, s: SProduct,
                             targets, tol: float,
-                            size_cap: int = 4096) -> ProbeReport:
+                            size_cap: int = SIZE_CAP) -> ProbeReport:
     """For each target y, find x with ||pi(s) x - y|| <= tol."""
     items = []
     for idx, y in enumerate(targets):
@@ -482,7 +485,7 @@ def lemma_pis_equals_S_check(assignment: FockAssignment, s: SProduct,
 
 def core_density_probe(assignment: FockAssignment, a: AlgebraElement,
                        s: SProduct, xi, tol: float,
-                       size_cap: int = 4096) -> ProbeReport:
+                       size_cap: int = SIZE_CAP) -> ProbeReport:
     """Approximate xi from pi(s) applied to finitely supported vectors in
     the graph norm of the operator of a."""
     xi = np.asarray(xi, dtype=complex)
@@ -529,7 +532,7 @@ class ExtensionResult:
 
 
 def extend_representation(assignment: FockAssignment, frac, xi, tol: float,
-                          budget=None, size_cap: int = 4096,
+                          budget=None, size_cap: int = SIZE_CAP,
                           cross_check: bool = True) -> ExtensionResult:
     """Evaluate the extended representation on a right fraction [a, s]:
     the primary route solves pi(s) u = xi and applies the operator of a.

@@ -1,8 +1,10 @@
 """Exact scalars: the field of Gaussian rationals.
 
 Every coefficient in the symbolic layer is a Scalar, a complex number
-whose real and imaginary parts are Python fractions.  Arithmetic is
-exact, conjugation is the field automorphism negating the imaginary
+whose real and imaginary parts are exact rationals: a Python int where
+the part is an integer, else a Fraction in lowest terms.  Integer
+coefficients, which most rewriting rules have, thus skip Fraction's
+gcd and object cost.  Arithmetic is exact, conjugation is the field automorphism negating the imaginary
 part, and equality is decidable.  Floating point enters only in the
 numeric operator layer, never here.
 
@@ -15,8 +17,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _frac(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
+def _frac(x) -> int | Fraction:
+    """x as an exact rational part: an int if it is integral, else a
+    Fraction in lowest terms."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class Scalar:
@@ -80,8 +88,9 @@ class Scalar:
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return Scalar((self.re * o.re + self.im * o.im) / d,
-                      (self.im * o.re - self.re * o.im) / d)
+        # through Fraction, so that int parts never divide into a float
+        return Scalar(Fraction(self.re * o.re + self.im * o.im, d),
+                      Fraction(self.im * o.re - self.re * o.im, d))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -95,7 +104,7 @@ class Scalar:
     def conjugate(self) -> "Scalar":
         return Scalar(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
+    def abs2(self) -> int | Fraction:
         """|z|^2 as an exact rational."""
         return self.re * self.re + self.im * self.im
 

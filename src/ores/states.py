@@ -48,7 +48,7 @@ def _at(table: dict, nf: dict) -> Scalar:
 class MomentFunctional:
     """An exact linear functional given by a full word table up to 2d."""
 
-    __slots__ = ("presentation", "degree", "table")
+    __slots__ = ("presentation", "degree", "table", "_reduction")
 
     def __init__(self, presentation: Presentation, degree: int, table: dict,
                  validate: bool = True):
@@ -79,6 +79,7 @@ class MomentFunctional:
                         "hermitian symmetry fails at word %s"
                         % presentation.word_str(w))
         self.table = fixed
+        self._reduction = None
 
     @classmethod
     def from_function(cls, presentation, degree, fn, validate=True):
@@ -118,6 +119,17 @@ class MomentFunctional:
             G.append(row)
         return words, G
 
+    def _reduced(self):
+        """(words, Gram matrix, PsdReport) at the table's own degree, with
+        the words as grades.  The table is fixed after __init__, so the
+        matrix is built and reduced once, for the axiom check and the GNS
+        construction alike."""
+        if self._reduction is None:
+            words, G = self.gram()
+            report = graded_hermitian_reduce(G, [len(w) for w in words])
+            self._reduction = (words, G, report)
+        return self._reduction
+
 
 @dataclass
 class StateReport:
@@ -149,9 +161,15 @@ def check_state_axioms(f: MomentFunctional, rng=None,
             break
     normalized = f.table.get((), ZERO) == ONE
 
-    words, G = f.gram()
-    grades = [len(w) for w in words]
-    psd = graded_hermitian_reduce(G, grades)
+    try:
+        psd = f._reduced()[2]
+    except ValueError:
+        # the reduction refuses a Gram matrix that is not hermitian, which
+        # only a table without hermitian symmetry gives; such a matrix is
+        # not semidefinite
+        if hermitian_ok:
+            raise
+        psd = PsdReport(False, 0)
 
     cs_ok = True
     n_samples = 0

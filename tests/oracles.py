@@ -3,7 +3,9 @@
 Everything here recomputes expected values through a different algorithm
 than the package: rewriting by rightmost-redex worklist instead of
 memoized leftmost recursion, commutative fractions as explicit rational
-functions, dense numpy linear algebra instead of banded solvers.  Tests
+functions, dense numpy linear algebra instead of banded solvers, and a
+hermitian reduction in Gaussian-rational Scalars that carries its whole
+transform instead of fraction-free elimination over Z[i].  Tests
 freeze or compare against these, never against the code under test.
 """
 
@@ -11,9 +13,11 @@ from fractions import Fraction as Rational
 
 import numpy as np
 
+from ores.linalg import PsdReport
 from ores.scalars import Scalar
 
 ZERO = Scalar(0)
+ONE = Scalar(1)
 
 
 # -- naive rewriting ---------------------------------------------------------------
@@ -168,9 +172,14 @@ def rational_function_dagger_equal(f, g) -> bool:
 
 
 def dense_matrix(op, N: int) -> np.ndarray:
-    """Entrywise dense truncation; goes through op.entry only."""
-    return np.array([[op.entry(i, j) for j in range(N)] for i in range(N)],
-                    dtype=complex)
+    """Entrywise dense truncation; goes through op.entry only, asking
+    for the entries within the bandwidth (the others are zero)."""
+    M = np.zeros((N, N), dtype=complex)
+    w = op.bandwidth
+    for i in range(N):
+        for j in range(max(0, i - w), min(N, i + w + 1)):
+            M[i, j] = op.entry(i, j)
+    return M
 
 
 def dense_apply(op, xi, N: int) -> np.ndarray:
@@ -257,3 +266,91 @@ def random_scalar_matrix(rng, rows: int, cols: int, span: int = 3):
     return [[Scalar(Rational(rng.randint(-span, span)),
                     Rational(rng.randint(-span, span)))
              for _ in range(cols)] for _ in range(rows)]
+
+
+def reference_hermitian_reduce(G, grades=None) -> PsdReport:
+    """The graded pivoted reduction in Scalars, carrying the dense
+    transform U (work = U* G U) through every step.
+
+    Same pivot rule as ``linalg.graded_hermitian_reduce``: stage by
+    stage, the largest positive diagonal among open indices of grade at
+    most the stage, first index on ties; a negative diagonal, or a zero
+    diagonal with a nonzero open row, ends it with a witness.
+    """
+    n = len(G)
+    if grades is None:
+        grades = [0] * n
+    work = [[G[i][j] for j in range(n)] for i in range(n)]
+    U = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    state = ["open"] * n
+    pivots = []
+
+    def eliminate(p):
+        d = work[p][p]
+        for j in range(n):
+            if j == p or state[j] != "open":
+                continue
+            f = work[p][j] / d
+            if not f:
+                continue
+            for i in range(n):
+                U[i][j] = U[i][j] - f * U[i][p]
+            fc = f.conjugate()
+            for i in range(n):
+                work[i][j] = work[i][j] - f * work[i][p]
+            for i in range(n):
+                work[j][i] = work[j][i] - fc * work[p][i]
+
+    max_grade = max(grades) if n else 0
+    for stage in range(max_grade + 1):
+        while True:
+            best = None
+            for i in range(n):
+                if state[i] != "open" or grades[i] > stage:
+                    continue
+                d = work[i][i]
+                if not d.is_real():
+                    raise ValueError("matrix is not hermitian")
+                if d.re < 0:
+                    return PsdReport(False, len(pivots), pivots, [],
+                                     [row[i] for row in U], i)
+                if d.re > 0 and (best is None or d.re > work[best][best].re):
+                    best = i
+            if best is None:
+                break
+            pivots.append(best)
+            eliminate(best)
+            state[best] = "pivot"
+        for i in range(n):
+            if state[i] != "open" or grades[i] > stage:
+                continue
+            bad = None
+            for j in range(n):
+                if state[j] == "open" and j != i and work[i][j]:
+                    bad = j
+                    break
+            if bad is not None:
+                z = work[i][bad]
+                witness = [U[r][i] - z.conjugate() * U[r][bad]
+                           for r in range(n)]
+                return PsdReport(False, len(pivots), pivots, [],
+                                 witness, i)
+            state[i] = "null"
+    kernel = [[U[r][i] for r in range(n)]
+              for i in range(n) if state[i] == "null"]
+    return PsdReport(True, len(pivots), pivots, kernel, None, None)
+
+
+def hermitian_quadratic_form(G, x):
+    """x* G x as an exact Scalar."""
+    n = len(G)
+    total = ZERO
+    for i in range(n):
+        if not x[i]:
+            continue
+        acc = ZERO
+        for j in range(n):
+            if x[j]:
+                acc = acc + G[i][j] * x[j]
+        total = total + x[i].conjugate() * acc
+    return total

@@ -304,6 +304,21 @@ def test_op_probe_needs_a_target(capsys):
         assert out == ""
 
 
+def test_op_probe_targets_are_bounded_by_the_size_cap(capsys, monkeypatch):
+    import ores.cli
+
+    def refuse(n):
+        raise AssertionError("a target was built before the bound check")
+
+    monkeypatch.setattr(ores.cli, "_basis_vector", refuse)
+    for n in ("4097", str(10 ** 5)):
+        code, out, err = run(capsys, ["op", "probe", "--den", "(1 + a'*a)",
+                                      "--targets", n])
+        assert code == 2
+        assert "--targets must be at most 4096" in err
+        assert out == ""
+
+
 def test_negative_budget_is_a_usage_error(capsys):
     for flag, value in (("--budget-factors", "-1"), ("--budget-degree", "-3")):
         code, out, err = run(capsys, ["ore", "solve", flag, value,

@@ -1,14 +1,16 @@
 """Exact linear algebra over the Gaussian rationals."""
 
 import random
+from fractions import Fraction as Rational
 
 import pytest
 
-from ores.linalg import (RowSpace, graded_hermitian_reduce,
-                         hermitian_quadratic_form, nullspace, solve_linear)
+from ores.linalg import (RowSpace, graded_hermitian_reduce, nullspace,
+                         solve_linear)
 from ores.scalars import IMAG, Scalar
 
-from oracles import exact_rank, random_scalar_matrix
+from oracles import (exact_rank, hermitian_quadratic_form,
+                     random_scalar_matrix, reference_hermitian_reduce)
 
 ZERO = Scalar(0)
 
@@ -22,6 +24,12 @@ def _gram(B):
     cols = len(B[0])
     return [[sum((B[k][i].conjugate() * B[k][j] for k in range(len(B))),
                  ZERO) for j in range(cols)] for i in range(cols)]
+
+
+def _hermitian(rng, n, span):
+    rows = random_scalar_matrix(rng, n, n, span)
+    return [[rows[i][j] + rows[j][i].conjugate() for j in range(n)]
+            for i in range(n)]
 
 
 def test_solve_linear_and_nullspace():
@@ -80,10 +88,7 @@ def test_indefinite_matrix_yields_exact_witness():
     rng = random.Random(24)
     hits = 0
     for _ in range(40):
-        rows = random_scalar_matrix(rng, 3, 3)
-        # make it hermitian but in general indefinite
-        G = [[rows[i][j] + rows[j][i].conjugate() for j in range(3)]
-             for i in range(3)]
+        G = _hermitian(rng, 3, 3)   # in general indefinite
         rep = graded_hermitian_reduce(G)
         if not rep.psd:
             hits += 1
@@ -110,6 +115,80 @@ def test_non_hermitian_input_rejected():
     G[0][0] = IMAG
     with pytest.raises(ValueError):
         graded_hermitian_reduce(G)
+
+
+def test_asymmetric_off_diagonal_rejected():
+    # real diagonal, G[0][1] != conj(G[1][0]): the elimination reads the
+    # pivot row for the pivot column too, so it must refuse such a matrix
+    # rather than decide it
+    for G in ([[Scalar(2), Scalar(1)], [Scalar(3), Scalar(2)]],
+              [[Scalar(1), IMAG], [IMAG, Scalar(1)]],
+              [[Scalar(0), Scalar(0)], [Scalar(1), Scalar(0)]]):
+        with pytest.raises(ValueError):
+            graded_hermitian_reduce(G)
+
+
+def _vector_state_gram(rng, m, d):
+    """Gram matrix <X_u e0, X_w e0> over words u, w of degree <= d in two
+    hermitian m x m matrices with entries in Z[i]/6, so that entries
+    carry denominators 6^k; grades are the word lengths."""
+    def herm():
+        return [[Scalar(Rational(c.re, 6), Rational(c.im, 6)) for c in row]
+                for row in _hermitian(rng, m, 2)]
+
+    mats = (herm(), herm())
+    layer = [((), [Scalar(int(i == 0)) for i in range(m)])]
+    vecs = list(layer)
+    for _ in range(d):
+        layer = [((g,) + w, [sum((M[i][j] * v[j] for j in range(m)),
+                                 Scalar(0)) for i in range(m)])
+                 for w, v in layer for g, M in enumerate(mats)]
+        vecs += layer
+    G = [[sum((a.conjugate() * b for a, b in zip(u, v)), Scalar(0))
+          for _, v in vecs] for _, u in vecs]
+    return G, [len(w) for w, _ in vecs]
+
+
+def test_reduction_equals_reference_reduction():
+    """The fraction-free reduction returns the reference's report in
+    full (verdict, pivots, rank, kernel, witness, failure index)."""
+    rng = random.Random(26)
+    cases = []
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        B = random_scalar_matrix(rng, rng.randint(1, n), n, 1)
+        cases.append((_gram(B), None))                         # PSD, ties
+        cases.append((_gram(B), [rng.randint(0, 2) for _ in range(n)]))
+        G = _hermitian(rng, n, 1)
+        cases.append((G, None))                                # indefinite
+        cases.append((G, [rng.randint(0, 2) for _ in range(n)]))
+        # a zero column made nonzero off the diagonal: a zero diagonal
+        # entry with a nonzero row
+        G = _gram([row[:-1] + [Scalar(0)] for row in B])
+        if n > 1:
+            j = rng.randrange(n - 1)
+            G[n - 1][j] = Scalar(rng.choice((1, -1)), rng.randint(-1, 1))
+            G[j][n - 1] = G[n - 1][j].conjugate()
+        cases.append((G, None))
+    for m, d in ((3, 2), (4, 2), (3, 3)):
+        cases.append(_vector_state_gram(rng, m, d))
+    verdicts = {True: 0, False: 0}
+    zero_diagonal_failures = tied = 0
+    for G, grades in cases:
+        want = reference_hermitian_reduce(G, grades)
+        got = graded_hermitian_reduce(G, grades)
+        assert got == want
+        verdicts[want.psd] += 1
+        # a zero-diagonal failure's witness reaches the offending index
+        # outside the pivots; a negative diagonal's stays on them
+        if not want.psd and any(
+                c for r, c in enumerate(want.witness)
+                if r != want.failure_index and r not in want.pivots):
+            zero_diagonal_failures += 1
+        diag = [G[i][i].re for i in range(len(G))]
+        tied += diag.count(max(diag)) > 1
+    assert min(verdicts.values()) > 50
+    assert zero_diagonal_failures > 20 and tied > 50
 
 
 def test_quadratic_form_known_value():

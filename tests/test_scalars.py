@@ -109,3 +109,23 @@ def test_int_and_fraction_coercion():
     assert Rational(3) - a == Scalar(2, -2)
     with pytest.raises(TypeError):
         a + 1.5
+
+
+def test_integer_parts_divide_exactly():
+    q = Scalar(1) / Scalar(3)
+    assert isinstance(q.re, Rational) and q.re == Rational(1, 3)
+    assert str(q) == "1/3"
+    assert Scalar(6) / Scalar(3) == 2 and str(Scalar(6) / Scalar(3)) == "2"
+    assert Scalar(1) / Scalar(0, 2) == Scalar(0, Rational(-1, 2))
+    assert 1 / Scalar(3) == Scalar(Rational(1, 3))
+
+
+def test_integral_fraction_is_the_same_scalar():
+    a, b = Scalar(3), Scalar(Rational(6, 2))
+    assert a == b and hash(a) == hash(b)
+    assert a.to_quad() == b.to_quad() == [3, 1, 0, 1]
+    assert str(a) == str(b) == "3"
+    c, d = Scalar(-2, 5), Scalar(Rational(-4, 2), Rational(10, 2))
+    assert c == d and hash(c) == hash(d)
+    assert c.to_quad() == d.to_quad() == [-2, 1, 5, 1]
+    assert str(c) == str(d) == "-2 + 5*i"

@@ -88,6 +88,18 @@ def test_non_psd_table_detected_and_rejected():
         gns(f)
 
 
+def test_non_hermitian_table_is_reported_not_raised():
+    # f(x) = i breaks hermitian symmetry (x is self-adjoint), so the Gram
+    # matrix has G[0][1] = G[1][0] = i; the check still returns a report
+    p = load_preset("poly_x")
+    f = MomentFunctional(p, 2, {(): Scalar(1), (0,): Scalar(0, 1),
+                                (0, 0): Scalar(1)}, validate=False)
+    report = check_state_axioms(f)
+    assert not report.hermitian_ok and report.normalized
+    assert not report.psd.psd
+    assert not report.ok
+
+
 def test_gaussian_gns_structure():
     p = load_preset("poly_x")
     rep = gns(gaussian_state(p, 6))
