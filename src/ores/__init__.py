@@ -9,17 +9,15 @@ an a-posteriori residual check.
 """
 
 from .algebra import (AlgebraElement, Presentation, PRESETS, format_element,
-                      load_preset, preset_free_xy, preset_heisenberg,
-                      preset_poly_x, preset_poly_xy, random_element,
-                      random_scalar)
+                      load_preset, random_element, random_scalar)
 from .errors import (ConfigError, DegreeOverflow, ExpressionError,
                      FormulaDomainError, InsufficientDegree,
                      IrregularDenominator, OresError, OreWitnessNotFound,
                      PresentationError, PresentationMismatch, StateAxiomError,
                      TruncationLimit)
-from .exprparse import (ParseError, ast_to_element, element_to_ast,
-                        fraction_to_text, parse, parse_element,
-                        parse_fraction_text, parse_sproduct_text, print_ast)
+from .exprparse import (ParseError, ast_to_element, fraction_to_text, parse,
+                        parse_element, parse_fraction_text,
+                        parse_sproduct_text)
 from .formulas import CPoly, Formula, QPoly
 from .gns import GnsRepresentation, gns, state_from_representation
 from .localization import (DEFAULT_BUDGET, EqResult, Fraction, OreBudget,

@@ -29,6 +29,19 @@ def _deglex_key(w: Word):
     return (len(w), w)
 
 
+# Cache limits of a presentation.  A full cache keeps what it has and
+# takes nothing new, so the words met first stay cached.
+_NF_LIMIT = 1 << 15        # normal forms of single words
+_REGULAR_LIMIT = 1024      # regularity checks, keyed by (element, depth)
+
+
+def _remember(cache: dict, key, value, limit: int):
+    """Store value under key unless the cache is full; return value."""
+    if key in cache or len(cache) < limit:
+        cache[key] = value
+    return value
+
+
 class RewriteRule:
     __slots__ = ("lhs", "rhs")
 
@@ -183,8 +196,7 @@ class Presentation:
                     elif w2 in acc:
                         del acc[w2]
             result = acc
-        self._nf_cache[w] = result
-        return result
+        return _remember(self._nf_cache, w, result, _NF_LIMIT)
 
     def normalize_raw(self, raw: dict) -> "AlgebraElement":
         """Normalize a raw word combination (dict word -> Scalar)."""
@@ -615,78 +627,42 @@ def is_regular_up_to(s: AlgebraElement, depth: int) -> RegularityResult:
             break
     if result is None:
         result = RegularityResult(True, depth)
-    p._regular_cache[key] = result
-    return result
+    return _remember(p._regular_cache, key, result, _REGULAR_LIMIT)
 
 
 # -- presets ---------------------------------------------------------------------
 
 
+# name -> (generators, dagger_pairs, relations, degree_cap)
+PRESETS = {
+    # C[x]: one hermitian generator, no relations
+    "poly_x": (("x",), (("x",),), (), 24),
+    # C[x,y]: two commuting hermitian generators
+    "poly_xy": (("x", "y"), (("x",), ("y",)),
+                ((("y", "x"), ((1, ("x", "y")),)),), 16),
+    # a and its adjoint ad with a*ad = ad*a + 1; ad is listed first so the
+    # normal ordering rule decreases the term order, and normal words are
+    # ad^j a^k
+    "heisenberg": (("ad", "a"), (("a", "ad"),),
+                   ((("a", "ad"), ((1, ("ad", "a")), (1, ()))),), 20),
+    # the free *-algebra on two hermitian generators
+    "free_xy": (("x", "y"), (("x",), ("y",)), (), 10),
+}
+
 _PRESET_CACHE = {}
 
 
-def preset_poly_x(degree_cap: int = 24) -> Presentation:
-    """C[x]: one hermitian generator, no relations."""
-    key = ("poly_x", degree_cap)
-    if key not in _PRESET_CACHE:
-        _PRESET_CACHE[key] = Presentation(
-            ("x",), (("x",),), (), degree_cap, name="poly_x")
-    return _PRESET_CACHE[key]
-
-
-def preset_poly_xy(degree_cap: int = 16) -> Presentation:
-    """C[x,y]: two commuting hermitian generators."""
-    key = ("poly_xy", degree_cap)
-    if key not in _PRESET_CACHE:
-        _PRESET_CACHE[key] = Presentation(
-            ("x", "y"), (("x",), ("y",)),
-            ((("y", "x"), ((1, ("x", "y")),)),),
-            degree_cap, name="poly_xy")
-    return _PRESET_CACHE[key]
-
-
-def preset_heisenberg(degree_cap: int = 20) -> Presentation:
-    """The algebra generated by a and its adjoint ad with a*ad = ad*a + 1.
-
-    Generators are listed with ad first so the normal ordering rule
-    decreases the term order; normal words are ad^j a^k.
-    """
-    key = ("heisenberg", degree_cap)
-    if key not in _PRESET_CACHE:
-        _PRESET_CACHE[key] = Presentation(
-            ("ad", "a"), (("a", "ad"),),
-            ((("a", "ad"), ((1, ("ad", "a")), (1, ()))),),
-            degree_cap, name="heisenberg")
-    return _PRESET_CACHE[key]
-
-
-def preset_free_xy(degree_cap: int = 10) -> Presentation:
-    """Free *-algebra on two hermitian generators, no relations."""
-    key = ("free_xy", degree_cap)
-    if key not in _PRESET_CACHE:
-        _PRESET_CACHE[key] = Presentation(
-            ("x", "y"), (("x",), ("y",)), (), degree_cap, name="free_xy")
-    return _PRESET_CACHE[key]
-
-
-PRESETS = {
-    "poly_x": preset_poly_x,
-    "poly_xy": preset_poly_xy,
-    "heisenberg": preset_heisenberg,
-    "free_xy": preset_free_xy,
-}
-
-
-def load_preset(name: str, degree_cap: int | None = None) -> Presentation:
-    try:
-        factory = PRESETS[name]
-    except KeyError:
-        raise PresentationError(
-            "unknown preset %r (have: %s)" % (name, ", ".join(sorted(PRESETS)))
-        ) from None
-    if degree_cap is None:
-        return factory()
-    return factory(degree_cap)
+def load_preset(name: str) -> Presentation:
+    """The named preset, built once per process."""
+    if name not in _PRESET_CACHE:
+        try:
+            data = PRESETS[name]
+        except KeyError:
+            raise PresentationError(
+                "unknown preset %r (have: %s)"
+                % (name, ", ".join(sorted(PRESETS)))) from None
+        _PRESET_CACHE[name] = Presentation(*data, name=name)
+    return _PRESET_CACHE[name]
 
 
 # -- sampling --------------------------------------------------------------------

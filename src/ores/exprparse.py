@@ -1,4 +1,4 @@
-"""Expression surface syntax: tokenizer, recursive-descent parser, printer.
+"""Expression surface syntax: tokenizer and recursive-descent parser.
 
 Grammar (dagger is the postfix apostrophe; no unary minus):
 
@@ -10,9 +10,9 @@ Grammar (dagger is the postfix apostrophe; no unary minus):
     sproduct  := '1' | factors
     factors   := '(' expr ')' ('*' '(' expr ')')*
 
-``i`` is a reserved word.  The printer emits the canonical whitespace
-form (products tight, sums spaced), so printing after parsing normalizes
-whitespace and printing an AST reparses to the same AST.
+``i`` is a reserved word.  algebra.format_element prints an element in
+this grammar and fraction_to_text prints a fraction; both reparse to the
+same value.
 
 Each parenthesized denominator factor is either the scalar 1, which
 contributes no factor, or has the shape 1 + q*p with q the dagger of p;
@@ -230,58 +230,6 @@ def parse(text: str):
     return node
 
 
-# -- printer -----------------------------------------------------------------------
-
-
-def _print_scalar(s: Scalar) -> str:
-    if s == Scalar(0, 1):
-        return "i"
-    if s.im or s.re < 0:
-        raise ValueError("scalar literal must be a nonnegative rational or i")
-    if s.re.denominator == 1:
-        return str(s.re.numerator)
-    return "%d/%d" % (s.re.numerator, s.re.denominator)
-
-
-def _print_factor(node) -> str:
-    if isinstance(node, ScalarLit):
-        return _print_scalar(node.value)
-    if isinstance(node, Sym):
-        return node.name
-    if isinstance(node, Dagger):
-        return _print_factor(node.child) + "'"
-    if isinstance(node, Paren):
-        return "(" + print_ast(node.child) + ")"
-    raise ValueError("%r is not a factor-level node" % (node,))
-
-
-def _print_term(node) -> str:
-    if isinstance(node, Prod):
-        if len(node.factors) < 2:
-            raise ValueError("product node needs at least two factors")
-        return "*".join(_print_factor(f) for f in node.factors)
-    return _print_factor(node)
-
-
-def print_ast(node) -> str:
-    """Canonical text of an AST; inverse of parse up to whitespace."""
-    if isinstance(node, Sum):
-        if len(node.terms) < 2:
-            raise ValueError("sum node needs at least two terms")
-        if isinstance(node.terms[0], Neg):
-            raise ValueError("a sum cannot start with a negated term")
-        parts = [_print_term(node.terms[0])]
-        for t in node.terms[1:]:
-            if isinstance(t, Neg):
-                parts.append(" - " + _print_term(t.child))
-            else:
-                parts.append(" + " + _print_term(t))
-        return "".join(parts)
-    if isinstance(node, Neg):
-        raise ValueError("a negated term is only valid inside a sum")
-    return _print_term(node)
-
-
 # -- conversion to algebra elements ---------------------------------------------------
 
 
@@ -317,11 +265,6 @@ def ast_to_element(node, presentation: Presentation) -> AlgebraElement:
 
 def parse_element(text: str, presentation: Presentation) -> AlgebraElement:
     return ast_to_element(parse(text), presentation)
-
-
-def element_to_ast(el: AlgebraElement):
-    """Canonical AST of an element (via its canonical text form)."""
-    return parse(format_element(el))
 
 
 # -- fractions --------------------------------------------------------------------------
@@ -430,8 +373,7 @@ def parse_sproduct_text(text: str, presentation: Presentation):
     return SProduct(presentation, ps)
 
 
-def parse_fraction_text(text: str, presentation: Presentation,
-                        regularity_depth=2):
+def parse_fraction_text(text: str, presentation: Presentation):
     """Parse the CLI fraction syntax ``(expr) / (factor)*(factor)...``."""
     from .localization import Fraction, SProduct
 
@@ -447,7 +389,7 @@ def parse_fraction_text(text: str, presentation: Presentation,
     if p.peek().kind != "eof":
         p.fail("unexpected trailing input")
     den = SProduct(presentation, ps)
-    return Fraction(num, den, regularity_depth=regularity_depth)
+    return Fraction(num, den)
 
 
 def fraction_to_text(f) -> str:

@@ -112,8 +112,7 @@ def moments_to_dict(f: MomentFunctional) -> dict:
     return {"degree": f.degree, "moments": table}
 
 
-def moments_from_dict(d: dict, presentation: Presentation,
-                      validate: bool = True) -> MomentFunctional:
+def moments_from_dict(d: dict, presentation: Presentation) -> MomentFunctional:
     index = {g: i for i, g in enumerate(presentation.generators)}
     try:
         degree = int(d["degree"])
@@ -131,16 +130,15 @@ def moments_from_dict(d: dict, presentation: Presentation,
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("malformed moment file: %s" % exc) from None
-    return MomentFunctional(presentation, degree, table, validate=validate)
+    return MomentFunctional(presentation, degree, table)
 
 
 def save_moments(f: MomentFunctional, path):
     _write_text(path, canonical_json(moments_to_dict(f)))
 
 
-def load_moments(path, presentation: Presentation,
-                 validate: bool = True) -> MomentFunctional:
-    return moments_from_dict(_read_json(path), presentation, validate)
+def load_moments(path, presentation: Presentation) -> MomentFunctional:
+    return moments_from_dict(_read_json(path), presentation)
 
 
 # -- operator specs -------------------------------------------------------------------

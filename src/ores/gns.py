@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraElement, Presentation, _check_same
 from .errors import InsufficientDegree, StateAxiomError
-from .scalars import ONE, Scalar
+from .scalars import ONE
 from .states import MomentFunctional, from_numeric
 
 
@@ -115,25 +114,6 @@ class GnsRepresentation:
         psi_u = self.apply_word(u)
         psi_v = self.apply_word(v)
         return complex(np.vdot(psi_u, psi_v))
-
-    def vector_of(self, el: AlgebraElement) -> np.ndarray:
-        """Coordinates of the class [el], for el of degree <= degree."""
-        _check_same(self.presentation, el.presentation)
-        if el.degree() > self.degree:
-            raise InsufficientDegree(
-                "element degree %d exceeds the quotient degree %d"
-                % (el.degree(), self.degree))
-        p = self.presentation
-        f = self.functional
-        col = np.zeros(self.gram_rank, dtype=complex)
-        for k, w in enumerate(self.words):
-            wd = p.dagger_word(w)
-            acc = Scalar(0)
-            for w2, c in el.terms.items():
-                prod = p.normalize_raw({wd + w2: ONE})
-                acc = acc + c * f.evaluate(prod)
-            col[k] = acc.to_complex()
-        return self.basis.conj().T @ col
 
 
 def gns(f: MomentFunctional) -> GnsRepresentation:

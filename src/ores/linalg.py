@@ -1,6 +1,6 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Row reduction, solving, kernels, an incremental row space with
+Row reduction, kernels, an incremental row space with
 combination tracking, and a pivoted semidefinite reduction for hermitian
 matrices.  Matrices are plain lists of lists of Scalar.  Row reduction
 works in Scalars on systems of tens of rows.  The semidefinite reduction
@@ -48,23 +48,6 @@ def _rref(rows):
         if r == len(rows):
             break
     return pivots
-
-
-def solve_linear(rows, rhs):
-    """One exact solution x of (rows) x = rhs, or None if inconsistent."""
-    if not rows:
-        return [] if all(not b for b in rhs) else None
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivots = _rref(aug)
-    if ncols in pivots:
-        return None
-    x = [_ZERO] * ncols
-    r = 0
-    for c in pivots:
-        x[c] = aug[r][ncols]
-        r += 1
-    return x
 
 
 def nullspace(rows):

@@ -33,7 +33,8 @@ from fractions import Fraction as Rational
 
 import numpy as np
 
-from .algebra import AlgebraElement, Presentation, _check_same, is_regular_up_to
+from .algebra import (AlgebraElement, Presentation, _check_same,
+                      _remember, is_regular_up_to)
 from .errors import (DegreeOverflow, IrregularDenominator, OreWitnessNotFound,
                      WitnessCheckError)
 from .linalg import RowSpace
@@ -44,18 +45,15 @@ from .scalars import ONE, Scalar
 class OreBudget:
     """Search budget for witness enumeration.
 
-    max_factors       most factors 1 + p'p in a candidate denominator t
-    max_degree        highest degree of p in candidate factors
-    degree_slack      extra degree allowed for the solved numerator b
-    regularity_depth  depth of the bounded zero-divisor check applied to
-                      denominators entering Fraction
+    max_factors  most factors 1 + p'p in a candidate denominator t
+    max_degree   highest degree of p in candidate factors
 
     Every field must be a nonnegative int; anything else is a ValueError.
+    The scan also stops after MAX_CANDIDATES candidates, whatever the
+    budget allows.
     """
     max_factors: int = 2
     max_degree: int = 2
-    degree_slack: int = 0
-    regularity_depth: int = 2
 
     def __post_init__(self):
         for field in fields(self):
@@ -66,6 +64,14 @@ class OreBudget:
 
 
 DEFAULT_BUDGET = OreBudget()
+
+# Depth of the bounded zero-divisor check on denominators entering Fraction.
+REGULARITY_DEPTH = 2
+
+# Most candidates one witness search tries; past it the answer is "not
+# within budget".  Without it a search at max_factors 6 on the oscillator
+# would scan about 25**6 candidates, hours of work.
+MAX_CANDIDATES = 2 ** 14
 
 
 class SProduct:
@@ -143,19 +149,20 @@ def factor_value(p: AlgebraElement) -> AlgebraElement:
     return p.presentation.one() + p.dagger() * p
 
 
-def check_denominator(s: SProduct, depth: int):
+def check_denominator(s: SProduct):
     """Bounded regularity check for a denominator; raises on a witness.
 
-    The depth is clamped so the product s * witness stays under the
-    degree cap; a clamp to zero degenerates to checking s != 0, which is
-    the honest bounded statement available at that degree.
+    The check runs to REGULARITY_DEPTH, clamped so the product s * witness
+    stays under the degree cap; a clamp to zero degenerates to checking
+    s != 0, which is the honest bounded statement available at that
+    degree.
     """
     p = s.presentation
     val = s.value
     if val.is_zero():
         raise IrregularDenominator("denominator is zero")
     room = p.degree_cap - val.degree()
-    use = min(depth, room)
+    use = min(REGULARITY_DEPTH, room)
     if use < 0:
         raise DegreeOverflow("denominator degree exceeds the degree cap")
     res = is_regular_up_to(val, use)
@@ -171,12 +178,10 @@ class Fraction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: AlgebraElement, den: SProduct,
-                 regularity_depth: int = DEFAULT_BUDGET.regularity_depth,
-                 _checked=False):
+    def __init__(self, num: AlgebraElement, den: SProduct):
         _check_same(num.presentation, den.presentation)
-        if not _checked and not den.is_one():
-            check_denominator(den, regularity_depth)
+        if not den.is_one():
+            check_denominator(den)
         self.num = num
         self.den = den
 
@@ -193,7 +198,7 @@ class Fraction:
 
 def embed(a: AlgebraElement) -> Fraction:
     """The canonical map a -> [a, 1]."""
-    return Fraction(a, SProduct.one(a.presentation), _checked=True)
+    return Fraction(a, SProduct.one(a.presentation))
 
 
 @dataclass(frozen=True)
@@ -240,13 +245,6 @@ _VALUE_LIMIT = 4096      # denominators in S: values, and candidates
 _SUBSPACE_LIMIT = 512    # spans s * A_{<=bound}, keyed by (s, bound)
 _LEFT_LIMIT = 256        # left multiplications by single words, mod p
 _PARAM_LIMIT = 8         # candidate factor parameters per max_degree
-
-
-def _remember(cache: dict, key, value, limit: int):
-    """Store value under key unless the cache is full; return value."""
-    if key in cache or len(cache) < limit:
-        cache[key] = value
-    return value
 
 
 def _sqrt_minus_one(prime: int) -> int:
@@ -545,8 +543,8 @@ class _MulSubspace:
       r with reducible coefficients is a combination of them whose
       coefficients reduce too.  So r mod p lies in the span of M mod p,
       and K (r mod p) = 0.
-    - The screen asks about the bound B = deg a + D - deg s + slack (at
-      least 0, at most the room under the degree cap), where D >= deg t
+    - The screen asks about the bound B = deg a + D - deg s (at least 0,
+      at most the room under the degree cap), where D >= deg t
       is the degree the candidate carries; B is never below the bound of
       the exact check, and the span grows with the bound, so a member
       for the exact bound is a member for B.
@@ -618,12 +616,11 @@ class _Screen:
     when a*t mod p is outside s*A mod p, so a*t is not in s*A."""
 
     def __init__(self, state: _SearchState, a: AlgebraElement,
-                 s_value: AlgebraElement, s_key, slack: int):
+                 s_value: AlgebraElement, s_key):
         self.state = state
         self.a = a
         self.s_value = s_value
         self.s_key = s_key
-        self.slack = slack
         self.a_deg = a.degree()
         self.s_deg = s_value.degree()
         self.cap = state.presentation.degree_cap
@@ -638,7 +635,7 @@ class _Screen:
         if self.off or t_vec is None or self.a_deg + t_deg > self.cap:
             return False
         state = self.state
-        bound = min(max(self.a_deg + t_deg - self.s_deg, 0) + self.slack,
+        bound = min(max(self.a_deg + t_deg - self.s_deg, 0),
                     self.cap - self.s_deg)
         if bound in self.kernels:
             kernel = self.kernels[bound]
@@ -674,7 +671,7 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
 
     The search is deterministic; a Found result is re-verified exactly
     before it is returned.  NotFound only ever means "not within this
-    budget".
+    budget"; so does a scan stopped after MAX_CANDIDATES candidates.
     """
     p = a.presentation
     _check_same(p, s.presentation)
@@ -692,9 +689,10 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
     s_key = s_value.key()
     s_deg = s_value.degree()
     room = p.degree_cap - s_deg
-    screen = _Screen(state, a, s_value, s_key, budget.degree_slack)
+    screen = _Screen(state, a, s_value, s_key)
     tried = 0
-    for t, t_deg, t_vec in _candidate_denominators(state, s, budget):
+    candidates = _candidate_denominators(state, s, budget)
+    for t, t_deg, t_vec in itertools.islice(candidates, MAX_CANDIDATES):
         tried += 1
         if t_deg is None or screen.rejects(t_deg, t_vec):
             continue
@@ -702,8 +700,8 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
             r = a * t.value
         except DegreeOverflow:
             continue
-        bound = max(r.degree() - s_deg, 0) + budget.degree_slack
-        if bound > room or r.degree() - s_deg > bound:
+        bound = max(r.degree() - s_deg, 0)
+        if bound > room:
             continue
         b = state.subspace(s_value, s_key, bound).solve(r)
         if b is None:
@@ -751,7 +749,7 @@ def frac_add(lam, f: Fraction, g: Fraction,
         ore_solve_right(f.den.value, g.den, budget), "fraction addition")
     num = f.num.scale(lam) * w.t.value + g.num * w.b
     den = f.den * w.t
-    return Fraction(num, den, budget.regularity_depth)
+    return Fraction(num, den)
 
 
 def frac_mul(f: Fraction, g: Fraction,
@@ -760,17 +758,17 @@ def frac_mul(f: Fraction, g: Fraction,
     _check_same(f.presentation, g.presentation)
     w = _require_witness(
         ore_solve_right(g.num, f.den, budget), "fraction multiplication")
-    return Fraction(f.num * w.b, g.den * w.t, budget.regularity_depth)
+    return Fraction(f.num * w.b, g.den * w.t)
 
 
 def frac_dagger(f: Fraction, budget: OreBudget = DEFAULT_BUDGET) -> Fraction:
     """The involution [a, s] -> [1, s'] * [a', 1] = [b, t] where a' t = s' b."""
     if f.den.is_one():
-        return Fraction(f.num.dagger(), f.den, _checked=True)
+        return Fraction(f.num.dagger(), f.den)
     w = _require_witness(
         ore_solve_right(f.num.dagger(), f.den.dagger(), budget),
         "fraction dagger")
-    return Fraction(w.b, w.t, budget.regularity_depth)
+    return Fraction(w.b, w.t)
 
 
 @dataclass(frozen=True)
@@ -841,10 +839,8 @@ def remark_mult_property_check(a: AlgebraElement, s: SProduct, u: SProduct,
     _check_same(p, u.presentation)
     us = u * s
     try:
-        lhs = frac_mul(Fraction(p.one(), us, budget.regularity_depth),
-                       embed(u.value * a), budget)
-        rhs = frac_mul(Fraction(p.one(), s, budget.regularity_depth),
-                       embed(a), budget)
+        lhs = frac_mul(Fraction(p.one(), us), embed(u.value * a), budget)
+        rhs = frac_mul(Fraction(p.one(), s), embed(a), budget)
     except OreWitnessNotFound:
         return RemarkCheck(False, None)
     eq = eq_fraction(lhs, rhs, budget)

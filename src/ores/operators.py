@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraElement, Presentation, _check_same
+from .algebra import AlgebraElement, Presentation, _check_same, _remember
 from .errors import (FormulaDomainError, PresentationError,
                      TruncationLimit)
 from .formulas import Formula, QPoly
-from .localization import SProduct, _remember, ore_solve_left
+from .localization import DEFAULT_BUDGET, SProduct, ore_solve_left
 
 
 class BandedOperator:
@@ -310,7 +310,7 @@ def sproduct_operator(assignment: FockAssignment, s: SProduct) -> BandedOperator
 
 # -- truncated inversion of 1 + A*A ------------------------------------------------
 
-# the largest truncation a solver builds unless a caller sets size_cap
+# the largest truncation a solver builds
 SIZE_CAP = 4096
 
 
@@ -335,10 +335,9 @@ def _banded_cholesky_solve(M: BandedOperator, rhs: np.ndarray) -> np.ndarray:
     return scipy.linalg.solveh_banded(ab, rhs, lower=False)
 
 
-def invert_one_plus_AstarA(A: BandedOperator, y, tol: float,
-                           size_cap: int = SIZE_CAP) -> InversionResult:
-    """Solve (1 + A*A) x = y on growing truncations until the recomputed
-    global residual meets tol.
+def invert_one_plus_AstarA(A: BandedOperator, y, tol: float) -> InversionResult:
+    """Solve (1 + A*A) x = y on growing truncations, up to SIZE_CAP,
+    until the recomputed global residual meets tol.
 
     The residual is ||(1+A*A) x - y|| with x zero-extended, evaluated
     through the band formulas, so the contraction bound
@@ -350,7 +349,7 @@ def invert_one_plus_AstarA(A: BandedOperator, y, tol: float,
     M = one_plus_AstarA(A)
     L = len(y)
     K = max(M.bandwidth, 1)
-    N = min(max(2 * L, L + 4 * K, 16), size_cap)
+    N = min(max(2 * L, L + 4 * K, 16), SIZE_CAP)
     while True:
         rhs = np.zeros(N, dtype=complex)
         rhs[:min(L, N)] = y[:min(L, N)]
@@ -358,11 +357,11 @@ def invert_one_plus_AstarA(A: BandedOperator, y, tol: float,
         residual = float(np.linalg.norm(_gap(M.apply(x), y)))
         if residual <= tol:
             return InversionResult(x, residual, N)
-        if N >= size_cap:
+        if N >= SIZE_CAP:
             raise TruncationLimit(
                 "residual %.3g > tol %.3g at the size cap %d"
-                % (residual, tol, size_cap))
-        N = min(2 * N, size_cap)
+                % (residual, tol, SIZE_CAP))
+        N = min(2 * N, SIZE_CAP)
 
 
 @dataclass(frozen=True)
@@ -373,8 +372,8 @@ class ChainSolveResult:
     inner_residuals: tuple
 
 
-def chain_solve(assignment: FockAssignment, s: SProduct, y, tol: float,
-                size_cap: int = SIZE_CAP) -> ChainSolveResult:
+def chain_solve(assignment: FockAssignment, s: SProduct, y,
+                tol: float) -> ChainSolveResult:
     """Solve pi(s) x = y by chaining factor inversions.
 
     pi(s) factors as the product of the operators 1 + A_i*A_i, so x is
@@ -394,7 +393,7 @@ def chain_solve(assignment: FockAssignment, s: SProduct, y, tol: float,
         sizes = []
         inner = []
         for A in ops:
-            res = invert_one_plus_AstarA(A, z, inner_tol, size_cap=size_cap)
+            res = invert_one_plus_AstarA(A, z, inner_tol)
             z = res.x
             sizes.append(res.truncation_size)
             inner.append(res.residual)
@@ -432,34 +431,20 @@ class ProbeReport:
     def __bool__(self):
         return self.ok
 
-    def as_dict(self) -> dict:
-        return {
-            "probe": self.probe,
-            "tol": self.tol,
-            "pass": self.ok,
-            "items": [
-                {"label": it.label, "residual": it.residual,
-                 "truncation_size": it.truncation, "pass": it.passed,
-                 **it.extra}
-                for it in self.items
-            ],
-        }
-
 
 def pi_s_surjectivity_probe(assignment: FockAssignment, s: SProduct,
-                            targets, tol: float,
-                            size_cap: int = SIZE_CAP) -> ProbeReport:
+                            targets, tol: float) -> ProbeReport:
     """For each target y, find x with ||pi(s) x - y|| <= tol."""
     items = []
     for idx, y in enumerate(targets):
         label = "target_%d" % idx
         try:
-            res = chain_solve(assignment, s, y, tol, size_cap)
+            res = chain_solve(assignment, s, y, tol)
             items.append(ProbeItem(label, res.residual,
                                    max(res.truncation_sizes, default=0),
                                    res.residual <= tol))
         except TruncationLimit as exc:
-            items.append(ProbeItem(label, float("inf"), size_cap, False,
+            items.append(ProbeItem(label, float("inf"), SIZE_CAP, False,
                                    {"error": str(exc)}))
     return ProbeReport("surjectivity", tol, items)
 
@@ -484,19 +469,18 @@ def lemma_pis_equals_S_check(assignment: FockAssignment, s: SProduct,
 
 
 def core_density_probe(assignment: FockAssignment, a: AlgebraElement,
-                       s: SProduct, xi, tol: float,
-                       size_cap: int = SIZE_CAP) -> ProbeReport:
+                       s: SProduct, xi, tol: float) -> ProbeReport:
     """Approximate xi from pi(s) applied to finitely supported vectors in
     the graph norm of the operator of a."""
     xi = np.asarray(xi, dtype=complex)
     Aop = assignment.operator_of(a)
     total = sproduct_operator(assignment, s)
     items = []
-    N = max(8, min(len(xi), size_cap))
+    N = max(8, min(len(xi), SIZE_CAP))
     best = None
     while True:
         try:
-            res = chain_solve(assignment, s, xi[:N], tol / 4, size_cap)
+            res = chain_solve(assignment, s, xi[:N], tol / 4)
         except TruncationLimit:
             break
         diff = _gap(total.apply(res.x), xi)
@@ -506,11 +490,11 @@ def core_density_probe(assignment: FockAssignment, a: AlgebraElement,
         dist = graph_sq ** 0.5
         if best is None or dist < best[0]:
             best = (dist, N)
-        if dist <= tol or N >= min(len(xi), size_cap):
+        if dist <= tol or N >= min(len(xi), SIZE_CAP):
             break
-        N = min(2 * N, size_cap, len(xi))
+        N = min(2 * N, SIZE_CAP, len(xi))
     if best is None:
-        items.append(ProbeItem("graph_distance", float("inf"), size_cap,
+        items.append(ProbeItem("graph_distance", float("inf"), SIZE_CAP,
                                False))
     else:
         items.append(ProbeItem("graph_distance", best[0], best[1],
@@ -532,8 +516,7 @@ class ExtensionResult:
 
 
 def extend_representation(assignment: FockAssignment, frac, xi, tol: float,
-                          budget=None, size_cap: int = SIZE_CAP,
-                          cross_check: bool = True) -> ExtensionResult:
+                          budget=DEFAULT_BUDGET) -> ExtensionResult:
     """Evaluate the extended representation on a right fraction [a, s]:
     the primary route solves pi(s) u = xi and applies the operator of a.
 
@@ -542,25 +525,18 @@ def extend_representation(assignment: FockAssignment, frac, xi, tol: float,
     reported; the containment of the two compositions predicts agreement
     up to the solve tolerances.
     """
-    from .localization import DEFAULT_BUDGET
-
-    budget = budget or DEFAULT_BUDGET
     xi = np.asarray(xi, dtype=complex)
     a, s = frac.num, frac.den
-    sol = chain_solve(assignment, s, xi, tol, size_cap)
+    sol = chain_solve(assignment, s, xi, tol)
     vector = assignment.operator_of(a).apply(sol.x)
 
-    witness_found = False
-    witness_vector = None
-    route_gap = None
-    if cross_check:
-        solved = ore_solve_left(a, s, budget)
-        if solved.found:
-            witness_found = True
-            w = solved.witness
-            bxi = assignment.operator_of(w.b).apply(xi)
-            alt = chain_solve(assignment, w.t, bxi, tol, size_cap)
-            witness_vector = alt.x
-            route_gap = float(np.linalg.norm(_gap(vector, witness_vector)))
+    solved = ore_solve_left(a, s, budget)
+    if not solved.found:
+        return ExtensionResult(vector, sol.residual, sol.truncation_sizes,
+                               False)
+    w = solved.witness
+    bxi = assignment.operator_of(w.b).apply(xi)
+    alt = chain_solve(assignment, w.t, bxi, tol).x
+    route_gap = float(np.linalg.norm(_gap(vector, alt)))
     return ExtensionResult(vector, sol.residual, sol.truncation_sizes,
-                           witness_found, witness_vector, route_gap)
+                           True, alt, route_gap)

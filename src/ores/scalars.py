@@ -4,9 +4,9 @@ Every coefficient in the symbolic layer is a Scalar, a complex number
 whose real and imaginary parts are exact rationals: a Python int where
 the part is an integer, else a Fraction in lowest terms.  Integer
 coefficients, which most rewriting rules have, thus skip Fraction's
-gcd and object cost.  Arithmetic is exact, conjugation is the field automorphism negating the imaginary
-part, and equality is decidable.  Floating point enters only in the
-numeric operator layer, never here.
+gcd and object cost.  Arithmetic is exact, conjugation is the field
+automorphism negating the imaginary part, and equality is decidable.
+Floating point enters only in the numeric operator layer, never here.
 
 File formats carry scalars as four integers
 ``[re_num, re_den, im_num, im_den]``; see ``from_quad``/``to_quad``.

@@ -25,9 +25,9 @@ from .algebra import load_preset, random_element, random_scalar
 from .errors import ConfigError, DegreeOverflow, OreWitnessNotFound
 from .formulas import Formula
 from .gns import gns
-from .localization import (Fraction, OreBudget, SProduct, embed, eq_fraction,
-                           frac_add, frac_dagger, frac_mul,
-                           remark_mult_property_check)
+from .localization import (REGULARITY_DEPTH, Fraction, OreBudget, SProduct,
+                           embed, eq_fraction, frac_add, frac_dagger,
+                           frac_mul, remark_mult_property_check)
 from .operators import (BandedOperator, _gap, extend_representation,
                         fock_assignment, invert_one_plus_AstarA,
                         lemma_pis_equals_S_check, one_plus_AstarA,
@@ -75,8 +75,8 @@ def _report(name: str, cfg: ScenarioConfig, items) -> dict:
         "seed": cfg.seed,
         "budget": {"max_factors": b.max_factors,
                    "max_degree": b.max_degree,
-                   "degree_slack": b.degree_slack,
-                   "regularity_depth": b.regularity_depth},
+                   "degree_slack": 0,
+                   "regularity_depth": REGULARITY_DEPTH},
         "items": items,
         "pass": all(it["pass"] for it in items),
     }

@@ -46,12 +46,16 @@ def _at(table: dict, nf: dict) -> Scalar:
 
 
 class MomentFunctional:
-    """An exact linear functional given by a full word table up to 2d."""
+    """An exact linear functional given by a full word table up to 2d.
+
+    The constructor refuses a table with words outside the basis, without
+    f(1) = 1, or without hermitian symmetry, so every MomentFunctional is
+    normalized and hermitian.
+    """
 
     __slots__ = ("presentation", "degree", "table", "_reduction")
 
-    def __init__(self, presentation: Presentation, degree: int, table: dict,
-                 validate: bool = True):
+    def __init__(self, presentation: Presentation, degree: int, table: dict):
         if degree < 1:
             raise InsufficientDegree("moment degree must be at least 1")
         if 2 * degree > presentation.degree_cap:
@@ -64,27 +68,25 @@ class MomentFunctional:
         fixed = {}
         for w in words:
             fixed[w] = as_scalar(table.get(w, ZERO))
-        if validate:
-            extra = set(table) - set(words)
-            if extra:
+        extra = set(table) - set(words)
+        if extra:
+            raise StateAxiomError(
+                "table contains non-basis words: %s" % sorted(extra)[:3])
+        if fixed[()] != ONE:
+            raise StateAxiomError("state normalization f(1) = 1 fails")
+        for w in words:
+            if fixed[w].conjugate() != _at(fixed,
+                                           _dagger_nf(presentation, w)):
                 raise StateAxiomError(
-                    "table contains non-basis words: %s"
-                    % sorted(extra)[:3])
-            if fixed[()] != ONE:
-                raise StateAxiomError("state normalization f(1) = 1 fails")
-            for w in words:
-                if fixed[w].conjugate() != _at(
-                        fixed, _dagger_nf(presentation, w)):
-                    raise StateAxiomError(
-                        "hermitian symmetry fails at word %s"
-                        % presentation.word_str(w))
+                    "hermitian symmetry fails at word %s"
+                    % presentation.word_str(w))
         self.table = fixed
         self._reduction = None
 
     @classmethod
-    def from_function(cls, presentation, degree, fn, validate=True):
+    def from_function(cls, presentation, degree, fn):
         words = presentation.basis_words(2 * degree)
-        return cls(presentation, degree, {w: fn(w) for w in words}, validate)
+        return cls(presentation, degree, {w: fn(w) for w in words})
 
     def evaluate(self, el: AlgebraElement) -> Scalar:
         """f extended linearly; exact."""
@@ -100,15 +102,11 @@ class MomentFunctional:
                 out = out + c * v
         return out
 
-    def gram(self, d: int | None = None):
-        """Exact Gram matrix G[i][j] = f(w_i' w_j) on words of degree <= d."""
-        if d is None:
-            d = self.degree
-        if d > self.degree:
-            raise InsufficientDegree(
-                "Gram at degree %d needs moments to 2*%d" % (d, d))
+    def gram(self):
+        """Exact Gram matrix G[i][j] = f(w_i' w_j) on the words of degree
+        <= the table's degree."""
         p = self.presentation
-        words = p.basis_words(d)
+        words = p.basis_words(self.degree)
         G = []
         for wi in words:
             wid = p.dagger_word(wi)
@@ -133,16 +131,13 @@ class MomentFunctional:
 
 @dataclass
 class StateReport:
-    hermitian_ok: bool
-    normalized: bool
     psd: PsdReport
     cauchy_schwarz_ok: bool
     cauchy_schwarz_samples: int
 
     @property
     def ok(self) -> bool:
-        return (self.hermitian_ok and self.normalized and self.psd.psd
-                and self.cauchy_schwarz_ok)
+        return self.psd.psd and self.cauchy_schwarz_ok
 
     def __bool__(self):
         return self.ok
@@ -150,26 +145,12 @@ class StateReport:
 
 def check_state_axioms(f: MomentFunctional, rng=None,
                        samples: int = 25) -> StateReport:
-    """Hermitian symmetry and normalization (exact), Gram positivity
-    (exact pivot reduction), and Cauchy-Schwarz on sampled pairs (exact).
+    """Gram positivity (exact pivot reduction) and, when rng is given,
+    Cauchy-Schwarz on sampled pairs (exact).  Hermitian symmetry and
+    normalization hold by construction of f.
     """
     p = f.presentation
-    hermitian_ok = True
-    for w, c in f.table.items():
-        if c.conjugate() != _at(f.table, _dagger_nf(p, w)):
-            hermitian_ok = False
-            break
-    normalized = f.table.get((), ZERO) == ONE
-
-    try:
-        psd = f._reduced()[2]
-    except ValueError:
-        # the reduction refuses a Gram matrix that is not hermitian, which
-        # only a table without hermitian symmetry gives; such a matrix is
-        # not semidefinite
-        if hermitian_ok:
-            raise
-        psd = PsdReport(False, 0)
+    psd = f._reduced()[2]
 
     cs_ok = True
     n_samples = 0
@@ -188,7 +169,7 @@ def check_state_axioms(f: MomentFunctional, rng=None,
             if lhs > rhs:
                 cs_ok = False
                 break
-    return StateReport(hermitian_ok, normalized, psd, cs_ok, n_samples)
+    return StateReport(psd, cs_ok, n_samples)
 
 
 # -- shipped states ------------------------------------------------------------
@@ -226,21 +207,21 @@ def gaussian_state(presentation: Presentation, degree: int) -> MomentFunctional:
 
 
 _SNAP_TOL = 1e-9
+_SNAP_DENOMINATOR = 10 ** 6
 
 
-def from_numeric(presentation: Presentation, degree: int, values: dict,
-                 max_denominator: int = 10 ** 6,
-                 validate: bool = True) -> MomentFunctional:
+def from_numeric(presentation: Presentation, degree: int,
+                 values: dict) -> MomentFunctional:
     """Build an exact table from floating moments.
 
     Each value is snapped to the nearest rational with denominator up to
-    max_denominator; the snap must land within 1e-9 or the value is
+    10**6; the snap must land within 1e-9 or the value is
     rejected.  The table is then hermitian-symmetrized exactly (averaging
     w against the conjugate at the normal form of w'), so tiny float
     asymmetries cannot fail the state axioms.
     """
     def snap(x: float) -> Rational:
-        r = Rational(x).limit_denominator(max_denominator)
+        r = Rational(x).limit_denominator(_SNAP_DENOMINATOR)
         if abs(float(r) - x) > _SNAP_TOL:
             raise StateAxiomError(
                 "moment %r does not snap to a rational within %g"
@@ -268,7 +249,7 @@ def from_numeric(presentation: Presentation, degree: int, values: dict,
             table[w] = b
         else:
             table[w] = (a + b) * half
-    return MomentFunctional(presentation, degree, table, validate)
+    return MomentFunctional(presentation, degree, table)
 
 
 # -- quadrature-backed extension on one commutative variable --------------------
@@ -278,10 +259,13 @@ def gauss_hermite_fraction_expectation(frac, nodes: int = 80) -> complex:
     """Expectation of a one-variable fraction against the standard
     Gaussian weight, by Gauss-Hermite quadrature (probabilists' weight).
 
-    This demonstrates extending the Gaussian state from polynomials to
-    fractions with strictly positive denominators; it is a quadrature
-    demonstration on the commutative preset, not a general extension
-    algorithm.  Exact for polynomial integrands of degree < 2*nodes.
+    The paper's second theorem puts the integrable representations of
+    the algebra in bijection with those of its Ore localization, so a
+    state extends from polynomials to fractions a s^{-1}.  Here the
+    Gaussian state is extended on the commutative one-variable preset,
+    where s is a product of factors 1 + p'p, positive on the real line;
+    it is a quadrature demonstration, not a general extension algorithm.
+    Exact for polynomial integrands of degree < 2*nodes.
     """
     import numpy as np
 

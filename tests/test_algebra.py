@@ -4,10 +4,9 @@ import random
 
 import pytest
 
+from ores import algebra
 from ores.algebra import (Presentation, format_element, is_regular_up_to,
-                          load_preset, normalize, preset_free_xy,
-                          preset_heisenberg, preset_poly_x, preset_poly_xy,
-                          random_element)
+                          load_preset, normalize, random_element)
 from ores.errors import DegreeOverflow, PresentationError
 from ores.scalars import IMAG, Scalar
 
@@ -17,7 +16,7 @@ PRESET_NAMES = ("poly_x", "poly_xy", "heisenberg", "free_xy")
 
 
 def test_heisenberg_normal_ordering():
-    p = preset_heisenberg()
+    p = load_preset("heisenberg")
     a = p.generator("a")
     ad = p.generator("ad")
     assert a * ad == ad * a + 1
@@ -52,10 +51,10 @@ def test_dagger_is_an_antihomomorphism():
 
 
 def test_basis_word_counts():
-    assert len(preset_poly_x().basis_words(5)) == 6
-    assert len(preset_poly_xy().basis_words(4)) == 15
-    assert len(preset_heisenberg().basis_words(4)) == 15
-    assert len(preset_free_xy().basis_words(3)) == 15
+    assert len(load_preset("poly_x").basis_words(5)) == 6
+    assert len(load_preset("poly_xy").basis_words(4)) == 15
+    assert len(load_preset("heisenberg").basis_words(4)) == 15
+    assert len(load_preset("free_xy").basis_words(3)) == 15
 
 
 def test_basis_words_sorted_by_graded_order():
@@ -68,7 +67,7 @@ def test_basis_words_sorted_by_graded_order():
 
 
 def test_element_operations():
-    p = preset_poly_x()
+    p = load_preset("poly_x")
     x = p.generator("x")
     q = (1 + x) ** 3
     assert q == 1 + 3 * x + 3 * x * x + x * x * x
@@ -81,7 +80,7 @@ def test_element_operations():
 
 
 def test_degree_cap_enforced():
-    p = preset_poly_x(degree_cap=4)
+    p = Presentation(("x",), (("x",),), (), 4)
     x = p.generator("x")
     with pytest.raises(DegreeOverflow):
         (x ** 2) * (x ** 3)
@@ -89,8 +88,8 @@ def test_degree_cap_enforced():
 
 def test_cross_presentation_operations_rejected():
     from ores.errors import PresentationMismatch
-    x = preset_poly_x().generator("x")
-    y = preset_poly_xy().generator("y")
+    x = load_preset("poly_x").generator("x")
+    y = load_preset("poly_xy").generator("y")
     with pytest.raises(PresentationMismatch):
         x * y
 
@@ -130,6 +129,27 @@ def test_idempotent_presentation_has_zero_divisors():
     assert (e * reg.witness).is_zero() or (reg.witness * e).is_zero()
 
 
+def test_full_caches_take_no_new_entries(monkeypatch):
+    # past the limits, normal forms and regularity verdicts are computed
+    # afresh and stay correct; the caches never grow beyond the limits
+    monkeypatch.setattr(algebra, "_NF_LIMIT", 16)
+    monkeypatch.setattr(algebra, "_REGULAR_LIMIT", 2)
+    p = Presentation(*algebra.PRESETS["heisenberg"])
+    rng = random.Random(10)
+    for _ in range(30):
+        u = random_element(p, rng, max_degree=3, max_terms=3)
+        v = random_element(p, rng, max_degree=3, max_terms=3)
+        assert same_terms(naive_product_normal_form(p, (u, v)), u * v)
+        assert len(p._nf_cache) <= 16
+    # e is idempotent, so e and 1 - e are zero divisors and 1 + e is a unit
+    q = Presentation(("e",), (("e",),), ((("e", "e"), ((1, ("e",)),)),), 12)
+    e = q.generator("e")
+    for _ in range(2):
+        for el, regular in ((e, False), (1 - e, False), (1 + e, True)):
+            assert is_regular_up_to(el, 2).regular == regular
+            assert len(q._regular_cache) <= 2
+
+
 def test_regularity_of_preset_generators():
     for name in PRESET_NAMES:
         p = load_preset(name)
@@ -138,14 +158,14 @@ def test_regularity_of_preset_generators():
 
 
 def test_normalize_accepts_raw_dicts():
-    p = preset_heisenberg()
+    p = load_preset("heisenberg")
     el = normalize({("a", "ad"): 1}, p)
     assert el == p.generator("ad") * p.generator("a") + 1
 
 
 def test_format_is_stable_and_deterministic():
     rng = random.Random(9)
-    p = preset_heisenberg()
+    p = load_preset("heisenberg")
     for _ in range(25):
         u = random_element(p, rng, max_degree=3, max_terms=4)
         assert format_element(u) == format_element(1 * u)
@@ -154,14 +174,14 @@ def test_format_is_stable_and_deterministic():
 
 
 def test_random_element_is_seed_deterministic():
-    p = preset_poly_xy()
+    p = load_preset("poly_xy")
     a = random_element(p, random.Random(42), max_degree=3)
     b = random_element(p, random.Random(42), max_degree=3)
     assert a == b
 
 
 def test_naive_rewriter_agrees_on_words():
-    p = preset_heisenberg()
+    p = load_preset("heisenberg")
     # generator indices: ad = 0, a = 1; the word is a*a*ad*ad
     raw = {(1, 1, 0, 0): Scalar(1)}
     el = normalize(raw, p)

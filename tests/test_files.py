@@ -122,8 +122,6 @@ def test_moment_loading_validates_state_axioms():
     d["moments"]["1"] = [2, 1, 0, 1]
     with pytest.raises(StateAxiomError):
         moments_from_dict(d, p)
-    g = moments_from_dict(d, p, validate=False)
-    assert g.table[()] == Scalar(2)
     broken = {"degree": "four", "moments": {}}
     with pytest.raises(ConfigError):
         moments_from_dict(broken, p)

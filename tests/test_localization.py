@@ -87,7 +87,7 @@ def test_zero_denominator_rejected():
     s = _sproduct(p, (p.generator("e"),))
     assert s.value.is_zero()
     with pytest.raises(IrregularDenominator):
-        check_denominator(s, 2)
+        check_denominator(s)
     with pytest.raises(IrregularDenominator):
         Fraction(p.one(), s)
 
@@ -345,12 +345,11 @@ def test_budget_defaults():
 
 def test_budget_fields_must_be_nonnegative_ints():
     for bad in ({"max_factors": -1}, {"max_degree": -3},
-                {"degree_slack": -1}, {"regularity_depth": -1},
                 {"max_degree": 1.5}, {"max_factors": True},
                 {"max_degree": "2"}):
         with pytest.raises(ValueError, match="nonnegative int"):
             OreBudget(**bad)
-    assert OreBudget(0, 0, 0, 0).max_factors == 0
+    assert OreBudget(0, 0).max_factors == 0
 
 
 # -- the modular screen against an unscreened exact scan -----------------------
@@ -384,7 +383,7 @@ def _exact_scan(a, s, budget):
             r = a * t.value
         except DegreeOverflow:
             continue
-        bound = max(r.degree() - s_deg, 0) + budget.degree_slack
+        bound = max(r.degree() - s_deg, 0)
         if bound > p.degree_cap - s_deg:
             continue
         basis = p.basis_words(bound)
@@ -560,10 +559,36 @@ def test_witness_recheck_survives_python_O():
             else:
                 print("returned")
     """)
+    out = _run_python(code, "-O")
+    assert out.stdout.split() == ["raised", "raised"], out.stderr
+
+
+def _run_python(code, *flags):
     src = os.path.dirname(os.path.dirname(os.path.abspath(ores.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [e for e in [env.get("PYTHONPATH")] if e])
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.split() == ["raised", "raised"], out.stderr
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_search_stops_at_the_candidate_cap():
+    # with 25 parameters a full scan at max_factors 3 tries 16,276
+    # candidates, under the cap; at max_factors 6 it would try about
+    # 25**6, so the search runs in a child process with a time limit
+    code = textwrap.dedent("""
+        from ores import localization as loc
+        from ores.algebra import load_preset
+        p = load_preset("heisenberg")
+        a = p.generator("a")
+        s = loc.SProduct(p, (a,))
+        for factors in (3, 6):
+            res = loc.ore_solve_right(a, s, loc.OreBudget(max_factors=factors))
+            print(res.found, res.candidates_tried)
+        print(loc.MAX_CANDIDATES)
+    """)
+    out = _run_python(code)
+    assert out.returncode == 0, out.stderr
+    three, six, cap = out.stdout.strip().split("\n")
+    assert three == "False 16276", out.stderr
+    assert six == "False %s" % cap

@@ -238,7 +238,7 @@ def test_inversion_argument_validation_and_cap():
         invert_one_plus_AstarA(A, _basis(0), 0.0)
     B = A + A.adjoint()
     with pytest.raises(TruncationLimit):
-        invert_one_plus_AstarA(B, np.ones(30), 1e-30, size_cap=32)
+        invert_one_plus_AstarA(B, np.ones(30), 1e-30)
 
 
 def test_chain_solve_two_factors():
@@ -271,11 +271,9 @@ def test_surjectivity_probe():
     report = pi_s_surjectivity_probe(asg, s, [_basis(n, 6) for n in range(3)],
                                      1e-8)
     assert report.ok
-    d = report.as_dict()
-    assert d["probe"] == "surjectivity"
-    assert d["pass"]
-    assert len(d["items"]) == 3
-    assert all(item["pass"] for item in d["items"])
+    assert report.probe == "surjectivity"
+    assert len(report.items) == 3
+    assert all(item.passed for item in report.items)
 
 
 def test_lemma_check_routes_agree_bitwise():
@@ -330,11 +328,6 @@ def test_extension_known_value():
     assert np.linalg.norm(res.vector - want) <= 1e-10
     assert res.witness_found
     assert res.route_gap is not None and res.route_gap <= 1e-8
-    quiet = extend_representation(asg, frac, _basis(3, 4), 1e-10,
-                                  cross_check=False)
-    assert not quiet.witness_found
-    assert quiet.route_gap is None
-    assert np.array_equal(quiet.vector, res.vector)
 
 
 def test_extension_embedded_element():

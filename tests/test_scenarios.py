@@ -5,6 +5,8 @@ The heavy lifting (running every scenario twice) happens once per
 session in the shared fixtures from conftest.
 """
 
+import hashlib
+
 from ores.errors import ConfigError
 from ores.files import canonical_json
 from ores.scenarios import (SCENARIOS, ScenarioConfig, run_scenario,
@@ -99,6 +101,31 @@ def test_witness_counts_are_reported(scenario_reports):
 def test_repeated_runs_are_byte_identical(scenario_runs):
     for name, (first, second) in scenario_runs.items():
         assert canonical_json(first) == canonical_json(second), name
+
+
+# sha256 of canonical_json of each report.  A change that must alter a
+# report updates its value here and says why in CHANGES.md.
+REPORT_SHA256 = {
+    "cofinality":
+        "a7c02186b84e476987e22b7278aa141b2fa98a8cc78db7dcaeb550418449054c",
+    "extend-representation":
+        "07a2c9b9df2dec3ea8af77fa4f8b0f191c4491ec063ea9a85a2ee36c693624fe",
+    "fock-integrability":
+        "d2b66a3088868804dff426f67a894dcdf48553f4b3c5ae99b19f5807ad19add0",
+    "gaussian-gns":
+        "4d007ebf7937ed15f9cd0838955bc0250a9ec33a6b14df0f38c9186ecd81bfc2",
+    "involution-proposition":
+        "d64e8eee35233c78a88934d373c4d311ad12401414a94e38346d20f61de7a68b",
+    "ore-axioms":
+        "2909c1b99190fd644aff625494d7f6847710020680a4f43ccf42a301d400e521",
+}
+
+
+def test_reports_match_pinned_hashes(scenario_runs):
+    got = {name: hashlib.sha256(
+               canonical_json(first).encode("utf-8")).hexdigest()
+           for name, (first, _) in scenario_runs.items()}
+    assert got == REPORT_SHA256
 
 
 def test_write_scenario_report(tmp_path, scenario_reports):
