@@ -122,9 +122,6 @@ class Presentation:
         for r in self.rules:
             by_first.setdefault(r.lhs[0], []).append(r)
         self._rules_by_first = {g: tuple(rs) for g, rs in by_first.items()}
-        self._relations_input = tuple(
-            (tuple(lhs), tuple((c, tuple(w)) for c, w in rhs))
-            for lhs, rhs in relations)
 
         self._nf_cache = {}
         self._basis_cache = {}
@@ -507,19 +504,9 @@ def _format_coeff_word(c: Scalar, word_txt: str):
     neg = (c.re < 0) or (c.re == 0 and c.im < 0)
     if neg:
         c = -c
-    if not c.im:
-        if c.re == 1 and word_txt:
-            return neg, word_txt
-        base = str(c.re)
-    elif not c.re:
-        base = "i" if c.im == 1 else "%s*i" % c.im
-    else:
-        imag = "i" if c.im == 1 else ("%s*i" % c.im)
-        base = "(%s + %s)" % (c.re, imag) if c.im > 0 else None
-        if base is None:
-            mag = -c.im
-            imag = "i" if mag == 1 else "%s*i" % mag
-            base = "(%s - %s)" % (c.re, imag)
+    if c == ONE and word_txt:
+        return neg, word_txt
+    base = "(%s)" % c if c.re and c.im else str(c)
     if word_txt:
         return neg, "%s*%s" % (base, word_txt)
     return neg, base
@@ -541,38 +528,10 @@ def format_element(e: AlgebraElement) -> str:
     return out
 
 
-# -- module-level operation names ----------------------------------------------
-
-
-def normalize(raw, presentation: Presentation) -> AlgebraElement:
-    """Normalize raw input: an element, or a dict of words to coefficients.
-
-    Word keys may be tuples of generator names or of generator indices.
-    """
-    if isinstance(raw, AlgebraElement):
-        _check_same(raw.presentation, presentation)
-        return presentation.normalize_raw(dict(raw.terms))
-    fixed = {}
-    for w, c in dict(raw).items():
-        w = tuple(w)
-        if w and isinstance(w[0], str):
-            w = presentation._word(w)
-        if len(w) > presentation.degree_cap:
-            raise DegreeOverflow(
-                "input word of length %d exceeds degree cap %d"
-                % (len(w), presentation.degree_cap))
-        c = as_scalar(c)
-        prev = fixed.get(w)
-        fixed[w] = c + prev if prev is not None else c
-    return presentation.normalize_raw(fixed)
-
-
 @dataclass(frozen=True)
 class RegularityResult:
     regular: bool
-    depth: int
     witness: AlgebraElement | None = None
-    side: str | None = None
 
     def __bool__(self):
         return self.regular
@@ -590,7 +549,7 @@ def is_regular_up_to(s: AlgebraElement, depth: int) -> RegularityResult:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if s.is_zero():
-        return RegularityResult(False, depth, p.one(), "both")
+        return RegularityResult(False, p.one())
     if s.degree() + depth > p.degree_cap:
         raise DegreeOverflow(
             "regularity check at depth %d needs degree %d > cap %d"
@@ -620,13 +579,10 @@ def is_regular_up_to(s: AlgebraElement, depth: int) -> RegularityResult:
             combo = kernel[0]
             witness = p.normalize_raw(
                 {basis[j]: combo[j] for j in range(len(basis)) if combo[j]})
-            # witness annihilates s on the named side: side refers to where
-            # the witness sits relative to s
-            result = RegularityResult(
-                False, depth, witness, "right" if side == "left" else "left")
+            result = RegularityResult(False, witness)
             break
     if result is None:
-        result = RegularityResult(True, depth)
+        result = RegularityResult(True)
     return _remember(p._regular_cache, key, result, _REGULAR_LIMIT)
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the command and all its checks pass, 1 when a check
 fails (inequality, missing witness, failed probe, state axiom violation,
-truncation cap), 2 on usage, parse, or configuration errors.
+truncation cap), 2 on usage, parse, or configuration errors, and on a file
+that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .errors import (ConfigError, DegreeOverflow, ExpressionError,
 from .exprparse import (fraction_to_text, parse_element, parse_fraction_text,
                         parse_sproduct_text)
 from .gns import gns
-from .localization import OreBudget, eq_fraction, frac_add, frac_dagger, \
-    frac_mul, ore_solve_right
+from .localization import OreBudget, eq_fraction, factor_value, frac_add, \
+    frac_dagger, frac_mul, ore_solve_right
 from .operators import (SIZE_CAP, core_density_probe, fock_assignment,
                         invert_one_plus_AstarA, lemma_pis_equals_S_check,
                         pi_s_surjectivity_probe)
@@ -37,7 +38,7 @@ from .states import dirac_state, gaussian_state
 USAGE_ERRORS = (ConfigError, ExpressionError, PresentationError,
                 PresentationMismatch, FormulaDomainError,
                 IrregularDenominator, InsufficientDegree, DegreeOverflow,
-                ValueError)
+                ValueError, OSError)
 CHECK_ERRORS = (OreWitnessNotFound, TruncationLimit, StateAxiomError)
 
 
@@ -245,7 +246,7 @@ def cmd_ore_solve(args) -> int:
     w = res.witness
     print("b: %s" % format_element(w.b))
     print("t: %s" % " * ".join(
-        "(%s)" % format_element((p.one() + q.dagger() * q))
+        "(%s)" % format_element(factor_value(q))
         for q in w.t.ps) if w.t.ps else "t: 1")
     print("check: a*t == s*b  (exact)")
     return 0

@@ -113,9 +113,10 @@ def tokenize(text: str):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        # isdecimal accepts exactly the digits int() reads
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", text[i:j], line, col))
             col += j - i
@@ -166,6 +167,14 @@ class _Parser:
         raise ParseError("%s, got %s" % (message, got), t.line, t.col,
                          expected)
 
+    @staticmethod
+    def integer(t: _Token) -> int:
+        try:
+            return int(t.text)
+        except ValueError:  # past the interpreter's limit on int digits
+            raise ParseError("integer literal too long", t.line,
+                             t.col) from None
+
     def parse_expr(self):
         terms = [self.parse_term()]
         while self.peek().kind in ("+", "-"):
@@ -196,11 +205,11 @@ class _Parser:
         t = self.peek()
         if t.kind == "int":
             self.advance()
-            num = int(t.text)
+            num = self.integer(t)
             if self.peek().kind == "/":
                 self.advance()
                 d = self.expect("int")
-                den = int(d.text)
+                den = self.integer(d)
                 if den == 0:
                     raise ParseError("zero denominator in scalar literal",
                                      d.line, d.col)

@@ -73,7 +73,7 @@ def presentation_from_dict(d: dict) -> Presentation:
                    for t in rel["rhs"]))
             for rel in d["relations"])
         degree_cap = int(d["degree_cap"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError("malformed presentation file: %s" % exc) from None
     return Presentation(generators, dagger_pairs, relations, degree_cap,
                         name=d.get("name"))
@@ -128,7 +128,7 @@ def moments_from_dict(d: dict, presentation: Presentation) -> MomentFunctional:
             table[tuple(index[g] for g in names)] = Scalar.from_quad(v)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError("malformed moment file: %s" % exc) from None
     return MomentFunctional(presentation, degree, table)
 
@@ -202,7 +202,7 @@ def operator_from_dict(d: dict) -> BandedOperator:
             bands[offset] = f
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError("malformed operator file: %s" % exc) from None
     return BandedOperator(bands)
 

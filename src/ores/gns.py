@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InsufficientDegree, StateAxiomError
-from .scalars import ONE
 from .states import MomentFunctional, from_numeric
 
 
@@ -127,8 +126,6 @@ def gns(f: MomentFunctional) -> GnsRepresentation:
     """
     p = f.presentation
     d = f.degree
-    if d < 1:
-        raise InsufficientDegree("the construction needs degree at least 1")
     all_words, G, report = f._reduced()
     if not report.psd:
         raise StateAxiomError(
@@ -158,8 +155,7 @@ def gns(f: MomentFunctional) -> GnsRepresentation:
         for k in range(r):
             wkd = p.dagger_word(piv_words[k])
             for l in range(r_in):
-                el = p.normalize_raw({wkd + (gi,) + piv_words[l]: ONE})
-                F[k, l] = f.evaluate(el).to_complex()
+                F[k, l] = f.at_word(wkd + (gi,) + piv_words[l]).to_complex()
         matrices[gen_name] = B.conj().T @ F @ Bsub
 
     col = np.array([G[pi][0].to_complex() for pi in pivots])

@@ -219,7 +219,6 @@ class LeftOreWitness:
 class OreSolveResult:
     witness: object | None
     candidates_tried: int = 0
-    budget: OreBudget = DEFAULT_BUDGET
 
     @property
     def found(self) -> bool:
@@ -319,12 +318,11 @@ class _SearchState:
             p = self.presentation
             words = [w for w in p.basis_words(max_degree) if w]
             mons = [AlgebraElement(p, {w: ONE}, _trusted=True) for w in words]
-            ps = list(mons)
-            for i in range(len(mons)):
-                for j in range(i + 1, len(mons)):
-                    ps.append(mons[i] + mons[j])
-                    ps.append(mons[i] - mons[j])
-            ps = tuple(ps)
+            # the first MAX_CANDIDATES only: the scan stops before a later one
+            sums = ((u + v, u - v) for u, v in itertools.combinations(mons, 2))
+            ps = tuple(itertools.islice(
+                itertools.chain(mons, itertools.chain.from_iterable(sums)),
+                MAX_CANDIDATES))
             hit = _remember(self.params, max_degree,
                             (ps, {q.key(): i for i, q in enumerate(ps)}),
                             _PARAM_LIMIT)
@@ -489,7 +487,8 @@ def candidate_factor_parameters(presentation: Presentation, max_degree: int):
     """Deterministic list of parameters p for candidate factors 1 + p'p:
 
     all irreducible monomials of degree 1..max_degree in deglex order,
-    then pairwise sums and differences of those monomials.
+    then pairwise sums and differences of those monomials, cut after the
+    first MAX_CANDIDATES.
     """
     return _search_state(presentation).factor_parameters(max_degree)[0]
 
@@ -676,14 +675,14 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
     p = a.presentation
     _check_same(p, s.presentation)
     if a.is_zero():
-        return OreSolveResult(OreWitness(p.zero(), SProduct.one(p)), 0, budget)
+        return OreSolveResult(OreWitness(p.zero(), SProduct.one(p)))
     if s.is_one():
-        return OreSolveResult(OreWitness(a, SProduct.one(p)), 0, budget)
+        return OreSolveResult(OreWitness(a, SProduct.one(p)))
     s_value = s.value
     if p.commutative:
         # a s = s a exactly, so (b, t) = (a, s) is always a witness
         _verify(a * s_value, s_value * a, "commutative Ore witness")
-        return OreSolveResult(OreWitness(a, s), 0, budget)
+        return OreSolveResult(OreWitness(a, s))
 
     state = _search_state(p)
     s_key = s_value.key()
@@ -707,8 +706,8 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
         if b is None:
             continue
         _verify(r, s_value * b, "right Ore witness")
-        return OreSolveResult(OreWitness(b, t), tried, budget)
-    return OreSolveResult(None, tried, budget)
+        return OreSolveResult(OreWitness(b, t), tried)
+    return OreSolveResult(None, tried)
 
 
 def ore_solve_left(a: AlgebraElement, s: SProduct,
@@ -720,11 +719,11 @@ def ore_solve_left(a: AlgebraElement, s: SProduct,
     """
     res = ore_solve_right(a.dagger(), s.dagger(), budget)
     if not res.found:
-        return OreSolveResult(None, res.candidates_tried, budget)
+        return OreSolveResult(None, res.candidates_tried)
     w = res.witness
     left = LeftOreWitness(w.b.dagger(), w.t.dagger())
     _verify(left.t.value * a, left.b * s.value, "left Ore witness")
-    return OreSolveResult(left, res.candidates_tried, budget)
+    return OreSolveResult(left, res.candidates_tried)
 
 
 # -- fraction arithmetic ---------------------------------------------------------
@@ -821,15 +820,10 @@ def eq_fraction(f: Fraction, g: Fraction,
     return EqResult(left.terms == right.terms, True, w.value, c)
 
 
-@dataclass(frozen=True)
-class RemarkCheck:
-    witnesses_found: bool
-    equal: bool | None
-
-
 def remark_mult_property_check(a: AlgebraElement, s: SProduct, u: SProduct,
-                               budget: OreBudget = DEFAULT_BUDGET) -> RemarkCheck:
-    """Check [1, u*s] * [u*a, 1] = [1, s] * [a, 1].
+                               budget: OreBudget = DEFAULT_BUDGET) -> EqResult:
+    """Check [1, u*s] * [u*a, 1] = [1, s] * [a, 1]; the result is that of
+    the comparison, undecided when a product finds no witness.
 
     The left-side denominator u*s is certified in S by concatenating the
     factor lists, which is why u is taken from S here.
@@ -842,8 +836,5 @@ def remark_mult_property_check(a: AlgebraElement, s: SProduct, u: SProduct,
         lhs = frac_mul(Fraction(p.one(), us), embed(u.value * a), budget)
         rhs = frac_mul(Fraction(p.one(), s), embed(a), budget)
     except OreWitnessNotFound:
-        return RemarkCheck(False, None)
-    eq = eq_fraction(lhs, rhs, budget)
-    if not eq.decided:
-        return RemarkCheck(False, None)
-    return RemarkCheck(True, eq.equal)
+        return EqResult(False, False)
+    return eq_fraction(lhs, rhs, budget)

@@ -511,7 +511,6 @@ class ExtensionResult:
     inverse_residual: float
     truncation_sizes: tuple
     witness_found: bool
-    witness_vector: np.ndarray | None = None
     route_gap: float | None = None
 
 
@@ -539,4 +538,4 @@ def extend_representation(assignment: FockAssignment, frac, xi, tol: float,
     alt = chain_solve(assignment, w.t, bxi, tol).x
     route_gap = float(np.linalg.norm(_gap(vector, alt)))
     return ExtensionResult(vector, sol.residual, sol.truncation_sizes,
-                           True, alt, route_gap)
+                           True, route_gap)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .algebra import AlgebraElement, _check_same
 from .errors import OreWitnessNotFound
 from .localization import (DEFAULT_BUDGET, Fraction, LeftOreWitness, OreBudget,
-                           SProduct, ore_solve_left)
+                           SProduct, factor_value, ore_solve_left)
 from .scalars import Scalar, as_scalar
 
 
@@ -108,7 +108,7 @@ def cofinal_dominator(b: AlgebraElement, t: SProduct) -> CofinalityResult:
     dominator = b.dagger() * b
     chain = []
     for p in t.ps:
-        factor = t.presentation.one() + p.dagger() * p
+        factor = factor_value(p)
         target = factor * factor - t.presentation.one()
         cert = square_expansion_certificate(p)
         chain.append(FactorCertificate(p, target, cert,

@@ -25,9 +25,9 @@ from .algebra import load_preset, random_element, random_scalar
 from .errors import ConfigError, DegreeOverflow, OreWitnessNotFound
 from .formulas import Formula
 from .gns import gns
-from .localization import (REGULARITY_DEPTH, Fraction, OreBudget, SProduct,
-                           embed, eq_fraction, frac_add, frac_dagger,
-                           frac_mul, remark_mult_property_check)
+from .localization import (REGULARITY_DEPTH, EqResult, Fraction, OreBudget,
+                           SProduct, embed, eq_fraction, frac_add,
+                           frac_dagger, frac_mul, remark_mult_property_check)
 from .operators import (BandedOperator, _gap, extend_representation,
                         fock_assignment, invert_one_plus_AstarA,
                         lemma_pis_equals_S_check, one_plus_AstarA,
@@ -113,7 +113,26 @@ def _random_fraction(p, rng, pool, max_den_factors: int = 1,
 _SEARCH_MISSES = (OreWitnessNotFound, DegreeOverflow)
 
 
-# -- ore-axioms ----------------------------------------------------------------------
+class _Tally:
+    """Counts of one identity battery: cases checked, cases a witness
+    decided, and decided cases where the identity failed."""
+
+    def __init__(self):
+        self.checked = self.found = self.violations = 0
+
+    def record(self, res):
+        """Count one case: an EqResult, or None for a search miss."""
+        self.checked += 1
+        if res is not None and res.decided:
+            self.found += 1
+            if not res.equal:
+                self.violations += 1
+
+    def item(self, item_id: str, exact: bool) -> dict:
+        """The report item; an exact battery must also decide every case."""
+        ok = self.violations == 0 and (not exact or self.found == self.checked)
+        return _item(item_id, ok, checked=self.checked, found=self.found,
+                     violations=self.violations)
 
 
 def _eq_or_none(f, g, budget):
@@ -123,20 +142,12 @@ def _eq_or_none(f, g, budget):
         return None
 
 
-def _axiom_counts(p, rng, pool, cfg, samples: int, exact: bool):
-    """Run the ring/equality axiom battery; returns (checked, found, bad)."""
-    budget = cfg.budget()
-    checked = found = bad = 0
+# -- ore-axioms ----------------------------------------------------------------------
 
-    def record(res):
-        nonlocal checked, found, bad
-        checked += 1
-        if res is None or not res.decided:
-            return
-        found += 1
-        if not res.equal:
-            bad += 1
 
+def _axiom_counts(p, rng, pool, budget, samples: int) -> _Tally:
+    """Run the ring/equality axiom battery."""
+    tally = _Tally()
     for _ in range(samples):
         f = _random_fraction(p, rng, pool, max_den_factors=1,
                              max_num_degree=2)
@@ -146,44 +157,42 @@ def _axiom_counts(p, rng, pool, cfg, samples: int, exact: bool):
                              max_num_degree=1)
         lam = random_scalar(rng)
         try:
-            record(_eq_or_none(frac_mul(frac_mul(f, g, budget), h, budget),
-                               frac_mul(f, frac_mul(g, h, budget), budget),
-                               budget))
-            record(_eq_or_none(
+            tally.record(_eq_or_none(
+                frac_mul(frac_mul(f, g, budget), h, budget),
+                frac_mul(f, frac_mul(g, h, budget), budget), budget))
+            tally.record(_eq_or_none(
                 frac_mul(f, frac_add(Scalar(1), g, h, budget), budget),
                 frac_add(Scalar(1), frac_mul(f, g, budget),
                          frac_mul(f, h, budget), budget),
                 budget))
-            record(_eq_or_none(
+            tally.record(_eq_or_none(
                 frac_add(lam, f, frac_add(Scalar(1), g, h, budget), budget),
                 frac_add(Scalar(1), frac_add(lam, f, g, budget), h, budget),
                 budget))
             # units and inverses
-            record(_eq_or_none(frac_mul(embed(p.one()), f, budget), f, budget))
-            record(_eq_or_none(frac_add(Scalar(1), f, embed(p.zero()), budget),
-                               f, budget))
-            record(_eq_or_none(frac_add(Scalar(-1), f, f, budget),
-                               embed(p.zero()), budget))
-            # reflexivity / symmetry
+            tally.record(_eq_or_none(frac_mul(embed(p.one()), f, budget), f,
+                                     budget))
+            tally.record(_eq_or_none(
+                frac_add(Scalar(1), f, embed(p.zero()), budget), f, budget))
+            tally.record(_eq_or_none(frac_add(Scalar(-1), f, f, budget),
+                                     embed(p.zero()), budget))
+            # reflexivity / symmetry; symmetry counts only when both
+            # directions were decided
             r1 = _eq_or_none(f, g, budget)
             r2 = _eq_or_none(g, f, budget)
-            record(_eq_or_none(f, f, budget))
+            tally.record(_eq_or_none(f, f, budget))
             if r1 is not None and r2 is not None and r1.decided and r2.decided:
-                checked += 1
-                found += 1
-                if r1.equal != r2.equal:
-                    bad += 1
+                tally.record(EqResult(r1.equal == r2.equal, True))
         except _SEARCH_MISSES:
-            checked += 1
-    ok = bad == 0 and (not exact or found == checked)
-    return checked, found, bad, ok
+            # a miss while the operands are built ends the sample as one case
+            tally.record(None)
+    return tally
 
 
-def _amplified_counts(p, rng, pool, cfg, samples: int, exact: bool):
+def _amplified_counts(p, rng, pool, budget, samples: int) -> _Tally:
     """f = [a, s] against [a*u, s*u] for u in S: equal by construction;
     transitivity is checked along the two-step amplification chain."""
-    budget = cfg.budget()
-    checked = found = bad = 0
+    tally = _Tally()
     for _ in range(samples):
         f = _random_fraction(p, rng, pool, max_den_factors=1)
         u1 = _random_sproduct(p, rng, pool, 1, allow_empty=False)
@@ -194,15 +203,8 @@ def _amplified_counts(p, rng, pool, cfg, samples: int, exact: bool):
         except DegreeOverflow:
             continue
         for lhs, rhs in ((f, f2), (f2, f3), (f, f3)):
-            res = _eq_or_none(lhs, rhs, budget)
-            checked += 1
-            if res is None or not res.decided:
-                continue
-            found += 1
-            if not res.equal:
-                bad += 1
-    ok = bad == 0 and (not exact or found == checked)
-    return checked, found, bad, ok
+            tally.record(_eq_or_none(lhs, rhs, budget))
+    return tally
 
 
 def scenario_ore_axioms(cfg: ScenarioConfig) -> dict:
@@ -216,14 +218,10 @@ def scenario_ore_axioms(cfg: ScenarioConfig) -> dict:
                                         ("heisenberg", 8, False)):
         p = load_preset(preset_name)
         pool = _den_pool(p)
-        checked, found, bad, ok = _axiom_counts(p, rng, pool, cfg, samples,
-                                                exact)
-        items.append(_item("axioms_%s" % preset_name, ok, checked=checked,
-                           found=found, violations=bad))
-        checked, found, bad, ok = _amplified_counts(p, rng, pool, cfg,
-                                                    6 if exact else 4, exact)
-        items.append(_item("eq_amplified_%s" % preset_name, ok,
-                           checked=checked, found=found, violations=bad))
+        items.append(_axiom_counts(p, rng, pool, budget, samples)
+                     .item("axioms_%s" % preset_name, exact))
+        items.append(_amplified_counts(p, rng, pool, budget, 6 if exact else 4)
+                     .item("eq_amplified_%s" % preset_name, exact))
 
     # the embedding is a unital *-morphism on every preset
     for preset_name in ("poly_x", "poly_xy", "heisenberg", "free_xy"):
@@ -253,25 +251,16 @@ def scenario_ore_axioms(cfg: ScenarioConfig) -> dict:
                                         ("heisenberg", 8, False)):
         p = load_preset(preset_name)
         pool = _den_pool(p)
-        checked = found = bad = 0
+        tally = _Tally()
         for _ in range(samples):
             a = random_element(p, rng, max_degree=1, max_terms=2)
             s = _random_sproduct(p, rng, pool, 1)
             u = _random_sproduct(p, rng, pool, 1, allow_empty=False)
             try:
-                res = remark_mult_property_check(a, s, u, budget)
+                tally.record(remark_mult_property_check(a, s, u, budget))
             except DegreeOverflow:
-                checked += 1
-                continue
-            checked += 1
-            if not res.witnesses_found:
-                continue
-            found += 1
-            if not res.equal:
-                bad += 1
-        ok = bad == 0 and (not exact or found == checked)
-        items.append(_item("remark_mult_%s" % preset_name, ok,
-                           checked=checked, found=found, violations=bad))
+                tally.record(None)
+        items.append(tally.item("remark_mult_%s" % preset_name, exact))
 
     return _report("ore-axioms", cfg, items)
 
@@ -279,63 +268,45 @@ def scenario_ore_axioms(cfg: ScenarioConfig) -> dict:
 # -- involution-proposition -------------------------------------------------------------
 
 
-def _involution_counts(p, rng, pool, cfg, samples: int, exact: bool,
-                       max_den_factors: int):
-    budget = cfg.budget()
-    stats = {"antilinear": [0, 0, 0], "antimult": [0, 0, 0],
-             "involutive": [0, 0, 0]}
-
-    def attempt(tag, thunk):
-        checked_found_bad = stats[tag]
-        checked_found_bad[0] += 1
-        try:
-            res = thunk()
-        except _SEARCH_MISSES:
-            return
-        if res is None or not res.decided:
-            return
-        checked_found_bad[1] += 1
-        if not res.equal:
-            checked_found_bad[2] += 1
-
+def _involution_counts(p, rng, pool, budget, samples: int,
+                       max_den_factors: int) -> dict:
+    tallies = {tag: _Tally() for tag in ("antilinear", "antimult",
+                                         "involutive")}
     for _ in range(samples):
         f = _random_fraction(p, rng, pool, max_den_factors)
         g = _random_fraction(p, rng, pool, max_den_factors)
         lam = random_scalar(rng)
-
-        attempt("antilinear", lambda: _eq_or_none(
-            frac_dagger(frac_add(lam, f, g, budget), budget),
-            frac_add(lam.conjugate(), frac_dagger(f, budget),
-                     frac_dagger(g, budget), budget),
-            budget))
-        attempt("antimult", lambda: _eq_or_none(
-            frac_dagger(frac_mul(f, g, budget), budget),
-            frac_mul(frac_dagger(g, budget), frac_dagger(f, budget), budget),
-            budget))
-        attempt("involutive", lambda: _eq_or_none(
-            frac_dagger(frac_dagger(f, budget), budget), f, budget))
-    return stats
+        pairs = (
+            ("antilinear", lambda: (
+                frac_dagger(frac_add(lam, f, g, budget), budget),
+                frac_add(lam.conjugate(), frac_dagger(f, budget),
+                         frac_dagger(g, budget), budget))),
+            ("antimult", lambda: (
+                frac_dagger(frac_mul(f, g, budget), budget),
+                frac_mul(frac_dagger(g, budget), frac_dagger(f, budget),
+                         budget))),
+            ("involutive", lambda: (
+                frac_dagger(frac_dagger(f, budget), budget), f)),
+        )
+        for tag, pair in pairs:
+            try:
+                res = eq_fraction(*pair(), budget)
+            except _SEARCH_MISSES:
+                res = None
+            tallies[tag].record(res)
+    return tallies
 
 
 def scenario_involution(cfg: ScenarioConfig) -> dict:
     rng = random.Random(cfg.seed)
     items = []
-
-    p = load_preset("poly_x")
-    stats = _involution_counts(p, rng, _den_pool(p), cfg, samples=200,
-                               exact=True, max_den_factors=2)
-    for tag, (checked, found, bad) in sorted(stats.items()):
-        items.append(_item("poly_x_%s" % tag,
-                           bad == 0 and found == checked,
-                           checked=checked, found=found, violations=bad))
-
-    p = load_preset("heisenberg")
-    stats = _involution_counts(p, rng, _den_pool(p), cfg, samples=24,
-                               exact=False, max_den_factors=1)
-    for tag, (checked, found, bad) in sorted(stats.items()):
-        items.append(_item("heisenberg_%s" % tag, bad == 0,
-                           checked=checked, found=found, violations=bad))
-
+    for preset_name, samples, exact, max_den_factors in (
+            ("poly_x", 200, True, 2), ("heisenberg", 24, False, 1)):
+        p = load_preset(preset_name)
+        tallies = _involution_counts(p, rng, _den_pool(p), cfg.budget(),
+                                     samples, max_den_factors)
+        for tag, tally in sorted(tallies.items()):
+            items.append(tally.item("%s_%s" % (preset_name, tag), exact))
     return _report("involution-proposition", cfg, items)
 
 

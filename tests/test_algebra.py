@@ -6,7 +6,7 @@ import pytest
 
 from ores import algebra
 from ores.algebra import (Presentation, format_element, is_regular_up_to,
-                          load_preset, normalize, random_element)
+                          load_preset, random_element)
 from ores.errors import DegreeOverflow, PresentationError
 from ores.scalars import IMAG, Scalar
 
@@ -157,12 +157,6 @@ def test_regularity_of_preset_generators():
         assert is_regular_up_to(1 + g.dagger() * g, 2).regular
 
 
-def test_normalize_accepts_raw_dicts():
-    p = load_preset("heisenberg")
-    el = normalize({("a", "ad"): 1}, p)
-    assert el == p.generator("ad") * p.generator("a") + 1
-
-
 def test_format_is_stable_and_deterministic():
     rng = random.Random(9)
     p = load_preset("heisenberg")
@@ -184,7 +178,7 @@ def test_naive_rewriter_agrees_on_words():
     p = load_preset("heisenberg")
     # generator indices: ad = 0, a = 1; the word is a*a*ad*ad
     raw = {(1, 1, 0, 0): Scalar(1)}
-    el = normalize(raw, p)
+    el = p.normalize_raw(raw)
     assert same_terms(naive_normal_form(p, raw), el)
     # normal form of a^2 ad^2 = ad^2 a^2 + 4 ad a + 2
     ad = p.generator("ad")

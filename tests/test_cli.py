@@ -190,6 +190,23 @@ def test_gns_build_usage_errors(tmp_path, capsys):
     assert code == 2
 
 
+def test_unreadable_files_exit_with_code_2(tmp_path, capsys):
+    # an OSError, or a zero denominator in a file, escaped main() as a
+    # traceback with exit code 1, the code of a failed check
+    missing = str(tmp_path / "missing.json")
+    bad_op = tmp_path / "op.json"
+    bad_op.write_text(
+        '{"bands": [{"offset": 0, "kind": "const", "coeffs": [[1, 0]]}]}')
+    for argv in (
+            ["gns", "build", "--presentation", "poly_x", "--moments", missing],
+            ["op", "apply", "--operator", missing, "--vector", "1"],
+            ["normalize", "--presentation", str(tmp_path), "x"],
+            ["op", "apply", "--operator", str(bad_op), "--vector", "1"]):
+        code, _, err = run(capsys, argv)
+        assert code == 2, argv
+        assert "error:" in err
+
+
 def test_op_apply(capsys):
     code, out, _ = run(capsys,
                        ["op", "apply", "--expr", "a", "--vector", "0,1,0"])

@@ -40,7 +40,7 @@ from ores.formulas import Formula, QPoly
 from ores.gns import gns
 from ores.operators import BandedOperator
 from ores.scalars import IMAG, Scalar
-from ores.states import gaussian_state
+from ores.states import dirac_state, gaussian_state
 
 import pytest
 
@@ -125,6 +125,38 @@ def test_moment_loading_validates_state_axioms():
     broken = {"degree": "four", "moments": {}}
     with pytest.raises(ConfigError):
         moments_from_dict(broken, p)
+
+
+def test_arithmetic_faults_in_files_are_config_errors(tmp_path):
+    # a zero denominator raised ZeroDivisionError, and 1e400, which json
+    # reads as infinity, raised OverflowError from int()
+    p = load_preset("heisenberg")
+    zero_den = presentation_to_dict(p)
+    zero_den["relations"][0]["rhs"][0]["coeff"] = [1, 0, 0, 1]
+    huge_cap = json.dumps(presentation_to_dict(p)).replace(
+        '"degree_cap": 20', '"degree_cap": 1e400')
+    assert "1e400" in huge_cap
+    moments = moments_to_dict(dirac_state(p, 2))
+    moments["moments"]["1"] = [1, 0, 0, 1]
+
+    def load_heisenberg_moments(path):
+        return load_moments(path, p)
+
+    cases = [
+        (load_presentation, json.dumps(zero_den)),
+        (load_presentation, huge_cap),
+        (load_heisenberg_moments, json.dumps(moments)),
+        (load_heisenberg_moments, '{"degree": 1e400, "moments": {}}'),
+        (load_operator,
+         '{"bands": [{"offset": 0, "kind": "const", "coeffs": [[1, 0]]}]}'),
+        (load_operator,
+         '{"bands": [{"offset": 1e400, "kind": "const", "coeffs": [[1, 1]]}]}'),
+    ]
+    for i, (load, text) in enumerate(cases):
+        path = tmp_path / ("case%d.json" % i)
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load(path)
 
 
 def test_operator_round_trip(tmp_path):

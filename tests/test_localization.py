@@ -328,13 +328,13 @@ def test_remark_mult_property():
         s = _random_sproduct(p, rng, max_factors=1)
         u = _random_sproduct(p, rng, max_factors=1)
         chk = remark_mult_property_check(a, s, u)
-        assert chk.witnesses_found and chk.equal
+        assert chk.decided and chk.equal
     p = load_preset("heisenberg")
     a = p.generator("a")
     chk = remark_mult_property_check(
         a, _sproduct(p, (p.generator("ad"),)),
         _sproduct(p, (p.generator("ad"),)))
-    assert chk.witnesses_found and chk.equal
+    assert chk.decided and chk.equal
 
 
 def test_budget_defaults():
@@ -539,6 +539,22 @@ def test_screen_falls_back_where_the_prime_is_unlucky(monkeypatch):
     subs = [sub for (key, _), sub in p._ore_search.subspaces.items()
             if key == five]
     assert subs and all(sub.annihilator() is None for sub in subs)
+
+
+def test_factor_parameters_stop_at_the_candidate_cap(monkeypatch):
+    # parameters past MAX_CANDIDATES were built but never scanned: about
+    # 4.2 million elements for free_xy at max_degree 10
+    monkeypatch.setattr(localization, "MAX_CANDIDATES", 40)
+    p = Presentation(("x", "y"), (("x",), ("y",)), (), 10)  # empty caches
+    mons = [p.normalize_raw({w: ONE}) for w in p.basis_words(3) if w]
+    full = mons + [e for i, u in enumerate(mons) for v in mons[i + 1:]
+                   for e in (u + v, u - v)]
+    assert len(full) == 196
+    ps = candidate_factor_parameters(p, 3)
+    assert [q.key() for q in ps] == [q.key() for q in full[:40]]
+    res = ore_solve_right(p.generator("y"), _sproduct(p, (p.generator("x"),)),
+                          OreBudget(max_factors=1, max_degree=3))
+    assert not res.found and res.candidates_tried == 40
 
 
 def test_witness_recheck_survives_python_O():

@@ -178,3 +178,16 @@ def test_scalar_one_factors_are_skipped_in_fractions():
     assert f.den.is_one()
     g = parse_fraction_text("(x) / (1)*(1+x*x)*(1)", p)
     assert g.den.ps == (p.generator("x"),)
+
+
+def test_bad_integer_literals_are_parse_errors():
+    # str.isdigit accepts superscript digits that int() rejects, and int()
+    # refuses a literal past the interpreter's digit limit (4,300 by
+    # default); both escaped parse as a bare ValueError
+    for text in ("²", "x + ²", "1/²", "1" * 5000, "x + 2/" + "3" * 5000):
+        with pytest.raises(ParseError):
+            parse(text)
+    with pytest.raises(ParseError) as e:
+        parse("x + " + "1" * 5000)
+    assert e.value.col == 5
+    assert parse("٣") == ScalarLit(Scalar(3))
