@@ -33,6 +33,7 @@ def _deglex_key(w: Word):
 # takes nothing new, so the words met first stay cached.
 _NF_LIMIT = 1 << 15        # normal forms of single words
 _REGULAR_LIMIT = 1024      # regularity checks, keyed by (element, depth)
+_BASIS_LIMIT = 1 << 16     # words in one basis_words table
 
 
 def _remember(cache: dict, key, value, limit: int):
@@ -286,7 +287,10 @@ class Presentation:
     # -- word enumeration ----------------------------------------------------
 
     def basis_words(self, max_degree: int):
-        """All irreducible words of length <= max_degree, deglex sorted."""
+        """All irreducible words of length <= max_degree, deglex sorted.
+
+        A table of more than _BASIS_LIMIT words raises DegreeOverflow
+        as soon as the count passes the limit."""
         if max_degree < 0:
             return ()
         if max_degree > self.degree_cap:
@@ -298,6 +302,7 @@ class Presentation:
             return cached
         layers = [[()]]
         ngen = len(self.generators)
+        count = 1
         for d in range(1, max_degree + 1):
             layer = []
             for w in layers[d - 1]:
@@ -307,6 +312,11 @@ class Presentation:
                     if all(w2[-len(r.lhs):] != r.lhs
                            for r in self.rules if len(r.lhs) <= d):
                         layer.append(w2)
+                        count += 1
+                if count > _BASIS_LIMIT:
+                    raise DegreeOverflow(
+                        "basis up to degree %d has more than %d words"
+                        % (max_degree, _BASIS_LIMIT))
             layers.append(layer)
         words = tuple(itertools.chain.from_iterable(layers))
         self._basis_cache[max_degree] = words

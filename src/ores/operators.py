@@ -11,8 +11,9 @@ before the square root and the sum of the terms.  Bands are sampled on
 whole index ranges by Formula.eval(lo, hi), bit-identical to evaluating
 index by index; the compiled bands and their samples are kept per
 formula, so repeated solves and freshly built copies of an operator
-reuse them.  Every cache here has a fixed size and stops taking entries
-when full.
+reuse them.  Built products of factors 1 + A*A are kept too, keyed by
+the factor operators compared as band data.  Every cache here has a
+fixed size and stops taking entries when full.
 
 Truncated inversion of 1 + A*A uses the positive-definite banded solver
 and reports the global residual recomputed from the band formulas; the
@@ -296,16 +297,33 @@ def fock_assignment(presentation: Presentation) -> FockAssignment:
     return FockAssignment(p, ops)
 
 
+# products of factors 1 + A*A, keyed by the tuple of factor operators
+_PRODUCT_LIMIT = 256
+_PRODUCTS = {}
+
+
+def _factor_product(ops: tuple) -> BandedOperator:
+    """(1 + A_1*A_1) ... (1 + A_k*A_k), multiplied left to right.
+
+    Keys compare operators by band data, so an equal operator built
+    afresh reuses the product; a build that raises is not stored.
+    """
+    cached = _PRODUCTS.get(ops)
+    if cached is None:
+        cached = BandedOperator.identity()
+        for A in ops:
+            cached = cached * (BandedOperator.identity() + A.adjoint() * A)
+        _remember(_PRODUCTS, ops, cached, _PRODUCT_LIMIT)
+    return cached
+
+
 def one_plus_AstarA(A: BandedOperator) -> BandedOperator:
-    return BandedOperator.identity() + A.adjoint() * A
+    return _factor_product((A,))
 
 
 def sproduct_operator(assignment: FockAssignment, s: SProduct) -> BandedOperator:
     """The left-to-right product of the factor operators of s."""
-    out = BandedOperator.identity()
-    for p_el in s.ps:
-        out = out * one_plus_AstarA(assignment.operator_of(p_el))
-    return out
+    return _factor_product(tuple(assignment.operator_of(p) for p in s.ps))
 
 
 # -- truncated inversion of 1 + A*A ------------------------------------------------

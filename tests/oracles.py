@@ -12,6 +12,7 @@ freeze or compare against these, never against the code under test.
 from fractions import Fraction as Rational
 
 import numpy as np
+import scipy.sparse
 
 from ores.linalg import PsdReport
 from ores.scalars import Scalar
@@ -189,8 +190,8 @@ def dense_apply(op, xi, N: int) -> np.ndarray:
 
 
 def dense_one_plus_AstarA_solve(A, y, N: int) -> np.ndarray:
-    Ad = dense_matrix(A, N)
-    M = np.eye(N, dtype=complex) + Ad.conj().T @ Ad
+    Ad = scipy.sparse.csr_matrix(dense_matrix(A, N))
+    M = np.eye(N, dtype=complex) + (Ad.conj().T @ Ad).toarray()
     rhs = np.zeros(N, dtype=complex)
     rhs[:len(y)] = y
     return np.linalg.solve(M, rhs)

@@ -57,6 +57,20 @@ def test_basis_word_counts():
     assert len(load_preset("free_xy").basis_words(3)) == 15
 
 
+def test_basis_words_stop_at_the_size_limit(monkeypatch):
+    # 2^16 - 1 free words up to degree 15 fit; 2^17 - 1 up to 16 do not
+    p = Presentation(("x", "y"), (("x",), ("y",)), (), 20)
+    assert len(p.basis_words(15)) == algebra._BASIS_LIMIT - 1
+    with pytest.raises(DegreeOverflow):
+        p.basis_words(16)
+    q = Presentation(("x", "y", "z"), (("x",), ("y",), ("z",)), (), 60)
+    monkeypatch.setattr(algebra, "_BASIS_LIMIT", 40)
+    assert len(q.basis_words(3)) == 40
+    with pytest.raises(DegreeOverflow):
+        q.basis_words(4)
+    assert sorted(q._basis_cache) == [3]
+
+
 def test_basis_words_sorted_by_graded_order():
     for name in PRESET_NAMES:
         p = load_preset(name)

@@ -11,9 +11,10 @@ import os
 import subprocess
 import sys
 
+import ores.algebra
 from ores.cli import main
 from ores.files import save_moments, save_operator, save_presentation
-from ores.algebra import load_preset
+from ores.algebra import Presentation, load_preset
 from ores.formulas import Formula
 from ores.operators import BandedOperator
 from ores.states import gaussian_state
@@ -188,6 +189,21 @@ def test_gns_build_usage_errors(tmp_path, capsys):
         "gns", "build", "--presentation", "poly_x", "--state", "gaussian",
         "--moments", str(tmp_path / "m.json")])
     assert code == 2
+
+
+def test_gns_build_past_the_basis_limit_exits_with_code_2(
+        tmp_path, capsys, monkeypatch):
+    # three free generators at degree 12 ask for 3^24 words; the limit is
+    # lowered so that a missing bound fails here rather than filling memory
+    monkeypatch.setattr(ores.algebra, "_BASIS_LIMIT", 1 << 12)
+    path = tmp_path / "free3.json"
+    save_presentation(Presentation(("x", "y", "z"),
+                                   (("x",), ("y",), ("z",)), (), 60), path)
+    code, _, err = run(capsys, [
+        "gns", "build", "--presentation", str(path), "--state", "vacuum",
+        "--degree", "12", "--out", str(tmp_path)])
+    assert code == 2
+    assert "more than 4096 words" in err
 
 
 def test_unreadable_files_exit_with_code_2(tmp_path, capsys):

@@ -551,3 +551,75 @@ def _power(p, x, j):
     for _ in range(j):
         out = out * x
     return out
+
+
+# -- products of factors 1 + A*A ---------------------------------------------------
+
+
+def _hand_product(ops):
+    out = BandedOperator.identity()
+    for A in ops:
+        out = out * (BandedOperator.identity() + A.adjoint() * A)
+    return out
+
+
+def _factor_operators():
+    """The Fock operators of a, a + ad and a*a, and the shifts of weights
+    (1, 1), (2, 2), (1, 2, 1) and (2, 3, 1), each built afresh."""
+    p = load_preset("heisenberg")
+    asg = fock_assignment(p)
+    a, ad = p.generator("a"), p.generator("ad")
+    ops = [asg.operator_of(el) for el in (a, a + ad, a * a)]
+    return ops + [BandedOperator.weighted_shift(1, Formula.poly(w))
+                  for w in ((1, 1), (2, 2), (1, 2, 1), (2, 3, 1))]
+
+
+def test_factor_products_equal_the_hand_built_ones(monkeypatch):
+    monkeypatch.setattr(ores.operators, "_PRODUCTS", {})
+    for A, fresh in zip(_factor_operators(), _factor_operators()):
+        want = BandedOperator.identity() + A.adjoint() * A
+        got = one_plus_AstarA(A)
+        assert got == want
+        assert np.array_equal(_bits(got.matrix(64)), _bits(want.matrix(64)))
+        # an equal operator built afresh finds the kept product
+        assert fresh is not A and fresh == A
+        again = one_plus_AstarA(fresh)
+        assert again == want and again is got
+    p = load_preset("heisenberg")
+    asg = fock_assignment(p)
+    a, ad = p.generator("a"), p.generator("ad")
+    for params in ((a,), (a, a), (a, a + ad)):               # N, N^2, N(a+a')
+        s = SProduct(p, params)
+        want = _hand_product([asg.operator_of(q) for q in params])
+        got = sproduct_operator(asg, s)
+        assert got == want
+        assert np.array_equal(_bits(got.matrix(64)), _bits(want.matrix(64)))
+        assert sproduct_operator(fock_assignment(p), s) is got
+
+
+def test_factor_product_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(ores.operators, "_PRODUCTS", {})
+    monkeypatch.setattr(ores.operators, "_PRODUCT_LIMIT", 2)
+    ops = _factor_operators()
+    chains = [(ops[0],), (ops[1],), (ops[0], ops[1]), (ops[3], ops[4]),
+              (ops[5],)]
+    for _ in range(2):
+        for chain in chains:
+            want = _hand_product(chain)
+            if len(chain) == 1:
+                assert one_plus_AstarA(chain[0]) == want
+            assert ores.operators._factor_product(chain) == want
+            assert len(ores.operators._PRODUCTS) <= 2
+
+
+def test_failed_factor_product_is_not_kept(monkeypatch):
+    monkeypatch.setattr(ores.operators, "_PRODUCTS", {})
+    bad = BandedOperator.weighted_shift(1, Formula.poly([1, 2]))
+    for _ in range(2):
+        with pytest.raises(FormulaDomainError):
+            one_plus_AstarA(BandedOperator.weighted_shift(
+                1, Formula.poly([1, 2])))
+        with pytest.raises(FormulaDomainError):
+            ores.operators._factor_product(
+                (BandedOperator.annihilation(), bad))
+    assert ores.operators._PRODUCTS == {}
