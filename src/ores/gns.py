@@ -120,8 +120,10 @@ def gns(f: MomentFunctional) -> GnsRepresentation:
 
     Exact steps: Gram assembly and graded hermitian reduction (positivity
     verdict, nested pivots, null ideal), both taken from the functional,
-    which makes them once.  Floating steps: Cholesky of the pivot block
-    and the generator matrices, with invariants holding to 1e-10 on the
+    which makes them once.  The generator matrices read f(w_k' g w_l)
+    through MomentFunctional.at_word, so they reuse the values the Gram
+    assembly memoized.  Floating steps: Cholesky of the pivot block and
+    the generator matrices, with invariants holding to 1e-10 on the
     inner window.
     """
     p = f.presentation

@@ -5,8 +5,10 @@ combination tracking, and a pivoted semidefinite reduction for hermitian
 matrices.  Matrices are plain lists of lists of Scalar.  Row reduction
 works in Scalars on systems of tens of rows.  The semidefinite reduction
 meets Gram matrices whose denominators grow with the degree, so it
-eliminates fraction-free over the Gaussian integers and solves in
-Scalars only for the vectors it returns.
+scales them by the lcm of their denominators and works over the
+Gaussian integers throughout: fraction-free symmetric elimination for
+the verdict, fraction-free Gauss-Jordan for the kernel and witness
+vectors, whose Scalars are built once, at the end.
 """
 
 from __future__ import annotations
@@ -174,12 +176,7 @@ def graded_hermitian_reduce(G, grades=None) -> PsdReport:
         for j in range(i, n):
             if G[i][j] != G[j][i].conjugate():
                 raise ValueError("matrix is not hermitian")
-    D = math.lcm(*(x.denominator for row in G for s in row
-                   for x in (s.re, s.im)))
-    re = [[s.re.numerator * (D // s.re.denominator) for s in row]
-          for row in G]
-    im = [[s.im.numerator * (D // s.im.denominator) for s in row]
-          for row in G]
+    D, re, im = _over_lcm(G)
     open_ = list(range(n))   # row and column k of re, im are index open_[k]
     pivots = []
     prev = 1                 # det((D G)_PP), the last pivot taken
@@ -257,19 +254,61 @@ def _bareiss_step(re, im, t, prev):
     return new_re, new_im, piv
 
 
+def _over_lcm(M):
+    """(D, re, im) with M = (re + i*im) / D: D is the lcm of the
+    denominators of the Scalar matrix M, and re, im are integer matrices."""
+    D = math.lcm(*(x.denominator for row in M for s in row
+                   for x in (s.re, s.im)))
+    re = [[s.re.numerator * (D // s.re.denominator) for s in row]
+          for row in M]
+    im = [[s.im.numerator * (D // s.im.denominator) for s in row]
+          for row in M]
+    return D, re, im
+
+
 def _transform_columns(G, pivots, targets):
     """For each index i in targets, outside the pivots P, the vector
     e_i - G_PP^-1 G_Pi: the column at i of the congruence that takes G
-    to its Schur complement on P.  One exact solve serves all targets."""
+    to its Schur complement on P.
+
+    One solve serves all targets: fraction-free Gauss-Jordan over Z[i]
+    (Bareiss; Nakos, Turner & Williams 1997) on [G_PP | G_P,targets]
+    scaled by the lcm of its denominators.  Step k divides exactly by
+    the previous pivot and leaves the pivot a_kk equal to the leading
+    principal minor of order k + 1 of the scaled G_PP.  The pivots P
+    were taken with positive Schur complements, in this order, so G_PP
+    is positive definite and every such minor is a positive integer: no
+    row swaps are needed.  After the last step, with det the last pivot,
+    row k holds det * (G_PP^-1 G_P,targets)[k], so each entry of the
+    result is built once, as Fraction(x, det).
+    """
     r = len(pivots)
-    rows = [[G[a][b] for b in pivots] + [G[a][i] for i in targets]
-            for a in pivots]
-    _rref(rows)   # G_PP is nonsingular: row k now solves for pivots[k]
+    _, re, im = _over_lcm([[G[a][b] for b in pivots]
+                           + [G[a][i] for i in targets] for a in pivots])
+    prev = 1
+    for k in range(r):
+        piv = re[k][k]
+        xr, xi = re[k][k + 1:], im[k][k + 1:]
+        for i in range(r):
+            if i == k:
+                continue
+            ri, ii = re[i], im[i]
+            a, b = ri[k], ii[k]
+            if a or b:
+                ri[k + 1:] = [(piv * v - a * c + b * d) // prev
+                              for v, c, d in zip(ri[k + 1:], xr, xi)]
+                ii[k + 1:] = [(piv * v - a * d - b * c) // prev
+                              for v, c, d in zip(ii[k + 1:], xr, xi)]
+            elif piv != prev:
+                ri[k + 1:] = [piv * v // prev for v in ri[k + 1:]]
+                ii[k + 1:] = [piv * v // prev for v in ii[k + 1:]]
+        prev = piv
     out = []
     for t, i in enumerate(targets):
         vec = [_ZERO] * len(G)
         vec[i] = _ONE
         for k, a in enumerate(pivots):
-            vec[a] = -rows[k][r + t]
+            vec[a] = Scalar(Fraction(-re[k][r + t], prev),
+                            Fraction(-im[k][r + t], prev))
         out.append(vec)
     return out

@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Rational
 
-from .algebra import AlgebraElement, Presentation, _check_same
-from .errors import InsufficientDegree, StateAxiomError
+from .algebra import (_NF_LIMIT, AlgebraElement, Presentation, _check_same,
+                      _remember)
+from .errors import DegreeOverflow, InsufficientDegree, StateAxiomError
 from .linalg import PsdReport, graded_hermitian_reduce
 from .scalars import ONE, ZERO, Scalar, as_scalar
 
@@ -53,7 +54,7 @@ class MomentFunctional:
     normalized and hermitian.
     """
 
-    __slots__ = ("presentation", "degree", "table", "_reduction")
+    __slots__ = ("presentation", "degree", "table", "_values", "_reduction")
 
     def __init__(self, presentation: Presentation, degree: int, table: dict):
         if degree < 1:
@@ -81,6 +82,7 @@ class MomentFunctional:
                     "hermitian symmetry fails at word %s"
                     % presentation.word_str(w))
         self.table = fixed
+        self._values = {}      # f at reducible words, filled by at_word
         self._reduction = None
 
     @classmethod
@@ -98,16 +100,85 @@ class MomentFunctional:
         return _at(self.table, el.terms)
 
     def at_word(self, w) -> Scalar:
-        """f at the normal form of the word w, of degree <= 2d."""
-        return _at(self.table, self.presentation.normal_form_word(w))
+        """f at the normal form of the word w, of degree <= 2d.
+
+        The normal form is never built.  With the leftmost redex that
+        normal_form_word rewrites, f(NF(u l v)) = sum_r c_r f(NF(u r v))
+        for the rule l -> sum_r c_r r, so f at a reducible word is a few
+        scalar operations on the values of the words one rewrite below;
+        an irreducible word is its own normal form, read from the table
+        (0 outside it).  Values of reducible words are memoized per
+        functional, up to the presentation's normal-form cache limit,
+        and the rewrite tree is walked with an explicit stack, so long
+        words need no Python recursion.
+        """
+        p = self.presentation
+        if len(w) > p.degree_cap:
+            raise DegreeOverflow(
+                "word of length %d exceeds degree cap %d"
+                % (len(w), p.degree_cap))
+        table, memo = self.table, self._values
+        got = table.get(w)
+        if got is None:
+            got = memo.get(w)
+        if got is not None:
+            return got
+        done = {}      # the values found in this call, memoized or not
+        stack = [(w, None)]
+        while stack:
+            u, kids = stack[-1]
+            if kids is None:
+                if u in done or u in memo:
+                    stack.pop()
+                    continue
+                hit = p._find_redex(u)
+                if hit is None:      # irreducible, and not a table word
+                    stack.pop()
+                    done[u] = ZERO
+                    continue
+                pos, rule = hit
+                head, tail = u[:pos], u[pos + len(rule.lhs):]
+                kids = [(c, head + r + tail) for r, c in rule.rhs.items()]
+                stack[-1] = (u, kids)
+                todo = [(k, None) for _, k in kids
+                        if k not in table and k not in memo and k not in done]
+                if todo:
+                    stack.extend(todo)
+                    continue
+            stack.pop()
+            acc = ZERO
+            for c, k in kids:
+                v = table.get(k)
+                if v is None:
+                    v = memo.get(k)
+                    if v is None:
+                        v = done[k]
+                if v:
+                    acc = acc + (v if c == ONE else c * v)
+            done[u] = _remember(memo, u, acc, _NF_LIMIT)
+        return done[w]
 
     def gram(self):
         """Exact Gram matrix G[i][j] = f(w_i' w_j) on the words of degree
-        <= the table's degree."""
+        <= the table's degree.
+
+        Only the entries with j >= i are evaluated; the others are
+        G[i][j] = conj(G[j][i]).  That is exact: the presentation's rules
+        are dagger-closed and confluent, so NF(x') = NF(NF(x)'), and the
+        constructor checked conj f(w) = f(NF(w')) on every table word,
+        so f(x') = conj f(x) for every x of degree <= 2d.
+        """
         p = self.presentation
         words = p.basis_words(self.degree)
-        G = [[self.at_word(p.dagger_word(wi) + wj) for wj in words]
-             for wi in words]
+        n = len(words)
+        G = [[None] * n for _ in range(n)]
+        for i, wi in enumerate(words):
+            wd = p.dagger_word(wi)
+            row = G[i]
+            for j in range(i):
+                row[j] = G[j][i].conjugate()
+            for j in range(i, n):
+                row[j] = self.at_word(wd + words[j])
         return words, G
 
     def _reduced(self):

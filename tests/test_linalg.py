@@ -1,5 +1,6 @@
 """Exact linear algebra over the Gaussian rationals."""
 
+import itertools
 import random
 from fractions import Fraction as Rational
 
@@ -163,8 +164,12 @@ def test_reduction_equals_reference_reduction():
             G[n - 1][j] = Scalar(rng.choice((1, -1)), rng.randint(-1, 1))
             G[j][n - 1] = G[n - 1][j].conjugate()
         cases.append((G, None))
-    for m, d in ((3, 2), (4, 2), (3, 3)):
+    # (5, 4) is the largest free_xy vector state of gns-build: its Gram
+    # entries carry denominators up to 6^8
+    for m, d in ((3, 2), (4, 2), (3, 3), (5, 4)):
         cases.append(_vector_state_gram(rng, m, d))
+    assert max(x.denominator for s in itertools.chain(*cases[-1][0])
+               for x in (s.re, s.im)) % 6 ** 8 == 0
     verdicts = {True: 0, False: 0}
     zero_diagonal_failures = tied = 0
     for G, grades in cases:

@@ -1,11 +1,14 @@
 """Moment functionals, state axioms, and the compressed representation."""
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
-from ores.algebra import load_preset
+from ores import states
+from ores.algebra import PRESETS, Presentation, load_preset
 from ores.errors import InsufficientDegree, StateAxiomError
 from ores.gns import gns, state_from_representation
 from ores.localization import Fraction, SProduct
@@ -15,7 +18,7 @@ from ores.states import (MomentFunctional, check_state_axioms, dirac_state,
                          gauss_hermite_fraction_expectation, gaussian_state)
 
 from oracles import (dense_annihilation, double_factorial, gaussian_moment,
-                     hermite_jacobi)
+                     hermite_jacobi, naive_normal_form)
 
 
 def test_double_factorial_recurrence_matches_oracle():
@@ -80,6 +83,92 @@ def test_non_psd_table_detected_and_rejected():
     assert not report.ok
     with pytest.raises(StateAxiomError):
         gns(f)
+
+
+def _naive_gram(f):
+    """The full Gram matrix, every entry read from the table at the
+    normal form given by rightmost-redex rewriting."""
+    p = f.presentation
+    words = p.basis_words(f.degree)
+
+    def value(w):
+        nf = naive_normal_form(p, {w: Scalar(1)})
+        return sum((c * f.table[u] for u, c in nf.items()), Scalar(0))
+
+    return words, [[value(p.dagger_word(wi) + wj) for wj in words]
+                   for wi in words]
+
+
+def _vector_moments(p, mats, degree):
+    """<e0, X_w e0> on the words of degree <= 2*degree, as complex
+    numbers, for one 2 x 2 matrix per generator."""
+    values = {}
+    for w in p.basis_words(2 * degree):
+        v = np.array([1.0, 0.0], dtype=complex)
+        for g in reversed(w):
+            v = mats[g] @ v
+        values[w] = complex(v[0])
+    return values
+
+
+def _twisted_plane_state(degree):
+    """A hermitian table on x, y with y*x = i x*y + (1 - i), a
+    dagger-closed rule whose coefficients are neither 1 nor real; the
+    table is the symmetrized image of seeded values, not a positive
+    state."""
+    p = Presentation(("x", "y"), (("x",), ("y",)),
+                     ((("y", "x"), ((Scalar(0, 1), ("x", "y")),
+                                    (Scalar(1, -1), ()))),), 2 * degree)
+    rng = random.Random(12)
+    values = {w: complex(rng.randint(-4, 4), rng.randint(-4, 4)) / 4
+              for w in p.basis_words(2 * degree)}
+    values[()] = 1.0
+    return from_numeric(p, degree, values)
+
+
+def test_gram_equals_naive_rewriting_oracle():
+    # every entry, below the diagonal too, so the hermitian fill is
+    # compared with an independent normal form rather than assumed
+    cases = [dirac_state(load_preset(name), 3)
+             for name in ("heisenberg", "poly_x", "poly_xy", "free_xy")]
+    cases.append(gaussian_state(load_preset("poly_x"), 4))
+    from fractions import Fraction as Rational
+    p = load_preset("poly_xy")
+    points = ((Rational(1, 2), Rational(-1, 3)), (Rational(2), Rational(1)))
+    cases.append(MomentFunctional.from_function(p, 3, lambda w: Scalar(sum(
+        math.prod(pt[g] for g in w) for pt in points) / 2)))
+    p = load_preset("free_xy")
+    mats = (np.array([[1, (1 + 1j) / 2], [(1 - 1j) / 2, -1]]),
+            np.array([[0, 1j], [-1j, 0.5]]))
+    g = from_numeric(p, 2, _vector_moments(p, mats, 2))
+    assert any(not c.is_real() for c in g.table.values())
+    cases += [g, _twisted_plane_state(3)]
+    for f in cases:
+        assert f.gram() == _naive_gram(f)
+
+
+def test_at_word_needs_no_recursion():
+    # a^36 ad^36 takes 36^2 leftmost rewrites one below the other; its
+    # vacuum expectation is 36!
+    gens, pairs, rules, _ = PRESETS["heisenberg"]
+    p = Presentation(gens, pairs, rules, 80)
+    f = dirac_state(p, 36)
+    a, ad = p._word(("a", "ad"))
+    assert f.at_word((a,) * 36 + (ad,) * 36) == Scalar(math.factorial(36))
+
+
+def test_at_word_memo_is_bounded(monkeypatch):
+    # past the limit, values are found afresh and stay exact
+    monkeypatch.setattr(states, "_NF_LIMIT", 8)
+    for f in (dirac_state(Presentation(*PRESETS["heisenberg"]), 3),
+              _twisted_plane_state(3)):
+        pres = f.presentation
+        for n in range(7):
+            for w in itertools.product(range(len(pres.generators)), repeat=n):
+                assert f.at_word(w) == states._at(
+                    f.table, pres.normal_form_word(w))
+                assert len(f._values) <= 8
+        assert len(f._values) == 8
 
 
 def test_gaussian_gns_structure():
