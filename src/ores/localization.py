@@ -19,10 +19,18 @@ p = 1 mod 4, with i sent to a square root of -1 mod p, and a*t mod p
 must lie in the span of s*A mod p.  Reduction mod p can only lower the
 rank of a subspace, so the screen is used only where the rank mod p
 equals the exact rank; then it never rejects a true member (the
-argument is in _MulSubspace).  Only survivors get the exact products t
-and a*t and the exact solve, so the scan order, the witness and the
-number of candidates tried are those of the exact scan.  Returned
-witnesses are always re-verified exactly.
+argument is in _MulSubspace).  The screen works on blocks of candidates
+in scan order: one matrix K*M_a mod p (K an annihilator of s*A mod p,
+M_a left multiplication by a) is applied at once to the vectors of all
+of a block's candidates of one degree, when the scan reaches the first
+of them.  These are dense float64 products of residues in [0, p), cut
+into chunks of at most 2,048 terms so that every partial sum stays
+below 2**53 and is exact (Dumas, Giorgi and Pernet, "Dense linear
+algebra over word-size prime fields: the FFLAS and FFPACK packages",
+ACM TOMS 35(3), 2008).  Only survivors get the exact
+products t and a*t and the exact solve, so the scan order, the witness
+and the number of candidates tried are those of the exact scan.
+Returned witnesses are always re-verified exactly.
 """
 
 from __future__ import annotations
@@ -231,9 +239,11 @@ class OreSolveResult:
 # -- the search state: bounded caches and the modular images -----------------
 
 # The screen works modulo this prime.  p = 1 mod 4 gives i an image in
-# F_p.  An int64 dot product of vectors mod p is exact while it has at
-# most (2**63 - 1) // (p - 1)**2 terms (about 2**21, _SearchState.max_dot);
-# left_matrix refuses dimensions beyond that.
+# F_p.  Residues are held as float64 in [0, p).  A product of two is below
+# p**2 < 2**53, and a dot product of n of them is exact while
+# n (p - 1)**2 < 2**53, that is for n <= 2,048 (_SearchState.max_dot);
+# _SearchState.matmul cuts longer ones into chunks of that many terms and
+# reduces each chunk mod p (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
 _PRIME = 2097133
 
 # Cache limits, sized so that a few hundred searches on one presentation
@@ -244,6 +254,14 @@ _VALUE_LIMIT = 4096      # denominators in S: values, and candidates
 _SUBSPACE_LIMIT = 512    # spans s * A_{<=bound}, keyed by (s, bound)
 _LEFT_LIMIT = 256        # left multiplications by single words, mod p
 _PARAM_LIMIT = 8         # candidate factor parameters per max_degree
+_STACK_LIMIT = 2 ** 22   # residues in the blocks' stacked vectors, 32 MB
+
+# The products of each factor count are screened in blocks of
+# _FIRST_BLOCK candidates, then twice as many each time up to
+# _LAST_BLOCK: a search that succeeds early screens few candidates it
+# never reaches, and a long one takes few blocks.
+_FIRST_BLOCK = 8
+_LAST_BLOCK = 1024
 
 
 def _sqrt_minus_one(prime: int) -> int:
@@ -261,10 +279,24 @@ def _mod_rational(x: Rational, prime: int):
     return x.numerator * pow(d, -1, prime) % prime
 
 
+def _mod(x, prime: int):
+    """x mod prime for a float64 array of integers in
+    [-(2**53 - prime), 2**53), exactly and several times faster than
+    np.remainder: x / prime is correctly rounded, so its error is below
+    1 / prime and its floor is the exact quotient q, and q * prime lies
+    in the same range."""
+    q = x / prime
+    np.floor(q, out=q)
+    q *= prime
+    return np.subtract(x, q, out=q)
+
+
 def _left_kernel_mod(m, prime: int):
-    """Rank of the matrix m mod prime and a basis K (as rows) of its left
-    kernel, K m = 0 mod prime, by row reduction of m transposed."""
-    a = m.T % prime
+    """Rank of the float64 matrix m of residues mod prime and a basis K
+    (as rows) of its left kernel, K m = 0 mod prime, by row reduction of
+    m transposed.  Every entry stays a residue and every product of two
+    is below prime**2 < 2**53, so the float64 arithmetic is exact."""
+    a = m.T.copy()
     nrows, ncols = a.shape
     pivots = []
     for c in range(ncols):
@@ -277,19 +309,19 @@ def _left_kernel_mod(m, prime: int):
         i = r + nz[0]
         if i != r:
             a[[r, i]] = a[[i, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, prime) % prime
+        a[r] = _mod(a[r] * pow(int(a[r, c]), -1, prime), prime)
         col = a[:, c].copy()
         col[r] = 0
         rows = np.flatnonzero(col)
         if rows.size:
-            a[rows] = (a[rows] - np.outer(col[rows], a[r])) % prime
+            a[rows] = _mod(a[rows] - np.outer(col[rows], a[r]), prime)
         pivots.append(c)
     rank = len(pivots)
     free = np.setdiff1d(np.arange(ncols), pivots)
-    kernel = np.zeros((len(free), ncols), dtype=np.int64)
+    kernel = np.zeros((len(free), ncols))
     kernel[np.arange(len(free)), free] = 1
     if rank:
-        kernel[:, pivots] = (-a[:rank, free].T) % prime
+        kernel[:, pivots] = _mod(-a[:rank, free].T, prime)
     return rank, kernel
 
 
@@ -301,16 +333,17 @@ class _SearchState:
         self.presentation = presentation
         self.prime = _PRIME
         self.imag = _sqrt_minus_one(_PRIME)
-        self.max_dot = (2 ** 63 - 1) // (_PRIME - 1) ** 2
+        # the most terms of an exact float64 dot product of residues
+        self.max_dot = (2 ** 53 - 1) // (_PRIME - 1) ** 2
         self.params = {}       # max_degree -> (parameters, key -> position)
         self.values = {}       # SProduct key -> value
         self.candidates = {}   # (max_degree, combo) -> (t, degree, vector)
+        self.blocks = {}       # key -> _Block (see first_block, block)
+        self.stacked = 0       # residues in the cached blocks' stacks
         self.left = {}         # word -> (degree, map mod p)
         self.subspaces = {}    # (s key, bound) -> _MulSubspace
         self._index = {}
         self._index_degree = -1
-        self._head = None      # the u of the last _product_vector
-        self._head_maps = {}   # deg f -> left multiplication by u mod p
 
     def factor_parameters(self, max_degree: int):
         hit = self.params.get(max_degree)
@@ -328,51 +361,93 @@ class _SearchState:
                             _PARAM_LIMIT)
         return hit
 
-    def candidate(self, max_degree: int, combo: tuple):
-        """(t, degree, vector mod p) for the product t of the factor
-        parameters at the positions in combo; for two or more factors
-        the degree is a bound (see _product_vector)."""
-        key = (max_degree, combo)
-        hit = self.candidates.get(key)
+    def first_block(self, s: SProduct):
+        """The _Block of the candidates 1 and s."""
+        key = ("1, s", s.key())
+        hit = self.blocks.get(key)
         if hit is None:
-            ps = self.factor_parameters(max_degree)[0]
-            t = SProduct(self.presentation, tuple(ps[i] for i in combo))
-            if len(combo) > 1:
-                image = self._product_vector(max_degree, combo, t)
-            else:
-                image = self.vector(t)
-            hit = _remember(self.candidates, key, (t,) + image, _VALUE_LIMIT)
+            one = SProduct.one(self.presentation)
+            hit = self._keep(key, _Block((None, None), [
+                (one,) + self.vector(one), (s,) + self.vector(s)]))
         return hit
 
-    def _product_vector(self, max_degree: int, combo: tuple, t: SProduct):
-        """(degree bound, vector mod p) of t = u * f, f its last factor,
-        without the exact product: the vector is left multiplication by
-        u mod p applied to the vector of f, over the words of degree <=
-        deg u + deg f >= deg t.  Both are None exactly when t.value
-        passes the degree cap: the left fold that builds t.value passes
-        it at u.value, or at the product u.value * (1 + q'q) with the
-        last parameter q, which the single factor's value shows."""
+    def block(self, max_degree: int, count: int, start: int, stop: int):
+        """The _Block of the products of count factor parameters at
+        positions start..stop-1 of their scan order."""
+        key = (max_degree, count, start, stop)
+        hit = self.blocks.get(key)
+        if hit is None:
+            n = len(self.factor_parameters(max_degree)[0])
+            combos = list(itertools.islice(
+                itertools.product(range(n), repeat=count), start, stop))
+            hit = self._keep(key, _Block(
+                combos, self.candidates_at(max_degree, combos)))
+        return hit
+
+    def _keep(self, key, block):
+        """Cache the block while the stacks of all cached blocks hold at
+        most _STACK_LIMIT residues; a full stack of free_xy at
+        max_degree 10 would hold 16,384 x 2,047."""
+        if self.stacked + block.size <= _STACK_LIMIT:
+            self.blocks[key] = block
+            self.stacked += block.size
+        return block
+
+    def candidates_at(self, max_degree: int, combos):
+        """(t, degree, vector mod p) for the product t of the factor
+        parameters at the positions in each combo, in order; for two or
+        more factors the degree is a bound (see _products)."""
+        got = [self.candidates.get((max_degree, c)) for c in combos]
+        todo = [i for i, hit in enumerate(got) if hit is None]
+        # the scan runs through every last factor of one head in a row
+        for head, run in itertools.groupby(todo, lambda i: combos[i][:-1]):
+            run = list(run)
+            built = self._products(max_degree, head,
+                                   [combos[i][-1] for i in run])
+            for i, hit in zip(run, built):
+                got[i] = _remember(self.candidates, (max_degree, combos[i]),
+                                   hit, _VALUE_LIMIT)
+        return got
+
+    def _products(self, max_degree: int, head: tuple, lasts):
+        """(t, degree, vector mod p) for each t = u * f, u the product of
+        the factor parameters at the positions in head and f the factor
+        at each position in lasts.  For a nonempty head the vector of t
+        is left multiplication by u mod p applied to the vector of f,
+        over the words of degree <= deg u + deg f >= deg t, without the
+        exact product: one product M_u F mod p per degree of f, the
+        columns of F the vectors of those f.  Degree and vector are None
+        exactly when t.value passes the degree cap: the left fold that
+        builds t.value passes it at u.value, or at the product
+        u.value * (1 + q'q) with the last parameter q, which the single
+        factor's value shows."""
+        p = self.presentation
+        ps = self.factor_parameters(max_degree)[0]
+        ts = [SProduct(p, tuple(ps[i] for i in head + (j,))) for j in lasts]
+        if not head:
+            return [(t,) + self.vector(t) for t in ts]
         try:
-            u = SProduct(self.presentation, t.ps[:-1]).value
+            u = SProduct(p, ts[0].ps[:-1]).value
         except DegreeOverflow:
-            return None, None
-        _, f_deg, f_vec = self.candidate(max_degree, combo[-1:])
-        if f_deg is None or u.degree() + f_deg > self.presentation.degree_cap:
-            return None, None
-        degree = u.degree() + f_deg
-        if f_vec is None:
-            return degree, None
-        # the scan runs through every last factor of one u in a row
-        head = (max_degree, combo[:-1])
-        if self._head != head:
-            self._head, self._head_maps = head, {}
-        if f_deg not in self._head_maps:
-            self._head_maps[f_deg] = self.left_matrix(u, f_deg)
-        m = self._head_maps[f_deg]
-        if m is None:
-            return degree, None
-        nz = np.flatnonzero(f_vec)
-        return degree, m[:, nz] @ f_vec[nz] % self.prime
+            return [(t, None, None) for t in ts]
+        out = []
+        columns = {}           # deg f -> (position in out, vector of f)
+        factors = self.candidates_at(max_degree, [(j,) for j in lasts])
+        for k, (t, (_, f_deg, f_vec)) in enumerate(zip(ts, factors)):
+            if f_deg is None or u.degree() + f_deg > p.degree_cap:
+                out.append((t, None, None))
+                continue
+            out.append((t, u.degree() + f_deg, None))
+            if f_vec is not None:
+                columns.setdefault(f_deg, []).append((k, f_vec))
+        for f_deg, items in columns.items():
+            m = self.left_matrix(u, f_deg)
+            if m is None:
+                continue
+            vecs = self.matmul(m, np.stack([v for _, v in items], axis=1)).T
+            for (k, _), vec in zip(items, vecs):
+                out[k] = out[k][:2] + (vec,)
+        return out
 
     def subspace(self, s_value: AlgebraElement, s_key, bound: int):
         key = (s_key, bound)
@@ -383,6 +458,17 @@ class _SearchState:
         return sub
 
     # -- reduction mod p --------------------------------------------------------
+
+    def matmul(self, a, b):
+        """a @ b mod p for float64 arrays of residues, exactly: the inner
+        dimension is cut into chunks of at most max_dot terms, and each
+        chunk's product is reduced mod p before it is added."""
+        step, prime = self.max_dot, self.prime
+        out = _mod(a[:, :step] @ b[:step], prime)
+        for i in range(step, a.shape[1], step):
+            out = _mod(out + _mod(a[:, i:i + step] @ b[i:i + step], prime),
+                       prime)
+        return out
 
     def index(self, degree: int) -> dict:
         """Positions of the basis words; covers every word of degree <=
@@ -417,7 +503,7 @@ class _SearchState:
             return None, None
         degree = val.degree()
         index = self.index(degree)
-        vec = np.zeros(self.dim(degree), dtype=np.int64)
+        vec = np.zeros(self.dim(degree))
         for w, c in val.terms.items():
             v = self.reduce(c)
             if v is None:
@@ -455,13 +541,11 @@ class _SearchState:
                 np.array(vals, dtype=np.int64))
 
     def left_matrix(self, el: AlgebraElement, degree: int):
-        """Dense matrix mod p of left multiplication by el from the words
-        of degree <= degree to those of degree <= deg el + degree; None
-        when p divides a denominator or a dot product could overflow."""
-        nrows = self.dim(max(el.degree(), 0) + degree)
-        if nrows > self.max_dot:
-            return None
-        out = np.zeros((nrows, self.dim(degree)), dtype=np.int64)
+        """Dense float64 matrix mod p of left multiplication by el from
+        the words of degree <= degree to those of degree <= deg el +
+        degree; None when p divides a denominator."""
+        out = np.zeros((self.dim(max(el.degree(), 0) + degree),
+                        self.dim(degree)))
         for u, c in el.terms.items():
             cu = self.reduce(c)
             triples = None if cu is None else self.left_word(u, degree)
@@ -469,7 +553,7 @@ class _SearchState:
                 return None
             rows, cols, vals = triples
             # the (row, col) pairs of one word's map are distinct
-            out[rows, cols] = (out[rows, cols] + cu * vals) % self.prime
+            out[rows, cols] = _mod(out[rows, cols] + cu * vals, self.prime)
         return out
 
 
@@ -493,23 +577,51 @@ def candidate_factor_parameters(presentation: Presentation, max_degree: int):
     return _search_state(presentation).factor_parameters(max_degree)[0]
 
 
-def _candidate_denominators(state: _SearchState, s: SProduct,
-                            budget: OreBudget):
-    """(t, degree, vector mod p) for each candidate t in scan order
-    (degree None when t.value passes the degree cap):
-    1, then s unless it is empty, then the products of one to
-    max_factors parameters, skipping the one equal to s (the parameters
-    are distinct, so no other product repeats)."""
-    one = SProduct.one(state.presentation)
-    yield (one,) + state.vector(one)
-    if s.ps:
-        yield (s,) + state.vector(s)
-    ps, position = state.factor_parameters(budget.max_degree)
-    s_combo = tuple(position.get(k) for k in s.key())
+class _Block:
+    """Candidates screened together: their combos (None for 1 and s) and
+    (t, degree) in scan order, and their vectors mod p as the columns of
+    one float64 stack per (degree, vector length), with each candidate's
+    slot (stack, column).  A degree is None where t.value passes the
+    degree cap; a candidate without a vector has no slot."""
+
+    __slots__ = ("combos", "entries", "slots", "groups", "size")
+
+    def __init__(self, combos, candidates):
+        self.combos = combos
+        self.entries = [(t, degree) for t, degree, _ in candidates]
+        shapes = {}            # (degree, length) -> positions in the block
+        for i, (_, degree, vec) in enumerate(candidates):
+            if vec is not None:
+                shapes.setdefault((degree, len(vec)), []).append(i)
+        self.slots = [None] * len(candidates)
+        self.groups = []       # (shape, stack), in order of first position
+        for g, (shape, cols) in enumerate(shapes.items()):
+            for col, i in enumerate(cols):
+                self.slots[i] = (g, col)
+            self.groups.append((shape, np.stack(
+                [candidates[i][2] for i in cols], axis=1)))
+        self.size = sum(stack.size for _, stack in self.groups)
+
+
+def _candidate_blocks(state: _SearchState, s: SProduct, budget: OreBudget):
+    """The candidates in scan order, as _Blocks: 1 and s, then the
+    products of one to max_factors parameters, as far as the scan can
+    reach.  It tries at most MAX_CANDIDATES candidates, 1 and s among
+    them, and skips the product equal to s (the parameters are
+    distinct, so no other product repeats), so it reaches at most
+    MAX_CANDIDATES - 1 products."""
+    yield state.first_block(s)
+    n = len(state.factor_parameters(budget.max_degree)[0])
+    left = MAX_CANDIDATES - 1
     for count in range(1, budget.max_factors + 1):
-        for combo in itertools.product(range(len(ps)), repeat=count):
-            if combo != s_combo:
-                yield state.candidate(budget.max_degree, combo)
+        if not n or left <= 0:
+            return
+        start, size, total = 0, _FIRST_BLOCK, n ** count
+        while start < total and left > 0:
+            stop = min(start + size, total, start + left)
+            yield state.block(budget.max_degree, count, start, stop)
+            left -= stop - start
+            start, size = stop, min(2 * size, _LAST_BLOCK)
 
 
 # -- membership in s * span(words of bounded degree) --------------------------
@@ -547,7 +659,10 @@ class _MulSubspace:
       is the degree the candidate carries; B is never below the bound of
       the exact check, and the span grows with the bound, so a member
       for the exact bound is a member for B.
-    - Every dot product mod p is exact in int64 (see _PRIME).
+    - Every product mod p is exact in float64: residues lie in [0, p),
+      and a dot product is cut into chunks of at most 2,048 terms, each
+      reduced mod p, since 2,048 (p - 1)**2 < 2**53 (see _PRIME; Dumas,
+      Giorgi and Pernet, ACM TOMS 35(3), 2008).
 
     This is the modular method of von zur Gathen and Gerhard, Modern
     Computer Algebra, ch. 5, used as a filter: the exact check still
@@ -587,7 +702,8 @@ class _MulSubspace:
         return self._rowspace
 
     def annihilator(self):
-        """K as an int64 array, or None when the screen is off here."""
+        """K as a float64 array of residues, or None when the screen is
+        off here."""
         if not self._screened:
             self._screened = True
             m = self.state.left_matrix(self.s_value, self.bound)
@@ -611,8 +727,9 @@ class _MulSubspace:
 
 
 class _Screen:
-    """The modular screen of one query a t = s b.  rejects() is True only
-    when a*t mod p is outside s*A mod p, so a*t is not in s*A."""
+    """The modular screen of one query a t = s b.  survivors() yields
+    False only for a candidate t with a*t mod p outside s*A mod p, so
+    a*t is not in s*A."""
 
     def __init__(self, state: _SearchState, a: AlgebraElement,
                  s_value: AlgebraElement, s_key):
@@ -623,36 +740,56 @@ class _Screen:
         self.a_deg = a.degree()
         self.s_deg = s_value.degree()
         self.cap = state.presentation.degree_cap
-        self.kernels = {}      # bound -> annihilator of s * A_{<=bound}
+        self.precomposed = {}  # (degree, length) -> K M_a mod p, or None
         self.matrix = None     # left multiplication by a mod p, built lazily
         self.degree = -1       # the matrix covers t of degree <= this
         self.off = False       # p divides a denominator of a or the rules
 
-    def rejects(self, t_deg: int, t_vec) -> bool:
-        """Screen the candidate t of degree at most t_deg with vector
-        t_vec."""
-        if self.off or t_vec is None or self.a_deg + t_deg > self.cap:
-            return False
+    def survivors(self, block: _Block):
+        """Whether each candidate of the block passes, in scan order.  A
+        stack T is screened by one product (K M_a) T mod p when the walk
+        reaches its first candidate, so a search that stops early screens
+        no stack it does not reach."""
+        masks = [None] * len(block.groups)
+        for slot in block.slots:
+            if slot is None:
+                yield True
+                continue
+            g, col = slot
+            if masks[g] is None:
+                masks[g] = self._mask(*block.groups[g])
+            yield masks[g][col]
+
+    def _mask(self, shape, stack):
+        """Whether the candidate of each column of the stack passes."""
+        if shape not in self.precomposed:
+            self.precomposed[shape] = self._precompose(*shape)
+        q = self.precomposed[shape]
+        if q is None:
+            return [True] * stack.shape[1]
+        return (~self.state.matmul(q, stack).any(axis=0)).tolist()
+
+    def _precompose(self, t_deg: int, length: int):
+        """K M_a mod p for candidates t of degree at most t_deg with
+        vectors of that length, K the annihilator of s * A at the bound
+        for a*t; None where the screen is off, and all of them pass."""
+        if self.off or self.a_deg + t_deg > self.cap:
+            return None
         state = self.state
         bound = min(max(self.a_deg + t_deg - self.s_deg, 0),
                     self.cap - self.s_deg)
-        if bound in self.kernels:
-            kernel = self.kernels[bound]
-        else:
-            kernel = self.kernels[bound] = state.subspace(
-                self.s_value, self.s_key, bound).annihilator()
+        kernel = state.subspace(self.s_value, self.s_key, bound).annihilator()
         if kernel is None:
-            return False
+            return None
         if t_deg > self.degree:
-            self.matrix = state.left_matrix(self.a, t_deg)
-            self.degree = t_deg
+            # the first build covers s too, the scan's second candidate
+            self.degree = max(t_deg, min(self.s_deg, self.cap - self.a_deg))
+            self.matrix = state.left_matrix(self.a, self.degree)
             if self.matrix is None:
                 self.off = True
-                return False
-        prime = state.prime
+                return None
         nrows = state.dim(self.a_deg + t_deg)
-        image = self.matrix[:nrows, :len(t_vec)] @ t_vec % prime
-        return bool((kernel[:, :nrows] @ image % prime).any())
+        return state.matmul(kernel[:, :nrows], self.matrix[:nrows, :length])
 
 
 def _verify(lhs: AlgebraElement, rhs: AlgebraElement, what: str):
@@ -688,25 +825,32 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
     s_key = s_value.key()
     s_deg = s_value.degree()
     room = p.degree_cap - s_deg
+    position = state.factor_parameters(budget.max_degree)[1]
+    s_combo = tuple(position.get(k) for k in s.key())
     screen = _Screen(state, a, s_value, s_key)
     tried = 0
-    candidates = _candidate_denominators(state, s, budget)
-    for t, t_deg, t_vec in itertools.islice(candidates, MAX_CANDIDATES):
-        tried += 1
-        if t_deg is None or screen.rejects(t_deg, t_vec):
-            continue
-        try:
-            r = a * t.value
-        except DegreeOverflow:
-            continue
-        bound = max(r.degree() - s_deg, 0)
-        if bound > room:
-            continue
-        b = state.subspace(s_value, s_key, bound).solve(r)
-        if b is None:
-            continue
-        _verify(r, s_value * b, "right Ore witness")
-        return OreSolveResult(OreWitness(b, t), tried)
+    for block in _candidate_blocks(state, s, budget):
+        for combo, (t, t_deg), survives in zip(block.combos, block.entries,
+                                               screen.survivors(block)):
+            if combo == s_combo:
+                continue
+            if tried == MAX_CANDIDATES:
+                return OreSolveResult(None, tried)
+            tried += 1
+            if t_deg is None or not survives:
+                continue
+            try:
+                r = a * t.value
+            except DegreeOverflow:
+                continue
+            bound = max(r.degree() - s_deg, 0)
+            if bound > room:
+                continue
+            b = state.subspace(s_value, s_key, bound).solve(r)
+            if b is None:
+                continue
+            _verify(r, s_value * b, "right Ore witness")
+            return OreSolveResult(OreWitness(b, t), tried)
     return OreSolveResult(None, tried)
 
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 
 import ores.algebra
+import ores.states
 from ores.cli import main
 from ores.files import save_moments, save_operator, save_presentation
 from ores.algebra import Presentation, load_preset
@@ -205,6 +206,24 @@ def test_gns_build_past_the_basis_limit_exits_with_code_2(
     assert code == 2
     assert "more than 4096 words" in err
 
+
+def test_gns_build_past_the_gram_limit_exits_with_code_2(tmp_path, capsys):
+    # heisenberg vacuum at degree 20 with a degree cap of 80 ran for 44 s;
+    # the Gram limit refuses every degree past the last one it allows
+    p = Presentation(("ad", "a"), (("a", "ad"),),
+                     ((("a", "ad"), ((1, ("ad", "a")), (1, ()))),), 80,
+                     name="heisenberg")
+    limit = ores.states._GRAM_LIMIT
+    degree = next(d for d in range(1, 40) if len(p.basis_words(d)) > limit)
+    assert len(p.basis_words(degree - 1)) <= limit
+    path = tmp_path / "heisenberg80.json"
+    save_presentation(p, path)
+    code, _, err = run(capsys, [
+        "gns", "build", "--presentation", str(path), "--state", "vacuum",
+        "--degree", str(degree), "--out", str(tmp_path)])
+    assert code == 2
+    assert "Gram matrix of dimension" in err
+    assert not (tmp_path / "gns.json").exists()
 
 def test_unreadable_files_exit_with_code_2(tmp_path, capsys):
     # an OSError, or a zero denominator in a file, escaped main() as a

@@ -13,6 +13,7 @@ import sys
 import textwrap
 from fractions import Fraction as Rational
 
+import numpy as np
 import pytest
 
 import ores
@@ -539,6 +540,158 @@ def test_screen_falls_back_where_the_prime_is_unlucky(monkeypatch):
     subs = [sub for (key, _), sub in p._ore_search.subspaces.items()
             if key == five]
     assert subs and all(sub.annihilator() is None for sub in subs)
+
+
+# -- the blocked screen ----------------------------------------------------------
+
+
+def test_chunked_product_mod_p_is_exact():
+    # every residue p - 1 is the largest sum; p - 2 has an odd square, so
+    # an unreduced sum past 2**53 cannot be represented
+    state = localization._search_state(load_preset("heisenberg"))
+    prime = state.prime
+    assert state.max_dot == 2048
+    rng = random.Random(43)
+    for n in (1, 2047, 2048, 2049, 5000):
+        for fill in (prime - 1, prime - 2):
+            a = np.full((2, n), float(fill))
+            b = np.full((n, 3), float(fill))
+            assert (state.matmul(a, b) == n * fill * fill % prime).all()
+        rows = [[rng.randrange(prime) for _ in range(n)] for _ in range(2)]
+        cols = [[rng.randrange(prime - 3, prime) for _ in range(n)]
+                for _ in range(3)]
+        got = state.matmul(np.array(rows, dtype=float),
+                           np.array(cols, dtype=float).T)
+        assert got.tolist() == [[sum(x * y for x, y in zip(r, c)) % prime
+                                 for c in cols] for r in rows]
+    # the reduction itself, at both ends of the exact range and next to
+    # multiples of p, where a rounded quotient would be off by one
+    top, low = 2 ** 53 - 1, -(2 ** 53 - prime)
+    xs = [0, 1, prime - 1, prime, top, low, top - top % prime,
+          (prime - 1) ** 2, -(prime - 1) ** 2]
+    xs += [x + d for x in (top // 2 - top // 2 % prime,
+                           low - low % prime + prime) for d in (-1, 0, 1)]
+    assert localization._mod(np.array(xs, dtype=float), prime).tolist() == [
+        x % prime for x in xs]
+
+
+def test_product_vectors_are_images_of_the_exact_products():
+    # the vector of u * f is built as M_u F mod p, without the product
+    for name in ("heisenberg", "free_xy"):
+        state = localization._search_state(load_preset(name))
+        n = len(state.factor_parameters(1)[0])
+        for count in (2, 3):
+            combos = list(itertools.product(range(n), repeat=count))
+            for t, degree, vec in state.candidates_at(1, combos):
+                exact_degree, exact = state.vector(t)
+                assert degree >= exact_degree
+                assert vec[:len(exact)].tolist() == exact.tolist()
+                assert not vec[len(exact):].any()
+
+
+def _blocks(p, s, budget):
+    """The blocks the scan for s screens, as (first, last, products,
+    past): the first and last candidate, numbered as candidates_tried
+    counts them, the number of products of factor parameters in the
+    block, and the candidates in it whose value passes the degree cap."""
+    state = localization._search_state(p)
+    position = state.factor_parameters(budget.max_degree)[1]
+    s_combo = tuple(position.get(k) for k in s.key())
+    out, tried = [], 0
+    for i, block in enumerate(localization._candidate_blocks(
+            state, s, budget)):
+        first, past = tried + 1, []
+        for combo, (_, degree) in zip(block.combos, block.entries):
+            if combo != s_combo:
+                tried += 1
+                if degree is None:
+                    past.append(tried)
+        out.append((first, tried, len(block.combos) if i else 0, past))
+    return out
+
+
+# (preset, a, parameter of s, budget, candidates tried, edge of its block)
+_BLOCK_QUERIES = [
+    ("heisenberg", "a + ad*a*a", "a", DEFAULT_BUDGET, 1, None),
+    ("heisenberg", "ad*a", "ad", DEFAULT_BUDGET, 2, None),
+    # the product equal to s comes later in the witness's block
+    ("heisenberg", "ad - ad*ad", "a - a*a", DEFAULT_BUDGET, 11, "first"),
+    # the product equal to s comes earlier in it
+    ("heisenberg", "ad*a + a*a", "ad*ad + ad*a", DEFAULT_BUDGET, 25, "last"),
+    ("heisenberg", "ad - ad*ad", "a - a*a", SMALL_BUDGETS[1], 11, "first"),
+    ("heisenberg", "ad*a + a*a", "ad*ad + ad*a", SMALL_BUDGETS[1], 25, "last"),
+    ("heisenberg", "a + ad*a*a", "a", SMALL_BUDGETS[0], 1, None),
+    ("heisenberg", "ad", "ad - a", SMALL_BUDGETS[0], 21, "last"),
+    ("free_xy", "x + x*x*x", "x", DEFAULT_BUDGET, 1, None),
+    ("free_xy", "x", "x", DEFAULT_BUDGET, 2, None),
+    ("free_xy", "x*x + x*y", "x*x + y*x", DEFAULT_BUDGET, 27, "first"),
+    ("free_xy", "y*x - y*y", "x*y - y*y", DEFAULT_BUDGET, 37, "last"),
+    ("free_xy", "x", "x", SMALL_BUDGETS[0], 2, None),
+    ("free_xy", "x*x + x*y", "x*x + y*x", SMALL_BUDGETS[1], 27, "first"),
+    ("free_xy", "y*x - y*y", "x*y - y*y", SMALL_BUDGETS[1], 37, "last"),
+]
+
+
+def test_screen_matches_exact_scan_at_block_boundaries():
+    for name, a_text, q_text, budget, tried, edge in _BLOCK_QUERIES:
+        p = load_preset(name)
+        a = ores.parse_element(a_text, p)
+        s = _sproduct(p, (ores.parse_element(q_text, p),))
+        assert _assert_same_as_exact_scan(a, s, budget)
+        assert ore_solve_right(a, s, budget).candidates_tried == tried
+        [(k, first, last)] = [(k, b[0], b[1]) for k, b in enumerate(
+            _blocks(p, s, budget)) if b[0] <= tried <= b[1]]
+        if edge is not None:
+            # blocks 0 and 1 are (1, s) and the first block of products
+            assert k >= 2 and tried == (first if edge == "first" else last)
+    # at cap 5 the witness's block holds products past the cap before the
+    # witness, which the scan counts and skips
+    p = _fresh_heisenberg(cap=5)
+    a, ad = p.generator("a"), p.generator("ad")
+    for x, q, tried in ((a, ad + a, 157), (p.one() + a, ad - a, 183)):
+        s = _sproduct(p, (q,))
+        assert _assert_same_as_exact_scan(x, s, DEFAULT_BUDGET)
+        assert ore_solve_right(x, s, DEFAULT_BUDGET).candidates_tried == tried
+        [past] = [b[3] for b in _blocks(p, s, DEFAULT_BUDGET)
+                  if b[0] <= tried <= b[1]]
+        assert past and past[0] < tried
+
+
+def _block_cache_queries(p):
+    a, ad = p.generator("a"), p.generator("ad")
+    return [(ad - ad * ad, (a - a * a,)), (ad, (ad + a,)), (ad * a, (ad,)),
+            (a, (a,))]
+
+
+def _outcomes(p, budget):
+    out = []
+    for a, ps in _block_cache_queries(p):
+        res = ore_solve_right(a, _sproduct(p, ps), budget)
+        out.append((res.candidates_tried, res.found
+                    and (res.witness.b.key(), res.witness.t.key())))
+    return out
+
+
+def test_block_cache_is_bounded_and_lazy(monkeypatch):
+    want = _outcomes(_fresh_heisenberg(), DEFAULT_BUDGET)
+    assert [tried for tried, _ in want] == [11, 157, 2, 651]
+    assert [found is False for _, found in want] == [False] * 3 + [True]
+    monkeypatch.setattr(localization, "_STACK_LIMIT", 1)
+    p = _fresh_heisenberg()
+    assert _outcomes(p, DEFAULT_BUDGET) == want
+    assert not p._ore_search.blocks and not p._ore_search.stacked
+    monkeypatch.undo()
+    p = _fresh_heisenberg()
+    assert _outcomes(p, DEFAULT_BUDGET) == want
+    assert 0 < p._ore_search.stacked <= localization._STACK_LIMIT
+    # a search builds the candidates of the blocks it reaches, no more
+    for k, (tried, _) in enumerate(want):
+        p = _fresh_heisenberg()
+        a, ps = _block_cache_queries(p)[k]
+        ore_solve_right(a, _sproduct(p, ps), DEFAULT_BUDGET)
+        built = len(p._ore_search.candidates)
+        blocks = _blocks(p, _sproduct(p, ps), DEFAULT_BUDGET)
+        assert built == sum(b[2] for b in blocks if b[0] <= tried)
 
 
 def test_factor_parameters_stop_at_the_candidate_cap(monkeypatch):
