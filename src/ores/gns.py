@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InsufficientDegree, StateAxiomError
+from .errors import DegreeOverflow, InsufficientDegree, StateAxiomError
 from .states import MomentFunctional, from_numeric
 
 
@@ -115,16 +115,28 @@ class GnsRepresentation:
         return complex(np.vdot(psi_u, psi_v))
 
 
+def generator_entries(f: MomentFunctional, words, cols: int, g: int):
+    """Exact F[k][l] = f(w_k' g w_l) for the normal words w_k and the
+    first cols of them, as phi(w_k' g, w_l): the recursion first takes
+    the normal form of g w_l."""
+    p = f.presentation
+    right = words[:cols]
+    return [[f.phi(u, wl) for wl in right]
+            for u in [p.dagger_word(wk) + (g,) for wk in words]]
+
+
 def gns(f: MomentFunctional) -> GnsRepresentation:
     """Build the representation carried by the moment table.
 
     Exact steps: Gram assembly and graded hermitian reduction (positivity
     verdict, nested pivots, null ideal), both taken from the functional,
-    which makes them once.  The generator matrices read f(w_k' g w_l)
-    through MomentFunctional.at_word, so they reuse the values the Gram
+    which makes them once, and the generator entries f(w_k' g w_l) =
+    phi(w_k' g, w_l) (generator_entries), which reuse the values the Gram
     assembly memoized.  Floating steps: Cholesky of the pivot block and
     the generator matrices, with invariants holding to 1e-10 on the
-    inner window.
+    inner window.  Raises DegreeOverflow when the certified pivot block
+    is not positive definite in float64, as high-degree moment matrices
+    can be too ill-conditioned for it.
     """
     p = f.presentation
     d = f.degree
@@ -145,7 +157,13 @@ def gns(f: MomentFunctional) -> GnsRepresentation:
     for i, pi in enumerate(pivots):
         for j, pj in enumerate(pivots):
             GP[i, j] = G[pi][pj].to_complex()
-    L = np.linalg.cholesky(GP)
+    try:
+        L = np.linalg.cholesky(GP)
+    except np.linalg.LinAlgError:
+        raise DegreeOverflow(
+            "the certified pivot block (%d words at degree %d) is not "
+            "positive definite in float64; lower the degree"
+            % (r, d)) from None
     # basis B solves L^H B = I, so B is upper triangular and B^H GP B = I
     B = np.linalg.solve(L.conj().T, np.eye(r, dtype=complex))
 
@@ -153,11 +171,9 @@ def gns(f: MomentFunctional) -> GnsRepresentation:
     Bsub = B[:r_in, :r_in]
     matrices = {}
     for gi, gen_name in enumerate(p.generators):
-        F = np.empty((r, r_in), dtype=complex)
-        for k in range(r):
-            wkd = p.dagger_word(piv_words[k])
-            for l in range(r_in):
-                F[k, l] = f.at_word(wkd + (gi,) + piv_words[l]).to_complex()
+        F = np.array([[c.to_complex() for c in row]
+                      for row in generator_entries(f, piv_words, r_in, gi)],
+                     dtype=complex)
         matrices[gen_name] = B.conj().T @ F @ Bsub
 
     col = np.array([G[pi][0].to_complex() for pi in pivots])

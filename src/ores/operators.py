@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import AlgebraElement, Presentation, _check_same, _remember
 from .errors import (FormulaDomainError, PresentationError,
@@ -341,7 +340,10 @@ class InversionResult:
 
 def _banded_cholesky_solve(M: BandedOperator, rhs: np.ndarray) -> np.ndarray:
     """Solve the N x N truncation of the hermitian positive definite
-    banded operator M against rhs (length N)."""
+    banded operator M against rhs (length N).  scipy is imported here, its
+    only use, so commands that solve nothing do not pay its import."""
+    import scipy.linalg
+
     N = len(rhs)
     K = M.max_offset
     if K == 0:

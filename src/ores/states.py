@@ -25,10 +25,10 @@ from .scalars import ONE, ZERO, Scalar, as_scalar
 
 
 # The largest Gram matrix gram() builds, in rows: the basis words of
-# degree <= d.  The exact reduction and the GNS build grow about as its
-# cube: on a 2-CPU machine `gns build` of the heisenberg vacuum state at
-# degree 16 (153 words) takes about 8 s, and at degree 17 (171 words)
-# about 13 s.
+# degree <= d.  On a 2-CPU machine `gns build` of the heisenberg vacuum
+# state at degree 16 (153 words) takes under 1 s.  It bounds rows, not
+# work: the exact reduction of the Gaussian Hankel table on one variable
+# takes about 7 s at 81 rows, as its entries grow with the degree.
 _GRAM_LIMIT = 160
 
 
@@ -62,7 +62,7 @@ class MomentFunctional:
     normalized and hermitian.
     """
 
-    __slots__ = ("presentation", "degree", "table", "_values", "_reduction")
+    __slots__ = ("presentation", "degree", "table", "_phi", "_reduction")
 
     def __init__(self, presentation: Presentation, degree: int, table: dict):
         if degree < 1:
@@ -90,7 +90,7 @@ class MomentFunctional:
                     "hermitian symmetry fails at word %s"
                     % presentation.word_str(w))
         self.table = fixed
-        self._values = {}      # f at reducible words, filled by at_word
+        self._phi = {}      # f at words outside the table, filled by phi
         self._reduction = None
 
     @classmethod
@@ -107,68 +107,36 @@ class MomentFunctional:
                 % (el.degree(), self.degree))
         return _at(self.table, el.terms)
 
-    def at_word(self, w) -> Scalar:
-        """f at the normal form of the word w, of degree <= 2d.
+    def phi(self, u, x) -> Scalar:
+        """phi(u, x) = f(NF(u x)) for a word u and a normal word x.
 
-        The normal form is never built.  With the leftmost redex that
-        normal_form_word rewrites, f(NF(u l v)) = sum_r c_r f(NF(u r v))
-        for the rule l -> sum_r c_r r, so f at a reducible word is a few
-        scalar operations on the values of the words one rewrite below;
-        an irreducible word is its own normal form, read from the table
-        (0 outside it).  Values of reducible words are memoized per
-        functional, up to the presentation's normal-form cache limit,
-        and the rewrite tree is walked with an explicit stack, so long
-        words need no Python recursion.
+        An irreducible u x of degree <= 2d is a table word, read directly.
+        Otherwise, for u = v g, NF(u x) = NF(v NF(g x)), so with NF(g x) =
+        sum_y c_y y from the presentation's normal-form cache, phi(v g, x)
+        = sum_y c_y phi(v, y); with u empty, x is a normal word outside
+        the table, where f is taken as 0.  The value depends on the word
+        u x only, so values are memoized per functional on it, up to the
+        normal-form cache limit.  The recursion is len(u) deep.
         """
-        p = self.presentation
-        if len(w) > p.degree_cap:
-            raise DegreeOverflow(
-                "word of length %d exceeds degree cap %d"
-                % (len(w), p.degree_cap))
-        table, memo = self.table, self._values
-        got = table.get(w)
+        w = u + x
+        got = self.table.get(w)
         if got is None:
-            got = memo.get(w)
+            got = self._phi.get(w)
         if got is not None:
             return got
-        done = {}      # the values found in this call, memoized or not
-        stack = [(w, None)]
-        while stack:
-            u, kids = stack[-1]
-            if kids is None:
-                if u in done or u in memo:
-                    stack.pop()
-                    continue
-                hit = p._find_redex(u)
-                if hit is None:      # irreducible, and not a table word
-                    stack.pop()
-                    done[u] = ZERO
-                    continue
-                pos, rule = hit
-                head, tail = u[:pos], u[pos + len(rule.lhs):]
-                kids = [(c, head + r + tail) for r, c in rule.rhs.items()]
-                stack[-1] = (u, kids)
-                todo = [(k, None) for _, k in kids
-                        if k not in table and k not in memo and k not in done]
-                if todo:
-                    stack.extend(todo)
-                    continue
-            stack.pop()
-            acc = ZERO
-            for c, k in kids:
-                v = table.get(k)
-                if v is None:
-                    v = memo.get(k)
-                    if v is None:
-                        v = done[k]
-                if v:
-                    acc = acc + (v if c == ONE else c * v)
-            done[u] = _remember(memo, u, acc, _NF_LIMIT)
-        return done[w]
+        if not u:
+            return ZERO
+        v = u[:-1]
+        acc = ZERO
+        for y, c in self.presentation.normal_form_word(u[-1:] + x).items():
+            val = self.phi(v, y)
+            if val:
+                acc = acc + (val if c == ONE else c * val)
+        return _remember(self._phi, w, acc, _NF_LIMIT)
 
     def gram(self):
-        """Exact Gram matrix G[i][j] = f(w_i' w_j) on the words of degree
-        <= the table's degree.
+        """Exact Gram matrix G[i][j] = f(w_i' w_j) = phi(w_i', w_j) on the
+        words of degree <= the table's degree.
 
         Only the entries with j >= i are evaluated; the others are
         G[i][j] = conj(G[j][i]).  That is exact: the presentation's rules
@@ -193,7 +161,7 @@ class MomentFunctional:
             for j in range(i):
                 row[j] = G[j][i].conjugate()
             for j in range(i, n):
-                row[j] = self.at_word(wd + words[j])
+                row[j] = self.phi(wd, words[j])
         return words, G
 
     def _reduced(self):

@@ -14,6 +14,8 @@ import sys
 import ores.algebra
 import ores.states
 from ores.cli import main
+from ores.errors import DegreeOverflow
+from ores.gns import gns
 from ores.files import save_moments, save_operator, save_presentation
 from ores.algebra import Presentation, load_preset
 from ores.formulas import Formula
@@ -54,6 +56,18 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1\n"
 
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.linalg took about half of the CLI's import time, and only the
+    # banded solve uses it
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ores.cli; "
+         "print('scipy.linalg' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 def test_normalize_usage_errors(capsys):
     code, _, err = run(capsys, ["normalize", "a +"])
@@ -224,6 +238,26 @@ def test_gns_build_past_the_gram_limit_exits_with_code_2(tmp_path, capsys):
     assert code == 2
     assert "Gram matrix of dimension" in err
     assert not (tmp_path / "gns.json").exists()
+
+
+def test_gns_build_past_float64_exits_with_code_2(tmp_path, capsys):
+    # the exact reduction certifies the degree-40 Gaussian table, whose
+    # Hankel pivot block is too ill-conditioned for a float64 Cholesky;
+    # numpy's LinAlgError came out as "Matrix is not positive definite"
+    p = Presentation(("x",), (("x",),), (), 80, name="poly_x")
+    f = gaussian_state(p, 40)
+    assert ores.states.check_state_axioms(f).ok
+    with pytest.raises(DegreeOverflow, match="positive definite in float64"):
+        gns(f)
+    path = tmp_path / "poly_x80.json"
+    save_presentation(p, path)
+    code, _, err = run(capsys, [
+        "gns", "build", "--presentation", str(path), "--state", "gaussian",
+        "--degree", "40", "--out", str(tmp_path)])
+    assert code == 2
+    assert "certified pivot block" in err
+    assert not (tmp_path / "gns.json").exists()
+
 
 def test_unreadable_files_exit_with_code_2(tmp_path, capsys):
     # an OSError, or a zero denominator in a file, escaped main() as a

@@ -10,7 +10,7 @@ import pytest
 from ores import states
 from ores.algebra import PRESETS, Presentation, load_preset
 from ores.errors import InsufficientDegree, StateAxiomError
-from ores.gns import gns, state_from_representation
+from ores.gns import generator_entries, gns, state_from_representation
 from ores.localization import Fraction, SProduct
 from ores.scalars import Scalar
 from ores.states import (MomentFunctional, check_state_axioms, dirac_state,
@@ -85,17 +85,18 @@ def test_non_psd_table_detected_and_rejected():
         gns(f)
 
 
+def _naive_value(f, w):
+    """f at the word w, read from the table at the normal form given by
+    rightmost-redex rewriting."""
+    nf = naive_normal_form(f.presentation, {w: Scalar(1)})
+    return sum((c * f.table[u] for u, c in nf.items()), Scalar(0))
+
+
 def _naive_gram(f):
-    """The full Gram matrix, every entry read from the table at the
-    normal form given by rightmost-redex rewriting."""
+    """The full Gram matrix, every entry read by _naive_value."""
     p = f.presentation
     words = p.basis_words(f.degree)
-
-    def value(w):
-        nf = naive_normal_form(p, {w: Scalar(1)})
-        return sum((c * f.table[u] for u, c in nf.items()), Scalar(0))
-
-    return words, [[value(p.dagger_word(wi) + wj) for wj in words]
+    return words, [[_naive_value(f, p.dagger_word(wi) + wj) for wj in words]
                    for wi in words]
 
 
@@ -147,28 +148,66 @@ def test_gram_equals_naive_rewriting_oracle():
         assert f.gram() == _naive_gram(f)
 
 
-def test_at_word_needs_no_recursion():
-    # a^36 ad^36 takes 36^2 leftmost rewrites one below the other; its
-    # vacuum expectation is 36!
+def test_phi_needs_no_recursion():
+    # a^36 ad^36 takes 36^2 leftmost rewrites one below the other; phi
+    # reaches it by 36 products a * (normal word), or by 72 from the empty
+    # word, and its vacuum expectation is 36!
     gens, pairs, rules, _ = PRESETS["heisenberg"]
     p = Presentation(gens, pairs, rules, 80)
     f = dirac_state(p, 36)
     a, ad = p._word(("a", "ad"))
-    assert f.at_word((a,) * 36 + (ad,) * 36) == Scalar(math.factorial(36))
+    assert f.phi((a,) * 36, (ad,) * 36) == Scalar(math.factorial(36))
+    assert f.phi((a,) * 36 + (ad,) * 36, ()) == Scalar(math.factorial(36))
 
 
-def test_at_word_memo_is_bounded(monkeypatch):
+def test_phi_memo_is_bounded(monkeypatch):
     # past the limit, values are found afresh and stay exact
     monkeypatch.setattr(states, "_NF_LIMIT", 8)
     for f in (dirac_state(Presentation(*PRESETS["heisenberg"]), 3),
               _twisted_plane_state(3)):
         pres = f.presentation
+        normal = pres.basis_words(6)
         for n in range(7):
-            for w in itertools.product(range(len(pres.generators)), repeat=n):
-                assert f.at_word(w) == states._at(
-                    f.table, pres.normal_form_word(w))
-                assert len(f._values) <= 8
-        assert len(f._values) == 8
+            for u in itertools.product(range(len(pres.generators)), repeat=n):
+                for x in normal[:len(pres.basis_words(6 - n))]:
+                    assert f.phi(u, x) == states._at(
+                        f.table, pres.normal_form_word(u + x))
+                    assert len(f._phi) <= 8
+        assert len(f._phi) == 8
+
+
+def _naive_generator_entries(f, words, cols, g):
+    p = f.presentation
+    return [[_naive_value(f, p.dagger_word(wk) + (g,) + wl)
+             for wl in words[:cols]] for wk in words]
+
+
+def test_generator_entries_equal_naive_rewriting_oracle():
+    # exact f(w_k' g w_l) on every basis word of degree <= d against the
+    # first of degree <= d - 1, and, for the positive states, the
+    # generator matrices gns() builds on its pivot words
+    p = load_preset("free_xy")
+    mats = (np.array([[0.5, 1 - 1j], [1 + 1j, 0]]),
+            np.array([[-1, 0.25j], [-0.25j, 2]]))
+    positive = [dirac_state(load_preset("heisenberg"), 4),
+                gaussian_state(load_preset("poly_x"), 5),
+                from_numeric(p, 3, _vector_moments(p, mats, 3))]
+    for f in positive + [_twisted_plane_state(3)]:
+        p = f.presentation
+        words = p.basis_words(f.degree)
+        cols = len(p.basis_words(f.degree - 1))
+        for g in range(len(p.generators)):
+            assert generator_entries(f, words, cols, g) == \
+                _naive_generator_entries(f, words, cols, g)
+    for f in positive:
+        rep = gns(f)
+        r_in = rep.inner_rank
+        B = rep.basis
+        for g, name in enumerate(f.presentation.generators):
+            F = np.array([[c.to_complex() for c in row] for row in
+                          _naive_generator_entries(f, rep.words, r_in, g)])
+            assert np.array_equal(rep.matrix(name),
+                                  B.conj().T @ F @ B[:r_in, :r_in])
 
 
 def test_gaussian_gns_structure():
