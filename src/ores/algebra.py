@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (DegreeOverflow, PresentationError, PresentationMismatch)
+from .linalg import nullspace
 from .scalars import ONE, Scalar, as_scalar
 
 Word = tuple
@@ -553,8 +554,6 @@ def is_regular_up_to(s: AlgebraElement, depth: int) -> RegularityResult:
     Checks both a*s = 0 and s*a = 0 by exact kernel computation.  A
     trivial kernel only certifies regularity up to the stated depth.
     """
-    from .linalg import nullspace
-
     p = s.presentation
     if depth < 0:
         raise ValueError("depth must be nonnegative")

@@ -1,14 +1,12 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Row reduction, kernels, an incremental row space with
-combination tracking, and a pivoted semidefinite reduction for hermitian
-matrices.  Matrices are plain lists of lists of Scalar.  Row reduction
-works in Scalars on systems of tens of rows.  The semidefinite reduction
-meets Gram matrices whose denominators grow with the degree, so it
-scales them by the lcm of their denominators and works over the
-Gaussian integers throughout: fraction-free symmetric elimination for
-the verdict, fraction-free Gauss-Jordan for the kernel and witness
-vectors, whose Scalars are built once, at the end.
+Kernels, an incremental row space with combination tracking, and a
+pivoted semidefinite reduction for hermitian matrices, on lists of lists
+of Scalar.  Every elimination scales its input by the lcm of the
+denominators and works over the Gaussian integers, with rows as pairs
+(re, im) of integer lists and one row operation: the fraction-free step
+(p row - q other) / d of Bareiss, whose division by the previous pivot
+is exact.  The Scalars of a result are built once, at the end.
 """
 
 from __future__ import annotations
@@ -23,113 +21,126 @@ _ZERO = Scalar(0)
 _ONE = Scalar(1)
 
 
-def _rref(rows):
-    """Reduced row echelon form in place; returns list of pivot columns."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = _ONE / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+def _combine(p, x, q, y, d):
+    """The fraction-free row operation (p x - q y) / d over Z[i].
+
+    x and y are rows (re, im) of integer lists, and p, q and d Gaussian
+    integers given as (re, im) pairs; d divides every entry exactly
+    (Bareiss, Math. Comp. 22, 1968).  Real p and d, which both hermitian
+    eliminations have, take a shorter path, and q = 0 only scales x.
+    """
+    (pr, pi), (qr, qi), (dr, di) = p, q, d
+    xr, xi = x
+    if not qr and not qi:
+        if p == d:
+            return x
+        if not pi and not di:
+            return [pr * v // dr for v in xr], [pr * v // dr for v in xi]
+        y = x                # any row of the length of x
+    yr, yi = y
+    if not pi and not di:
+        return ([(pr * a - qr * c + qi * e) // dr
+                 for a, c, e in zip(xr, yr, yi)],
+                [(pr * b - qr * e - qi * c) // dr
+                 for b, c, e in zip(xi, yr, yi)])
+    nr = [pr * a - pi * b - qr * c + qi * e
+          for a, b, c, e in zip(xr, xi, yr, yi)]
+    ni = [pr * b + pi * a - qr * e - qi * c
+          for a, b, c, e in zip(xr, xi, yr, yi)]
+    # divide through the conjugate: z / d = z conj(d) / |d|^2
+    n = dr * dr + di * di
+    return ([(a * dr + b * di) // n for a, b in zip(nr, ni)],
+            [(b * dr - a * di) // n for a, b in zip(nr, ni)])
+
+
+def _over_lcm(M):
+    """(D, rows) with M = rows / D: D is the lcm of the denominators of
+    the Scalar matrix M, and each row is a pair (re, im) of integer
+    lists."""
+    D = math.lcm(*(x.denominator for row in M for s in row
+                   for x in (s.re, s.im)))
+    return D, [([s.re.numerator * (D // s.re.denominator) for s in row],
+                [s.im.numerator * (D // s.im.denominator) for s in row])
+               for row in M]
 
 
 def nullspace(rows):
-    """Basis of the exact kernel of the matrix given as a list of rows."""
+    """Basis of the exact kernel of the matrix given as a list of rows:
+    the reduced-echelon basis, e_j minus the coefficients of column j
+    over the pivot columns before it, for each column j that a RowSpace
+    of the columns, added in order, does not enlarge."""
     if not rows:
         return []
     ncols = len(rows[0])
-    work = [list(row) for row in rows]
-    pivots = _rref(work)
-    pivot_set = set(pivots)
+    space = RowSpace(len(rows))
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [_ZERO] * ncols
-        vec[free] = _ONE
-        for r, c in enumerate(pivots):
-            vec[c] = -work[r][free]
-        basis.append(vec)
+    for j in range(ncols):
+        col = [row[j] for row in rows]
+        if not space.add(col):
+            vec = [-c for c in space.represent(col)]
+            vec[j] = _ONE
+            basis.append(vec + [_ZERO] * (ncols - j - 1))
     return basis
 
 
 class RowSpace:
     """Incremental exact row space with combination tracking.
 
-    Each added generator vector is reduced against the stored echelon
-    rows.  represent(v) returns coefficients over the added generators
-    whenever v lies in their span, else None.
+    A generator g_j enters as the integer row D_j g_j with D_j at
+    trailing column j, and is reduced by one step against each stored
+    echelon row.  A stored row is sum_j c_j g_j, then the c_j, one
+    trailing column per generator added.  represent(v) returns
+    coefficients over the added generators whenever v lies in their
+    span, else None; they are nonzero, and unique, only on the
+    generators that enlarged the span.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows = []        # echelon rows
+        self.rows = []        # echelon rows (re, im), combination trailing
         self.pivot_cols = []
-        self.combos = []      # combos[k][j]: row k as combination of gen j
         self.ngens = 0
 
-    def _reduce(self, vec):
-        vec = list(vec)
-        combo = [_ZERO] * len(self.rows)
-        for k, (row, pc) in enumerate(zip(self.rows, self.pivot_cols)):
-            f = vec[pc]
-            if f:
-                vec = [a - f * b for a, b in zip(vec, row)]
-                combo[k] = f
-        return vec, combo
+    def _reduce(self, row):
+        """The row after one step against each stored row, and the
+        factor the steps scaled it by: the last pivot."""
+        prev = (1, 0)
+        for other, c in zip(self.rows, self.pivot_cols):
+            piv = (other[0][c], other[1][c])
+            row = _combine(piv, row, (row[0][c], row[1][c]), other, prev)
+            prev = piv
+        return row, prev
 
     def add(self, vec) -> bool:
         """Add a generator; returns True if it enlarged the span."""
-        red, combo = self._reduce(vec)
-        gen_combo = [_ZERO] * (self.ngens + 1)
-        gen_combo[self.ngens] = _ONE
-        for k, f in enumerate(combo):
-            if f:
-                old = self.combos[k]
-                for j, v in enumerate(old):
-                    if v:
-                        gen_combo[j] = gen_combo[j] - f * v
+        for re, im in self.rows:
+            re.append(0)
+            im.append(0)
+        D, ((re, im),) = _over_lcm([vec])
+        tail = [0] * self.ngens
         self.ngens += 1
+        (re, im), _ = self._reduce((re + tail + [D], im + tail + [0]))
         for c in range(self.ncols):
-            if red[c]:
-                inv = _ONE / red[c]
-                self.rows.append([v * inv for v in red])
+            if re[c] or im[c]:
+                self.rows.append((re, im))
                 self.pivot_cols.append(c)
-                self.combos.append([v * inv for v in gen_combo])
                 return True
         return False
 
     def represent(self, vec):
         """Coefficients (length ngens) with sum(c_j gen_j) = vec, or None."""
-        red, combo = self._reduce(vec)
-        if any(red):
+        D, ((re, im),) = _over_lcm([vec])
+        tail = [0] * self.ngens
+        (re, im), (pr, pi) = self._reduce((re + tail, im + tail))
+        n = self.ncols
+        if any(re[:n]) or any(im[:n]):
             return None
-        out = [_ZERO] * self.ngens
-        for k, f in enumerate(combo):
-            if f:
-                for j, v in enumerate(self.combos[k]):
-                    if v:
-                        out[j] = out[j] + f * v
-        return out
+        # the reduced row is piv * D * vec + sum_j y_j g_j = 0, with y
+        # its trailing entries, so c_j = -y_j / (piv D)
+        den = (pr * pr + pi * pi) * D
+        return [Scalar(Fraction(-(a * pr + b * pi), den),
+                       Fraction(a * pi - b * pr, den))
+                for a, b in zip(re[n:], im[n:])]
 
 
 @dataclass
@@ -176,8 +187,8 @@ def graded_hermitian_reduce(G, grades=None) -> PsdReport:
         for j in range(i, n):
             if G[i][j] != G[j][i].conjugate():
                 raise ValueError("matrix is not hermitian")
-    D, re, im = _over_lcm(G)
-    open_ = list(range(n))   # row and column k of re, im are index open_[k]
+    D, rows = _over_lcm(G)
+    open_ = list(range(n))   # row and column k of rows are index open_[k]
     pivots = []
     prev = 1                 # det((D G)_PP), the last pivot taken
     for stage in range(max(grades, default=0) + 1):
@@ -186,23 +197,23 @@ def graded_hermitian_reduce(G, grades=None) -> PsdReport:
             for k, i in enumerate(open_):
                 if grades[i] > stage:
                     continue
-                d = re[k][k]
+                d = rows[k][0][k]
                 if d < 0:
                     witness, = _transform_columns(G, pivots, [i])
                     return PsdReport(False, len(pivots), pivots, [],
                                      witness, i)
-                if d > 0 and (best is None or d > re[best][best]):
+                if d > 0 and (best is None or d > rows[best][0][best]):
                     best = k
             if best is None:
                 break
             pivots.append(open_.pop(best))
-            re, im, prev = _bareiss_step(re, im, best, prev)
+            rows, prev = _bareiss_step(rows, best, prev)
         # zero-diagonal entries of this stage must have fully zero rows
         nulls = set()
         for k, i in enumerate(open_):
             if grades[i] > stage:
                 continue
-            re_k, im_k = re[k], im[k]
+            re_k, im_k = rows[k]
             bad = next((b for b in range(len(open_))
                         if b != k and (re_k[b] or im_k[b])), None)
             if bad is not None:
@@ -216,8 +227,8 @@ def graded_hermitian_reduce(G, grades=None) -> PsdReport:
             nulls.add(k)
         if nulls:
             keep = [k for k in range(len(open_)) if k not in nulls]
-            re = [[re[a][b] for b in keep] for a in keep]
-            im = [[im[a][b] for b in keep] for a in keep]
+            rows = [([re[b] for b in keep], [im[b] for b in keep])
+                    for re, im in (rows[a] for a in keep)]
             open_ = [open_[k] for k in keep]
     # every index is now a pivot or null; a null i's column is the same
     # for every later pivot prefix, since its Schur row stays zero
@@ -227,43 +238,19 @@ def graded_hermitian_reduce(G, grades=None) -> PsdReport:
     return PsdReport(True, len(pivots), pivots, kernel, None, None)
 
 
-def _bareiss_step(re, im, t, prev):
-    """Eliminate position t of the hermitian matrix re + i*im over Z[i]:
-    a[k][j] <- (a[t][t] a[k][j] - a[k][t] a[t][j]) / prev on the other
-    positions, with a[k][t] = conj(a[t][k]) read from row t.  The
-    division by prev, the previous pivot, is exact (Bareiss).  Returns
-    the matrix without row and column t, and the pivot a[t][t]."""
-    piv = re[t][t]
-    px = re[t][:t] + re[t][t + 1:]
-    py = im[t][:t] + im[t][t + 1:]
-    new_re, new_im = [], []
-    for k in range(len(re)):
-        if k == t:
-            continue
-        xa, ya = re[t][k], im[t][k]
-        row_re = re[k][:t] + re[k][t + 1:]
-        row_im = im[k][:t] + im[k][t + 1:]
-        if xa or ya:
-            new_re.append([(piv * v - xa * xb - ya * yb) // prev
-                           for v, xb, yb in zip(row_re, px, py)])
-            new_im.append([(piv * v - xa * yb + ya * xb) // prev
-                           for v, xb, yb in zip(row_im, px, py)])
-        else:
-            new_re.append([piv * v // prev for v in row_re])
-            new_im.append([piv * v // prev for v in row_im])
-    return new_re, new_im, piv
-
-
-def _over_lcm(M):
-    """(D, re, im) with M = (re + i*im) / D: D is the lcm of the
-    denominators of the Scalar matrix M, and re, im are integer matrices."""
-    D = math.lcm(*(x.denominator for row in M for s in row
-                   for x in (s.re, s.im)))
-    re = [[s.re.numerator * (D // s.re.denominator) for s in row]
-          for row in M]
-    im = [[s.im.numerator * (D // s.im.denominator) for s in row]
-          for row in M]
-    return D, re, im
+def _bareiss_step(rows, t, prev):
+    """Eliminate position t of the hermitian matrix over Z[i] given by
+    its rows (re, im): a[k][j] <- (a[t][t] a[k][j] - a[k][t] a[t][j]) /
+    prev on the other positions, with a[k][t] = conj(a[t][k]) read from
+    row t.  Returns the matrix without row and column t, and the pivot
+    a[t][t]."""
+    tr, ti = rows[t]
+    piv = tr[t]
+    p, d = (piv, 0), (prev, 0)
+    pivot_row = (tr[:t] + tr[t + 1:], ti[:t] + ti[t + 1:])
+    return [_combine(p, (re[:t] + re[t + 1:], im[:t] + im[t + 1:]),
+                     (tr[k], -ti[k]), pivot_row, d)
+            for k, (re, im) in enumerate(rows) if k != t], piv
 
 
 def _transform_columns(G, pivots, targets):
@@ -274,41 +261,33 @@ def _transform_columns(G, pivots, targets):
     One solve serves all targets: fraction-free Gauss-Jordan over Z[i]
     (Bareiss; Nakos, Turner & Williams 1997) on [G_PP | G_P,targets]
     scaled by the lcm of its denominators.  Step k divides exactly by
-    the previous pivot and leaves the pivot a_kk equal to the leading
-    principal minor of order k + 1 of the scaled G_PP.  The pivots P
-    were taken with positive Schur complements, in this order, so G_PP
-    is positive definite and every such minor is a positive integer: no
-    row swaps are needed.  After the last step, with det the last pivot,
-    row k holds det * (G_PP^-1 G_P,targets)[k], so each entry of the
-    result is built once, as Fraction(x, det).
+    the previous pivot, drops the eliminated column, and leaves the
+    pivot equal to the leading principal minor of order k + 1 of the
+    scaled G_PP.  The pivots P were taken with positive Schur
+    complements, in this order, so G_PP is positive definite and every
+    such minor is a positive integer: no row swaps are needed.  After
+    the last step, with det the last pivot, row k holds det *
+    (G_PP^-1 G_P,targets)[k], so each entry of the result is built
+    once, as Fraction(x, det).
     """
-    r = len(pivots)
-    _, re, im = _over_lcm([[G[a][b] for b in pivots]
-                           + [G[a][i] for i in targets] for a in pivots])
-    prev = 1
-    for k in range(r):
-        piv = re[k][k]
-        xr, xi = re[k][k + 1:], im[k][k + 1:]
-        for i in range(r):
-            if i == k:
-                continue
-            ri, ii = re[i], im[i]
-            a, b = ri[k], ii[k]
-            if a or b:
-                ri[k + 1:] = [(piv * v - a * c + b * d) // prev
-                              for v, c, d in zip(ri[k + 1:], xr, xi)]
-                ii[k + 1:] = [(piv * v - a * d - b * c) // prev
-                              for v, c, d in zip(ii[k + 1:], xr, xi)]
-            elif piv != prev:
-                ri[k + 1:] = [piv * v // prev for v in ri[k + 1:]]
-                ii[k + 1:] = [piv * v // prev for v in ii[k + 1:]]
+    _, rows = _over_lcm([[G[a][b] for b in pivots]
+                         + [G[a][i] for i in targets] for a in pivots])
+    prev = (1, 0)
+    for k in range(len(pivots)):
+        kr, ki = rows[k]
+        piv = (kr[0], ki[0])
+        pivot_row = (kr[1:], ki[1:])
+        rows = [pivot_row if i == k else
+                _combine(piv, (re[1:], im[1:]), (re[0], im[0]), pivot_row,
+                         prev)
+                for i, (re, im) in enumerate(rows)]
         prev = piv
+    det = prev[0]
     out = []
     for t, i in enumerate(targets):
         vec = [_ZERO] * len(G)
         vec[i] = _ONE
-        for k, a in enumerate(pivots):
-            vec[a] = Scalar(Fraction(-re[k][r + t], prev),
-                            Fraction(-im[k][r + t], prev))
+        for (re, im), a in zip(rows, pivots):
+            vec[a] = Scalar(Fraction(-re[t], det), Fraction(-im[t], det))
         out.append(vec)
     return out

@@ -3,10 +3,11 @@
 Everything here recomputes expected values through a different algorithm
 than the package: rewriting by rightmost-redex worklist instead of
 memoized leftmost recursion, commutative fractions as explicit rational
-functions, dense numpy linear algebra instead of banded solvers, and a
-hermitian reduction in Gaussian-rational Scalars that carries its whole
-transform instead of fraction-free elimination over Z[i].  Tests
-freeze or compare against these, never against the code under test.
+functions, dense numpy linear algebra instead of banded solvers, and
+kernels, row spaces and a hermitian reduction in Gaussian-rational
+Scalars (the reduction carrying its whole transform) instead of
+fraction-free elimination over Z[i].  Tests freeze or compare against
+these, never against the code under test.
 """
 
 from fractions import Fraction as Rational
@@ -261,6 +262,98 @@ def exact_rank(rows) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def reference_nullspace(rows):
+    """Reduced-echelon kernel basis by Gauss-Jordan elimination in
+    Scalars: one vector per free column j, e_j minus column j of the
+    reduced row echelon form on the pivot columns."""
+    if not rows:
+        return []
+    m = [list(r) for r in rows]
+    ncols = len(m[0])
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = ONE / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [ZERO] * ncols
+        vec[free] = ONE
+        for r, c in enumerate(pivots):
+            vec[c] = -m[r][free]
+        basis.append(vec)
+    return basis
+
+
+class ReferenceRowSpace:
+    """Incremental row space in Scalars with combination tracking: each
+    generator is reduced against normalized echelon rows (pivot 1), and
+    each row carries its combination of the generators as Scalars.
+    represent(v) returns coefficients over the added generators whenever
+    v lies in their span, else None."""
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows = []        # echelon rows
+        self.pivot_cols = []
+        self.combos = []      # combos[k][j]: row k as combination of gen j
+        self.ngens = 0
+
+    def _reduce(self, vec):
+        vec = list(vec)
+        combo = [ZERO] * len(self.rows)
+        for k, (row, pc) in enumerate(zip(self.rows, self.pivot_cols)):
+            f = vec[pc]
+            if f:
+                vec = [a - f * b for a, b in zip(vec, row)]
+                combo[k] = f
+        return vec, combo
+
+    def add(self, vec) -> bool:
+        """Add a generator; returns True if it enlarged the span."""
+        red, combo = self._reduce(vec)
+        gen_combo = [ZERO] * (self.ngens + 1)
+        gen_combo[self.ngens] = ONE
+        for k, f in enumerate(combo):
+            if f:
+                for j, v in enumerate(self.combos[k]):
+                    if v:
+                        gen_combo[j] = gen_combo[j] - f * v
+        self.ngens += 1
+        for c in range(self.ncols):
+            if red[c]:
+                inv = ONE / red[c]
+                self.rows.append([v * inv for v in red])
+                self.pivot_cols.append(c)
+                self.combos.append([v * inv for v in gen_combo])
+                return True
+        return False
+
+    def represent(self, vec):
+        """Coefficients (length ngens) with sum(c_j gen_j) = vec, or None."""
+        red, combo = self._reduce(vec)
+        if any(red):
+            return None
+        out = [ZERO] * self.ngens
+        for k, f in enumerate(combo):
+            if f:
+                for j, v in enumerate(self.combos[k]):
+                    if v:
+                        out[j] = out[j] + f * v
+        return out
 
 
 def random_scalar_matrix(rng, rows: int, cols: int, span: int = 3):

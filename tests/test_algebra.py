@@ -10,7 +10,8 @@ from ores.algebra import (Presentation, format_element, is_regular_up_to,
 from ores.errors import DegreeOverflow, PresentationError
 from ores.scalars import IMAG, Scalar
 
-from oracles import naive_normal_form, naive_product_normal_form, same_terms
+from oracles import (naive_normal_form, naive_product_normal_form,
+                     reference_nullspace, same_terms)
 
 PRESET_NAMES = ("poly_x", "poly_xy", "heisenberg", "free_xy")
 
@@ -141,6 +142,37 @@ def test_idempotent_presentation_has_zero_divisors():
     reg = is_regular_up_to(e, 2)
     assert not reg.regular
     assert (e * reg.witness).is_zero() or (reg.witness * e).is_zero()
+
+
+def _reference_zero_divisor(s, depth):
+    """The first reduced-echelon kernel vector, by the reference, of
+    w -> s w over the words w of degree <= depth, else of w -> w s, as an
+    element; None when both kernels are trivial."""
+    p = s.presentation
+    basis = p.basis_words(depth)
+    target = p.basis_words(depth + s.degree())
+    for side in ("left", "right"):
+        cols = []
+        for w in basis:
+            word = p.normalize_raw({w: Scalar(1)})
+            prod = s * word if side == "left" else word * s
+            cols.append([prod.terms.get(t, Scalar(0)) for t in target])
+        kernel = reference_nullspace([list(row) for row in zip(*cols)])
+        if kernel:
+            return p.normalize_raw(
+                {w: c for w, c in zip(basis, kernel[0]) if c})
+    return None
+
+
+def test_regularity_witness_is_the_first_echelon_kernel_vector():
+    # the witness printed for an irregular denominator is pinned: the
+    # first reduced-echelon kernel vector, not any zero divisor
+    p = Presentation(("e",), (("e",),), ((("e", "e"), ((1, ("e",)),)),), 12)
+    e = p.generator("e")
+    for el, want in ((e, e - 1), (1 - e, e)):
+        witness = is_regular_up_to(el, 2).witness
+        assert witness.terms == _reference_zero_divisor(el, 2).terms
+        assert witness == want
 
 
 def test_full_caches_take_no_new_entries(monkeypatch):

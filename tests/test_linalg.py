@@ -9,8 +9,9 @@ import pytest
 from ores.linalg import RowSpace, graded_hermitian_reduce, nullspace
 from ores.scalars import IMAG, Scalar
 
-from oracles import (exact_rank, hermitian_quadratic_form,
-                     random_scalar_matrix, reference_hermitian_reduce)
+from oracles import (ReferenceRowSpace, exact_rank, hermitian_quadratic_form,
+                     random_scalar_matrix, reference_hermitian_reduce,
+                     reference_nullspace)
 
 ZERO = Scalar(0)
 
@@ -37,6 +38,7 @@ def test_nullspace():
     for _ in range(25):
         rows = random_scalar_matrix(rng, 4, 4)
         kernel = nullspace(rows)
+        assert kernel == reference_nullspace(rows)
         assert len(kernel) == 4 - exact_rank(rows)
         for k in kernel:
             assert any(k)
@@ -49,13 +51,15 @@ def test_rowspace_matches_exact_rank():
     rng = random.Random(22)
     for _ in range(25):
         rows = random_scalar_matrix(rng, 5, 7)
-        space = RowSpace(7)
-        added = sum(1 for r in rows if space.add(r))
-        assert added == exact_rank(rows)
+        space, reference = RowSpace(7), ReferenceRowSpace(7)
+        added = [space.add(r) for r in rows]
+        assert added == [reference.add(r) for r in rows]
+        assert sum(added) == exact_rank(rows)
         # every original row must now be representable
         for r in rows:
             combo = space.represent(r)
             assert combo is not None
+            assert combo == reference.represent(r)
 
 
 def test_rowspace_represent_rejects_outsiders():
@@ -63,6 +67,67 @@ def test_rowspace_represent_rejects_outsiders():
     space.add([Scalar(1), Scalar(0), Scalar(0)])
     assert space.represent([Scalar(0), Scalar(1), Scalar(0)]) is None
     assert space.represent([Scalar(5), Scalar(0), Scalar(0)]) is not None
+
+
+def _gaussian_rational(rng, kind):
+    """A random Gaussian rational, real, purely imaginary or complex."""
+    def part():
+        return Rational(rng.randint(-3, 3), rng.randint(1, 4))
+    if kind == "real":
+        return Scalar(part())
+    if kind == "imaginary":
+        return Scalar(0, part())
+    return Scalar(part(), part())
+
+
+def _low_rank(rng, m, n, r, kind):
+    """An m x n product of m x r and r x n random matrices, of rank at
+    most r; in about three cases of ten some entries are then set to
+    zero, which can raise the rank."""
+    A = [[_gaussian_rational(rng, kind) for _ in range(r)] for _ in range(m)]
+    B = [[_gaussian_rational(rng, kind) for _ in range(n)] for _ in range(r)]
+    M = [[sum((A[i][k] * B[k][j] for k in range(r)), ZERO)
+          for j in range(n)] for i in range(m)]
+    if rng.random() < 0.3:
+        M = [[ZERO if rng.random() < 0.3 else x for x in row] for row in M]
+    return M
+
+
+def test_elimination_equals_reference_on_rank_deficient_matrices():
+    """nullspace bases, RowSpace.add verdicts and RowSpace.represent
+    coefficients equal those of the reference in Scalars, on matrices
+    whose pivots are real, purely imaginary and complex."""
+    rng = random.Random(27)
+    # pivots 1, then 1 + i: representing the first row takes a step
+    # against the second that only scales, by a complex pivot over a
+    # real one with the same real part
+    cases = [[[Scalar(1), ZERO, ZERO], [ZERO, Scalar(1, 1), ZERO]]]
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        kind = rng.choice(("real", "imaginary", "complex"))
+        cases.append(_low_rank(rng, m, n, rng.randint(1, min(m, n)), kind))
+    first_pivots = set()
+    deficient = 0
+    for M in cases:
+        n = len(M[0])
+        rank = exact_rank(M)
+        deficient += rank < min(len(M), n)
+        first = next((x for row in M for x in row if x), None)
+        if first is not None:
+            first_pivots.add((first.re != 0, first.im != 0))
+        assert nullspace(M) == reference_nullspace(M)
+        # the rows, a sum of two rows and a random vector, in and out of
+        # the span
+        probes = M + [[a + b for a, b in zip(M[0], M[-1])],
+                      [_gaussian_rational(rng, "complex") for _ in range(n)]]
+        space, reference = RowSpace(n), ReferenceRowSpace(n)
+        for row in M:
+            assert space.add(row) == reference.add(row)
+            for v in probes:
+                assert space.represent(v) == reference.represent(v)
+        assert len(space.rows) == rank
+    assert first_pivots == {(True, False), (False, True), (True, True)}
+    assert deficient > 100
 
 
 def test_gram_matrices_are_recognized_psd():

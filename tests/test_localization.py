@@ -21,7 +21,6 @@ from ores import localization
 from ores.algebra import AlgebraElement, load_preset, random_element, \
     Presentation
 from ores.errors import DegreeOverflow, IrregularDenominator, OreWitnessNotFound
-from ores.linalg import RowSpace
 from ores.localization import (DEFAULT_BUDGET, Fraction, OreBudget, SProduct,
                                candidate_factor_parameters, check_denominator,
                                embed, eq_fraction, factor_value, frac_add,
@@ -29,7 +28,8 @@ from ores.localization import (DEFAULT_BUDGET, Fraction, OreBudget, SProduct,
                                ore_solve_right, remark_mult_property_check)
 from ores.scalars import IMAG, ONE, Scalar
 
-from oracles import (XPoly, X_ONE, fraction_as_rational_function,
+from oracles import (ReferenceRowSpace, XPoly, X_ONE,
+                     fraction_as_rational_function,
                      left_witness_identity_holds, naive_product_normal_form,
                      rational_function_dagger_equal, witness_identity_holds)
 
@@ -358,7 +358,8 @@ def test_budget_fields_must_be_nonnegative_ints():
 
 def _exact_scan(a, s, budget):
     """The witness search with no screen: every candidate, in scan order,
-    gets the exact product a*t and an exact solve of s*b = a*t.
+    gets the exact product a*t and an exact solve of s*b = a*t in the
+    reference row space.
 
     Returns (b, key of t, candidates tried), with b and the key None when
     no witness is within the budget.
@@ -392,7 +393,7 @@ def _exact_scan(a, s, budget):
         if any(w not in target for w in r.terms):
             continue
         if bound not in spans:
-            rs = RowSpace(len(target))
+            rs = ReferenceRowSpace(len(target))
             for w in basis:
                 col = s_value * AlgebraElement(p, {w: ONE}, _trusted=True)
                 rs.add([col.terms.get(w2, Scalar(0)) for w2 in target])
