@@ -157,6 +157,8 @@ class Presentation:
 
     def _find_redex(self, w: Word):
         by_first = self._rules_by_first
+        if not by_first:
+            return None
         n = len(w)
         for pos in range(n):
             rules = by_first.get(w[pos])

@@ -67,11 +67,8 @@ class GnsRepresentation:
     def adjoint_defect(self, gen_name: str) -> float:
         """Spectral-norm gap between the window of the adjoint generator
         and the conjugate transpose of the generator's window."""
-        p = self.presentation
-        g = p._gen_index(gen_name)
-        gd_name = p.generators[p.dagger_map[g]]
-        gap = self.window(gd_name) - self.window(gen_name).conj().T
-        return float(np.linalg.norm(gap, 2))
+        return float(np.linalg.norm(_adjoint_gap(
+            self.presentation, self.matrices, self.inner_rank, gen_name), 2))
 
     def apply_word(self, word) -> np.ndarray:
         """Coordinates of pi(word) applied to the cyclic vector.
@@ -115,6 +112,13 @@ class GnsRepresentation:
         return complex(np.vdot(psi_u, psi_v))
 
 
+def _adjoint_gap(p, matrices, r_in: int, gen_name: str) -> np.ndarray:
+    """The window of the adjoint generator minus the conjugate transpose
+    of the generator's window, the windows being the first r_in rows."""
+    gd_name = p.generators[p.dagger_map[p._gen_index(gen_name)]]
+    return matrices[gd_name][:r_in, :] - matrices[gen_name][:r_in, :].conj().T
+
+
 def generator_entries(f: MomentFunctional, words, cols: int, g: int):
     """Exact F[k][l] = f(w_k' g w_l) for the normal words w_k and the
     first cols of them, as phi(w_k' g, w_l): the recursion first takes
@@ -135,8 +139,9 @@ def gns(f: MomentFunctional) -> GnsRepresentation:
     assembly memoized.  Floating steps: Cholesky of the pivot block and
     the generator matrices, with invariants holding to 1e-10 on the
     inner window.  Raises DegreeOverflow when the certified pivot block
-    is not positive definite in float64, as high-degree moment matrices
-    can be too ill-conditioned for it.
+    is not positive definite in float64, or when a generator's adjoint
+    defect on the inner window (adjoint_defect) passes 1e-10, as
+    high-degree moment matrices can be too ill-conditioned for float64.
     """
     p = f.presentation
     d = f.degree
@@ -175,6 +180,17 @@ def gns(f: MomentFunctional) -> GnsRepresentation:
                       for row in generator_entries(f, piv_words, r_in, gi)],
                      dtype=complex)
         matrices[gen_name] = B.conj().T @ F @ Bsub
+    for gen_name in p.generators:
+        gap = _adjoint_gap(p, matrices, r_in, gen_name)
+        # the Frobenius norm bounds the spectral one and needs no SVD
+        if np.linalg.norm(gap) <= 1e-10:
+            continue
+        defect = np.linalg.norm(gap, 2)
+        if defect > 1e-10:
+            raise DegreeOverflow(
+                "the generator matrices at degree %d miss the adjoint "
+                "identity of %s by %.2g > 1e-10 in float64; lower the degree"
+                % (d, gen_name, defect))
 
     col = np.array([G[pi][0].to_complex() for pi in pivots])
     cyclic = B.conj().T @ col

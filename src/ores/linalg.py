@@ -6,7 +6,9 @@ of Scalar.  Every elimination scales its input by the lcm of the
 denominators and works over the Gaussian integers, with rows as pairs
 (re, im) of integer lists and one row operation: the fraction-free step
 (p row - q other) / d of Bareiss, whose division by the previous pivot
-is exact.  The Scalars of a result are built once, at the end.
+is exact.  The hermitian reduction keeps only the upper triangle of its
+matrix, row k from column k on.  The Scalars of a result are built
+once, at the end.
 """
 
 from __future__ import annotations
@@ -26,19 +28,26 @@ def _combine(p, x, q, y, d):
 
     x and y are rows (re, im) of integer lists, and p, q and d Gaussian
     integers given as (re, im) pairs; d divides every entry exactly
-    (Bareiss, Math. Comp. 22, 1968).  Real p and d, which both hermitian
-    eliminations have, take a shorter path, and q = 0 only scales x.
+    (Bareiss, Math. Comp. 22, 1968).  Shorter exact paths: q = 0 only
+    scales x, and leaves a zero x as it is; real p and d, which both
+    hermitian eliminations have, skip the complex division, and with a
+    real q on real rows only the real part is computed.  The imaginary
+    part of such a row is a fresh list, since RowSpace grows its stored
+    rows in place.
     """
     (pr, pi), (qr, qi), (dr, di) = p, q, d
     xr, xi = x
     if not qr and not qi:
-        if p == d:
+        if p == d or not any(xr) and not any(xi):
             return x
         if not pi and not di:
             return [pr * v // dr for v in xr], [pr * v // dr for v in xi]
         y = x                # any row of the length of x
     yr, yi = y
     if not pi and not di:
+        if not qi and not any(xi) and not any(yi):
+            return ([(pr * a - qr * c) // dr for a, c in zip(xr, yr)],
+                    [0] * len(xr))
         return ([(pr * a - qr * c + qi * e) // dr
                  for a, c, e in zip(xr, yr, yi)],
                 [(pr * b - qr * e - qi * c) // dr
@@ -173,9 +182,14 @@ def graded_hermitian_reduce(G, grades=None) -> PsdReport:
     divides exactly by the previous pivot.  With pivots P taken, every
     open entry is the Schur complement of G_PP in G times det((D G)_PP)
     * D, the same positive factor throughout, so the pivots and signs
-    are those of the reduction in Gaussian rationals.  Kernel vectors and
-    witnesses are the columns e_i - G_PP^-1 G_Pi of the congruence that
-    reduces G, solved exactly.
+    are those of the reduction in Gaussian rationals.  Every matrix of
+    the reduction is hermitian, so only its upper triangle is stored and
+    updated: row k holds the open columns k, k+1, ..., and an entry
+    below the diagonal is read as the conjugate of the one above it
+    (Golub & Van Loan, Matrix Computations, 4th ed., 4.1-4.2).  Kernel
+    vectors and witnesses are the columns e_i - G_PP^-1 G_Pi of the
+    congruence that reduces G, solved exactly, and a PSD matrix of full
+    rank needs no solve.
 
     The staging makes the pivot set nested along grades, which downstream
     code uses to build nested orthonormal bases.
@@ -183,12 +197,13 @@ def graded_hermitian_reduce(G, grades=None) -> PsdReport:
     n = len(G)
     if grades is None:
         grades = [0] * n
-    for i in range(n):
+    for i, row in enumerate(G):
         for j in range(i, n):
-            if G[i][j] != G[j][i].conjugate():
+            a, b = row[j], G[j][i]
+            if a.re != b.re or a.im != -b.im:
                 raise ValueError("matrix is not hermitian")
-    D, rows = _over_lcm(G)
-    open_ = list(range(n))   # row and column k of rows are index open_[k]
+    D, rows = _over_lcm([row[i:] for i, row in enumerate(G)])
+    open_ = list(range(n))   # row k of rows is index open_[k], from column k
     pivots = []
     prev = 1                 # det((D G)_PP), the last pivot taken
     for stage in range(max(grades, default=0) + 1):
@@ -197,12 +212,12 @@ def graded_hermitian_reduce(G, grades=None) -> PsdReport:
             for k, i in enumerate(open_):
                 if grades[i] > stage:
                     continue
-                d = rows[k][0][k]
+                d = rows[k][0][0]
                 if d < 0:
                     witness, = _transform_columns(G, pivots, [i])
                     return PsdReport(False, len(pivots), pivots, [],
                                      witness, i)
-                if d > 0 and (best is None or d > rows[best][0][best]):
+                if d > 0 and (best is None or d > rows[best][0][0]):
                     best = k
             if best is None:
                 break
@@ -213,7 +228,7 @@ def graded_hermitian_reduce(G, grades=None) -> PsdReport:
         for k, i in enumerate(open_):
             if grades[i] > stage:
                 continue
-            re_k, im_k = rows[k]
+            re_k, im_k = _full_row(rows, k)
             bad = next((b for b in range(len(open_))
                         if b != k and (re_k[b] or im_k[b])), None)
             if bad is not None:
@@ -227,8 +242,12 @@ def graded_hermitian_reduce(G, grades=None) -> PsdReport:
             nulls.add(k)
         if nulls:
             keep = [k for k in range(len(open_)) if k not in nulls]
-            rows = [([re[b] for b in keep], [im[b] for b in keep])
-                    for re, im in (rows[a] for a in keep)]
+            kept = []
+            for x, a in enumerate(keep):
+                re, im = rows[a]
+                kept.append(([re[b - a] for b in keep[x:]],
+                             [im[b - a] for b in keep[x:]]))
+            rows = kept
             open_ = [open_[k] for k in keep]
     # every index is now a pivot or null; a null i's column is the same
     # for every later pivot prefix, since its Schur row stays zero
@@ -238,19 +257,32 @@ def graded_hermitian_reduce(G, grades=None) -> PsdReport:
     return PsdReport(True, len(pivots), pivots, kernel, None, None)
 
 
+def _full_row(rows, k):
+    """Row k, all open columns, of the hermitian matrix over Z[i] whose
+    rows (re, im) hold their entries from the diagonal on: a[k][b] =
+    conj(a[b][k]) for b < k, read from row b, then row k itself."""
+    re, im = rows[k]
+    return ([r[k - b] for b, (r, _) in enumerate(rows[:k])] + re,
+            [-i[k - b] for b, (_, i) in enumerate(rows[:k])] + im)
+
+
 def _bareiss_step(rows, t, prev):
-    """Eliminate position t of the hermitian matrix over Z[i] given by
-    its rows (re, im): a[k][j] <- (a[t][t] a[k][j] - a[k][t] a[t][j]) /
-    prev on the other positions, with a[k][t] = conj(a[t][k]) read from
-    row t.  Returns the matrix without row and column t, and the pivot
+    """Eliminate position t of the hermitian matrix over Z[i] whose rows
+    hold their entries from the diagonal on: a[k][j] <- (a[t][t] a[k][j]
+    - a[k][t] a[t][j]) / prev for j >= k, with the pivot row a[t][.]
+    built once and a[k][t] = conj(a[t][k]) read from it.  Returns the
+    matrix without row and column t, in the same form, and the pivot
     a[t][t]."""
-    tr, ti = rows[t]
+    tr, ti = _full_row(rows, t)
     piv = tr[t]
     p, d = (piv, 0), (prev, 0)
-    pivot_row = (tr[:t] + tr[t + 1:], ti[:t] + ti[t + 1:])
-    return [_combine(p, (re[:t] + re[t + 1:], im[:t] + im[t + 1:]),
-                     (tr[k], -ti[k]), pivot_row, d)
-            for k, (re, im) in enumerate(rows) if k != t], piv
+    tr, ti = tr[:t] + tr[t + 1:], ti[:t] + ti[t + 1:]
+    # row k keeps its index above t and moves up one below it; a row
+    # above t drops its entry in column t, at offset t - k
+    above = [(re[:t - k] + re[t - k + 1:], im[:t - k] + im[t - k + 1:])
+             for k, (re, im) in enumerate(rows[:t])]
+    return [_combine(p, row, (tr[k], -ti[k]), (tr[k:], ti[k:]), d)
+            for k, row in enumerate(above + rows[t + 1:])], piv
 
 
 def _transform_columns(G, pivots, targets):
@@ -267,9 +299,11 @@ def _transform_columns(G, pivots, targets):
     complements, in this order, so G_PP is positive definite and every
     such minor is a positive integer: no row swaps are needed.  After
     the last step, with det the last pivot, row k holds det *
-    (G_PP^-1 G_P,targets)[k], so each entry of the result is built
-    once, as Fraction(x, det).
+    (G_PP^-1 G_P,targets)[k], so each nonzero entry of the result is
+    built once, as Fraction(x, det).  No targets need no solve.
     """
+    if not targets:
+        return []
     _, rows = _over_lcm([[G[a][b] for b in pivots]
                          + [G[a][i] for i in targets] for a in pivots])
     prev = (1, 0)
@@ -288,6 +322,7 @@ def _transform_columns(G, pivots, targets):
         vec = [_ZERO] * len(G)
         vec[i] = _ONE
         for (re, im), a in zip(rows, pivots):
-            vec[a] = Scalar(Fraction(-re[t], det), Fraction(-im[t], det))
+            if re[t] or im[t]:
+                vec[a] = Scalar(Fraction(-re[t], det), Fraction(-im[t], det))
         out.append(vec)
     return out

@@ -38,8 +38,12 @@ class Scalar:
 
     @classmethod
     def from_quad(cls, quad) -> "Scalar":
-        rn, rd, im_n, im_d = quad
-        return cls(Fraction(int(rn), int(rd)), Fraction(int(im_n), int(im_d)))
+        """The Scalar of [re_num, re_den, im_num, im_den]; a part over 1
+        is read as an int, and a zero denominator raises
+        ZeroDivisionError."""
+        rn, rd, im_n, im_d = map(int, quad)
+        return cls(rn if rd == 1 else Fraction(rn, rd),
+                   im_n if im_d == 1 else Fraction(im_n, im_d))
 
     def to_quad(self):
         return [self.re.numerator, self.re.denominator,

@@ -28,7 +28,8 @@ from .scalars import ONE, ZERO, Scalar, as_scalar
 # degree <= d.  On a 2-CPU machine `gns build` of the heisenberg vacuum
 # state at degree 16 (153 words) takes under 1 s.  It bounds rows, not
 # work: the exact reduction of the Gaussian Hankel table on one variable
-# takes about 7 s at 81 rows, as its entries grow with the degree.
+# takes about 0.8 s at 81 rows and 3.6 s at 101, as its entries grow
+# with the degree.
 _GRAM_LIMIT = 160
 
 
@@ -83,9 +84,23 @@ class MomentFunctional:
                 "table contains non-basis words: %s" % sorted(extra)[:3])
         if fixed[()] != ONE:
             raise StateAxiomError("state normalization f(1) = 1 fails")
+        # conj f(w) = f(NF(w')).  Where NF(w') is one word w2 with
+        # coefficient 1, NF(w2') = w (the rules are dagger-closed and
+        # confluent, see gram()), so the pair {w, w2} is checked once, at
+        # whichever of the two comes first
+        checked = set()
         for w in words:
-            if fixed[w].conjugate() != _at(fixed,
-                                           _dagger_nf(presentation, w)):
+            if w in checked:
+                continue
+            nf = _dagger_nf(presentation, w)
+            if len(nf) == 1:
+                (w2, c), = nf.items()
+                if c == ONE:
+                    checked.add(w2)
+                    a, b = fixed[w], fixed[w2]
+                    if a.re == b.re and a.im == -b.im:
+                        continue
+            if fixed[w].conjugate() != _at(fixed, nf):
                 raise StateAxiomError(
                     "hermitian symmetry fails at word %s"
                     % presentation.word_str(w))

@@ -259,6 +259,33 @@ def test_gns_build_past_float64_exits_with_code_2(tmp_path, capsys):
     assert not (tmp_path / "gns.json").exists()
 
 
+def test_gns_build_past_its_adjoint_accuracy_exits_with_code_2(
+        tmp_path, capsys):
+    # gns() promises its invariants to 1e-10 on the inner window; on the
+    # Gaussian table the adjoint defect is 6.2e-11 at degree 16, 3.9e-10
+    # at 18 and 7.6e-5 at 30, where the Cholesky still succeeds, and
+    # those representations were returned with exit code 0
+    p = Presentation(("x",), (("x",),), (), 80, name="poly_x")
+    rep = gns(gaussian_state(p, 16))
+    assert rep.adjoint_defect("x") <= 1e-10
+    for degree in (18, 30):
+        with pytest.raises(DegreeOverflow, match="adjoint identity of x"):
+            gns(gaussian_state(p, degree))
+    path = tmp_path / "poly_x80.json"
+    save_presentation(p, path)
+    code, _, err = run(capsys, [
+        "gns", "build", "--presentation", str(path), "--state", "gaussian",
+        "--degree", "18", "--out", str(tmp_path)])
+    assert code == 2
+    assert "> 1e-10 in float64" in err
+    assert not (tmp_path / "gns.json").exists()
+    code, _, _ = run(capsys, [
+        "gns", "build", "--presentation", str(path), "--state", "gaussian",
+        "--degree", "16", "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "gns.json").exists()
+
+
 def test_unreadable_files_exit_with_code_2(tmp_path, capsys):
     # an OSError, or a zero denominator in a file, escaped main() as a
     # traceback with exit code 1, the code of a failed check

@@ -129,23 +129,31 @@ def test_moment_loading_validates_state_axioms():
 
 def test_arithmetic_faults_in_files_are_config_errors(tmp_path):
     # a zero denominator raised ZeroDivisionError, and 1e400, which json
-    # reads as infinity, raised OverflowError from int()
+    # reads as infinity, raised OverflowError from int(); a zero
+    # denominator is refused in either part, also next to a real part
+    # over 1, which is read as an int
     p = load_preset("heisenberg")
     zero_den = presentation_to_dict(p)
     zero_den["relations"][0]["rhs"][0]["coeff"] = [1, 0, 0, 1]
+    zero_im_den = presentation_to_dict(p)
+    zero_im_den["relations"][0]["rhs"][0]["coeff"] = [1, 1, 0, 0]
     huge_cap = json.dumps(presentation_to_dict(p)).replace(
         '"degree_cap": 20', '"degree_cap": 1e400')
     assert "1e400" in huge_cap
     moments = moments_to_dict(dirac_state(p, 2))
     moments["moments"]["1"] = [1, 0, 0, 1]
+    moments_im = moments_to_dict(dirac_state(p, 2))
+    moments_im["moments"]["1"] = [1, 1, 0, 0]
 
     def load_heisenberg_moments(path):
         return load_moments(path, p)
 
     cases = [
         (load_presentation, json.dumps(zero_den)),
+        (load_presentation, json.dumps(zero_im_den)),
         (load_presentation, huge_cap),
         (load_heisenberg_moments, json.dumps(moments)),
+        (load_heisenberg_moments, json.dumps(moments_im)),
         (load_heisenberg_moments, '{"degree": 1e400, "moments": {}}'),
         (load_operator,
          '{"bands": [{"offset": 0, "kind": "const", "coeffs": [[1, 0]]}]}'),

@@ -9,9 +9,9 @@ import pytest
 from ores.linalg import RowSpace, graded_hermitian_reduce, nullspace
 from ores.scalars import IMAG, Scalar
 
-from oracles import (ReferenceRowSpace, exact_rank, hermitian_quadratic_form,
-                     random_scalar_matrix, reference_hermitian_reduce,
-                     reference_nullspace)
+from oracles import (ReferenceRowSpace, exact_rank, gaussian_moment,
+                     hermitian_quadratic_form, random_scalar_matrix,
+                     reference_hermitian_reduce, reference_nullspace)
 
 ZERO = Scalar(0)
 
@@ -123,6 +123,11 @@ def test_elimination_equals_reference_on_rank_deficient_matrices():
         space, reference = RowSpace(n), ReferenceRowSpace(n)
         for row in M:
             assert space.add(row) == reference.add(row)
+            # stored rows grow in place, one column per generator, so no
+            # two may share a list, such as the zero imaginary part of a
+            # real row
+            for re, im in space.rows:
+                assert len(re) == len(im) == n + space.ngens
             for v in probes:
                 assert space.represent(v) == reference.represent(v)
         assert len(space.rows) == rank
@@ -252,6 +257,77 @@ def test_reduction_equals_reference_reduction():
         tied += diag.count(max(diag)) > 1
     assert min(verdicts.values()) > 50
     assert zero_diagonal_failures > 20 and tied > 50
+
+
+def _hankel(rng, n):
+    """A full-rank n x n Hankel moment matrix m_(i+j): of the standard
+    Gaussian, or of a measure on at least n rational atoms."""
+    if rng.random() < 0.3:
+        return [[Scalar(gaussian_moment(i + j)) for j in range(n)]
+                for i in range(n)]
+    xs = rng.sample([Rational(a, b) for a in range(-6, 7) for b in (1, 2, 3)
+                     if a % b or b == 1], n + rng.randint(0, 2))
+    ws = [Rational(rng.randint(1, 5), rng.randint(1, 4)) for _ in xs]
+    return [[Scalar(sum(w * x ** (i + j) for w, x in zip(ws, xs)))
+             for j in range(n)] for i in range(n)]
+
+
+def test_triangle_reduction_equals_reference_reduction():
+    """The reduction stores and updates one triangle: the full report
+    equals the reference's on real Gram matrices with zero rows, as the
+    vacuum state has, on full-rank Hankel tables, which need no kernel
+    solve, on complex vector-state Gram matrices, and on zero diagonals
+    whose offending column lies before or after their row."""
+    rng = random.Random(28)
+    cases = []
+    for _ in range(80):
+        # real, with zero rows and columns
+        n = rng.randint(2, 8)
+        zero = set(rng.sample(range(n), rng.randint(1, n - 1)))
+        B = [[Scalar(0 if j in zero else rng.randint(-2, 2))
+              for j in range(n)] for _ in range(rng.randint(1, n))]
+        grades = sorted(rng.randint(0, 3) for _ in range(n))
+        cases.append(("vacuum", _gram(B), grades))
+        # full-rank Hankel
+        n = rng.randint(1, 9)
+        cases.append(("hankel", _hankel(rng, n),
+                      rng.choice((None, list(range(n))))))
+        # a zero diagonal entry r with a nonzero entry at c, on either
+        # side; c may be a pivot or open at r's stage
+        n = rng.randint(3, 7)
+        zero = rng.sample(range(n), rng.randint(1, 3))
+        B = [[ZERO if j in zero else _gaussian_rational(rng, "complex")
+              for j in range(n)] for _ in range(rng.randint(1, n))]
+        G = _gram(B)
+        r = zero[0]
+        c = rng.choice([j for j in range(n) if j != r])
+        G[r][c] = _gaussian_rational(rng, rng.choice(("real", "complex")))
+        G[r][c] = G[r][c] or Scalar(1, -1)
+        G[c][r] = G[r][c].conjugate()
+        cases.append(("zero", G, [rng.randint(0, 2) for _ in range(n)]))
+    for m, d in ((2, 2), (3, 2), (2, 3), (4, 2)):
+        G, grades = _vector_state_gram(rng, m, d)
+        cases.append(("vector", G, grades))
+        cases.append(("vector", G, None))
+    sides = {"before": 0, "after": 0}
+    for kind, G, grades in cases:
+        want = reference_hermitian_reduce(G, grades)
+        got = graded_hermitian_reduce(G, grades)
+        assert got == want
+        if kind == "hankel":
+            assert got.psd and got.rank == len(G) and got.kernel == []
+        elif kind == "zero":
+            assert not got.psd
+            # a zero-diagonal failure's witness reaches the offending
+            # column outside the pivots
+            i = got.failure_index
+            off = [b for b, x in enumerate(got.witness)
+                   if x and b != i and b not in got.pivots]
+            if off:
+                sides["before" if off[0] < i else "after"] += 1
+        else:
+            assert got.psd and got.kernel
+    assert min(sides.values()) > 15
 
 
 def test_quadratic_form_known_value():

@@ -73,6 +73,13 @@ def test_quad_round_trip():
         assert Scalar.from_quad(a.to_quad()) == a
     assert Scalar.from_quad((1, 2, -3, 4)) == Scalar(Rational(1, 2),
                                                      Rational(-3, 4))
+    # a part over 1 is an int, as every Scalar holds it
+    s = Scalar.from_quad([-3, 1, 5, 1])
+    assert type(s.re) is int and type(s.im) is int
+    assert s == Scalar(-3, 5) and s.to_quad() == [-3, 1, 5, 1]
+    for quad in ([1, 0, 0, 1], [1, 1, 0, 0]):
+        with pytest.raises(ZeroDivisionError):
+            Scalar.from_quad(quad)
 
 
 def test_predicates_and_str():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction as Rational
 
 import numpy as np
 import pytest
@@ -133,7 +134,6 @@ def test_gram_equals_naive_rewriting_oracle():
     cases = [dirac_state(load_preset(name), 3)
              for name in ("heisenberg", "poly_x", "poly_xy", "free_xy")]
     cases.append(gaussian_state(load_preset("poly_x"), 4))
-    from fractions import Fraction as Rational
     p = load_preset("poly_xy")
     points = ((Rational(1, 2), Rational(-1, 3)), (Rational(2), Rational(1)))
     cases.append(MomentFunctional.from_function(p, 3, lambda w: Scalar(sum(
@@ -146,6 +146,52 @@ def test_gram_equals_naive_rewriting_oracle():
     cases += [g, _twisted_plane_state(3)]
     for f in cases:
         assert f.gram() == _naive_gram(f)
+
+
+def _first_asymmetric_word(p, table, words):
+    """The first of words with conj f(w) != f at the normal form of w'
+    given by rightmost-redex rewriting, or None."""
+    for w in words:
+        nf = naive_normal_form(p, {p.dagger_word(w): Scalar(1)})
+        if table[w].conjugate() != sum(
+                (c * table[u] for u, c in nf.items()), Scalar(0)):
+            return w
+    return None
+
+
+def test_symmetry_error_names_the_first_asymmetric_word():
+    # the constructor checks a pair {w, NF(w')} of single words once; the
+    # word it names must still be the first whose check fails, whichever
+    # word of a pair is broken, and on tables whose NF(w') has several
+    # terms (the twisted plane) too
+    p = load_preset("free_xy")
+    mats = (np.array([[1, (1 + 1j) / 2], [(1 - 1j) / 2, -1]]),
+            np.array([[0, 1j], [-1j, 0.5]]))
+    free = from_numeric(p, 2, _vector_moments(p, mats, 2))
+    p = load_preset("poly_xy")
+    points = ((Rational(1, 2), Rational(-1, 3)), (Rational(2), Rational(1)))
+    poly = MomentFunctional.from_function(p, 3, lambda w: Scalar(sum(
+        math.prod(pt[g] for g in w) for pt in points) / 2))
+    named_partner = accepted = 0
+    for f in (free, poly, _twisted_plane_state(3)):
+        p = f.presentation
+        words = p.basis_words(2 * f.degree)
+        assert _first_asymmetric_word(p, f.table, words) is None
+        for w in words[1:]:
+            table = dict(f.table)
+            table[w] = table[w] + Scalar(1, 1)
+            first = _first_asymmetric_word(p, table, words)
+            if first is None:
+                # f(w) + 1 + i is still hermitian where NF(w') = -i w
+                MomentFunctional(p, f.degree, table)
+                accepted += 1
+                continue
+            with pytest.raises(StateAxiomError) as err:
+                MomentFunctional(p, f.degree, table)
+            assert str(err.value) == \
+                "hermitian symmetry fails at word %s" % p.word_str(first)
+            named_partner += first != w
+    assert named_partner > 5 and accepted < 5
 
 
 def test_phi_needs_no_recursion():
