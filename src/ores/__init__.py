@@ -19,7 +19,7 @@ from .exprparse import (ParseError, ast_to_element, fraction_to_text, parse,
                         parse_element, parse_fraction_text,
                         parse_sproduct_text)
 from .formulas import CPoly, Formula, QPoly
-from .gns import GnsRepresentation, gns, state_from_representation
+from .gns import GnsRepresentation, gns
 from .localization import (DEFAULT_BUDGET, EqResult, Fraction, OreBudget,
                            SProduct, embed, eq_fraction, frac_add,
                            frac_dagger, frac_mul, ore_solve_left,
@@ -31,8 +31,8 @@ from .operators import (BandedOperator, ChainSolveResult, ExtensionResult,
                         lemma_pis_equals_S_check, one_plus_AstarA,
                         pi_s_surjectivity_probe, sproduct_operator)
 from .positivity import (CofinalityResult, PositivityCertificate,
-                         cofinal_dominator, cofinal_dominator_from_fraction,
-                         square_expansion_certificate, verify_certificate)
+                         cofinal_dominator, square_expansion_certificate,
+                         verify_certificate)
 from .scalars import IMAG, ONE, Scalar, ZERO
 from .scenarios import SCENARIOS, ScenarioConfig, run_scenario, \
     write_scenario_report

@@ -33,11 +33,10 @@ from .scalars import Scalar
 class ParseError(ExpressionError):
     """Syntax error with position information."""
 
-    def __init__(self, message, line, col, expected=()):
+    def __init__(self, message, line, col):
         super().__init__("%s (line %d, column %d)" % (message, line, col))
         self.line = line
         self.col = col
-        self.expected = tuple(expected)
 
 
 # -- AST -----------------------------------------------------------------------
@@ -139,8 +138,6 @@ def tokenize(text: str):
 
 # -- parser ------------------------------------------------------------------------
 
-_FACTOR_START = ("int", "i", "ident", "(")
-
 
 class _Parser:
     def __init__(self, text: str):
@@ -158,14 +155,13 @@ class _Parser:
     def expect(self, kind: str) -> _Token:
         t = self.peek()
         if t.kind != kind:
-            self.fail("expected %r" % kind, (kind,))
+            self.fail("expected %r" % kind)
         return self.advance()
 
-    def fail(self, message, expected=()):
+    def fail(self, message):
         t = self.peek()
         got = t.text if t.kind != "eof" else "end of input"
-        raise ParseError("%s, got %s" % (message, got), t.line, t.col,
-                         expected)
+        raise ParseError("%s, got %s" % (message, got), t.line, t.col)
 
     @staticmethod
     def integer(t: _Token) -> int:
@@ -226,8 +222,7 @@ class _Parser:
             inner = self.parse_expr()
             self.expect(")")
             return Paren(inner)
-        self.fail("expected a scalar, symbol, or parenthesized expression",
-                  _FACTOR_START)
+        self.fail("expected a scalar, symbol, or parenthesized expression")
 
 
 def parse(text: str):
@@ -350,7 +345,7 @@ def _parse_factor_chain(p: _Parser, presentation) -> tuple:
     while True:
         t = p.peek()
         if t.kind != "(":
-            p.fail("expected a parenthesized denominator factor", ("(",))
+            p.fail("expected a parenthesized denominator factor")
         p.advance()
         inner = p.parse_expr()
         p.expect(")")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegreeOverflow, InsufficientDegree, StateAxiomError
-from .states import MomentFunctional, from_numeric
+from .states import MomentFunctional
 
 
 class GnsRepresentation:
@@ -202,50 +202,3 @@ def gns(f: MomentFunctional) -> GnsRepresentation:
 
     return GnsRepresentation(f, piv_words, ranks, B, matrices, cyclic, kernel)
 
-
-def state_from_representation(rep, omega=None,
-                              degree=None) -> MomentFunctional:
-    """Recover a moment table from a representation and a unit vector.
-
-    Accepts a GnsRepresentation (omega defaults to its cyclic vector and
-    the new table carries degree-1, the faithful window) or a band
-    operator assignment together with a finitely supported omega and an
-    explicit degree.  Floating moments are snapped to exact rationals and
-    hermitian-symmetrized; the snap tolerance is the documented bridge
-    from numeric data back to exact tables.
-    """
-    if isinstance(rep, GnsRepresentation):
-        if degree is None:
-            degree = rep.degree - 1
-        if degree < 1:
-            raise InsufficientDegree(
-                "representation degree %d leaves no faithful window"
-                % rep.degree)
-        if 2 * degree > 2 * (rep.degree - 1):
-            raise InsufficientDegree(
-                "moments of degree %d exceed the faithful window %d"
-                % (2 * degree, 2 * (rep.degree - 1)))
-        p = rep.presentation
-        values = {}
-        for w in p.basis_words(2 * degree):
-            values[w] = rep.moment(w)
-        return from_numeric(p, degree, values)
-
-    from .operators import FockAssignment
-
-    if isinstance(rep, FockAssignment):
-        if omega is None or degree is None:
-            raise ValueError(
-                "an operator assignment needs an explicit omega and degree")
-        p = rep.presentation
-        omega = np.asarray(omega, dtype=complex)
-        values = {}
-        for w in p.basis_words(2 * degree):
-            vec = omega
-            for g in reversed(w):
-                vec = rep.operator(p.generators[g]).apply(vec)
-            n = min(len(vec), len(omega))
-            values[w] = complex(np.vdot(omega[:n], vec[:n]))
-        return from_numeric(p, degree, values)
-
-    raise TypeError("unsupported representation object %r" % (rep,))

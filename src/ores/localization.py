@@ -133,9 +133,6 @@ class SProduct:
     def is_one(self) -> bool:
         return not self.ps
 
-    def degree(self) -> int:
-        return self.value.degree()
-
     def __eq__(self, other):
         if not isinstance(other, SProduct):
             return NotImplemented
@@ -255,6 +252,7 @@ _SUBSPACE_LIMIT = 512    # spans s * A_{<=bound}, keyed by (s, bound)
 _LEFT_LIMIT = 256        # left multiplications by single words, mod p
 _PARAM_LIMIT = 8         # candidate factor parameters per max_degree
 _STACK_LIMIT = 2 ** 22   # residues in the blocks' stacked vectors, 32 MB
+_ARRAY_LIMIT = 2 ** 22   # residues in one dense matrix mod p, 32 MB
 
 # The products of each factor count are screened in blocks of
 # _FIRST_BLOCK candidates, then twice as many each time up to
@@ -346,6 +344,9 @@ class _SearchState:
         self._index_degree = -1
 
     def factor_parameters(self, max_degree: int):
+        """(parameters p of the factors 1 + p'p, key -> position): the
+        irreducible monomials of degree 1..max_degree in deglex order, then
+        their pairwise sums and differences, cut after MAX_CANDIDATES."""
         hit = self.params.get(max_degree)
         if hit is None:
             p = self.presentation
@@ -450,9 +451,12 @@ class _SearchState:
         return out
 
     def subspace(self, s_value: AlgebraElement, s_key, bound: int):
+        """The _MulSubspace, or None where M_s, its transpose or K could
+        pass _ARRAY_LIMIT: each holds up to dim(target)**2 residues."""
         key = (s_key, bound)
         sub = self.subspaces.get(key)
-        if sub is None:
+        if sub is None and (self.dim(bound + max(s_value.degree(), 0)) ** 2
+                            <= _ARRAY_LIMIT):
             sub = _remember(self.subspaces, key,
                             _MulSubspace(self, s_value, bound), _SUBSPACE_LIMIT)
         return sub
@@ -543,9 +547,11 @@ class _SearchState:
     def left_matrix(self, el: AlgebraElement, degree: int):
         """Dense float64 matrix mod p of left multiplication by el from
         the words of degree <= degree to those of degree <= deg el +
-        degree; None when p divides a denominator."""
-        out = np.zeros((self.dim(max(el.degree(), 0) + degree),
-                        self.dim(degree)))
+        degree; None when p divides a denominator or past _ARRAY_LIMIT."""
+        shape = (self.dim(max(el.degree(), 0) + degree), self.dim(degree))
+        if shape[0] * shape[1] > _ARRAY_LIMIT:
+            return None
+        out = np.zeros(shape)
         for u, c in el.terms.items():
             cu = self.reduce(c)
             triples = None if cu is None else self.left_word(u, degree)
@@ -565,16 +571,6 @@ def _search_state(presentation: Presentation) -> _SearchState:
 
 
 # -- candidate enumeration ---------------------------------------------------
-
-
-def candidate_factor_parameters(presentation: Presentation, max_degree: int):
-    """Deterministic list of parameters p for candidate factors 1 + p'p:
-
-    all irreducible monomials of degree 1..max_degree in deglex order,
-    then pairwise sums and differences of those monomials, cut after the
-    first MAX_CANDIDATES.
-    """
-    return _search_state(presentation).factor_parameters(max_degree)[0]
 
 
 class _Block:
@@ -778,7 +774,8 @@ class _Screen:
         state = self.state
         bound = min(max(self.a_deg + t_deg - self.s_deg, 0),
                     self.cap - self.s_deg)
-        kernel = state.subspace(self.s_value, self.s_key, bound).annihilator()
+        sub = state.subspace(self.s_value, self.s_key, bound)
+        kernel = None if sub is None else sub.annihilator()
         if kernel is None:
             return None
         if t_deg > self.degree:
@@ -846,7 +843,8 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
             bound = max(r.degree() - s_deg, 0)
             if bound > room:
                 continue
-            b = state.subspace(s_value, s_key, bound).solve(r)
+            sub = state.subspace(s_value, s_key, bound)
+            b = None if sub is None else sub.solve(r)
             if b is None:
                 continue
             _verify(r, s_value * b, "right Ore witness")

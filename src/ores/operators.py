@@ -23,7 +23,7 @@ norm at most 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -435,7 +435,6 @@ class ProbeItem:
     residual: float
     truncation: int
     passed: bool
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -463,9 +462,8 @@ def pi_s_surjectivity_probe(assignment: FockAssignment, s: SProduct,
             items.append(ProbeItem(label, res.residual,
                                    max(res.truncation_sizes, default=0),
                                    res.residual <= tol))
-        except TruncationLimit as exc:
-            items.append(ProbeItem(label, float("inf"), SIZE_CAP, False,
-                                   {"error": str(exc)}))
+        except TruncationLimit:
+            items.append(ProbeItem(label, float("inf"), SIZE_CAP, False))
     return ProbeReport("surjectivity", tol, items)
 
 

@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, _check_same
-from .errors import OreWitnessNotFound
-from .localization import (DEFAULT_BUDGET, Fraction, LeftOreWitness, OreBudget,
-                           SProduct, factor_value, ore_solve_left)
+from .localization import SProduct, factor_value
 from .scalars import Scalar, as_scalar
 
 
@@ -53,9 +51,6 @@ class PositivityCertificate:
             out = out + (a.dagger() * a).scale(lam)
         return out
 
-    def __len__(self):
-        return len(self.terms)
-
     def __repr__(self):
         body = ", ".join("(%s, %s)" % (lam, a) for lam, a in self.terms)
         return "PositivityCertificate([%s])" % body
@@ -90,7 +85,6 @@ class CofinalityResult:
     per-factor certificates for the factors of t."""
     dominator: AlgebraElement
     chain: tuple
-    left_witness: LeftOreWitness | None = None
 
     @property
     def all_verified(self) -> bool:
@@ -115,19 +109,3 @@ def cofinal_dominator(b: AlgebraElement, t: SProduct) -> CofinalityResult:
                                        verify_certificate(target, cert)))
     return CofinalityResult(dominator, tuple(chain))
 
-
-def cofinal_dominator_from_fraction(
-        f: Fraction, budget: OreBudget = DEFAULT_BUDGET) -> CofinalityResult:
-    """Rewrite the right fraction [a, s] in left position t^{-1}b via a
-    left Ore witness t a = b s, then dominate it."""
-    if f.den.is_one():
-        res = cofinal_dominator(f.num, SProduct.one(f.presentation))
-        return res
-    solved = ore_solve_left(f.num, f.den, budget)
-    if not solved.found:
-        raise OreWitnessNotFound(
-            "no left witness for the fraction within budget "
-            "(%d candidates tried)" % solved.candidates_tried)
-    w = solved.witness
-    res = cofinal_dominator(w.b, w.t)
-    return CofinalityResult(res.dominator, res.chain, w)

@@ -112,9 +112,6 @@ class Scalar:
         """|z|^2 as an exact rational."""
         return self.re * self.re + self.im * self.im
 
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
     def is_real(self) -> bool:
         return not self.im
 

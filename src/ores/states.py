@@ -292,40 +292,3 @@ def from_numeric(presentation: Presentation, degree: int,
             table[w] = (a + b) * half
     return MomentFunctional(presentation, degree, table)
 
-
-# -- quadrature-backed extension on one commutative variable --------------------
-
-
-def gauss_hermite_fraction_expectation(frac, nodes: int = 80) -> complex:
-    """Expectation of a one-variable fraction against the standard
-    Gaussian weight, by Gauss-Hermite quadrature (probabilists' weight).
-
-    The paper's second theorem puts the integrable representations of
-    the algebra in bijection with those of its Ore localization, so a
-    state extends from polynomials to fractions a s^{-1}.  Here the
-    Gaussian state is extended on the commutative one-variable preset,
-    where s is a product of factors 1 + p'p, positive on the real line;
-    it is a quadrature demonstration, not a general extension algorithm.
-    Exact for polynomial integrands of degree < 2*nodes.
-    """
-    import numpy as np
-
-    p = frac.presentation
-    if len(p.generators) != 1 or not p.commutative:
-        raise StateAxiomError(
-            "quadrature extension is only defined on one commutative variable")
-    xs, ws = np.polynomial.hermite_e.hermegauss(nodes)
-    ws = ws / np.sqrt(2.0 * np.pi)
-
-    def poly_at(el: AlgebraElement, x):
-        out = np.zeros_like(x, dtype=complex)
-        for w, c in el.terms.items():
-            out = out + complex(c.to_complex()) * x ** len(w)
-        return out
-
-    num = poly_at(frac.num, xs)
-    den = np.ones_like(xs, dtype=complex)
-    for p_el in frac.den.ps:
-        fv = poly_at(p_el, xs)
-        den = den * (1.0 + np.conj(fv) * fv)
-    return complex(np.sum(ws * num / den))

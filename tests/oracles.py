@@ -156,12 +156,6 @@ def fraction_as_rational_function(f):
     return num, den
 
 
-def rational_functions_equal(f, g) -> bool:
-    nf, df = fraction_as_rational_function(f)
-    ng, dg = fraction_as_rational_function(g)
-    return nf * dg == ng * df
-
-
 def rational_function_dagger_equal(f, g) -> bool:
     """Does conj(f) equal g as a rational function?  Denominators of
     S-fractions are conjugation invariant, so only numerators flip."""

@@ -8,6 +8,7 @@ in-process and read captured stdout/stderr.
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -104,6 +105,30 @@ def test_ore_solve_no_witness(capsys):
     assert code == 1
     assert "no witness within budget" in out
     assert "candidates tried:" in out
+
+
+def _limit_address_space():
+    limit = 3 * 2 ** 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_ore_solve_on_a_large_free_algebra_stays_in_memory(tmp_path):
+    # At degree cap 14 the span s * A has 32,767 target words; its dense
+    # annihilator mod p would take about 6.4 GB
+    path = tmp_path / "free14.json"
+    save_presentation(Presentation(("x", "y"), (("x",), ("y",)), (), 14),
+                      path)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ores", "ore", "solve", "--presentation",
+         str(path), "--budget-factors", "1", "--budget-degree", "6", "x*y",
+         "(1 + x'*x)"], env=env, capture_output=True, text=True,
+        timeout=60, preexec_fn=_limit_address_space)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 1
+    assert proc.stdout == ("no witness within budget (factors <= 1, "
+                           "degree <= 6); candidates tried: 15877\n")
 
 
 def test_frac_add(capsys):

@@ -22,10 +22,10 @@ from ores.algebra import AlgebraElement, load_preset, random_element, \
     Presentation
 from ores.errors import DegreeOverflow, IrregularDenominator, OreWitnessNotFound
 from ores.localization import (DEFAULT_BUDGET, Fraction, OreBudget, SProduct,
-                               candidate_factor_parameters, check_denominator,
-                               embed, eq_fraction, factor_value, frac_add,
-                               frac_dagger, frac_mul, ore_solve_left,
-                               ore_solve_right, remark_mult_property_check)
+                               check_denominator, embed, eq_fraction,
+                               factor_value, frac_add, frac_dagger, frac_mul,
+                               ore_solve_left, ore_solve_right,
+                               remark_mult_property_check)
 from ores.scalars import IMAG, ONE, Scalar
 
 from oracles import (ReferenceRowSpace, XPoly, X_ONE,
@@ -107,8 +107,8 @@ def test_embed_and_fraction_basics():
 def test_candidate_parameters_deterministic_and_complete():
     for name in ("poly_x", "heisenberg"):
         p = load_preset(name)
-        c1 = list(candidate_factor_parameters(p, 2))
-        c2 = list(candidate_factor_parameters(p, 2))
+        c1 = list(localization._search_state(p).factor_parameters(2)[0])
+        c2 = list(localization._search_state(p).factor_parameters(2)[0])
         assert [e.key() for e in c1] == [e.key() for e in c2]
         keys = {e.key() for e in c1}
         for g in p.generators:
@@ -367,7 +367,7 @@ def _exact_scan(a, s, budget):
     p = a.presentation
     s_value = s.value
     s_deg = s_value.degree()
-    ps = candidate_factor_parameters(p, budget.max_degree)
+    ps = localization._search_state(p).factor_parameters(budget.max_degree)[0]
     candidates = [SProduct.one(p), s]
     for count in range(1, budget.max_factors + 1):
         candidates += [SProduct(p, tuple(ps[i] for i in combo))
@@ -461,7 +461,7 @@ def _fresh_heisenberg(cap=20):
 def _first_past_cap(p, budget):
     """How many candidates the scan tries up to and with the first whose
     value passes the degree cap (the scan tries 1 and s first)."""
-    ps = candidate_factor_parameters(p, budget.max_degree)
+    ps = localization._search_state(p).factor_parameters(budget.max_degree)[0]
     tried = 2
     for count in range(1, budget.max_factors + 1):
         for combo in itertools.product(range(len(ps)), repeat=count):
@@ -704,7 +704,7 @@ def test_factor_parameters_stop_at_the_candidate_cap(monkeypatch):
     full = mons + [e for i, u in enumerate(mons) for v in mons[i + 1:]
                    for e in (u + v, u - v)]
     assert len(full) == 196
-    ps = candidate_factor_parameters(p, 3)
+    ps = localization._search_state(p).factor_parameters(3)[0]
     assert [q.key() for q in ps] == [q.key() for q in full[:40]]
     res = ore_solve_right(p.generator("y"), _sproduct(p, (p.generator("x"),)),
                           OreBudget(max_factors=1, max_degree=3))

@@ -6,10 +6,8 @@ from fractions import Fraction as Rational
 import pytest
 
 from ores.algebra import load_preset, random_element
-from ores.errors import OreWitnessNotFound
-from ores.localization import Fraction, OreBudget, SProduct
+from ores.localization import SProduct
 from ores.positivity import (PositivityCertificate, cofinal_dominator,
-                             cofinal_dominator_from_fraction,
                              square_expansion_certificate, verify_certificate)
 from ores.scalars import IMAG, Scalar
 
@@ -80,35 +78,3 @@ def test_cofinal_dominator_chain():
             factor = 1 + fc.p.dagger() * fc.p
             assert fc.target == factor * factor - 1
             assert verify_certificate(fc.target, fc.certificate)
-
-
-def test_cofinal_dominator_from_fraction_heisenberg():
-    p = load_preset("heisenberg")
-    a = p.generator("a")
-    f = Fraction(a, SProduct(p, (a,)))
-    res = cofinal_dominator_from_fraction(f)
-    assert res.left_witness is not None
-    w = res.left_witness
-    # t a = b s exactly
-    lhs = naive_product_normal_form(p, (w.t.value, a))
-    rhs = naive_product_normal_form(p, (w.b, f.den.value))
-    assert lhs == rhs
-    assert res.dominator == w.b.dagger() * w.b
-    assert res.all_verified
-
-
-def test_cofinal_dominator_from_embedded_element():
-    p = load_preset("poly_x")
-    x = p.generator("x")
-    from ores.localization import embed
-    res = cofinal_dominator_from_fraction(embed(x))
-    assert res.dominator == x * x
-    assert res.chain == ()
-
-
-def test_cofinal_dominator_not_found_raises():
-    p = load_preset("free_xy")
-    f = Fraction(p.generator("x"), SProduct(p, (p.generator("y"),)))
-    with pytest.raises(OreWitnessNotFound):
-        cofinal_dominator_from_fraction(f, OreBudget(max_factors=1,
-                                                     max_degree=1))

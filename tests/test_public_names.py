@@ -1,0 +1,61 @@
+"""Every public top-level function and class of the package has a caller
+outside the tests: another module of the package (the CLI and the
+scenarios among them) or the benchmark.  A name only the tests reach is
+code kept for its own sake."""
+
+import ast
+import pathlib
+import re
+from collections import Counter
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ores"
+BENCHMARKS = ROOT / "benchmarks"
+
+# Public names kept without such a caller, with the reason.
+ALLOWED = {
+    "save_presentation": "writes the presentation file format that "
+                         "load_presentation and --presentation read",
+    "save_moments": "writes the moment file format that load_moments and "
+                    "gns build --moments read",
+    "save_operator": "writes the operator file format that load_operator "
+                     "and op apply --operator read",
+}
+
+
+def _public_definitions(tree):
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _references(node) -> Counter:
+    """How often each name or attribute is read inside the node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"}
+    refs = {stem: _references(tree) for stem, tree in trees.items()}
+    # the benchmark also names functions in strings (benchmarks/tracing.py)
+    bench_text = "\n".join(path.read_text(encoding="utf-8")
+                           for path in sorted(BENCHMARKS.glob("*.py"))
+                           if not path.name.startswith("test_"))
+    defined, uncalled = set(), []
+    for stem, tree in trees.items():
+        for node in _public_definitions(tree):
+            name = node.name
+            defined.add(name)
+            own = _references(node)[name]
+            if (name in ALLOWED
+                    or any(counts[name] > (own if other == stem else 0)
+                           for other, counts in refs.items())
+                    or re.search(r"\b%s\b" % name, bench_text)):
+                continue
+            uncalled.append("%s.%s" % (stem, name))
+    assert not uncalled, "public names without a caller: %s" % uncalled
+    assert set(ALLOWED) <= defined

@@ -11,12 +11,11 @@ import pytest
 from ores import states
 from ores.algebra import PRESETS, Presentation, load_preset
 from ores.errors import InsufficientDegree, StateAxiomError
-from ores.gns import generator_entries, gns, state_from_representation
-from ores.localization import Fraction, SProduct
+from ores.gns import generator_entries, gns
 from ores.scalars import Scalar
 from ores.states import (MomentFunctional, check_state_axioms, dirac_state,
                          double_factorial_moments, from_numeric,
-                         gauss_hermite_fraction_expectation, gaussian_state)
+                         gaussian_state)
 
 from oracles import (dense_annihilation, double_factorial, gaussian_moment,
                      hermite_jacobi, naive_normal_form)
@@ -333,26 +332,6 @@ def test_point_evaluation_on_commuting_variables():
     assert g.table == MomentFunctional.from_function(p, 2, at_point).table
 
 
-def test_state_round_trip_through_representation():
-    p = load_preset("poly_x")
-    f = gaussian_state(p, 6)
-    rep = gns(f)
-    g = state_from_representation(rep)
-    assert g.degree == 5
-    assert g.table == gaussian_state(p, 5).table
-
-
-def test_state_from_operator_assignment():
-    from ores.operators import fock_assignment
-    p = load_preset("heisenberg")
-    omega = np.zeros(1, dtype=complex)
-    omega[0] = 1.0
-    g = state_from_representation(fock_assignment(p), omega=omega, degree=3)
-    assert g.table == dirac_state(p, 3).table
-    with pytest.raises(ValueError):
-        state_from_representation(fock_assignment(p))
-
-
 def test_from_numeric_snapping():
     p = load_preset("poly_x")
     f = from_numeric(p, 2, {(): 1.0, (0, 0): 1.0000000000001,
@@ -374,27 +353,3 @@ def test_from_numeric_symmetrizes():
     # hermitian symmetry holds exactly after the bridge
     for w, c in f.table.items():
         assert c.conjugate() == f.table[p.dagger_word(w)]
-
-
-def test_quadrature_expectation():
-    import scipy.integrate as si
-    p = load_preset("poly_x")
-    x = p.generator("x")
-    f = Fraction(x * x, SProduct(p, (x,)))
-    got = gauss_hermite_fraction_expectation(f, nodes=160)
-
-    def integrand(t):
-        return (t * t / (1.0 + t * t)) * math.exp(-t * t / 2.0) \
-            / math.sqrt(2.0 * math.pi)
-
-    want, _ = si.quad(integrand, -12.0, 12.0)
-    assert abs(got.real - want) <= 1e-9
-    assert abs(got.imag) <= 1e-12
-    # the default node count is good to a few parts in 1e8
-    assert abs(gauss_hermite_fraction_expectation(f).real - want) <= 1e-6
-    # odd integrand vanishes
-    g = Fraction(x, SProduct(p, (x,)))
-    assert abs(gauss_hermite_fraction_expectation(g)) <= 1e-12
-    # exact on polynomials
-    h = Fraction(x ** 4, SProduct.one(p))
-    assert abs(gauss_hermite_fraction_expectation(h) - 3.0) <= 1e-10
