@@ -17,10 +17,8 @@ the Gaussian rationals.  Words are tuples of generator indices.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import (DegreeOverflow, PresentationError, PresentationMismatch)
-from .linalg import nullspace
 from .scalars import ONE, Scalar, as_scalar
 
 Word = tuple
@@ -33,7 +31,6 @@ def _deglex_key(w: Word):
 # Cache limits of a presentation.  A full cache keeps what it has and
 # takes nothing new, so the words met first stay cached.
 _NF_LIMIT = 1 << 15        # normal forms of single words
-_REGULAR_LIMIT = 1024      # regularity checks, keyed by (element, depth)
 _BASIS_LIMIT = 1 << 16     # words in one basis_words table
 
 
@@ -127,7 +124,6 @@ class Presentation:
 
         self._nf_cache = {}
         self._basis_cache = {}
-        self._regular_cache = {}
 
         self._check_dagger_closure()
         self._check_confluence()
@@ -539,62 +535,6 @@ def format_element(e: AlgebraElement) -> str:
     for neg, txt in parts[1:]:
         out += (" - " if neg else " + ") + txt
     return out
-
-
-@dataclass(frozen=True)
-class RegularityResult:
-    regular: bool
-    witness: AlgebraElement | None = None
-
-    def __bool__(self):
-        return self.regular
-
-
-def is_regular_up_to(s: AlgebraElement, depth: int) -> RegularityResult:
-    """Search for zero divisors of s among elements of degree <= depth.
-
-    Checks both a*s = 0 and s*a = 0 by exact kernel computation.  A
-    trivial kernel only certifies regularity up to the stated depth.
-    """
-    p = s.presentation
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if s.is_zero():
-        return RegularityResult(False, p.one())
-    if s.degree() + depth > p.degree_cap:
-        raise DegreeOverflow(
-            "regularity check at depth %d needs degree %d > cap %d"
-            % (depth, s.degree() + depth, p.degree_cap))
-    key = (s.key(), depth)
-    cached = p._regular_cache.get(key)
-    if cached is not None:
-        return cached
-
-    basis = p.basis_words(depth)
-    target = p.basis_words(depth + s.degree())
-    index = {w: i for i, w in enumerate(target)}
-    result = None
-    for side in ("left", "right"):
-        cols = []
-        for w in basis:
-            wel = AlgebraElement(p, {w: ONE}, _trusted=True)
-            prod = (s * wel) if side == "left" else (wel * s)
-            vec = [Scalar(0)] * len(target)
-            for w2, c in prod.terms.items():
-                vec[index[w2]] = c
-            cols.append(vec)
-        rows = [[cols[j][i] for j in range(len(basis))]
-                for i in range(len(target))]
-        kernel = nullspace(rows)
-        if kernel:
-            combo = kernel[0]
-            witness = p.normalize_raw(
-                {basis[j]: combo[j] for j in range(len(basis)) if combo[j]})
-            result = RegularityResult(False, witness)
-            break
-    if result is None:
-        result = RegularityResult(True)
-    return _remember(p._regular_cache, key, result, _REGULAR_LIMIT)
 
 
 # -- presets ---------------------------------------------------------------------

@@ -31,6 +31,11 @@ ACM TOMS 35(3), 2008).  Only survivors get the exact
 products t and a*t and the exact solve, so the scan order, the witness
 and the number of candidates tried are those of the exact scan.
 Returned witnesses are always re-verified exactly.
+
+The bounded regularity check of a denominator s reads the same spans:
+s has no zero divisor of degree <= depth when the maps w -> s*w and
+w -> w*s on the words of degree <= depth have full rank (Goodearl and
+Warfield, An Introduction to Noncommutative Noetherian Rings, ch. 10).
 """
 
 from __future__ import annotations
@@ -41,11 +46,10 @@ from fractions import Fraction as Rational
 
 import numpy as np
 
-from .algebra import (AlgebraElement, Presentation, _check_same,
-                      _remember, is_regular_up_to)
+from .algebra import AlgebraElement, Presentation, _check_same, _remember
 from .errors import (DegreeOverflow, IrregularDenominator, OreWitnessNotFound,
                      WitnessCheckError)
-from .linalg import RowSpace
+from .linalg import RowSpace, nullspace
 from .scalars import ONE, Scalar
 
 
@@ -154,6 +158,41 @@ def factor_value(p: AlgebraElement) -> AlgebraElement:
     return p.presentation.one() + p.dagger() * p
 
 
+@dataclass(frozen=True)
+class RegularityResult:
+    regular: bool
+    witness: AlgebraElement | None = None
+
+    def __bool__(self):
+        return self.regular
+
+
+def is_regular_up_to(s: AlgebraElement, depth: int) -> RegularityResult:
+    """Search for zero divisors of s among elements of degree <= depth.
+
+    Checks s*a = 0, then a*s = 0, by the rank of the spans s * A and
+    A * s (_MulSubspace); a witness is the first reduced-echelon kernel
+    vector.  A trivial kernel only certifies regularity up to the depth.
+    """
+    p = s.presentation
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if s.is_zero():
+        return RegularityResult(False, p.one())
+    if s.degree() + depth > p.degree_cap:
+        raise DegreeOverflow(
+            "regularity check at depth %d needs degree %d > cap %d"
+            % (depth, s.degree() + depth, p.degree_cap))
+    state, key = _search_state(p), s.key()
+    for right in (False, True):
+        sub = state.subspace(s, key, depth, right)
+        if len(sub.rowspace().rows) < len(sub.basis):
+            kernel = nullspace([list(row) for row in zip(*sub.columns())])
+            return RegularityResult(False, p.normalize_raw(
+                {w: c for w, c in zip(sub.basis, kernel[0]) if c}))
+    return RegularityResult(True)
+
+
 def check_denominator(s: SProduct):
     """Bounded regularity check for a denominator; raises on a witness.
 
@@ -175,7 +214,6 @@ def check_denominator(s: SProduct):
         raise IrregularDenominator(
             "denominator has a zero divisor at depth %d: %s"
             % (use, res.witness))
-    return res
 
 
 class Fraction:
@@ -248,7 +286,7 @@ _PRIME = 2097133
 # and takes nothing new: the entries it keeps are the first candidates of
 # the scan, which every search reaches.
 _VALUE_LIMIT = 4096      # denominators in S: values, and candidates
-_SUBSPACE_LIMIT = 512    # spans s * A_{<=bound}, keyed by (s, bound)
+_SUBSPACE_LIMIT = 512    # spans s * A_{<=bound} and A_{<=bound} * s
 _LEFT_LIMIT = 256        # left multiplications by single words, mod p
 _PARAM_LIMIT = 8         # candidate factor parameters per max_degree
 _STACK_LIMIT = 2 ** 22   # residues in the blocks' stacked vectors, 32 MB
@@ -325,7 +363,7 @@ def _left_kernel_mod(m, prime: int):
 
 class _SearchState:
     """The witness search's caches on one presentation, all bounded, and
-    the reductions mod p that its screen uses."""
+    the reductions mod p that its screen uses; regularity reads its spans."""
 
     def __init__(self, presentation: Presentation):
         self.presentation = presentation
@@ -339,7 +377,7 @@ class _SearchState:
         self.blocks = {}       # key -> _Block (see first_block, block)
         self.stacked = 0       # residues in the cached blocks' stacks
         self.left = {}         # word -> (degree, map mod p)
-        self.subspaces = {}    # (s key, bound) -> _MulSubspace
+        self.subspaces = {}    # (s key, bound, right) -> _MulSubspace
         self._index = {}
         self._index_degree = -1
 
@@ -450,15 +488,17 @@ class _SearchState:
                 out[k] = out[k][:2] + (vec,)
         return out
 
-    def subspace(self, s_value: AlgebraElement, s_key, bound: int):
-        """The _MulSubspace, or None where M_s, its transpose or K could
-        pass _ARRAY_LIMIT: each holds up to dim(target)**2 residues."""
-        key = (s_key, bound)
+    def subspace(self, s_value: AlgebraElement, s_key, bound: int,
+                 right: bool):
+        """The _MulSubspace of the s*w, or of the w*s when right.  The
+        search reads left maps, regularity both; every map is cached, and
+        one past _ARRAY_LIMIT returns None from solve and annihilator."""
+        key = (s_key, bound, right)
         sub = self.subspaces.get(key)
-        if sub is None and (self.dim(bound + max(s_value.degree(), 0)) ** 2
-                            <= _ARRAY_LIMIT):
+        if sub is None:
             sub = _remember(self.subspaces, key,
-                            _MulSubspace(self, s_value, bound), _SUBSPACE_LIMIT)
+                            _MulSubspace(self, s_value, bound, right),
+                            _SUBSPACE_LIMIT)
         return sub
 
     # -- reduction mod p --------------------------------------------------------
@@ -620,17 +660,20 @@ def _candidate_blocks(state: _SearchState, s: SProduct, budget: OreBudget):
             start, size = stop, min(2 * size, _LAST_BLOCK)
 
 
-# -- membership in s * span(words of bounded degree) --------------------------
+# -- the spans s * A and A * s of bounded degree ----------------------------
 
 
 class _MulSubspace:
     """The span of { s * w : w irreducible word, deg w <= bound } inside
-    the words of degree <= bound + deg s.
+    the words of degree <= bound + deg s, or of the w * s when right.
 
-    solve() decides membership exactly, with a lazily built RowSpace.
-    annihilator() gives the modular screen a basis K of the left kernel
-    of M mod p, where the columns of M are the vectors s * w; K kills the
-    image mod p of every member of the span.  Why a rejection is safe:
+    The columns of M are the vectors s * w (w * s); the rank of their
+    lazily built RowSpace decides regularity.  On a left map, solve()
+    decides membership exactly with it, and annihilator() gives the
+    modular screen a basis K of the left kernel of M mod p; K kills the
+    image mod p of every member of the span.  Both return None where M,
+    its transpose or K could pass _ARRAY_LIMIT: each holds up to
+    ntarget**2 residues.  Why a rejection is safe:
 
     - Reduction mod p is a ring map from the Gaussian rationals whose
       real and imaginary denominators p does not divide onto F_p.  The
@@ -666,16 +709,18 @@ class _MulSubspace:
     """
 
     def __init__(self, state: _SearchState, s_value: AlgebraElement,
-                 bound: int):
+                 bound: int, right: bool):
         self.state = state
         self.s_value = s_value
         self.bound = bound
+        self.right = right
         p = state.presentation
         self.basis = p.basis_words(bound)
         self.ntarget = state.dim(bound + max(s_value.degree(), 0))
+        self.small = self.ntarget ** 2 <= _ARRAY_LIMIT
         self._rowspace = None
         self._annihilator = None
-        self._screened = False
+        self._screened = not self.small     # past _ARRAY_LIMIT: no screen
 
     def _vector(self, el: AlgebraElement):
         index = self.state.index(self.bound + max(self.s_value.degree(), 0))
@@ -687,13 +732,19 @@ class _MulSubspace:
             vec[i] = c
         return vec
 
+    def columns(self):
+        """The vectors s * w (w * s), exact, in the order of the words."""
+        p = self.state.presentation
+        for w in self.basis:
+            word = AlgebraElement(p, {w: ONE}, _trusted=True)
+            yield self._vector(word * self.s_value if self.right
+                               else self.s_value * word)
+
     def rowspace(self) -> RowSpace:
         if self._rowspace is None:
-            p = self.state.presentation
             rs = RowSpace(self.ntarget)
-            for w in self.basis:
-                rs.add(self._vector(
-                    self.s_value * AlgebraElement(p, {w: ONE}, _trusted=True)))
+            for col in self.columns():
+                rs.add(col)
             self._rowspace = rs
         return self._rowspace
 
@@ -712,7 +763,7 @@ class _MulSubspace:
 
     def solve(self, el: AlgebraElement) -> AlgebraElement | None:
         """Exact b with s*b = el and deg b <= bound, or None."""
-        vec = self._vector(el)
+        vec = self._vector(el) if self.small else None
         if vec is None:
             return None
         coeffs = self.rowspace().represent(vec)
@@ -774,8 +825,8 @@ class _Screen:
         state = self.state
         bound = min(max(self.a_deg + t_deg - self.s_deg, 0),
                     self.cap - self.s_deg)
-        sub = state.subspace(self.s_value, self.s_key, bound)
-        kernel = None if sub is None else sub.annihilator()
+        kernel = state.subspace(self.s_value, self.s_key, bound,
+                                False).annihilator()
         if kernel is None:
             return None
         if t_deg > self.degree:
@@ -821,7 +872,6 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
     state = _search_state(p)
     s_key = s_value.key()
     s_deg = s_value.degree()
-    room = p.degree_cap - s_deg
     position = state.factor_parameters(budget.max_degree)[1]
     s_combo = tuple(position.get(k) for k in s.key())
     screen = _Screen(state, a, s_value, s_key)
@@ -840,11 +890,8 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
                 r = a * t.value
             except DegreeOverflow:
                 continue
-            bound = max(r.degree() - s_deg, 0)
-            if bound > room:
-                continue
-            sub = state.subspace(s_value, s_key, bound)
-            b = None if sub is None else sub.solve(r)
+            b = state.subspace(s_value, s_key, max(r.degree() - s_deg, 0),
+                               False).solve(r)
             if b is None:
                 continue
             _verify(r, s_value * b, "right Ore witness")

@@ -53,10 +53,6 @@ class BandedOperator:
         return cls({0: Formula.const(1)})
 
     @classmethod
-    def diagonal(cls, formula: Formula) -> "BandedOperator":
-        return cls({0: formula})
-
-    @classmethod
     def weighted_shift(cls, offset: int, formula: Formula) -> "BandedOperator":
         return cls({offset: formula})
 
@@ -88,15 +84,6 @@ class BandedOperator:
         if not self.bands:
             return 0
         return max(abs(k) for k in self.bands)
-
-    def band(self, k: int) -> Formula:
-        return self.bands.get(k, Formula.zero())
-
-    def entry(self, row: int, col: int) -> complex:
-        if row < 0 or col < 0:
-            return 0j
-        f = self.bands.get(col - row)
-        return f.eval(row) if f is not None else 0j
 
     # -- action ----------------------------------------------------------------------
 

@@ -108,13 +108,6 @@ class Scalar:
     def conjugate(self) -> "Scalar":
         return Scalar(self.re, -self.im)
 
-    def abs2(self) -> int | Fraction:
-        """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
-
-    def is_real(self) -> bool:
-        return not self.im
-
     def is_positive_real(self) -> bool:
         return not self.im and self.re > 0
 

@@ -168,13 +168,15 @@ def rational_function_dagger_equal(f, g) -> bool:
 
 
 def dense_matrix(op, N: int) -> np.ndarray:
-    """Entrywise dense truncation; goes through op.entry only, asking
-    for the entries within the bandwidth (the others are zero)."""
+    """Entrywise dense truncation: entry (i, j) is band j - i at row i,
+    asked for within the bandwidth only (the others are zero)."""
     M = np.zeros((N, N), dtype=complex)
     w = op.bandwidth
     for i in range(N):
         for j in range(max(0, i - w), min(N, i + w + 1)):
-            M[i, j] = op.entry(i, j)
+            f = op.bands.get(j - i)
+            if f is not None:
+                M[i, j] = f.eval(i)
     return M
 
 
@@ -397,7 +399,7 @@ def reference_hermitian_reduce(G, grades=None) -> PsdReport:
                 if state[i] != "open" or grades[i] > stage:
                     continue
                 d = work[i][i]
-                if not d.is_real():
+                if d.im:
                     raise ValueError("matrix is not hermitian")
                 if d.re < 0:
                     return PsdReport(False, len(pivots), pivots, [],

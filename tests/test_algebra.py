@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from ores import algebra
-from ores.algebra import (Presentation, format_element, is_regular_up_to,
-                          load_preset, random_element)
+from ores import algebra, localization
+from ores.algebra import (Presentation, format_element, load_preset,
+                          random_element)
 from ores.errors import DegreeOverflow, PresentationError
+from ores.localization import is_regular_up_to
 from ores.scalars import IMAG, Scalar
 
 from oracles import (naive_normal_form, naive_product_normal_form,
@@ -173,13 +174,21 @@ def test_regularity_witness_is_the_first_echelon_kernel_vector():
         witness = is_regular_up_to(el, 2).witness
         assert witness.terms == _reference_zero_divisor(el, 2).terms
         assert witness == want
+    # an isometry: v is left-regular, and only (v vd - 1) v = 0 fails, so
+    # the witness comes from the map w -> w v
+    q = Presentation(("v", "vd"), (("v", "vd"),),
+                     ((("vd", "v"), ((1, ()),)),), 8)
+    v, vd = q.generator("v"), q.generator("vd")
+    witness = is_regular_up_to(v, 2).witness
+    assert witness.terms == _reference_zero_divisor(v, 2).terms
+    assert witness == v * vd - 1
 
 
 def test_full_caches_take_no_new_entries(monkeypatch):
     # past the limits, normal forms and regularity verdicts are computed
     # afresh and stay correct; the caches never grow beyond the limits
     monkeypatch.setattr(algebra, "_NF_LIMIT", 16)
-    monkeypatch.setattr(algebra, "_REGULAR_LIMIT", 2)
+    monkeypatch.setattr(localization, "_SUBSPACE_LIMIT", 2)
     p = Presentation(*algebra.PRESETS["heisenberg"])
     rng = random.Random(10)
     for _ in range(30):
@@ -193,7 +202,7 @@ def test_full_caches_take_no_new_entries(monkeypatch):
     for _ in range(2):
         for el, regular in ((e, False), (1 - e, False), (1 + e, True)):
             assert is_regular_up_to(el, 2).regular == regular
-            assert len(q._regular_cache) <= 2
+            assert len(localization._search_state(q).subspaces) <= 2
 
 
 def test_regularity_of_preset_generators():

@@ -172,8 +172,8 @@ def test_operator_round_trip(tmp_path):
         BandedOperator.annihilation(),
         BandedOperator.creation(),
         BandedOperator.identity(),
-        BandedOperator.diagonal(Formula.poly(
-            [Scalar(1), Scalar(Rational(3, 2))])),
+        BandedOperator({0: Formula.poly(
+            [Scalar(1), Scalar(Rational(3, 2))])}),
         BandedOperator.weighted_shift(2, Formula.sqrt(QPoly([2, 1]))),
         BandedOperator.annihilation() + BandedOperator.creation(),
     ]
@@ -193,9 +193,9 @@ def test_unrepresentable_bands_rejected():
         operator_to_dict(BandedOperator.weighted_shift(1, mixed))
     radical_sum = Formula.sqrt(QPoly([1, 1])) + Formula.sqrt(QPoly([2, 1]))
     with pytest.raises(ConfigError):
-        operator_to_dict(BandedOperator.diagonal(radical_sum))
+        operator_to_dict(BandedOperator({0: radical_sum}))
     with pytest.raises(ConfigError):
-        operator_to_dict(BandedOperator.diagonal(Formula.poly([IMAG])))
+        operator_to_dict(BandedOperator({0: Formula.poly([IMAG])}))
 
 
 def test_malformed_operator_file_rejected():

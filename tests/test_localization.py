@@ -538,8 +538,8 @@ def test_screen_falls_back_where_the_prime_is_unlucky(monkeypatch):
     assert got == want
     # the rank check, not luck, kept the zero-mod-5 denominator sound
     five = _sproduct(p, (p.scalar(2), p.generator("ad"))).value.key()
-    subs = [sub for (key, _), sub in p._ore_search.subspaces.items()
-            if key == five]
+    subs = [sub for (key, _, right), sub in p._ore_search.subspaces.items()
+            if key == five and not right]
     assert subs and all(sub.annihilator() is None for sub in subs)
 
 

@@ -1,7 +1,7 @@
-"""Every public top-level function and class of the package has a caller
-outside the tests: another module of the package (the CLI and the
-scenarios among them) or the benchmark.  A name only the tests reach is
-code kept for its own sake."""
+"""Every public top-level function and class of the package, and every
+public method of a public class, has a caller outside the tests: another
+module of the package (the CLI and the scenarios among them) or the
+benchmark.  A name only the tests reach is code kept for its own sake."""
 
 import ast
 import pathlib
@@ -20,6 +20,7 @@ ALLOWED = {
                     "gns build --moments read",
     "save_operator": "writes the operator file format that load_operator "
                      "and op apply --operator read",
+    "MomentFunctional.evaluate": "the state f evaluated on an element",
 }
 
 
@@ -29,6 +30,19 @@ def _public_definitions(tree):
             and not node.name.startswith("_")]
 
 
+def _public_methods(tree):
+    return [(cls.name, node) for cls in _public_definitions(tree)
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")]
+
+
+def _attributes(node) -> Counter:
+    """How often each attribute is read inside the node."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute))
+
+
 def _references(node) -> Counter:
     """How often each name or attribute is read inside the node."""
     return Counter(n.id if isinstance(n, ast.Name) else n.attr
@@ -36,15 +50,24 @@ def _references(node) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _package_trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "__init__.py"}
+
+
+def _benchmark_text():
+    """The benchmark's code; it also names functions and methods in
+    strings (benchmarks/tracing.py)."""
+    return "\n".join(path.read_text(encoding="utf-8")
+                     for path in sorted(BENCHMARKS.glob("*.py"))
+                     if not path.name.startswith("test_"))
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))
-             if path.name != "__init__.py"}
+    trees = _package_trees()
     refs = {stem: _references(tree) for stem, tree in trees.items()}
-    # the benchmark also names functions in strings (benchmarks/tracing.py)
-    bench_text = "\n".join(path.read_text(encoding="utf-8")
-                           for path in sorted(BENCHMARKS.glob("*.py"))
-                           if not path.name.startswith("test_"))
+    bench_text = _benchmark_text()
     defined, uncalled = set(), []
     for stem, tree in trees.items():
         for node in _public_definitions(tree):
@@ -58,4 +81,24 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 continue
             uncalled.append("%s.%s" % (stem, name))
     assert not uncalled, "public names without a caller: %s" % uncalled
-    assert set(ALLOWED) <= defined
+    assert {name for name in ALLOWED if "." not in name} <= defined
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    # a method is called when its name is read as an attribute outside
+    # its own body, in the package or the benchmark
+    trees = _package_trees()
+    reads = sum((_attributes(tree) for tree in trees.values()), Counter())
+    bench_text = _benchmark_text()
+    defined, uncalled = set(), []
+    for stem, tree in trees.items():
+        for cls, node in _public_methods(tree):
+            name = "%s.%s" % (cls, node.name)
+            defined.add(name)
+            if (name in ALLOWED
+                    or reads[node.name] > _attributes(node)[node.name]
+                    or re.search(r"\.%s\b" % node.name, bench_text)):
+                continue
+            uncalled.append("%s.%s" % (stem, name))
+    assert not uncalled, "public methods without a caller: %s" % uncalled
+    assert {name for name in ALLOWED if "." in name} <= defined
