@@ -167,7 +167,10 @@ class Presentation:
         return None
 
     def normal_form_word(self, w: Word) -> dict:
-        """Normal form of a single word as a dict word -> Scalar."""
+        """Normal form of a single word as a dict word -> Scalar.
+
+        Each rewrite step is one recursive call; a chain of steps deeper
+        than Python's recursion limit raises DegreeOverflow."""
         if len(w) > self.degree_cap:
             raise DegreeOverflow(
                 "word of length %d exceeds degree cap %d"
@@ -183,7 +186,13 @@ class Presentation:
             u, v = w[:pos], w[pos + len(rule.lhs):]
             acc = {}
             for rw, rc in rule.rhs.items():
-                for w2, c2 in self.normal_form_word(u + rw + v).items():
+                try:
+                    nf = self.normal_form_word(u + rw + v)
+                except RecursionError:
+                    raise DegreeOverflow(
+                        "rewriting a word of length %d nests too deeply"
+                        % len(w)) from None
+                for w2, c2 in nf.items():
                     c = rc * c2
                     prev = acc.get(w2)
                     if prev is not None:

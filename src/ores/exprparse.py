@@ -386,7 +386,7 @@ def parse_fraction_text(text: str, presentation: Presentation):
     if not isinstance(first, Paren):
         tok = p.tokens[0]
         raise ParseError("a fraction starts with a parenthesized numerator",
-                         tok.line, tok.col, ("(",))
+                         tok.line, tok.col)
     num = ast_to_element(first.child, presentation)
     p.expect("/")
     ps = _parse_factor_chain(p, presentation)

@@ -29,7 +29,10 @@ below 2**53 and is exact (Dumas, Giorgi and Pernet, "Dense linear
 algebra over word-size prime fields: the FFLAS and FFPACK packages",
 ACM TOMS 35(3), 2008).  Only survivors get the exact
 products t and a*t and the exact solve, so the scan order, the witness
-and the number of candidates tried are those of the exact scan.
+and the number of candidates tried are those of the exact scan.  Each
+candidate's vector mod p is kept once, in its block's stack; a block
+past the stacks' limit of 2**22 residues is built again from the cached
+values and word maps when a search reaches it.
 Returned witnesses are always re-verified exactly.
 
 The bounded regularity check of a denominator s reads the same spans:
@@ -285,7 +288,7 @@ _PRIME = 2097133
 # at the default budget never fill them.  A full cache keeps what it has
 # and takes nothing new: the entries it keeps are the first candidates of
 # the scan, which every search reaches.
-_VALUE_LIMIT = 4096      # denominators in S: values, and candidates
+_VALUE_LIMIT = 4096      # values of denominators in S
 _SUBSPACE_LIMIT = 512    # spans s * A_{<=bound} and A_{<=bound} * s
 _LEFT_LIMIT = 256        # left multiplications by single words, mod p
 _PARAM_LIMIT = 8         # candidate factor parameters per max_degree
@@ -373,7 +376,6 @@ class _SearchState:
         self.max_dot = (2 ** 53 - 1) // (_PRIME - 1) ** 2
         self.params = {}       # max_degree -> (parameters, key -> position)
         self.values = {}       # SProduct key -> value
-        self.candidates = {}   # (max_degree, combo) -> (t, degree, vector)
         self.blocks = {}       # key -> _Block (see first_block, block)
         self.stacked = 0       # residues in the cached blocks' stacks
         self.left = {}         # word -> (degree, map mod p)
@@ -435,18 +437,13 @@ class _SearchState:
     def candidates_at(self, max_degree: int, combos):
         """(t, degree, vector mod p) for the product t of the factor
         parameters at the positions in each combo, in order; for two or
-        more factors the degree is a bound (see _products)."""
-        got = [self.candidates.get((max_degree, c)) for c in combos]
-        todo = [i for i, hit in enumerate(got) if hit is None]
+        more factors the degree is a bound (see _products).  Nothing is
+        cached here; the vectors are kept in the blocks (see _Block)."""
+        out = []
         # the scan runs through every last factor of one head in a row
-        for head, run in itertools.groupby(todo, lambda i: combos[i][:-1]):
-            run = list(run)
-            built = self._products(max_degree, head,
-                                   [combos[i][-1] for i in run])
-            for i, hit in zip(run, built):
-                got[i] = _remember(self.candidates, (max_degree, combos[i]),
-                                   hit, _VALUE_LIMIT)
-        return got
+        for head, run in itertools.groupby(combos, lambda c: c[:-1]):
+            out += self._products(max_degree, head, [c[-1] for c in run])
+        return out
 
     def _products(self, max_degree: int, head: tuple, lasts):
         """(t, degree, vector mod p) for each t = u * f, u the product of
@@ -471,7 +468,7 @@ class _SearchState:
             return [(t, None, None) for t in ts]
         out = []
         columns = {}           # deg f -> (position in out, vector of f)
-        factors = self.candidates_at(max_degree, [(j,) for j in lasts])
+        factors = self._products(max_degree, (), lasts)
         for k, (t, (_, f_deg, f_vec)) in enumerate(zip(ts, factors)):
             if f_deg is None or u.degree() + f_deg > p.degree_cap:
                 out.append((t, None, None))
@@ -616,25 +613,27 @@ def _search_state(presentation: Presentation) -> _SearchState:
 class _Block:
     """Candidates screened together: their combos (None for 1 and s) and
     (t, degree) in scan order, and their vectors mod p as the columns of
-    one float64 stack per (degree, vector length), with each candidate's
-    slot (stack, column).  A degree is None where t.value passes the
-    degree cap; a candidate without a vector has no slot."""
+    one float64 stack per degree (length dim(degree)), with each
+    candidate's slot (stack, column).  A degree is None where t.value
+    passes the degree cap; a candidate without a vector has no slot.
+    The stacks are the only copy of the vectors: a block that _keep
+    leaves uncached is built again when a search reaches it."""
 
     __slots__ = ("combos", "entries", "slots", "groups", "size")
 
     def __init__(self, combos, candidates):
         self.combos = combos
         self.entries = [(t, degree) for t, degree, _ in candidates]
-        shapes = {}            # (degree, length) -> positions in the block
+        degrees = {}           # degree -> positions in the block
         for i, (_, degree, vec) in enumerate(candidates):
             if vec is not None:
-                shapes.setdefault((degree, len(vec)), []).append(i)
+                degrees.setdefault(degree, []).append(i)
         self.slots = [None] * len(candidates)
-        self.groups = []       # (shape, stack), in order of first position
-        for g, (shape, cols) in enumerate(shapes.items()):
+        self.groups = []       # (degree, stack), in order of first position
+        for g, (degree, cols) in enumerate(degrees.items()):
             for col, i in enumerate(cols):
                 self.slots[i] = (g, col)
-            self.groups.append((shape, np.stack(
+            self.groups.append((degree, np.stack(
                 [candidates[i][2] for i in cols], axis=1)))
         self.size = sum(stack.size for _, stack in self.groups)
 
@@ -787,7 +786,7 @@ class _Screen:
         self.a_deg = a.degree()
         self.s_deg = s_value.degree()
         self.cap = state.presentation.degree_cap
-        self.precomposed = {}  # (degree, length) -> K M_a mod p, or None
+        self.precomposed = {}  # degree -> K M_a mod p, or None
         self.matrix = None     # left multiplication by a mod p, built lazily
         self.degree = -1       # the matrix covers t of degree <= this
         self.off = False       # p divides a denominator of a or the rules
@@ -807,19 +806,19 @@ class _Screen:
                 masks[g] = self._mask(*block.groups[g])
             yield masks[g][col]
 
-    def _mask(self, shape, stack):
+    def _mask(self, t_deg, stack):
         """Whether the candidate of each column of the stack passes."""
-        if shape not in self.precomposed:
-            self.precomposed[shape] = self._precompose(*shape)
-        q = self.precomposed[shape]
+        if t_deg not in self.precomposed:
+            self.precomposed[t_deg] = self._precompose(t_deg)
+        q = self.precomposed[t_deg]
         if q is None:
             return [True] * stack.shape[1]
         return (~self.state.matmul(q, stack).any(axis=0)).tolist()
 
-    def _precompose(self, t_deg: int, length: int):
-        """K M_a mod p for candidates t of degree at most t_deg with
-        vectors of that length, K the annihilator of s * A at the bound
-        for a*t; None where the screen is off, and all of them pass."""
+    def _precompose(self, t_deg: int):
+        """K M_a mod p for candidates t of degree at most t_deg, K the
+        annihilator of s * A at the bound for a*t; None where the screen
+        is off, and all of them pass."""
         if self.off or self.a_deg + t_deg > self.cap:
             return None
         state = self.state
@@ -836,8 +835,8 @@ class _Screen:
             if self.matrix is None:
                 self.off = True
                 return None
-        nrows = state.dim(self.a_deg + t_deg)
-        return state.matmul(kernel[:, :nrows], self.matrix[:nrows, :length])
+        nrows, ncols = state.dim(self.a_deg + t_deg), state.dim(t_deg)
+        return state.matmul(kernel[:, :nrows], self.matrix[:nrows, :ncols])
 
 
 def _verify(lhs: AlgebraElement, rhs: AlgebraElement, what: str):

@@ -350,7 +350,7 @@ def invert_one_plus_AstarA(A: BandedOperator, y, tol: float) -> InversionResult:
     through the band formulas, so the contraction bound
     ||x - x_true|| <= residual is a guarantee, not a heuristic.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     y = np.asarray(y, dtype=complex)
     M = one_plus_AstarA(A)

@@ -52,7 +52,7 @@ class ScenarioConfig:
     def validate(self):
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.solve_tol <= 0 or self.probe_tol <= 0:
+        if not (self.solve_tol > 0 and self.probe_tol > 0):
             raise ConfigError("tolerances must be positive")
         self.budget()
 

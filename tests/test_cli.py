@@ -552,3 +552,39 @@ def test_scenario_usage_errors(tmp_path, capsys):
         "scenario", "run", "all", "--presentation", "pres.json",
         "--out", str(tmp_path)])
     assert code == 2
+
+
+_LONG_WORD = "(%s)*(%s)" % ("*".join(["a"] * 35), "*".join(["ad"] * 35))
+
+
+# malformed invocations that printed a traceback or ran to the size cap
+# and exited 1: (argv, part of the error line); {dir} is a scratch dir
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["frac", "dagger", "a / (1)"], "parenthesized numerator",
+                 id="frac-unparenthesized-numerator"),
+    pytest.param(["frac", "dagger", "1"], "parenthesized numerator",
+                 id="frac-without-denominator"),
+    pytest.param(["frac", "eq", "(a) / (1)", "b"], "parenthesized numerator",
+                 id="frac-eq-second-operand"),
+    pytest.param(["op", "invert", "--expr", "a", "--vector", "1,0,0",
+                  "--tol", "nan"], "tol must be positive", id="op-invert-nan"),
+    pytest.param(["scenario", "run", "fock-integrability", "--tol", "nan",
+                  "--out", "{dir}"], "tolerances must be positive",
+                 id="scenario-nan"),
+    pytest.param(["op", "probe", "--den", "(1 + a'*a)", "--targets", "1",
+                  "--probe-tol", "nan"], "tol must be positive",
+                 id="op-probe-nan"),
+    # a rewrite chain deeper than Python's recursion limit
+    pytest.param(["normalize", "--presentation", "{dir}/heisenberg80.json",
+                  _LONG_WORD], "nests too deeply", id="normalize-deep-chain"),
+])
+def test_malformed_invocations_exit_with_code_2(tmp_path, capsys, argv,
+                                                message):
+    save_presentation(Presentation(
+        ("ad", "a"), (("a", "ad"),),
+        ((("a", "ad"), ((1, ("ad", "a")), (1, ()))),), 80,
+        name="heisenberg"), tmp_path / "heisenberg80.json")
+    code, _, err = run(capsys, [arg.format(dir=tmp_path) for arg in argv])
+    assert code == 2
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and message in line

@@ -690,7 +690,8 @@ def test_block_cache_is_bounded_and_lazy(monkeypatch):
         p = _fresh_heisenberg()
         a, ps = _block_cache_queries(p)[k]
         ore_solve_right(a, _sproduct(p, ps), DEFAULT_BUDGET)
-        built = len(p._ore_search.candidates)
+        built = sum(len(b.combos) for key, b in p._ore_search.blocks.items()
+                    if key[0] != "1, s")
         blocks = _blocks(p, _sproduct(p, ps), DEFAULT_BUDGET)
         assert built == sum(b[2] for b in blocks if b[0] <= tried)
 
