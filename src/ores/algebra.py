@@ -595,17 +595,14 @@ def random_scalar(rng) -> Scalar:
     return Scalar(re, im)
 
 
-def random_element(presentation, rng, max_degree=2, max_terms=3,
-                   nonzero=False) -> AlgebraElement:
+def random_element(presentation, rng, max_degree=2,
+                   max_terms=3) -> AlgebraElement:
     """A deterministic pseudo-random element driven by the given rng."""
     words = presentation.basis_words(max_degree)
-    while True:
-        raw = {}
-        for _ in range(rng.randint(1, max_terms)):
-            w = words[rng.randrange(len(words))]
-            c = random_scalar(rng)
-            prev = raw.get(w)
-            raw[w] = c + prev if prev is not None else c
-        el = presentation.normalize_raw(raw)
-        if not nonzero or not el.is_zero():
-            return el
+    raw = {}
+    for _ in range(rng.randint(1, max_terms)):
+        w = words[rng.randrange(len(words))]
+        c = random_scalar(rng)
+        prev = raw.get(w)
+        raw[w] = c + prev if prev is not None else c
+    return presentation.normalize_raw(raw)

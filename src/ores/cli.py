@@ -198,11 +198,14 @@ def _parse_scalar(text: str, presentation) -> Scalar:
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([complex(tok.strip()) for tok in text.split(",")],
-                        dtype=complex)
+        vec = np.array([complex(tok.strip()) for tok in text.split(",")],
+                       dtype=complex)
     except ValueError:
         raise ConfigError(
             "vector must be comma-separated complex numbers") from None
+    if not np.isfinite(vec).all():
+        raise ConfigError("vector entries must be finite")
+    return vec
 
 
 def _format_complex(z: complex) -> str:

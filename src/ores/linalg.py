@@ -30,10 +30,7 @@ def _combine(p, x, q, y, d):
     integers given as (re, im) pairs; d divides every entry exactly
     (Bareiss, Math. Comp. 22, 1968).  Shorter exact paths: q = 0 only
     scales x, and leaves a zero x as it is; real p and d, which both
-    hermitian eliminations have, skip the complex division, and with a
-    real q on real rows only the real part is computed.  The imaginary
-    part of such a row is a fresh list, since RowSpace grows its stored
-    rows in place.
+    hermitian eliminations have, skip the complex division.
     """
     (pr, pi), (qr, qi), (dr, di) = p, q, d
     xr, xi = x
@@ -45,9 +42,6 @@ def _combine(p, x, q, y, d):
         y = x                # any row of the length of x
     yr, yi = y
     if not pi and not di:
-        if not qi and not any(xi) and not any(yi):
-            return ([(pr * a - qr * c) // dr for a, c in zip(xr, yr)],
-                    [0] * len(xr))
         return ([(pr * a - qr * c + qi * e) // dr
                  for a, c, e in zip(xr, yr, yi)],
                 [(pr * b - qr * e - qi * c) // dr
@@ -75,21 +69,16 @@ def _over_lcm(M):
 
 def nullspace(rows):
     """Basis of the exact kernel of the matrix given as a list of rows:
-    the reduced-echelon basis, e_j minus the coefficients of column j
-    over the pivot columns before it, for each column j that a RowSpace
-    of the columns, added in order, does not enlarge."""
+    the kernel vectors of a RowSpace of the columns, added in order,
+    padded with zeros to the full width.  This is the reduced-echelon
+    basis, one vector per column j that does not enlarge the span."""
     if not rows:
         return []
     ncols = len(rows[0])
     space = RowSpace(len(rows))
-    basis = []
     for j in range(ncols):
-        col = [row[j] for row in rows]
-        if not space.add(col):
-            vec = [-c for c in space.represent(col)]
-            vec[j] = _ONE
-            basis.append(vec + [_ZERO] * (ncols - j - 1))
-    return basis
+        space.add([row[j] for row in rows])
+    return [vec + [_ZERO] * (ncols - len(vec)) for vec in space.kernel]
 
 
 class RowSpace:
@@ -98,10 +87,14 @@ class RowSpace:
     A generator g_j enters as the integer row D_j g_j with D_j at
     trailing column j, and is reduced by one step against each stored
     echelon row.  A stored row is sum_j c_j g_j, then the c_j, one
-    trailing column per generator added.  represent(v) returns
-    coefficients over the added generators whenever v lies in their
-    span, else None; they are nonzero, and unique, only on the
-    generators that enlarged the span.
+    trailing column per generator added.  A generator that does not
+    enlarge the span leaves a row whose leading columns are zero and
+    whose trailing entries y satisfy sum_i y_i g_i = 0 with y_j != 0;
+    kernel gets [y_i / y_j], the reduced-echelon kernel vector: e_j
+    minus the combination of the earlier pivot generators that equals
+    g_j.  represent(v) returns coefficients over the added generators
+    whenever v lies in their span, else None; they are nonzero, and
+    unique, only on the generators that enlarged the span.
     """
 
     def __init__(self, ncols: int):
@@ -109,6 +102,7 @@ class RowSpace:
         self.rows = []        # echelon rows (re, im), combination trailing
         self.pivot_cols = []
         self.ngens = 0
+        self.kernel = []      # one vector, of length j + 1, per dependent g_j
 
     def _reduce(self, row):
         """The row after one step against each stored row, and the
@@ -121,7 +115,8 @@ class RowSpace:
         return row, prev
 
     def add(self, vec) -> bool:
-        """Add a generator; returns True if it enlarged the span."""
+        """Add a generator; returns True if it enlarged the span, and
+        otherwise appends its kernel vector."""
         for re, im in self.rows:
             re.append(0)
             im.append(0)
@@ -129,11 +124,13 @@ class RowSpace:
         tail = [0] * self.ngens
         self.ngens += 1
         (re, im), _ = self._reduce((re + tail + [D], im + tail + [0]))
-        for c in range(self.ncols):
+        n = self.ncols
+        for c in range(n):
             if re[c] or im[c]:
                 self.rows.append((re, im))
                 self.pivot_cols.append(c)
                 return True
+        self.kernel.append(_divide(re[n:], im[n:], (re[-1], im[-1]), 1))
         return False
 
     def represent(self, vec):
@@ -145,17 +142,24 @@ class RowSpace:
         if any(re[:n]) or any(im[:n]):
             return None
         # the reduced row is piv * D * vec + sum_j y_j g_j = 0, with y
-        # its trailing entries, so c_j = -y_j / (piv D)
-        den = (pr * pr + pi * pi) * D
-        return [Scalar(Fraction(-(a * pr + b * pi), den),
-                       Fraction(a * pi - b * pr, den))
-                for a, b in zip(re[n:], im[n:])]
+        # its trailing entries, so c_j = y_j / (-piv D)
+        return _divide(re[n:], im[n:], (-pr, -pi), D)
+
+
+def _divide(re, im, d, scale):
+    """The Scalars y / (d scale) for the Gaussian integers y = re + i im,
+    d a nonzero Gaussian integer (re, im) and scale a positive integer:
+    y conj(d) / (|d|^2 scale)."""
+    dr, di = d
+    den = (dr * dr + di * di) * scale
+    return [Scalar(Fraction(a * dr + b * di, den),
+                   Fraction(b * dr - a * di, den))
+            for a, b in zip(re, im)]
 
 
 @dataclass
 class PsdReport:
     psd: bool
-    rank: int
     pivots: list = field(default_factory=list)
     kernel: list = field(default_factory=list)
     witness: list | None = None
@@ -165,7 +169,7 @@ class PsdReport:
         return self.psd
 
 
-def graded_hermitian_reduce(G, grades=None) -> PsdReport:
+def graded_hermitian_reduce(G, grades) -> PsdReport:
     """Pivoted exact reduction of a hermitian matrix.
 
     Pivots are chosen stage by stage: within stage g only indices i with
@@ -195,8 +199,6 @@ def graded_hermitian_reduce(G, grades=None) -> PsdReport:
     code uses to build nested orthonormal bases.
     """
     n = len(G)
-    if grades is None:
-        grades = [0] * n
     for i, row in enumerate(G):
         for j in range(i, n):
             a, b = row[j], G[j][i]
@@ -215,7 +217,7 @@ def graded_hermitian_reduce(G, grades=None) -> PsdReport:
                 d = rows[k][0][0]
                 if d < 0:
                     witness, = _transform_columns(G, pivots, [i])
-                    return PsdReport(False, len(pivots), pivots, [],
+                    return PsdReport(False, pivots, [],
                                      witness, i)
                 if d > 0 and (best is None or d > rows[best][0][0]):
                     best = k
@@ -238,7 +240,7 @@ def graded_hermitian_reduce(G, grades=None) -> PsdReport:
                             Fraction(-im_k[bad], prev * D))
                 u_i, u_bad = _transform_columns(G, pivots, [i, open_[bad]])
                 witness = [a - zc * b for a, b in zip(u_i, u_bad)]
-                return PsdReport(False, len(pivots), pivots, [], witness, i)
+                return PsdReport(False, pivots, [], witness, i)
             nulls.add(k)
         if nulls:
             keep = [k for k in range(len(open_)) if k not in nulls]
@@ -254,7 +256,7 @@ def graded_hermitian_reduce(G, grades=None) -> PsdReport:
     pivot_set = set(pivots)
     kernel = _transform_columns(
         G, pivots, [i for i in range(n) if i not in pivot_set])
-    return PsdReport(True, len(pivots), pivots, kernel, None, None)
+    return PsdReport(True, pivots, kernel, None, None)
 
 
 def _full_row(rows, k):

@@ -17,13 +17,13 @@ candidate passes a modular screen (von zur Gathen and Gerhard, Modern
 Computer Algebra, ch. 5): t, a*t and s*A are reduced modulo a fixed prime
 p = 1 mod 4, with i sent to a square root of -1 mod p, and a*t mod p
 must lie in the span of s*A mod p.  Reduction mod p can only lower the
-rank of a subspace, so the screen is used only where the rank mod p
-equals the exact rank; then it never rejects a true member (the
-argument is in _MulSubspace).  The screen works on blocks of candidates
-in scan order: one matrix K*M_a mod p (K an annihilator of s*A mod p,
-M_a left multiplication by a) is applied at once to the vectors of all
-of a block's candidates of one degree, when the scan reaches the first
-of them.  These are dense float64 products of residues in [0, p), cut
+rank of a subspace, so the screen is used only where s*A has full rank
+mod p, and so the same exact rank; then it never rejects a true member
+(the argument is in _MulSubspace).  The screen works on blocks of
+candidates in scan order: when the scan reaches a block, one matrix
+K*M_a mod p (K an annihilator of s*A mod p, M_a left multiplication by
+a) is applied at once to the vectors of all of its candidates of one
+degree, for each degree.  These are dense float64 products of residues in [0, p), cut
 into chunks of at most 2,048 terms so that every partial sum stays
 below 2**53 and is exact (Dumas, Giorgi and Pernet, "Dense linear
 algebra over word-size prime fields: the FFLAS and FFPACK packages",
@@ -52,7 +52,7 @@ import numpy as np
 from .algebra import AlgebraElement, Presentation, _check_same, _remember
 from .errors import (DegreeOverflow, IrregularDenominator, OreWitnessNotFound,
                      WitnessCheckError)
-from .linalg import RowSpace, nullspace
+from .linalg import RowSpace
 from .scalars import ONE, Scalar
 
 
@@ -173,9 +173,10 @@ class RegularityResult:
 def is_regular_up_to(s: AlgebraElement, depth: int) -> RegularityResult:
     """Search for zero divisors of s among elements of degree <= depth.
 
-    Checks s*a = 0, then a*s = 0, by the rank of the spans s * A and
-    A * s (_MulSubspace); a witness is the first reduced-echelon kernel
-    vector.  A trivial kernel only certifies regularity up to the depth.
+    Checks s*a = 0, then a*s = 0, on the spans s * A and A * s
+    (_MulSubspace): a witness is the first kernel vector of the span's
+    RowSpace, the reduced-echelon one.  A trivial kernel only certifies
+    regularity up to the depth.
     """
     p = s.presentation
     if depth < 0:
@@ -189,8 +190,8 @@ def is_regular_up_to(s: AlgebraElement, depth: int) -> RegularityResult:
     state, key = _search_state(p), s.key()
     for right in (False, True):
         sub = state.subspace(s, key, depth, right)
-        if len(sub.rowspace().rows) < len(sub.basis):
-            kernel = nullspace([list(row) for row in zip(*sub.columns())])
+        kernel = sub.rowspace().kernel
+        if kernel:
             return RegularityResult(False, p.normalize_raw(
                 {w: c for w, c in zip(sub.basis, kernel[0]) if c}))
     return RegularityResult(True)
@@ -612,14 +613,14 @@ def _search_state(presentation: Presentation) -> _SearchState:
 
 class _Block:
     """Candidates screened together: their combos (None for 1 and s) and
-    (t, degree) in scan order, and their vectors mod p as the columns of
-    one float64 stack per degree (length dim(degree)), with each
-    candidate's slot (stack, column).  A degree is None where t.value
-    passes the degree cap; a candidate without a vector has no slot.
-    The stacks are the only copy of the vectors: a block that _keep
-    leaves uncached is built again when a search reaches it."""
+    (t, degree) in scan order, and their vectors mod p in groups, one per
+    degree: (degree, positions in the block, float64 stack whose columns
+    are the vectors, of length dim(degree)).  A degree is None where
+    t.value passes the degree cap; a candidate without a vector is in no
+    group.  The stacks are the only copy of the vectors: a block that
+    _keep leaves uncached is built again when a search reaches it."""
 
-    __slots__ = ("combos", "entries", "slots", "groups", "size")
+    __slots__ = ("combos", "entries", "groups", "size")
 
     def __init__(self, combos, candidates):
         self.combos = combos
@@ -628,14 +629,10 @@ class _Block:
         for i, (_, degree, vec) in enumerate(candidates):
             if vec is not None:
                 degrees.setdefault(degree, []).append(i)
-        self.slots = [None] * len(candidates)
-        self.groups = []       # (degree, stack), in order of first position
-        for g, (degree, cols) in enumerate(degrees.items()):
-            for col, i in enumerate(cols):
-                self.slots[i] = (g, col)
-            self.groups.append((degree, np.stack(
-                [candidates[i][2] for i in cols], axis=1)))
-        self.size = sum(stack.size for _, stack in self.groups)
+        self.groups = [(degree, positions, np.stack(
+            [candidates[i][2] for i in positions], axis=1))
+            for degree, positions in degrees.items()]
+        self.size = sum(stack.size for _, _, stack in self.groups)
 
 
 def _candidate_blocks(state: _SearchState, s: SProduct, budget: OreBudget):
@@ -666,7 +663,7 @@ class _MulSubspace:
     """The span of { s * w : w irreducible word, deg w <= bound } inside
     the words of degree <= bound + deg s, or of the w * s when right.
 
-    The columns of M are the vectors s * w (w * s); the rank of their
+    The columns of M are the vectors s * w (w * s); the kernel of their
     lazily built RowSpace decides regularity.  On a left map, solve()
     decides membership exactly with it, and annihilator() gives the
     modular screen a basis K of the left kernel of M mod p; K kills the
@@ -683,10 +680,11 @@ class _MulSubspace:
       to t mod p, which is the image of a*t; t mod p of a product u*f is
       likewise left multiplication by u mod p applied to f mod p.
     - The rank of M mod p is at most the exact rank, since a minor that
-      is nonzero mod p is nonzero.  K is built only when the two are
-      equal: when the rank mod p is the number of columns no exact rank
-      is needed, otherwise it is read from the RowSpace, and if it
-      differs this subspace gets no screen.
+      is nonzero mod p is nonzero.  K is built only when the rank mod p
+      is the number of columns; then the exact rank is the same, and no
+      exact work is needed.  Otherwise this subspace gets no screen:
+      s has a zero divisor at this bound, which Fraction refuses, or p
+      divides every maximal minor of M.
     - With equal ranks k, some k x k minor of M is a unit mod p, so its k
       columns span the column space of M, and by Cramer's rule a member
       r with reducible coefficients is a combination of them whose
@@ -731,20 +729,18 @@ class _MulSubspace:
             vec[i] = c
         return vec
 
-    def columns(self):
-        """The vectors s * w (w * s), exact, in the order of the words."""
-        p = self.state.presentation
-        for w in self.basis:
-            word = AlgebraElement(p, {w: ONE}, _trusted=True)
-            yield self._vector(word * self.s_value if self.right
-                               else self.s_value * word)
-
     def rowspace(self) -> RowSpace:
+        """The RowSpace of the vectors s * w (w * s), exact, added in the
+        order of the words; its kernel holds one vector per dependent
+        word."""
         if self._rowspace is None:
-            rs = RowSpace(self.ntarget)
-            for col in self.columns():
-                rs.add(col)
-            self._rowspace = rs
+            p = self.state.presentation
+            self._rowspace = RowSpace(self.ntarget)
+            for w in self.basis:
+                word = AlgebraElement(p, {w: ONE}, _trusted=True)
+                self._rowspace.add(self._vector(
+                    word * self.s_value if self.right
+                    else self.s_value * word))
         return self._rowspace
 
     def annihilator(self):
@@ -755,8 +751,7 @@ class _MulSubspace:
             m = self.state.left_matrix(self.s_value, self.bound)
             if m is not None:
                 rank, kernel = _left_kernel_mod(m, self.state.prime)
-                if (rank == len(self.basis)
-                        or rank == len(self.rowspace().rows)):
+                if rank == len(self.basis):
                     self._annihilator = kernel
         return self._annihilator
 
@@ -773,9 +768,9 @@ class _MulSubspace:
 
 
 class _Screen:
-    """The modular screen of one query a t = s b.  survivors() yields
-    False only for a candidate t with a*t mod p outside s*A mod p, so
-    a*t is not in s*A."""
+    """The modular screen of one query a t = s b, one pass per block.
+    survivors() gives False only for a candidate t with a*t mod p
+    outside s*A mod p, so a*t is not in s*A."""
 
     def __init__(self, state: _SearchState, a: AlgebraElement,
                  s_value: AlgebraElement, s_key):
@@ -792,49 +787,44 @@ class _Screen:
         self.off = False       # p divides a denominator of a or the rules
 
     def survivors(self, block: _Block):
-        """Whether each candidate of the block passes, in scan order.  A
-        stack T is screened by one product (K M_a) T mod p when the walk
-        reaches its first candidate, so a search that stops early screens
-        no stack it does not reach."""
-        masks = [None] * len(block.groups)
-        for slot in block.slots:
-            if slot is None:
-                yield True
-                continue
-            g, col = slot
-            if masks[g] is None:
-                masks[g] = self._mask(*block.groups[g])
-            yield masks[g][col]
-
-    def _mask(self, t_deg, stack):
-        """Whether the candidate of each column of the stack passes."""
-        if t_deg not in self.precomposed:
-            self.precomposed[t_deg] = self._precompose(t_deg)
-        q = self.precomposed[t_deg]
-        if q is None:
-            return [True] * stack.shape[1]
-        return (~self.state.matmul(q, stack).any(axis=0)).tolist()
+        """Whether each candidate of the block passes, in scan order: one
+        product (K M_a) T mod p screens each stack T of the block."""
+        passes = [True] * len(block.entries)
+        for t_deg, positions, stack in block.groups:
+            if t_deg not in self.precomposed:
+                self.precomposed[t_deg] = self._precompose(t_deg)
+            q = self.precomposed[t_deg]
+            if q is not None:
+                hits = self.state.matmul(q, stack).any(axis=0).tolist()
+                for i, hit in zip(positions, hits):
+                    passes[i] = not hit
+        return passes
 
     def _precompose(self, t_deg: int):
         """K M_a mod p for candidates t of degree at most t_deg, K the
         annihilator of s * A at the bound for a*t; None where the screen
-        is off, and all of them pass."""
+        is off, and all of them pass.  It is None too where a basis it
+        needs passes the basis limit (DegreeOverflow): the exact check
+        then decides each such candidate, as it would without a screen."""
         if self.off or self.a_deg + t_deg > self.cap:
             return None
         state = self.state
         bound = min(max(self.a_deg + t_deg - self.s_deg, 0),
                     self.cap - self.s_deg)
-        kernel = state.subspace(self.s_value, self.s_key, bound,
-                                False).annihilator()
-        if kernel is None:
+        try:
+            kernel = state.subspace(self.s_value, self.s_key, bound,
+                                    False).annihilator()
+            if kernel is not None and t_deg > self.degree:
+                # the first build covers s too, the scan's second candidate
+                degree = max(t_deg, min(self.s_deg, self.cap - self.a_deg))
+                self.matrix = state.left_matrix(self.a, degree)
+                self.degree = degree
+                self.off = self.matrix is None
+        except DegreeOverflow:
             return None
-        if t_deg > self.degree:
-            # the first build covers s too, the scan's second candidate
-            self.degree = max(t_deg, min(self.s_deg, self.cap - self.a_deg))
-            self.matrix = state.left_matrix(self.a, self.degree)
-            if self.matrix is None:
-                self.off = True
-                return None
+        if kernel is None or self.off:
+            return None
+        # no larger than the span's target basis, so neither passes the limit
         nrows, ncols = state.dim(self.a_deg + t_deg), state.dim(t_deg)
         return state.matmul(kernel[:, :nrows], self.matrix[:nrows, :ncols])
 

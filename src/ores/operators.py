@@ -350,8 +350,8 @@ def invert_one_plus_AstarA(A: BandedOperator, y, tol: float) -> InversionResult:
     through the band formulas, so the contraction bound
     ||x - x_true|| <= residual is a guarantee, not a heuristic.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     y = np.asarray(y, dtype=complex)
     M = one_plus_AstarA(A)
     L = len(y)

@@ -52,8 +52,8 @@ class ScenarioConfig:
     def validate(self):
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if not (self.solve_tol > 0 and self.probe_tol > 0):
-            raise ConfigError("tolerances must be positive")
+        if not (0 < self.solve_tol < np.inf and 0 < self.probe_tol < np.inf):
+            raise ConfigError("tolerances must be positive and finite")
         self.budget()
 
     def budget(self) -> OreBudget:

@@ -402,7 +402,7 @@ def reference_hermitian_reduce(G, grades=None) -> PsdReport:
                 if d.im:
                     raise ValueError("matrix is not hermitian")
                 if d.re < 0:
-                    return PsdReport(False, len(pivots), pivots, [],
+                    return PsdReport(False, pivots, [],
                                      [row[i] for row in U], i)
                 if d.re > 0 and (best is None or d.re > work[best][best].re):
                     best = i
@@ -423,12 +423,12 @@ def reference_hermitian_reduce(G, grades=None) -> PsdReport:
                 z = work[i][bad]
                 witness = [U[r][i] - z.conjugate() * U[r][bad]
                            for r in range(n)]
-                return PsdReport(False, len(pivots), pivots, [],
+                return PsdReport(False, pivots, [],
                                  witness, i)
             state[i] = "null"
     kernel = [[U[r][i] for r in range(n)]
               for i in range(n) if state[i] == "null"]
-    return PsdReport(True, len(pivots), pivots, kernel, None, None)
+    return PsdReport(True, pivots, kernel, None, None)
 
 
 def hermitian_quadratic_form(G, x):

@@ -8,6 +8,7 @@ from ores import algebra, localization
 from ores.algebra import (Presentation, format_element, load_preset,
                           random_element)
 from ores.errors import DegreeOverflow, PresentationError
+from ores.linalg import RowSpace
 from ores.localization import is_regular_up_to
 from ores.scalars import IMAG, Scalar
 
@@ -143,6 +144,22 @@ def test_idempotent_presentation_has_zero_divisors():
     reg = is_regular_up_to(e, 2)
     assert not reg.regular
     assert (e * reg.witness).is_zero() or (reg.witness * e).is_zero()
+
+
+def test_regularity_check_adds_each_column_once(monkeypatch):
+    # the witness is the kernel vector of the span's own elimination: the
+    # columns e * 1 and e * e enter one RowSpace, and no second one
+    calls = []
+    add = RowSpace.add
+
+    def counted(self, vec):
+        calls.append(vec)
+        return add(self, vec)
+
+    monkeypatch.setattr(RowSpace, "add", counted)
+    p = Presentation(("e",), (("e",),), ((("e", "e"), ((1, ("e",)),)),), 12)
+    assert not is_regular_up_to(p.generator("e"), 2).regular
+    assert len(calls) == 2
 
 
 def _reference_zero_divisor(s, depth):

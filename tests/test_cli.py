@@ -557,8 +557,9 @@ def test_scenario_usage_errors(tmp_path, capsys):
 _LONG_WORD = "(%s)*(%s)" % ("*".join(["a"] * 35), "*".join(["ad"] * 35))
 
 
-# malformed invocations that printed a traceback or ran to the size cap
-# and exited 1: (argv, part of the error line); {dir} is a scratch dir
+# malformed invocations that printed a traceback, ran to the size cap
+# and exited 1, or passed vacuously with an infinite tolerance: (argv,
+# part of the error line); {dir} is a scratch dir
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["frac", "dagger", "a / (1)"], "parenthesized numerator",
                  id="frac-unparenthesized-numerator"),
@@ -574,6 +575,16 @@ _LONG_WORD = "(%s)*(%s)" % ("*".join(["a"] * 35), "*".join(["ad"] * 35))
     pytest.param(["op", "probe", "--den", "(1 + a'*a)", "--targets", "1",
                   "--probe-tol", "nan"], "tol must be positive",
                  id="op-probe-nan"),
+    pytest.param(["op", "invert", "--expr", "a", "--vector", "nan,1"],
+                 "entries must be finite", id="op-invert-nan-vector"),
+    pytest.param(["op", "probe", "--probe", "core-density", "--den",
+                  "(1 + a'*a)", "--num", "a", "--vector", "nan"],
+                 "entries must be finite", id="op-probe-nan-vector"),
+    pytest.param(["op", "invert", "--expr", "a", "--vector", "1,0,0",
+                  "--tol", "inf"], "tol must be positive", id="op-invert-inf"),
+    pytest.param(["op", "probe", "--den", "(1 + a'*a)", "--targets", "1",
+                  "--probe-tol", "inf"], "tol must be positive",
+                 id="op-probe-inf"),
     # a rewrite chain deeper than Python's recursion limit
     pytest.param(["normalize", "--presentation", "{dir}/heisenberg80.json",
                   _LONG_WORD], "nests too deeply", id="normalize-deep-chain"),

@@ -94,9 +94,10 @@ def _low_rank(rng, m, n, r, kind):
 
 
 def test_elimination_equals_reference_on_rank_deficient_matrices():
-    """nullspace bases, RowSpace.add verdicts and RowSpace.represent
-    coefficients equal those of the reference in Scalars, on matrices
-    whose pivots are real, purely imaginary and complex."""
+    """nullspace bases, RowSpace.add verdicts, RowSpace.kernel vectors
+    and RowSpace.represent coefficients equal those of the reference in
+    Scalars, on matrices whose pivots are real, purely imaginary and
+    complex."""
     rng = random.Random(27)
     # pivots 1, then 1 + i: representing the first row takes a step
     # against the second that only scales, by a complex pivot over a
@@ -131,6 +132,9 @@ def test_elimination_equals_reference_on_rank_deficient_matrices():
             for v in probes:
                 assert space.represent(v) == reference.represent(v)
         assert len(space.rows) == rank
+        # the rows' dependencies: the kernel of the transpose
+        assert [v + [ZERO] * (len(M) - len(v)) for v in space.kernel] \
+            == reference_nullspace([list(col) for col in zip(*M)])
     assert first_pivots == {(True, False), (False, True), (True, True)}
     assert deficient > 100
 
@@ -140,12 +144,12 @@ def test_gram_matrices_are_recognized_psd():
     for _ in range(20):
         B = random_scalar_matrix(rng, rng.randint(1, 5), 4)
         G = _gram(B)
-        rep = graded_hermitian_reduce(G)
+        rep = graded_hermitian_reduce(G, [0] * len(G))
         assert rep.psd
-        assert rep.rank == exact_rank(B)
+        assert len(rep.pivots) == exact_rank(B)
         for k in rep.kernel:
             assert _matvec(G, k) == [ZERO] * 4
-        assert rep.rank + len(rep.kernel) == 4
+        assert len(rep.pivots) + len(rep.kernel) == 4
 
 
 def test_indefinite_matrix_yields_exact_witness():
@@ -153,7 +157,7 @@ def test_indefinite_matrix_yields_exact_witness():
     hits = 0
     for _ in range(40):
         G = _hermitian(rng, 3, 3)   # in general indefinite
-        rep = graded_hermitian_reduce(G)
+        rep = graded_hermitian_reduce(G, [0] * len(G))
         if not rep.psd:
             hits += 1
             q = hermitian_quadratic_form(G, rep.witness)
@@ -178,7 +182,7 @@ def test_non_hermitian_input_rejected():
     G = [[Scalar(0), IMAG], [IMAG, Scalar(0)]]
     G[0][0] = IMAG
     with pytest.raises(ValueError):
-        graded_hermitian_reduce(G)
+        graded_hermitian_reduce(G, [0] * len(G))
 
 
 def test_asymmetric_off_diagonal_rejected():
@@ -189,7 +193,7 @@ def test_asymmetric_off_diagonal_rejected():
               [[Scalar(1), IMAG], [IMAG, Scalar(1)]],
               [[Scalar(0), Scalar(0)], [Scalar(1), Scalar(0)]]):
         with pytest.raises(ValueError):
-            graded_hermitian_reduce(G)
+            graded_hermitian_reduce(G, [0] * len(G))
 
 
 def _vector_state_gram(rng, m, d):
@@ -215,16 +219,16 @@ def _vector_state_gram(rng, m, d):
 
 def test_reduction_equals_reference_reduction():
     """The fraction-free reduction returns the reference's report in
-    full (verdict, pivots, rank, kernel, witness, failure index)."""
+    full (verdict, pivots, kernel, witness, failure index)."""
     rng = random.Random(26)
     cases = []
     for _ in range(60):
         n = rng.randint(1, 7)
         B = random_scalar_matrix(rng, rng.randint(1, n), n, 1)
-        cases.append((_gram(B), None))                         # PSD, ties
+        cases.append((_gram(B), [0] * n))                      # PSD, ties
         cases.append((_gram(B), [rng.randint(0, 2) for _ in range(n)]))
         G = _hermitian(rng, n, 1)
-        cases.append((G, None))                                # indefinite
+        cases.append((G, [0] * n))                             # indefinite
         cases.append((G, [rng.randint(0, 2) for _ in range(n)]))
         # a zero column made nonzero off the diagonal: a zero diagonal
         # entry with a nonzero row
@@ -233,7 +237,7 @@ def test_reduction_equals_reference_reduction():
             j = rng.randrange(n - 1)
             G[n - 1][j] = Scalar(rng.choice((1, -1)), rng.randint(-1, 1))
             G[j][n - 1] = G[n - 1][j].conjugate()
-        cases.append((G, None))
+        cases.append((G, [0] * n))
     # (5, 4) is the largest free_xy vector state of gns-build: its Gram
     # entries carry denominators up to 6^8
     for m, d in ((3, 2), (4, 2), (3, 3), (5, 4)):
@@ -291,7 +295,7 @@ def test_triangle_reduction_equals_reference_reduction():
         # full-rank Hankel
         n = rng.randint(1, 9)
         cases.append(("hankel", _hankel(rng, n),
-                      rng.choice((None, list(range(n))))))
+                      rng.choice(([0] * n, list(range(n))))))
         # a zero diagonal entry r with a nonzero entry at c, on either
         # side; c may be a pivot or open at r's stage
         n = rng.randint(3, 7)
@@ -308,14 +312,14 @@ def test_triangle_reduction_equals_reference_reduction():
     for m, d in ((2, 2), (3, 2), (2, 3), (4, 2)):
         G, grades = _vector_state_gram(rng, m, d)
         cases.append(("vector", G, grades))
-        cases.append(("vector", G, None))
+        cases.append(("vector", G, [0] * len(G)))
     sides = {"before": 0, "after": 0}
     for kind, G, grades in cases:
         want = reference_hermitian_reduce(G, grades)
         got = graded_hermitian_reduce(G, grades)
         assert got == want
         if kind == "hankel":
-            assert got.psd and got.rank == len(G) and got.kernel == []
+            assert got.psd and len(got.pivots) == len(G) and got.kernel == []
         elif kind == "zero":
             assert not got.psd
             # a zero-diagonal failure's witness reaches the offending

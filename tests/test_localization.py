@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import ores
-from ores import localization
+from ores import algebra, localization
 from ores.algebra import AlgebraElement, load_preset, random_element, \
     Presentation
 from ores.errors import DegreeOverflow, IrregularDenominator, OreWitnessNotFound
@@ -430,7 +430,9 @@ def test_screen_matches_exact_scan_heisenberg():
     rng = random.Random(41)
     outcomes = []
     for i in range(8):
-        a = random_element(p, rng, max_degree=2, max_terms=2, nonzero=True)
+        a = random_element(p, rng, max_degree=2, max_terms=2)
+        while a.is_zero():
+            a = random_element(p, rng, max_degree=2, max_terms=2)
         s = _sproduct(p, (rng.choice(_param_pool(p)),))
         outcomes.append(_assert_same_as_exact_scan(a, s, SMALL_BUDGETS[i % 2]))
     assert True in outcomes and False in outcomes
@@ -442,9 +444,10 @@ def test_screen_matches_exact_scan_free_xy():
     rng = random.Random(42)
     queries = [(x, (x,)), (y, (x,)), (x * y, (x + y,))]
     for _ in range(5):
-        queries.append((random_element(p, rng, max_degree=2, max_terms=2,
-                                       nonzero=True),
-                        (rng.choice(_param_pool(p)),)))
+        a = random_element(p, rng, max_degree=2, max_terms=2)
+        while a.is_zero():
+            a = random_element(p, rng, max_degree=2, max_terms=2)
+        queries.append((a, (rng.choice(_param_pool(p)),)))
     outcomes = [_assert_same_as_exact_scan(a, _sproduct(p, ps),
                                            SMALL_BUDGETS[i % 2])
                 for i, (a, ps) in enumerate(queries)]
@@ -498,6 +501,20 @@ def test_screen_skips_candidates_past_the_degree_cap():
     a = p.generator("a")
     assert not _assert_same_as_exact_scan(
         a, _sproduct(p, (a,)), OreBudget(max_factors=3, max_degree=1))
+
+
+def test_screen_passes_a_group_past_the_basis_limit(monkeypatch):
+    # with at most 15 words a heisenberg basis reaches degree 4, not 5.
+    # The block after 1 and s holds t = 1 + a'a, of degree 2, and factors
+    # of degree 4, whose screen would need the words of degree 5 for a*t:
+    # that group passes unscreened, and the witness is still found
+    monkeypatch.setattr(algebra, "_BASIS_LIMIT", 15)
+    p = _fresh_heisenberg()
+    a, ad = p.generator("a"), p.generator("ad")
+    budget = OreBudget(max_factors=1, max_degree=2)
+    s = _sproduct(p, (ad,))
+    assert _assert_same_as_exact_scan(a, s, budget)
+    assert ore_solve_right(a, s, budget).candidates_tried == 3
 
 
 def test_screen_falls_back_where_the_prime_is_unlucky(monkeypatch):
