@@ -219,7 +219,7 @@ class Presentation:
                     acc[w2] = v
                 elif w2 in acc:
                     del acc[w2]
-        return AlgebraElement(self, acc, _trusted=True)
+        return AlgebraElement(self, acc)
 
     # -- load-time checks ----------------------------------------------------
 
@@ -279,14 +279,14 @@ class Presentation:
     # -- element constructors ------------------------------------------------
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {}, _trusted=True)
+        return AlgebraElement(self, {})
 
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, {(): ONE}, _trusted=True)
+        return AlgebraElement(self, {(): ONE})
 
     def scalar(self, c) -> "AlgebraElement":
         c = as_scalar(c)
-        return AlgebraElement(self, {(): c} if c else {}, _trusted=True)
+        return AlgebraElement(self, {(): c} if c else {})
 
     def generator(self, name) -> "AlgebraElement":
         g = self._gen_index(name)
@@ -330,47 +330,27 @@ class Presentation:
         self._basis_cache[max_degree] = words
         return words
 
-    # -- identity ------------------------------------------------------------
-
-    def _structure_key(self):
-        rel = tuple(sorted(
-            (r.lhs, tuple(sorted((w, c.re, c.im) for w, c in r.rhs.items())))
-            for r in self.rules))
-        return (self.generators, self.dagger_map, rel, self.degree_cap)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Presentation):
-            return NotImplemented
-        return self._structure_key() == other._structure_key()
-
-    def __hash__(self):
-        return hash(self._structure_key())
-
     def __repr__(self):
         label = self.name or ",".join(self.generators)
         return "Presentation(%s)" % label
 
 
 def _check_same(p: Presentation, q: Presentation):
-    if p is q:
-        return
-    if p != q:
+    """Presentations compare by identity: two loads of one file are two
+    presentations, and their elements do not mix."""
+    if p is not q:
         raise PresentationMismatch(
             "operands belong to different presentations: %r vs %r" % (p, q))
 
 
 class AlgebraElement:
-    """An immutable normalized linear combination of irreducible words."""
+    """An immutable normalized linear combination of irreducible words;
+    the constructor stores terms as given (see Presentation.normalize_raw)."""
 
     __slots__ = ("presentation", "terms", "_hash")
 
-    def __init__(self, presentation, terms, _trusted=False):
+    def __init__(self, presentation, terms):
         self.presentation = presentation
-        if not _trusted:
-            el = presentation.normalize_raw(dict(terms))
-            terms = el.terms
         self.terms = terms
         self._hash = None
 
@@ -396,7 +376,7 @@ class AlgebraElement:
                 acc[w] = v
             elif w in acc:
                 del acc[w]
-        return AlgebraElement(self.presentation, acc, _trusted=True)
+        return AlgebraElement(self.presentation, acc)
 
     __radd__ = __add__
 
@@ -414,16 +394,14 @@ class AlgebraElement:
 
     def __neg__(self):
         return AlgebraElement(
-            self.presentation, {w: -c for w, c in self.terms.items()},
-            _trusted=True)
+            self.presentation, {w: -c for w, c in self.terms.items()})
 
     def scale(self, c) -> "AlgebraElement":
         c = as_scalar(c)
         if not c:
             return self.presentation.zero()
         return AlgebraElement(
-            self.presentation, {w: c * v for w, v in self.terms.items()},
-            _trusted=True)
+            self.presentation, {w: c * v for w, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -491,7 +469,8 @@ class AlgebraElement:
         return tuple(sorted(self.terms.items(), key=lambda t: _deglex_key(t[0])))
 
     def key(self):
-        """Hashable canonical key, usable across equal presentations."""
+        """Hashable canonical key of the terms; it does not name the
+        presentation."""
         return tuple((w, c.re, c.im) for w, c in self.sorted_terms())
 
     def __eq__(self, other):

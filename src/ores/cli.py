@@ -38,7 +38,7 @@ from .states import dirac_state, gaussian_state
 USAGE_ERRORS = (ConfigError, ExpressionError, PresentationError,
                 PresentationMismatch, FormulaDomainError,
                 IrregularDenominator, InsufficientDegree, DegreeOverflow,
-                ValueError, OSError)
+                ValueError, OverflowError, OSError)
 CHECK_ERRORS = (OreWitnessNotFound, TruncationLimit, StateAxiomError)
 
 

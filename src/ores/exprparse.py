@@ -27,6 +27,7 @@ from fractions import Fraction as Rational
 
 from .algebra import AlgebraElement, Presentation, format_element
 from .errors import ExpressionError
+from .localization import Fraction, SProduct
 from .scalars import Scalar
 
 
@@ -362,8 +363,6 @@ def _parse_factor_chain(p: _Parser, presentation) -> tuple:
 def parse_sproduct_text(text: str, presentation: Presentation):
     """Parse denominator text: either the literal 1 or a chain of
     parenthesized 1 + q*p factors joined by '*'."""
-    from .localization import SProduct
-
     p = _Parser(text)
     t = p.peek()
     if t.kind == "int" and t.text == "1":
@@ -379,8 +378,6 @@ def parse_sproduct_text(text: str, presentation: Presentation):
 
 def parse_fraction_text(text: str, presentation: Presentation):
     """Parse the CLI fraction syntax ``(expr) / (factor)*(factor)...``."""
-    from .localization import Fraction, SProduct
-
     p = _Parser(text)
     first = p.parse_factor()
     if not isinstance(first, Paren):

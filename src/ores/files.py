@@ -6,6 +6,9 @@ with "1" for the empty word; floating entries are decimal at 17
 significant digits so round-trips preserve the double exactly.  JSON
 reports contain no timestamps; the text rendering carries a single
 "# generated:" header line and is otherwise deterministic.
+
+Each loader turns a malformed file into a ConfigError in one handler,
+and refuses an operator band further from the diagonal than SIZE_CAP.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction as Rational
 from .algebra import AlgebraElement, Presentation
 from .errors import ConfigError
 from .formulas import CPoly, Formula, QPoly
-from .operators import BandedOperator
+from .operators import SIZE_CAP, BandedOperator
 from .scalars import Scalar
 from .states import MomentFunctional
 
@@ -72,11 +75,10 @@ def presentation_from_dict(d: dict) -> Presentation:
              tuple((Scalar.from_quad(t["coeff"]), tuple(t["word"]))
                    for t in rel["rhs"]))
             for rel in d["relations"])
-        degree_cap = int(d["degree_cap"])
+        return Presentation(generators, dagger_pairs, relations,
+                            int(d["degree_cap"]), name=d.get("name"))
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError("malformed presentation file: %s" % exc) from None
-    return Presentation(generators, dagger_pairs, relations, degree_cap,
-                        name=d.get("name"))
 
 
 def save_presentation(p: Presentation, path):
@@ -126,9 +128,8 @@ def moments_from_dict(d: dict, presentation: Presentation) -> MomentFunctional:
                     "moment word %r uses unknown generator %r"
                     % (k, unknown[0]))
             table[tuple(index[g] for g in names)] = Scalar.from_quad(v)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError,
+            AttributeError) as exc:
         raise ConfigError("malformed moment file: %s" % exc) from None
     return MomentFunctional(presentation, degree, table)
 
@@ -184,6 +185,9 @@ def operator_from_dict(d: dict) -> BandedOperator:
     try:
         for band in d["bands"]:
             offset = int(band["offset"])
+            if abs(offset) > SIZE_CAP:
+                raise ConfigError("band offset %+d exceeds the size cap %d"
+                                  % (offset, SIZE_CAP))
             kind = band["kind"]
             coeffs = [Rational(int(n), int(dn)) for n, dn in band["coeffs"]]
             if kind == "const":
@@ -200,8 +204,6 @@ def operator_from_dict(d: dict) -> BandedOperator:
             if offset in bands:
                 raise ConfigError("duplicate band offset %+d" % offset)
             bands[offset] = f
-    except ConfigError:
-        raise
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError("malformed operator file: %s" % exc) from None
     return BandedOperator(bands)

@@ -17,10 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import Scalar
-
-_ZERO = Scalar(0)
-_ONE = Scalar(1)
+from .scalars import ONE, ZERO, Scalar
 
 
 def _combine(p, x, q, y, d):
@@ -78,7 +75,7 @@ def nullspace(rows):
     space = RowSpace(len(rows))
     for j in range(ncols):
         space.add([row[j] for row in rows])
-    return [vec + [_ZERO] * (ncols - len(vec)) for vec in space.kernel]
+    return [vec + [ZERO] * (ncols - len(vec)) for vec in space.kernel]
 
 
 class RowSpace:
@@ -321,8 +318,8 @@ def _transform_columns(G, pivots, targets):
     det = prev[0]
     out = []
     for t, i in enumerate(targets):
-        vec = [_ZERO] * len(G)
-        vec[i] = _ONE
+        vec = [ZERO] * len(G)
+        vec[i] = ONE
         for (re, im), a in zip(rows, pivots):
             if re[t] or im[t]:
                 vec[a] = Scalar(Fraction(-re[t], det), Fraction(-im[t], det))

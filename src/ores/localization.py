@@ -143,7 +143,7 @@ class SProduct:
     def __eq__(self, other):
         if not isinstance(other, SProduct):
             return NotImplemented
-        return (self.presentation == other.presentation
+        return (self.presentation is other.presentation
                 and self.key() == other.key())
 
     def __hash__(self):
@@ -176,17 +176,14 @@ def is_regular_up_to(s: AlgebraElement, depth: int) -> RegularityResult:
     Checks s*a = 0, then a*s = 0, on the spans s * A and A * s
     (_MulSubspace): a witness is the first kernel vector of the span's
     RowSpace, the reduced-echelon one.  A trivial kernel only certifies
-    regularity up to the depth.
+    regularity up to the depth.  When deg s + depth passes the degree
+    cap, building the span's basis raises DegreeOverflow.
     """
     p = s.presentation
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if s.is_zero():
         return RegularityResult(False, p.one())
-    if s.degree() + depth > p.degree_cap:
-        raise DegreeOverflow(
-            "regularity check at depth %d needs degree %d > cap %d"
-            % (depth, s.degree() + depth, p.degree_cap))
     state, key = _search_state(p), s.key()
     for right in (False, True):
         sub = state.subspace(s, key, depth, right)
@@ -211,8 +208,6 @@ def check_denominator(s: SProduct):
         raise IrregularDenominator("denominator is zero")
     room = p.degree_cap - val.degree()
     use = min(REGULARITY_DEPTH, room)
-    if use < 0:
-        raise DegreeOverflow("denominator degree exceeds the degree cap")
     res = is_regular_up_to(val, use)
     if not res.regular:
         raise IrregularDenominator(
@@ -392,7 +387,7 @@ class _SearchState:
         if hit is None:
             p = self.presentation
             words = [w for w in p.basis_words(max_degree) if w]
-            mons = [AlgebraElement(p, {w: ONE}, _trusted=True) for w in words]
+            mons = [AlgebraElement(p, {w: ONE}) for w in words]
             # the first MAX_CANDIDATES only: the scan stops before a later one
             sums = ((u + v, u - v) for u, v in itertools.combinations(mons, 2))
             ps = tuple(itertools.islice(
@@ -737,7 +732,7 @@ class _MulSubspace:
             p = self.state.presentation
             self._rowspace = RowSpace(self.ntarget)
             for w in self.basis:
-                word = AlgebraElement(p, {w: ONE}, _trusted=True)
+                word = AlgebraElement(p, {w: ONE})
                 self._rowspace.add(self._vector(
                     word * self.s_value if self.right
                     else self.s_value * word))
@@ -919,7 +914,6 @@ def frac_add(lam, f: Fraction, g: Fraction,
              budget: OreBudget = DEFAULT_BUDGET) -> Fraction:
     """lam*f + g via a common denominator: with s1 t = s2 b the sum is
     [lam*a1*t + a2*b, s1*t]."""
-    _check_same(f.presentation, g.presentation)
     if not isinstance(lam, Scalar):
         lam = Scalar(lam)
     w = _require_witness(
@@ -932,7 +926,6 @@ def frac_add(lam, f: Fraction, g: Fraction,
 def frac_mul(f: Fraction, g: Fraction,
              budget: OreBudget = DEFAULT_BUDGET) -> Fraction:
     """f * g: with a2 t = s1 b the product is [a1*b, s2*t]."""
-    _check_same(f.presentation, g.presentation)
     w = _require_witness(
         ore_solve_right(g.num, f.den, budget), "fraction multiplication")
     return Fraction(f.num * w.b, g.den * w.t)
@@ -1007,8 +1000,6 @@ def remark_mult_property_check(a: AlgebraElement, s: SProduct, u: SProduct,
     factor lists, which is why u is taken from S here.
     """
     p = a.presentation
-    _check_same(p, s.presentation)
-    _check_same(p, u.presentation)
     us = u * s
     try:
         lhs = frac_mul(Fraction(p.one(), us), embed(u.value * a), budget)

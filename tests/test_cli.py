@@ -17,7 +17,8 @@ import ores.states
 from ores.cli import main
 from ores.errors import DegreeOverflow
 from ores.gns import gns
-from ores.files import save_moments, save_operator, save_presentation
+from ores.files import (presentation_to_dict, save_moments, save_operator,
+                        save_presentation)
 from ores.algebra import Presentation, load_preset
 from ores.formulas import Formula
 from ores.operators import BandedOperator
@@ -129,6 +130,22 @@ def test_ore_solve_on_a_large_free_algebra_stays_in_memory(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ("no witness within budget (factors <= 1, "
                            "degree <= 6); candidates tried: 15877\n")
+
+
+def test_far_band_offset_is_a_usage_error(tmp_path):
+    # a band at offset -10**9 made op apply allocate a 15 GiB vector
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"bands": [
+        {"offset": -10 ** 9, "kind": "const", "coeffs": [[1, 1]]}]}))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ores", "op", "apply", "--operator",
+         str(path), "--vector", "1"], env=env, capture_output=True,
+        text=True, timeout=60, preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "size cap" in line
 
 
 def test_frac_add(capsys):
@@ -588,6 +605,16 @@ _LONG_WORD = "(%s)*(%s)" % ("*".join(["a"] * 35), "*".join(["ad"] * 35))
     # a rewrite chain deeper than Python's recursion limit
     pytest.param(["normalize", "--presentation", "{dir}/heisenberg80.json",
                   _LONG_WORD], "nests too deeply", id="normalize-deep-chain"),
+    # damaged files that got past the loaders' handlers, and a band
+    # coefficient too large for a float
+    pytest.param(["normalize", "--presentation", "{dir}/list-names.json",
+                  "1"], "malformed presentation file",
+                 id="presentation-unhashable-generator"),
+    pytest.param(["gns", "build", "--moments", "{dir}/moment-list.json"],
+                 "malformed moment file", id="moments-not-a-table"),
+    pytest.param(["op", "apply", "--operator", "{dir}/huge-coeff.json",
+                  "--vector", "0,1"], "too large to convert to float",
+                 id="op-apply-float-overflow"),
 ])
 def test_malformed_invocations_exit_with_code_2(tmp_path, capsys, argv,
                                                 message):
@@ -595,6 +622,13 @@ def test_malformed_invocations_exit_with_code_2(tmp_path, capsys, argv,
         ("ad", "a"), (("a", "ad"),),
         ((("a", "ad"), ((1, ("ad", "a")), (1, ()))),), 80,
         name="heisenberg"), tmp_path / "heisenberg80.json")
+    list_names = presentation_to_dict(load_preset("heisenberg"))
+    list_names["generators"] = [["ad"], ["a"]]
+    (tmp_path / "list-names.json").write_text(json.dumps(list_names))
+    (tmp_path / "moment-list.json").write_text(
+        json.dumps({"degree": 1, "moments": [1, 2]}))
+    (tmp_path / "huge-coeff.json").write_text(json.dumps({"bands": [
+        {"offset": 0, "kind": "poly", "coeffs": [[10 ** 400, 1], [1, 1]]}]}))
     code, _, err = run(capsys, [arg.format(dir=tmp_path) for arg in argv])
     assert code == 2
     [line] = err.splitlines()

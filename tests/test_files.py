@@ -7,12 +7,14 @@ travel as 17-significant-digit decimals, so parsing them back must
 reproduce the exact double.
 """
 
+import copy
 import json
 import random
 from fractions import Fraction as Rational
 
 from ores.algebra import load_preset, random_element
-from ores.errors import ConfigError, StateAxiomError
+from ores.errors import (ConfigError, OresError, PresentationMismatch,
+                         StateAxiomError)
 from ores.files import (
     canonical_json,
     gns_to_dict,
@@ -38,7 +40,7 @@ from ores.files import (
 )
 from ores.formulas import Formula, QPoly
 from ores.gns import gns
-from ores.operators import BandedOperator
+from ores.operators import SIZE_CAP, BandedOperator
 from ores.scalars import IMAG, Scalar
 from ores.states import dirac_state, gaussian_state
 
@@ -211,6 +213,74 @@ def test_malformed_operator_file_rejected():
             {"offset": 0, "kind": "const", "coeffs": [[1, 1], [2, 1]]}]})
     with pytest.raises(ConfigError):
         operator_from_dict({"rows": []})
+
+
+def test_two_loads_of_one_file_are_two_presentations(tmp_path):
+    path = tmp_path / "heisenberg.json"
+    save_presentation(load_preset("heisenberg"), path)
+    first, second = load_presentation(path), load_presentation(path)
+    with pytest.raises(PresentationMismatch):
+        first.generator("a") * second.generator("ad")
+
+
+_DAMAGE = (None, [], {}, "x", [[]], 10 ** 9)
+
+
+def _paths(node, prefix=()):
+    """The path of every field and nested field below node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _damaged(d, path, value):
+    out = copy.deepcopy(d)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize("loader, valid", [
+    pytest.param(presentation_from_dict,
+                 presentation_to_dict(load_preset("heisenberg")),
+                 id="presentation"),
+    pytest.param(lambda d: moments_from_dict(d, load_preset("poly_x")),
+                 moments_to_dict(gaussian_state(load_preset("poly_x"), 2)),
+                 id="moments"),
+    pytest.param(operator_from_dict, operator_to_dict(BandedOperator({
+        -1: Formula.sqrt(QPoly([0, 1])),
+        0: Formula.poly([Scalar(1), Scalar(Rational(3, 2))]),
+        2: Formula.const(2)})), id="operator"),
+])
+def test_damaged_fields_load_or_raise_ores_errors(loader, valid):
+    # each field and nested field in turn replaced by a value of the
+    # wrong shape: the loader raises an OresError, which the CLI turns
+    # into exit code 2, and never another exception; or it returns, and
+    # a returned operator has no band further out than the size cap,
+    # where applying it would allocate a vector past that size
+    loader(valid)
+    escaped = []
+    for path in _paths(valid):
+        for value in _DAMAGE:
+            try:
+                loaded = loader(_damaged(valid, path, value))
+            except OresError:
+                continue
+            except Exception as exc:
+                escaped.append((path, value, repr(exc)))
+                continue
+            if (isinstance(loaded, BandedOperator)
+                    and any(abs(k) > SIZE_CAP for k in loaded.bands)):
+                escaped.append((path, value, "band past the size cap"))
+    assert not escaped
 
 
 def test_representation_dump_structure(tmp_path):

@@ -395,7 +395,7 @@ def _exact_scan(a, s, budget):
         if bound not in spans:
             rs = ReferenceRowSpace(len(target))
             for w in basis:
-                col = s_value * AlgebraElement(p, {w: ONE}, _trusted=True)
+                col = s_value * AlgebraElement(p, {w: ONE})
                 rs.add([col.terms.get(w2, Scalar(0)) for w2 in target])
             spans[bound] = rs
         coeffs = spans[bound].represent(
