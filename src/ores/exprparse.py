@@ -1,4 +1,5 @@
-"""Expression surface syntax: tokenizer and recursive-descent parser.
+"""Expression surface syntax: tokenizer, recursive-descent parser, and
+evaluation into algebra elements.
 
 Grammar (dagger is the postfix apostrophe; no unary minus):
 
@@ -14,6 +15,34 @@ Grammar (dagger is the postfix apostrophe; no unary minus):
 this grammar and fraction_to_text prints a fraction; both reparse to the
 same value.
 
+Parentheses nest at most MAX_NESTING deep, and deeper text is a
+ParseError that names the limit, so neither the parser nor the evaluator
+runs out of stack.  Since x'' = x, a run of postfix daggers folds by
+parity: one Dagger node for an odd run, two for an even one, so that the
+tree of ``a''`` and every check of a node's shape stay as they were.
+
+Evaluation is exact, and it computes what the left-to-right product of
+one element per factor computes, with less work:
+
+- a subtree without symbols evaluates to a Scalar;
+- in a product, the nonzero scalar factors multiply into one coefficient
+  that scales the product once at the end; once a factor makes the
+  product zero nothing more is multiplied, but every later factor is
+  still evaluated, so that its own errors surface;
+- a run of generator letters (symbols, each with at most one dagger)
+  becomes one word, normalized once.
+
+The exactness rule: an element product checks the degree cap on each
+pair of words, and a rule may lower degree (x*x -> 1), so folding a run
+past the cap could hide, or raise, a DegreeOverflow that the product
+letter by letter does not.  A run is therefore folded only when
+deg(product so far) + len(run) <= degree cap, the empty product counting
+as degree 0; under that bound no step of the letter-by-letter product
+can raise.  Otherwise, or when rewriting the whole word nests too
+deeply, the run is multiplied letter by letter.  A factor whose
+evaluation raises first multiplies in the pending run, as the
+left-to-right order does, so a DegreeOverflow there comes first.
+
 Each parenthesized denominator factor is either the scalar 1, which
 contributes no factor, or has the shape 1 + q*p with q the dagger of p;
 the fraction builder checks that exactly and refuses anything else,
@@ -26,9 +55,11 @@ from dataclasses import dataclass
 from fractions import Fraction as Rational
 
 from .algebra import AlgebraElement, Presentation, format_element
-from .errors import ExpressionError
+from .errors import DegreeOverflow, ExpressionError, OresError
 from .localization import Fraction, SProduct
-from .scalars import Scalar
+from .scalars import ONE, ZERO, Scalar, as_scalar
+
+MAX_NESTING = 32    # parenthesis depth; far below what the stack holds
 
 
 class ParseError(ExpressionError):
@@ -43,39 +74,39 @@ class ParseError(ExpressionError):
 # -- AST -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScalarLit:
     """A literal scalar token: a nonnegative rational or the unit i."""
     value: Scalar
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Sym:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Dagger:
     child: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Prod:
     factors: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Neg:
     """A '-'-attached term; valid only as a non-leading summand."""
     child: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Sum:
     terms: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Paren:
     child: object
 
@@ -85,55 +116,40 @@ class Paren:
 _PUNCT = "+-*/'()"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
 def tokenize(text: str):
+    """The tokens of text as tuples (kind, text, line, col), closed by an
+    "eof" token."""
     tokens = []
+    append = tokens.append
     line, col = 1, 1
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch == "\n":
+        j = i + 1
+        if ch in _PUNCT:
+            append((ch, ch, line, col))
+        elif ch in " \t\r":
+            pass
+        elif ch == "\n":
             line += 1
             col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        # isdecimal accepts exactly the digits int() reads
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
             i = j
             continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        # isdecimal accepts exactly the digits int() reads
+        elif ch.isdecimal():
+            while j < n and text[j].isdecimal():
+                j += 1
+            append(("int", text[i:j], line, col))
+        elif ch.isalpha() or ch == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
-            kind = "i" if word == "i" else "ident"
-            tokens.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(_Token("eof", "", line, col))
+            append(("i" if word == "i" else "ident", word, line, col))
+        else:
+            raise ParseError("unexpected character %r" % ch, line, col)
+        col += j - i
+        i = j
+    append(("eof", "", line, col))
     return tokens
 
 
@@ -141,97 +157,110 @@ def tokenize(text: str):
 
 
 class _Parser:
+    __slots__ = ("tokens", "pos", "depth")
+
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
+    def expect(self, kind: str):
         t = self.tokens[self.pos]
+        if t[0] != kind:
+            self.fail("expected %r" % kind)
         self.pos += 1
         return t
 
-    def expect(self, kind: str) -> _Token:
-        t = self.peek()
-        if t.kind != kind:
-            self.fail("expected %r" % kind)
-        return self.advance()
-
     def fail(self, message):
-        t = self.peek()
-        got = t.text if t.kind != "eof" else "end of input"
-        raise ParseError("%s, got %s" % (message, got), t.line, t.col)
+        kind, text, line, col = self.tokens[self.pos]
+        got = text if kind != "eof" else "end of input"
+        raise ParseError("%s, got %s" % (message, got), line, col)
+
+    def end(self):
+        if self.tokens[self.pos][0] != "eof":
+            self.fail("unexpected trailing input")
 
     @staticmethod
-    def integer(t: _Token) -> int:
+    def integer(t) -> int:
         try:
-            return int(t.text)
+            return int(t[1])
         except ValueError:  # past the interpreter's limit on int digits
-            raise ParseError("integer literal too long", t.line,
-                             t.col) from None
+            raise ParseError("integer literal too long", t[2], t[3]) from None
 
     def parse_expr(self):
-        terms = [self.parse_term()]
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
+        term = self.parse_term()
+        op = self.tokens[self.pos][0]
+        if op != "+" and op != "-":
+            return term
+        terms = [term]
+        while op == "+" or op == "-":
+            self.pos += 1
             term = self.parse_term()
-            terms.append(Neg(term) if op.kind == "-" else term)
-        if len(terms) == 1:
-            return terms[0]
+            terms.append(Neg(term) if op == "-" else term)
+            op = self.tokens[self.pos][0]
         return Sum(tuple(terms))
 
     def parse_term(self):
-        factors = [self.parse_factor()]
-        while self.peek().kind == "*":
-            self.advance()
+        factor = self.parse_factor()
+        if self.tokens[self.pos][0] != "*":
+            return factor
+        factors = [factor]
+        while self.tokens[self.pos][0] == "*":
+            self.pos += 1
             factors.append(self.parse_factor())
-        if len(factors) == 1:
-            return factors[0]
         return Prod(tuple(factors))
 
-    def parse_factor(self):
-        node = self.parse_primary()
-        while self.peek().kind == "'":
-            self.advance()
-            node = Dagger(node)
-        return node
+    def parse_group(self, t):
+        """The expression inside the parenthesis that token t opened."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("parentheses nest deeper than %d" % MAX_NESTING,
+                             t[2], t[3])
+        inner = self.parse_expr()
+        self.expect(")")
+        self.depth -= 1
+        return inner
 
-    def parse_primary(self):
-        t = self.peek()
-        if t.kind == "int":
-            self.advance()
+    def parse_factor(self):
+        tokens = self.tokens
+        t = tokens[self.pos]
+        kind = t[0]
+        self.pos += 1
+        if kind == "ident":
+            node = Sym(t[1])
+        elif kind == "int":
             num = self.integer(t)
-            if self.peek().kind == "/":
-                self.advance()
+            if tokens[self.pos][0] == "/":
+                self.pos += 1
                 d = self.expect("int")
                 den = self.integer(d)
                 if den == 0:
                     raise ParseError("zero denominator in scalar literal",
-                                     d.line, d.col)
-                return ScalarLit(Scalar(Rational(num, den)))
-            return ScalarLit(Scalar(num))
-        if t.kind == "i":
-            self.advance()
-            return ScalarLit(Scalar(0, 1))
-        if t.kind == "ident":
-            self.advance()
-            return Sym(t.text)
-        if t.kind == "(":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect(")")
-            return Paren(inner)
-        self.fail("expected a scalar, symbol, or parenthesized expression")
+                                     d[2], d[3])
+                node = ScalarLit(Scalar(Rational(num, den)))
+            else:
+                node = ScalarLit(Scalar(num))
+        elif kind == "(":
+            node = Paren(self.parse_group(t))
+        elif kind == "i":
+            node = ScalarLit(Scalar(0, 1))
+        else:
+            self.pos -= 1
+            self.fail("expected a scalar, symbol, or parenthesized expression")
+        start = self.pos
+        while tokens[self.pos][0] == "'":
+            self.pos += 1
+        daggers = self.pos - start
+        if daggers:
+            node = Dagger(node) if daggers % 2 else Dagger(Dagger(node))
+        return node
 
 
 def parse(text: str):
     """Parse text into an AST; raises ParseError with position."""
     p = _Parser(text)
     node = p.parse_expr()
-    if p.peek().kind != "eof":
-        p.fail("unexpected trailing input")
+    p.end()
     return node
 
 
@@ -240,32 +269,129 @@ def parse(text: str):
 
 def ast_to_element(node, presentation: Presentation) -> AlgebraElement:
     """Evaluate an AST in the presentation."""
-    p = presentation
-    if isinstance(node, ScalarLit):
-        return p.scalar(node.value)
-    if isinstance(node, Sym):
-        if node.name not in p.generators:
-            raise ExpressionError(
-                "unknown symbol %r (generators: %s)"
-                % (node.name, ", ".join(p.generators)))
-        return p.generator(node.name)
-    if isinstance(node, Dagger):
-        return ast_to_element(node.child, p).dagger()
-    if isinstance(node, Paren):
-        return ast_to_element(node.child, p)
-    if isinstance(node, Neg):
-        return -ast_to_element(node.child, p)
-    if isinstance(node, Sum):
-        acc = p.zero()
-        for t in node.terms:
-            acc = acc + ast_to_element(t, p)
-        return acc
-    if isinstance(node, Prod):
-        acc = p.one()
-        for f in node.factors:
-            acc = acc * ast_to_element(f, p)
-        return acc
+    v = _eval(node, presentation)
+    return presentation.scalar(v) if isinstance(v, Scalar) else v
+
+
+def _unknown(name, p) -> ExpressionError:
+    return ExpressionError("unknown symbol %r (generators: %s)"
+                           % (name, ", ".join(p.generators)))
+
+
+def _eval(node, p):
+    """The value of node: a Scalar where it is a constant (it holds no
+    symbol, or it is a zero product), else an AlgebraElement."""
+    t = type(node)
+    if t is Prod:
+        return _eval_prod(node.factors, p)
+    if t is Sym:
+        g = p._index.get(node.name)
+        if g is None:
+            raise _unknown(node.name, p)
+        return p.normalize_raw({(g,): ONE})
+    if t is ScalarLit:
+        return as_scalar(node.value)
+    if t is Paren:
+        return _eval(node.child, p)
+    if t is Sum:
+        return _eval_sum(node.terms, p)
+    if t is Dagger:
+        v = _eval(node.child, p)
+        return v.conjugate() if isinstance(v, Scalar) else v.dagger()
+    if t is Neg:
+        return -_eval(node.child, p)
     raise TypeError("not an AST node: %r" % (node,))
+
+
+def _eval_sum(terms, p):
+    total = ZERO     # the sum while every term is a Scalar
+    acc = None       # the terms of the sum from the first element on
+    for node in terms:
+        v = _eval(node, p)
+        if isinstance(v, Scalar):
+            if acc is None:
+                total = total + v
+                continue
+            if not v:
+                continue
+            items = (((), v),)
+        else:
+            if acc is None:
+                acc = {(): total} if total else {}
+            items = v.terms.items()
+        for w, c in items:
+            prev = acc.get(w)
+            c = prev + c if prev is not None else c
+            if c:
+                acc[w] = c
+            elif w in acc:
+                del acc[w]
+    return total if acc is None else AlgebraElement(p, acc)
+
+
+def _eval_prod(factors, p):
+    coeff = ONE      # the product of the nonzero scalar factors
+    acc = None       # the product of the other factors so far; None is 1
+    run = []         # generator letters not yet multiplied into acc
+    zero = False     # the product is zero: multiply nothing more
+    index = p._index
+    for f in factors:
+        t = type(f)
+        sym = f if t is Sym else (
+            f.child if t is Dagger and type(f.child) is Sym else None)
+        if sym is not None:
+            g = index.get(sym.name)
+            if g is None:
+                if run:
+                    _times_run(acc, run, p)
+                raise _unknown(sym.name, p)
+            if not zero:
+                run.append(g if sym is f else p.dagger_map[g])
+            continue
+        try:
+            v = _eval(f, p)
+        except OresError:
+            if run:  # the left-to-right order multiplies the run in first
+                _times_run(acc, run, p)
+            raise
+        if zero:
+            continue
+        if isinstance(v, Scalar) and v:
+            coeff = coeff * v
+            continue
+        if run:
+            acc = _times_run(acc, run, p)
+            run = []
+            zero = not acc.terms
+        if isinstance(v, Scalar):
+            zero = True
+        elif not zero:
+            acc = v if acc is None else acc * v
+            zero = not acc.terms
+    if run:
+        acc = _times_run(acc, run, p)
+        zero = not acc.terms
+    if zero:
+        return ZERO
+    if acc is None:
+        return coeff
+    return acc if coeff is ONE else acc.scale(coeff)
+
+
+def _times_run(acc, run, p) -> AlgebraElement:
+    """acc, None standing for 1, times the word of the generator letters
+    in run; see the exactness rule in the module docstring."""
+    if (0 if acc is None else acc.degree()) + len(run) <= p.degree_cap:
+        try:
+            word = p.normalize_raw({tuple(run): ONE})
+            return word if acc is None else acc * word
+        except DegreeOverflow:  # rewriting the whole word nests too deeply
+            pass
+    if acc is None:
+        acc = p.one()
+    for g in run:
+        acc = acc * p.normalize_raw({(g,): ONE})
+    return acc
 
 
 def parse_element(text: str, presentation: Presentation) -> AlgebraElement:
@@ -303,6 +429,9 @@ def _match_one_plus_dagger_product(node, presentation) -> AlgebraElement:
         if not isinstance(prod_part, Prod):
             continue
         fs = prod_part.factors
+        if len(fs) == 2 and type(fs[0]) is Dagger and fs[0].child == fs[1]:
+            # q is written as the dagger of p, so q equals p's dagger
+            return ast_to_element(fs[1], presentation)
         for cut in range(1, len(fs)):
             q = ast_to_element(
                 Prod(fs[:cut]) if cut > 1 else fs[0], presentation)
@@ -343,20 +472,19 @@ def _parse_factor_chain(p: _Parser, presentation) -> tuple:
     """``(factor)*(factor)*...`` with each factor either the scalar 1 or
     a 1 + q*p shape; returns the tuple of parameters p."""
     ps = []
+    tokens = p.tokens
     while True:
-        t = p.peek()
-        if t.kind != "(":
+        t = tokens[p.pos]
+        if t[0] != "(":
             p.fail("expected a parenthesized denominator factor")
-        p.advance()
-        inner = p.parse_expr()
-        p.expect(")")
-        stripped = _strip_paren(inner)
+        p.pos += 1
+        stripped = _strip_paren(p.parse_group(t))
         if not (isinstance(stripped, ScalarLit)
                 and stripped.value == Scalar(1)):
             ps.append(_match_one_plus_dagger_product(stripped, presentation))
-        if p.peek().kind != "*":
+        if tokens[p.pos][0] != "*":
             break
-        p.advance()
+        p.pos += 1
     return tuple(ps)
 
 
@@ -364,15 +492,12 @@ def parse_sproduct_text(text: str, presentation: Presentation):
     """Parse denominator text: either the literal 1 or a chain of
     parenthesized 1 + q*p factors joined by '*'."""
     p = _Parser(text)
-    t = p.peek()
-    if t.kind == "int" and t.text == "1":
-        p.advance()
-        if p.peek().kind != "eof":
-            p.fail("unexpected trailing input")
+    if p.tokens[0][:2] == ("int", "1"):
+        p.pos = 1
+        p.end()
         return SProduct(presentation)
     ps = _parse_factor_chain(p, presentation)
-    if p.peek().kind != "eof":
-        p.fail("unexpected trailing input")
+    p.end()
     return SProduct(presentation, ps)
 
 
@@ -381,14 +506,13 @@ def parse_fraction_text(text: str, presentation: Presentation):
     p = _Parser(text)
     first = p.parse_factor()
     if not isinstance(first, Paren):
-        tok = p.tokens[0]
+        _, _, line, col = p.tokens[0]
         raise ParseError("a fraction starts with a parenthesized numerator",
-                         tok.line, tok.col)
+                         line, col)
     num = ast_to_element(first.child, presentation)
     p.expect("/")
     ps = _parse_factor_chain(p, presentation)
-    if p.peek().kind != "eof":
-        p.fail("unexpected trailing input")
+    p.end()
     den = SProduct(presentation, ps)
     return Fraction(num, den)
 

@@ -8,7 +8,8 @@ reports contain no timestamps; the text rendering carries a single
 "# generated:" header line and is otherwise deterministic.
 
 Each loader turns a malformed file into a ConfigError in one handler,
-and refuses an operator band further from the diagonal than SIZE_CAP.
+and refuses an operator band further from the diagonal than SIZE_CAP;
+a file nested too deeply for the JSON reader is a ConfigError too.
 """
 
 from __future__ import annotations
@@ -36,7 +37,10 @@ def _write_text(path, text: str):
 
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ConfigError("%s nests too deeply to read" % path) from None
 
 
 # -- presentations ---------------------------------------------------------------

@@ -6,7 +6,9 @@ memoized leftmost recursion, commutative fractions as explicit rational
 functions, dense numpy linear algebra instead of banded solvers, and
 kernels, row spaces and a hermitian reduction in Gaussian-rational
 Scalars (the reduction carrying its whole transform) instead of
-fraction-free elimination over Z[i].  Tests freeze or compare against
+fraction-free elimination over Z[i], and expressions evaluated one
+element per AST node, multiplied left to right, instead of with
+constants and generator runs folded.  Tests freeze or compare against
 these, never against the code under test.
 """
 
@@ -15,6 +17,8 @@ from fractions import Fraction as Rational
 import numpy as np
 import scipy.sparse
 
+from ores.errors import ExpressionError
+from ores.exprparse import Dagger, Neg, Paren, Prod, ScalarLit, Sum, Sym
 from ores.linalg import PsdReport
 from ores.scalars import Scalar
 
@@ -444,3 +448,36 @@ def hermitian_quadratic_form(G, x):
                 acc = acc + G[i][j] * x[j]
         total = total + x[i].conjugate() * acc
     return total
+
+
+# -- expressions ----------------------------------------------------------------------
+
+
+def reference_ast_to_element(node, p):
+    """An AST evaluated one element per node, a product left to right from
+    the element 1, each step through AlgebraElement.__mul__."""
+    if isinstance(node, ScalarLit):
+        return p.scalar(node.value)
+    if isinstance(node, Sym):
+        if node.name not in p.generators:
+            raise ExpressionError(
+                "unknown symbol %r (generators: %s)"
+                % (node.name, ", ".join(p.generators)))
+        return p.generator(node.name)
+    if isinstance(node, Dagger):
+        return reference_ast_to_element(node.child, p).dagger()
+    if isinstance(node, Paren):
+        return reference_ast_to_element(node.child, p)
+    if isinstance(node, Neg):
+        return -reference_ast_to_element(node.child, p)
+    if isinstance(node, Sum):
+        acc = p.zero()
+        for t in node.terms:
+            acc = acc + reference_ast_to_element(t, p)
+        return acc
+    if isinstance(node, Prod):
+        acc = p.one()
+        for f in node.factors:
+            acc = acc * reference_ast_to_element(f, p)
+        return acc
+    raise TypeError("not an AST node: %r" % (node,))

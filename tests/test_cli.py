@@ -16,6 +16,7 @@ import ores.algebra
 import ores.states
 from ores.cli import main
 from ores.errors import DegreeOverflow
+from ores.exprparse import MAX_NESTING
 from ores.gns import gns
 from ores.files import (presentation_to_dict, save_moments, save_operator,
                         save_presentation)
@@ -343,6 +344,33 @@ def test_unreadable_files_exit_with_code_2(tmp_path, capsys):
         code, _, err = run(capsys, argv)
         assert code == 2, argv
         assert "error:" in err
+
+
+# each of the next three inputs ended in a RecursionError traceback
+# with exit code 1
+
+
+def test_deeply_nested_parentheses_exit_with_code_2(capsys):
+    code, _, err = run(capsys, ["normalize", "(" * 300 + "a" + ")" * 300])
+    assert code == 2
+    assert err.startswith(
+        "error: parentheses nest deeper than %d" % MAX_NESTING)
+    assert len(err.splitlines()) == 1
+
+
+def test_a_too_deep_json_file_exits_with_code_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    code, _, err = run(capsys, ["normalize", "--presentation", str(deep), "a"])
+    assert code == 2
+    assert err.startswith("error: ") and "nests too deeply" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_a_long_dagger_chain_folds_by_parity(capsys):
+    # a valid expression, and x'' = x
+    code, out, err = run(capsys, ["normalize", "a" + "'" * 5000])
+    assert (code, out, err) == (0, "a\n", "")
 
 
 def test_op_apply(capsys):

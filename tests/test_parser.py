@@ -1,17 +1,22 @@
 """Expression surface syntax: parsing, printing, and element bridging."""
 
 import random
+from fractions import Fraction as Rational
 
 import pytest
 
-from ores.algebra import format_element, load_preset, random_element
-from ores.errors import ExpressionError
-from ores.exprparse import (Dagger, Neg, ParseError, Paren, Prod, ScalarLit,
-                            Sum, Sym, ast_to_element, fraction_to_text, parse,
-                            parse_element, parse_fraction_text,
-                            parse_sproduct_text)
+import ores.exprparse
+from ores.algebra import (PRESETS, AlgebraElement, Presentation,
+                          format_element, load_preset, random_element)
+from ores.errors import DegreeOverflow, ExpressionError, OresError
+from ores.exprparse import (MAX_NESTING, Dagger, Neg, ParseError, Paren, Prod,
+                            ScalarLit, Sum, Sym, ast_to_element,
+                            fraction_to_text, parse, parse_element,
+                            parse_fraction_text, parse_sproduct_text)
 from ores.localization import Fraction, SProduct, eq_fraction
 from ores.scalars import Scalar
+
+from oracles import reference_ast_to_element
 
 
 def test_commutator_shape():
@@ -32,7 +37,6 @@ def test_dagger_binds_to_parenthesized_group():
 
 
 def test_scalar_literals():
-    from fractions import Fraction as Rational
     assert parse("3/4") == ScalarLit(Scalar(Rational(3, 4)))
     assert parse("i") == ScalarLit(Scalar(0, 1))
     assert parse("7") == ScalarLit(Scalar(7))
@@ -191,3 +195,187 @@ def test_bad_integer_literals_are_parse_errors():
         parse("x + " + "1" * 5000)
     assert e.value.col == 5
     assert parse("٣") == ScalarLit(Scalar(3))
+
+
+# -- folded evaluation against the element-by-element reference ---------------------
+
+
+def _lowering():
+    """x*x -> 1 lowers degree, and products of four letters pass cap 3."""
+    return Presentation(("x", "y"), (("x",), ("y",)),
+                        ((("x", "x"), ((1, ()),)),), 3)
+
+
+def _random_expr(rng, names, depth=0):
+    terms = ["*".join(_random_factor(rng, names, depth)
+                      for _ in range(rng.randint(1, 6)))
+             for _ in range(rng.randint(1, 3))]
+    text = terms[0]
+    for term in terms[1:]:
+        text += rng.choice((" + ", " - ")) + term
+    return text
+
+
+def _random_factor(rng, names, depth):
+    r = rng.random()
+    if r < 0.6 or depth >= 2:
+        factor = rng.choice(names)
+    elif r < 0.8:
+        factor = rng.choice(("0", "1", "2", "1/2", "3/4", "i"))
+    else:
+        factor = "(" + _random_expr(rng, names, depth + 1) + ")"
+    return factor + "'" * rng.choice((0, 0, 0, 1, 1, 2, 3))
+
+
+def _random_cases(rng, p, count):
+    """(function, text) pairs: elements, S-products and fractions over
+    the generators and, now and then, the unknown symbol z."""
+    names = list(p.generators) * 8 + ["z"]
+    cases = []
+    for _ in range(count):
+        factors = []
+        for _ in range(rng.randint(1, 2)):
+            e = _random_expr(rng, names, 1)
+            factors.append(rng.choice((
+                "(1 + (%s)'*(%s))" % (e, e), "((%s)'*(%s) + 1)" % (e, e),
+                "(1 + (%s)*(%s))" % (e, e), "(1)")))
+        den = "*".join(factors)
+        cases.append((parse_element, _random_expr(rng, names)))
+        cases.append((parse_sproduct_text, den))
+        cases.append((parse_fraction_text,
+                      "(%s) / %s" % (_random_expr(rng, names), den)))
+    return cases
+
+
+def _outcome(fn, text, p):
+    try:
+        v = fn(text, p)
+    except OresError as exc:
+        return type(exc), str(exc)
+    if isinstance(v, AlgebraElement):
+        return v.terms
+    if isinstance(v, SProduct):
+        return v.key()
+    return v.num.terms, v.den.key()
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "free_xy", "lowering"])
+def test_evaluation_matches_the_element_by_element_reference(name,
+                                                            monkeypatch):
+    p = _lowering() if name == "lowering" else load_preset(name)
+    cases = _random_cases(random.Random("reference/" + name), p, 100)
+    got = [_outcome(fn, text, p) for fn, text in cases]
+    monkeypatch.setattr(ores.exprparse, "ast_to_element",
+                        reference_ast_to_element)
+    for (fn, text), outcome in zip(cases, got):
+        assert outcome == _outcome(fn, text, p), text
+    # the draw reaches the cap and names the unknown symbol
+    errors = {o[0] for o in got
+              if isinstance(o, tuple) and o and isinstance(o[0], type)}
+    assert DegreeOverflow in errors and ExpressionError in errors
+
+
+def test_a_run_past_the_cap_raises_where_products_do():
+    p = _lowering()
+    # y*y*y*x passes the cap at its last step, though x*x would lower
+    # the degree again; x*x*x*x never passes it, nor y*y*y*(x*x)
+    for text in ("y*y*y*x*x", "(y*y*y)*x*x", "y*y*y*x'*x", "2*y*y*y*x*x"):
+        with pytest.raises(DegreeOverflow):
+            parse_element(text, p)
+    assert parse_element("x*x*x*x*y*x*x", p) == p.generator("y")
+    assert parse_element("y*y*y*(x*x)'", p) == parse_element("y*y*y", p)
+    # a zero factor stops multiplying, but a later unknown symbol and a
+    # run past the cap before it still raise
+    assert parse_element("y*y*y*0*y*y", p).is_zero()
+    with pytest.raises(ExpressionError, match="unknown symbol 'z'"):
+        parse_element("y*0*y*z", p)
+    with pytest.raises(DegreeOverflow):
+        parse_element("y*y*y*x*z", p)
+    with pytest.raises(DegreeOverflow):
+        parse_element("y*y*y*x*(z)", p)
+
+
+def test_mutated_texts_raise_only_ores_errors():
+    p = load_preset("heisenberg")
+    rng = random.Random(211)
+    names = list(p.generators) * 8 + ["z"]
+    mutations = (
+        lambda t: "(" * 300 + t + ")" * 300,
+        lambda t: "(" + t + ")" + "'" * 5000,
+        lambda t: t + " * " + "7" * 5000,
+        lambda t: t + " + 2/" + "3" * 5000,
+        lambda t: "*".join(["(%s)" % t] * 30),
+        lambda t: "(%s) / (1 + (%s)'*(%s))" % (t, t, t),
+    )
+    for _ in range(60):
+        text = _random_expr(rng, names)
+        for _ in range(rng.randint(1, 3)):
+            r = rng.random()
+            if r < 0.4:
+                text = rng.choice(mutations)(text)
+            elif r < 0.7:
+                k = rng.randrange(len(text) + 1)
+                text = text[:k] + rng.choice("$²٣\n\t;.(')*/_") \
+                    + text[k:]
+            else:
+                k = rng.randrange(len(text) + 1)
+                text = text[:k] + text[k + rng.randint(1, 4):]
+        for fn in (parse_element, parse_sproduct_text, parse_fraction_text):
+            try:
+                fn(text, p)
+            except OresError:
+                continue
+
+
+def test_parentheses_nest_at_most_max_nesting_deep():
+    p = load_preset("heisenberg")
+    n = MAX_NESTING
+    assert parse_element("(" * n + "a" + ")" * n, p) == p.generator("a")
+    with pytest.raises(ParseError, match="deeper than %d" % n) as e:
+        parse("(" * (n + 1) + "a" + ")" * (n + 1))
+    assert e.value.col == n + 1
+    with pytest.raises(ParseError, match="deeper than %d" % n):
+        parse_sproduct_text("(" * (n + 1) + "1" + ")" * (n + 1), p)
+    # the shape with the most frames per level still fits the stack at
+    # the limit, through evaluation, == and repr of its tree
+    text = "a"
+    for _ in range(n):
+        text = "(ad - 2*" + text + "'')"
+    assert parse(text) == parse(text) and repr(parse(text))
+    assert parse_element(text, p) == reference_ast_to_element(parse(text), p)
+
+
+def test_dagger_runs_fold_by_parity():
+    # one node for an odd run and two for an even one, so a'' keeps its
+    # tree and no chain grows the stack
+    assert parse("a'''") == Dagger(Sym("a"))
+    assert parse("a''''") == Dagger(Dagger(Sym("a")))
+    p = load_preset("heisenberg")
+    assert parse_element("a" + "'" * 5001, p) == p.generator("ad")
+    assert parse_element("(a*ad)" + "'" * 5000, p) \
+        == p.generator("a") * p.generator("ad")
+    # a dagger on the numerator or on a denominator factor is still refused
+    for text in ("(a)'' / (1)", "(a) / ((1)'')", "(a) / (1 + (a'*a)'')"):
+        with pytest.raises(ExpressionError):
+            parse_fraction_text(text, p)
+
+
+def test_parsing_a_fraction_makes_no_element_products(monkeypatch):
+    # the element-by-element evaluation made 7 products here, one per
+    # factor of each product, from the element 1
+    p = Presentation(*PRESETS["heisenberg"], name="heisenberg")
+    text = "((0 + 2/3 + 1/2*i)*ad*a + ad*ad) / (1 + (a + ad)'*(a + ad))"
+    parse_fraction_text(text, p)  # fills the presentation's value caches
+    calls = []
+    mul = AlgebraElement.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    f = parse_fraction_text(text, p)
+    assert len(calls) == 0
+    ad, a = p.generator("ad"), p.generator("a")
+    assert f.num == (ad * a).scale(Scalar(Rational(2, 3), Rational(1, 2))) \
+        + ad * ad
