@@ -52,12 +52,11 @@ since the localization only inverts such factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Rational
 
 from .algebra import AlgebraElement, Presentation, format_element
 from .errors import DegreeOverflow, ExpressionError, OresError
 from .localization import Fraction, SProduct
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, ZERO, Scalar, as_scalar, gaussian_over
 
 MAX_NESTING = 32    # parenthesis depth; far below what the stack holds
 
@@ -237,7 +236,7 @@ class _Parser:
                 if den == 0:
                     raise ParseError("zero denominator in scalar literal",
                                      d[2], d[3])
-                node = ScalarLit(Scalar(Rational(num, den)))
+                node = ScalarLit(gaussian_over(num, 0, den))
             else:
                 node = ScalarLit(Scalar(num))
         elif kind == "(":
@@ -432,15 +431,69 @@ def _match_one_plus_dagger_product(node, presentation) -> AlgebraElement:
         if len(fs) == 2 and type(fs[0]) is Dagger and fs[0].child == fs[1]:
             # q is written as the dagger of p, so q equals p's dagger
             return ast_to_element(fs[1], presentation)
-        for cut in range(1, len(fs)):
-            q = ast_to_element(
-                Prod(fs[:cut]) if cut > 1 else fs[0], presentation)
-            p_el = ast_to_element(
-                Prod(fs[cut:]) if len(fs) - cut > 1 else fs[cut],
-                presentation)
-            if q == p_el.dagger():
-                return p_el
+        # the first cut evaluates every factor, so that each factor's own
+        # error surfaces there, in the left-to-right order
+        q = ast_to_element(fs[0], presentation)
+        p_el = ast_to_element(Prod(fs[1:]) if len(fs) > 2 else fs[1],
+                              presentation)
+        if q == p_el.dagger():
+            return p_el
+        p_el = _match_later_cut(fs, presentation)
+        if p_el is not None:
+            return p_el
     raise ExpressionError(shape)
+
+
+def _match_later_cut(fs, p):
+    """The product of fs[cut:] at the first cut from 2 on where the
+    product of fs[:cut] is its dagger, or None.
+
+    Every factor evaluates without error: the first cut evaluated them
+    all.  A factor whose value is a nonzero Scalar c, or the element c
+    times 1 (such as a*ad - ad*a where a*ad -> ad*a + 1), only scales a
+    product: c times 1 has degree 0, so no pair of words it enters
+    passes the cap, and c != 0 keeps a zero product zero (see
+    _eval_prod).  So the product of fs[i:k] raises where the product of
+    its other factors raises, and equals that product times the c's.
+    The other factors are therefore multiplied once for each number j of
+    them before the cut, the head before the tail as each cut does, and
+    the c's once in all: n factors of which m are not such constants
+    cost O(n + m^2) factor evaluations, not O(n^2).
+    """
+    scalar = []
+    for f in fs:
+        sym = type(f) is Sym or type(f) is Dagger and type(f.child) is Sym
+        v = None if sym else _eval(f, p)
+        if isinstance(v, AlgebraElement) and len(v.terms) == 1:
+            v = v.terms.get(())     # c for c times 1, else None
+        scalar.append(v if isinstance(v, Scalar) and v else None)
+    rest = [f for f, c in zip(fs, scalar) if c is None]
+    after = [ONE] * (len(fs) + 1)   # the scalars of fs[k:], at k
+    for k in range(len(fs) - 1, -1, -1):
+        c = scalar[k]
+        after[k] = after[k + 1] if c is None else after[k + 1] * c
+    before, j, done = ONE, 0, None  # the scalars and others of fs[:cut]
+    for cut in range(1, len(fs)):
+        c = scalar[cut - 1]
+        if c is None:
+            j += 1
+        else:
+            before = before * c
+        if cut == 1:
+            continue
+        if j != done:
+            head, tail = _eval_prod(rest[:j], p), _eval_prod(rest[j:], p)
+            done = j
+        q = _scaled(head, before, p)
+        p_el = _scaled(tail, after[cut], p)
+        if q == p_el.dagger():
+            return p_el
+    return None
+
+
+def _scaled(v, c: Scalar, p) -> AlgebraElement:
+    """The element v c, v a value of _eval_prod and c a nonzero Scalar."""
+    return p.scalar(v * c) if isinstance(v, Scalar) else v.scale(c)
 
 
 def _factor_text(el: AlgebraElement) -> str:

@@ -33,7 +33,7 @@ from fractions import Fraction as Rational
 import numpy as np
 
 from .errors import FormulaDomainError
-from .scalars import Scalar, as_scalar
+from .scalars import Scalar, as_scalar, over_common_denominator
 
 
 class _Poly:
@@ -329,7 +329,7 @@ class CPoly(_Poly):
         return CPoly(c.conjugate() for c in self.coeffs)
 
     def key(self):
-        return tuple((c.re, c.im) for c in self.coeffs)
+        return tuple((c.a, c.b, c.d) for c in self.coeffs)
 
 
 class Formula:
@@ -555,11 +555,12 @@ class Sampler:
     __slots__ = ("terms", "prefix")
 
     def __init__(self, f: Formula):
-        self.terms = tuple(
-            (_over_common_denominator([c.re for c in amp.coeffs]),
-             _over_common_denominator([c.im for c in amp.coeffs]),
-             _over_common_denominator(rad.coeffs))
-            for rad, amp in f.sorted_terms())
+        terms = []
+        for rad, amp in f.sorted_terms():
+            D, ((re, im),) = over_common_denominator([amp.coeffs])
+            terms.append(((re, D), (im, D),
+                          _over_common_denominator(rad.coeffs)))
+        self.terms = tuple(terms)
         self.prefix = (np.zeros(0, dtype=complex), np.zeros(0, dtype=bool))
 
     def _evaluate(self, lo: int, hi: int):

@@ -13,11 +13,9 @@ once, at the end.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, gaussian_over, over_common_denominator
 
 
 def _combine(p, x, q, y, d):
@@ -51,17 +49,6 @@ def _combine(p, x, q, y, d):
     n = dr * dr + di * di
     return ([(a * dr + b * di) // n for a, b in zip(nr, ni)],
             [(b * dr - a * di) // n for a, b in zip(nr, ni)])
-
-
-def _over_lcm(M):
-    """(D, rows) with M = rows / D: D is the lcm of the denominators of
-    the Scalar matrix M, and each row is a pair (re, im) of integer
-    lists."""
-    D = math.lcm(*(x.denominator for row in M for s in row
-                   for x in (s.re, s.im)))
-    return D, [([s.re.numerator * (D // s.re.denominator) for s in row],
-                [s.im.numerator * (D // s.im.denominator) for s in row])
-               for row in M]
 
 
 def nullspace(rows):
@@ -117,7 +104,7 @@ class RowSpace:
         for re, im in self.rows:
             re.append(0)
             im.append(0)
-        D, ((re, im),) = _over_lcm([vec])
+        D, ((re, im),) = over_common_denominator([vec])
         tail = [0] * self.ngens
         self.ngens += 1
         (re, im), _ = self._reduce((re + tail + [D], im + tail + [0]))
@@ -132,7 +119,7 @@ class RowSpace:
 
     def represent(self, vec):
         """Coefficients (length ngens) with sum(c_j gen_j) = vec, or None."""
-        D, ((re, im),) = _over_lcm([vec])
+        D, ((re, im),) = over_common_denominator([vec])
         tail = [0] * self.ngens
         (re, im), (pr, pi) = self._reduce((re + tail, im + tail))
         n = self.ncols
@@ -149,8 +136,7 @@ def _divide(re, im, d, scale):
     y conj(d) / (|d|^2 scale)."""
     dr, di = d
     den = (dr * dr + di * di) * scale
-    return [Scalar(Fraction(a * dr + b * di, den),
-                   Fraction(b * dr - a * di, den))
+    return [gaussian_over(a * dr + b * di, b * dr - a * di, den)
             for a, b in zip(re, im)]
 
 
@@ -198,10 +184,10 @@ def graded_hermitian_reduce(G, grades) -> PsdReport:
     n = len(G)
     for i, row in enumerate(G):
         for j in range(i, n):
-            a, b = row[j], G[j][i]
-            if a.re != b.re or a.im != -b.im:
+            if not row[j].is_conjugate_of(G[j][i]):
                 raise ValueError("matrix is not hermitian")
-    D, rows = _over_lcm([row[i:] for i, row in enumerate(G)])
+    D, rows = over_common_denominator([row[i:]
+                                       for i, row in enumerate(G)])
     open_ = list(range(n))   # row k of rows is index open_[k], from column k
     pivots = []
     prev = 1                 # det((D G)_PP), the last pivot taken
@@ -233,8 +219,7 @@ def graded_hermitian_reduce(G, grades) -> PsdReport:
             if bad is not None:
                 # conj(z) for the entry z = a[k][bad] / (prev * D) of G's
                 # Schur complement
-                zc = Scalar(Fraction(re_k[bad], prev * D),
-                            Fraction(-im_k[bad], prev * D))
+                zc = gaussian_over(re_k[bad], -im_k[bad], prev * D)
                 u_i, u_bad = _transform_columns(G, pivots, [i, open_[bad]])
                 witness = [a - zc * b for a, b in zip(u_i, u_bad)]
                 return PsdReport(False, pivots, [], witness, i)
@@ -299,12 +284,13 @@ def _transform_columns(G, pivots, targets):
     such minor is a positive integer: no row swaps are needed.  After
     the last step, with det the last pivot, row k holds det *
     (G_PP^-1 G_P,targets)[k], so each nonzero entry of the result is
-    built once, as Fraction(x, det).  No targets need no solve.
+    built once, as x / det.  No targets need no solve.
     """
     if not targets:
         return []
-    _, rows = _over_lcm([[G[a][b] for b in pivots]
-                         + [G[a][i] for i in targets] for a in pivots])
+    _, rows = over_common_denominator([[G[a][b] for b in pivots]
+                                       + [G[a][i] for i in targets]
+                                       for a in pivots])
     prev = (1, 0)
     for k in range(len(pivots)):
         kr, ki = rows[k]
@@ -322,6 +308,6 @@ def _transform_columns(G, pivots, targets):
         vec[i] = ONE
         for (re, im), a in zip(rows, pivots):
             if re[t] or im[t]:
-                vec[a] = Scalar(Fraction(-re[t], det), Fraction(-im[t], det))
+                vec[a] = gaussian_over(-re[t], -im[t], det)
         out.append(vec)
     return out

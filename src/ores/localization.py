@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from fractions import Fraction as Rational
 
 import numpy as np
 
@@ -307,13 +306,6 @@ def _sqrt_minus_one(prime: int) -> int:
     raise ValueError("%d is not a prime = 1 mod 4" % prime)
 
 
-def _mod_rational(x: Rational, prime: int):
-    d = x.denominator % prime
-    if not d:
-        return None
-    return x.numerator * pow(d, -1, prime) % prime
-
-
 def _mod(x, prime: int):
     """x mod prime for a float64 array of integers in
     [-(2**53 - prime), 2**53), exactly and several times faster than
@@ -520,14 +512,14 @@ class _SearchState:
         return len(self.presentation.basis_words(degree))
 
     def reduce(self, c: Scalar):
-        """c mod p, or None when p divides a denominator of c."""
-        re = _mod_rational(c.re, self.prime)
-        if re is None or not c.im:
-            return re
-        im = _mod_rational(c.im, self.prime)
-        if im is None:
+        """c mod p, or None when p divides the denominator of c: with c =
+        (a + b i) / d, the residue (a + imag b) / d."""
+        prime = self.prime
+        d = c.d % prime
+        if not d:
             return None
-        return (re + self.imag * im) % self.prime
+        num = c.a + self.imag * c.b
+        return num % prime if d == 1 else num * pow(d, -1, prime) % prime
 
     def vector(self, t: SProduct):
         """(degree, coefficient vector mod p over the words of degree <=

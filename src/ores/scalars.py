@@ -1,12 +1,19 @@
 """Exact scalars: the field of Gaussian rationals.
 
 Every coefficient in the symbolic layer is a Scalar, a complex number
-whose real and imaginary parts are exact rationals: a Python int where
-the part is an integer, else a Fraction in lowest terms.  Integer
-coefficients, which most rewriting rules have, thus skip Fraction's
-gcd and object cost.  Arithmetic is exact, conjugation is the field
-automorphism negating the imaginary part, and equality is decidable.
-Floating point enters only in the numeric operator layer, never here.
+with exact rational real and imaginary parts, held as one Gaussian
+integer over one denominator: the integer triple (a, b, d) with value
+(a + b i) / d.  The form is canonical: d >= 1 and gcd(a, b, d) = 1, so
+zero is (0, 0, 1), two Scalars are equal exactly when their triples are,
+and an integral value has d = 1.  Arithmetic works on the triples with
+integer operations only and normalizes each result with one
+three-argument gcd, which it skips where the denominator is 1, as it is
+for most rewriting rules.  The exact layers (``linalg``, ``states``,
+``localization``, ``formulas``) read the triple directly; ``re`` and
+``im`` give each part as an int where it is integral, else as a Fraction
+in lowest terms.  Conjugation is the field automorphism negating b, and
+equality is decidable.  Floating point enters only in the numeric
+operator layer, never here.
 
 File formats carry scalars as four integers
 ``[re_num, re_den, im_num, im_den]``; see ``from_quad``/``to_quad``.
@@ -15,135 +22,245 @@ File formats carry scalars as four integers
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+_new = object.__new__
 
 
-def _frac(x) -> int | Fraction:
-    """x as an exact rational part: an int if it is integral, else a
+def gaussian_over(a: int, b: int, d: int) -> "Scalar":
+    """The Scalar (a + b i) / d of integers a, b and d >= 1, brought to
+    the canonical form by one gcd; none is taken when d is 1."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    s = _new(Scalar)
+    s.a = a
+    s.b = b
+    s.d = d
+    return s
+
+
+def _ratio(x):
+    """(numerator, positive denominator) of a rational part: an int, a
+    Fraction, or anything Fraction accepts."""
+    if type(x) is not int:
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
+        return x.numerator, x.denominator
+    return x, 1
+
+
+def _part(n: int, d: int):
+    """n / d as an exact rational part: an int if it is integral, else a
     Fraction in lowest terms."""
-    if type(x) is int:
+    if d == 1:
+        return n
+    g = gcd(n, d)
+    return n // d if g == d else Fraction(n // g, d // g)
+
+
+def _from_parts(rn: int, rd: int, im_n: int, im_d: int) -> "Scalar":
+    """The Scalar rn / rd + i im_n / im_d, for rd and im_d positive."""
+    if rd != im_d:
+        rn, im_n, rd = rn * im_d, im_n * rd, rd * im_d
+    return gaussian_over(rn, im_n, rd)
+
+
+def _coerce(x):
+    if type(x) is Scalar:
         return x
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return gaussian_over(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return gaussian_over(x.numerator, 0, x.denominator)
+    return None
 
 
 class Scalar:
-    """An element of Q(i) with exact rational real and imaginary parts."""
+    """An element of Q(i): (a + b i) / d in canonical form."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        s = _from_parts(*_ratio(re), *_ratio(im))
+        self.a, self.b, self.d = s.a, s.b, s.d
 
     @classmethod
     def from_quad(cls, quad) -> "Scalar":
-        """The Scalar of [re_num, re_den, im_num, im_den]; a part over 1
-        is read as an int, and a zero denominator raises
-        ZeroDivisionError."""
+        """The Scalar of [re_num, re_den, im_num, im_den], normalized by
+        one gcd; a zero denominator raises ZeroDivisionError."""
         rn, rd, im_n, im_d = map(int, quad)
-        return cls(rn if rd == 1 else Fraction(rn, rd),
-                   im_n if im_d == 1 else Fraction(im_n, im_d))
+        for n, d in ((rn, rd), (im_n, im_d)):
+            if not d:
+                raise ZeroDivisionError("Fraction(%s, 0)" % n)
+        if rd < 0:
+            rn, rd = -rn, -rd
+        if im_d < 0:
+            im_n, im_d = -im_n, -im_d
+        return _from_parts(rn, rd, im_n, im_d)
 
     def to_quad(self):
-        return [self.re.numerator, self.re.denominator,
-                self.im.numerator, self.im.denominator]
+        a, b, d = self.a, self.b, self.d
+        g, h = gcd(a, d), gcd(b, d)
+        return [a // g, d // g, b // h, d // h]
 
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Scalar(other)
-        return None
+    @property
+    def re(self):
+        return _part(self.a, self.d)
+
+    @property
+    def im(self):
+        return _part(self.b, self.d)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.re + o.re, self.im + o.im)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return gaussian_over(self.a + other.a, self.b + other.b, d)
+        return gaussian_over(self.a * e + other.a * d,
+                             self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.re - o.re, self.im - o.im)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return gaussian_over(self.a - other.a, self.b - other.b, d)
+        return gaussian_over(self.a * e - other.a * d,
+                             self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        return Scalar(o.re - self.re, o.im - self.im)
+        return other - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Scalar(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return gaussian_over(a * c - b * e, a * e + b * c,
+                             self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e, f = self.a, self.b, other.a, other.b, other.d
+        n = c * c + e * e
+        if not n:
             raise ZeroDivisionError("division by zero scalar")
-        # through Fraction, so that int parts never divide into a float
-        return Scalar(Fraction(self.re * o.re + self.im * o.im, d),
-                      Fraction(self.im * o.re - self.re * o.im, d))
+        # (a + b i)/d over (c + e i)/f is (a + b i)(c - e i) f / (d n)
+        return gaussian_over((a * c + b * e) * f, (b * c - a * e) * f,
+                             self.d * n)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        return o.__truediv__(self)
+        return other / self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        s = _new(Scalar)
+        s.a, s.b, s.d = -self.a, -self.b, self.d
+        return s
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        s = _new(Scalar)
+        s.a, s.b, s.d = self.a, -self.b, self.d
+        return s
+
+    def is_conjugate_of(self, other: "Scalar") -> bool:
+        """self == other.conjugate(), read off the canonical triples."""
+        return (self.a == other.a and self.b == -other.b
+                and self.d == other.d)
 
     def is_positive_real(self) -> bool:
-        return not self.im and self.re > 0
+        return not self.b and self.a > 0
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return (self.a == other.a and self.b == other.b
+                and self.d == other.d)
 
     def __hash__(self):
-        if not self.im:
+        # the hash of the value, so that Scalar(3) and 3 hash alike
+        if not self.b:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        a, b, d = self.a, self.b, self.d
+        if d == 1:
+            return complex(float(a), float(b))
+        # int / int rounds correctly, as Fraction.__float__ does; past
+        # the float range, the part itself raises its own message
+        try:
+            re = a / d
+        except OverflowError:
+            re = float(self.re)
+        try:
+            im = b / d
+        except OverflowError:
+            im = float(self.im)
+        return complex(re, im)
 
     def __repr__(self):
         return "Scalar(%s)" % (self,)
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return "%s*i" % self.im
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+            return "%s*i" % im
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         imag = "i" if mag == 1 else "%s*i" % mag
-        return "%s %s %s" % (self.re, sign, imag)
+        return "%s %s %s" % (re, sign, imag)
+
+
+def over_common_denominator(M):
+    """(D, rows) with M = rows / D for a matrix M of Scalars: D is the
+    lcm of the triples' denominators, and each row is a pair (re, im) of
+    integer lists, D / d times the a's and b's of the triples."""
+    D = lcm(*(s.d for row in M for s in row))
+    if D == 1:
+        return 1, [([s.a for s in row], [s.b for s in row]) for row in M]
+    out = []
+    for row in M:
+        scale = [D // s.d for s in row]
+        out.append(([s.a * k for s, k in zip(row, scale)],
+                    [s.b * k for s, k in zip(row, scale)]))
+    return D, out
 
 
 def as_scalar(c) -> Scalar:

@@ -97,8 +97,7 @@ class MomentFunctional:
                 (w2, c), = nf.items()
                 if c == ONE:
                     checked.add(w2)
-                    a, b = fixed[w], fixed[w2]
-                    if a.re == b.re and a.im == -b.im:
+                    if fixed[w].is_conjugate_of(fixed[w2]):
                         continue
             if fixed[w].conjugate() != _at(fixed, nf):
                 raise StateAxiomError(
@@ -229,10 +228,11 @@ def dirac_state(presentation: Presentation, degree: int) -> MomentFunctional:
 
 
 def double_factorial_moments(max_power: int):
-    """m_0..m_max with m_{2k} = (2k-1)!! by recurrence, odd moments 0."""
-    ms = [Rational(1)]
+    """m_0..m_max, as ints, with m_{2k} = (2k-1)!! by recurrence, odd
+    moments 0."""
+    ms = [1]
     for k in range(1, max_power + 1):
-        ms.append(Rational(0) if k % 2 else ms[k - 2] * (k - 1))
+        ms.append(0 if k % 2 else ms[k - 2] * (k - 1))
     return ms
 
 

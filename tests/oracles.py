@@ -8,8 +8,10 @@ kernels, row spaces and a hermitian reduction in Gaussian-rational
 Scalars (the reduction carrying its whole transform) instead of
 fraction-free elimination over Z[i], and expressions evaluated one
 element per AST node, multiplied left to right, instead of with
-constants and generator runs folded.  Tests freeze or compare against
-these, never against the code under test.
+constants and generator runs folded, and Gaussian rationals as a pair
+of an int or Fraction per part instead of one Gaussian integer over one
+denominator.  Tests freeze or compare against these, never against the
+code under test.
 """
 
 from fractions import Fraction as Rational
@@ -481,3 +483,164 @@ def reference_ast_to_element(node, p):
             acc = acc * reference_ast_to_element(f, p)
         return acc
     raise TypeError("not an AST node: %r" % (node,))
+
+
+def reference_match_one_plus_dagger_product(node, p):
+    """The parameter p of a denominator factor 1 + q*p with q the dagger
+    of p, tried at every cut of the product in turn, each side evaluated
+    element by element from scratch."""
+    def strip(node):
+        while isinstance(node, Paren):
+            node = node.child
+        return node
+
+    node = strip(node)
+    shape = ("a denominator factor must have the shape 1 + q*p with "
+             "q the dagger of p")
+    if not isinstance(node, Sum) or len(node.terms) != 2:
+        raise ExpressionError(shape)
+    first, second = node.terms
+    if isinstance(first, Neg) or isinstance(second, Neg):
+        raise ExpressionError(shape)
+    for one_part, prod_part in ((first, second), (second, first)):
+        try:
+            one_el = reference_ast_to_element(one_part, p)
+        except ExpressionError:
+            continue
+        prod_part = strip(prod_part)
+        if not one_el.is_one() or not isinstance(prod_part, Prod):
+            continue
+        fs = prod_part.factors
+        for cut in range(1, len(fs)):
+            q = reference_ast_to_element(Prod(fs[:cut]), p)
+            p_el = reference_ast_to_element(Prod(fs[cut:]), p)
+            if q == p_el.dagger():
+                return p_el
+    raise ExpressionError(shape)
+
+
+# -- scalars ------------------------------------------------------------------------
+
+
+def _rational_part(x):
+    """x as an int where it is integral, else a Fraction in lowest terms."""
+    if type(x) is int:
+        return x
+    if type(x) is not Rational:
+        x = Rational(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+class ReferenceScalar:
+    """A Gaussian rational as the pair (re, im), each an int where it is
+    integral and else a Fraction in lowest terms, with the arithmetic of
+    the parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = _rational_part(re)
+        self.im = _rational_part(im)
+
+    @classmethod
+    def from_quad(cls, quad):
+        rn, rd, im_n, im_d = map(int, quad)
+        return cls(rn if rd == 1 else Rational(rn, rd),
+                   im_n if im_d == 1 else Rational(im_n, im_d))
+
+    def to_quad(self):
+        return [self.re.numerator, self.re.denominator,
+                self.im.numerator, self.im.denominator]
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, ReferenceScalar):
+            return other
+        if isinstance(other, (int, Rational)):
+            return ReferenceScalar(other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return ReferenceScalar(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return ReferenceScalar(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return ReferenceScalar(o.re - self.re, o.im - self.im)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return ReferenceScalar(self.re * o.re - self.im * o.im,
+                               self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        d = o.re * o.re + o.im * o.im
+        if d == 0:
+            raise ZeroDivisionError("division by zero scalar")
+        return ReferenceScalar(Rational(self.re * o.re + self.im * o.im, d),
+                               Rational(self.im * o.re - self.re * o.im, d))
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o.__truediv__(self)
+
+    def __neg__(self):
+        return ReferenceScalar(-self.re, -self.im)
+
+    def conjugate(self):
+        return ReferenceScalar(self.re, -self.im)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        if not self.im:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def to_complex(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+    def __repr__(self):
+        return "Scalar(%s)" % (self,)
+
+    def __str__(self):
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            if self.im == 1:
+                return "i"
+            if self.im == -1:
+                return "-i"
+            return "%s*i" % self.im
+        sign = "+" if self.im > 0 else "-"
+        mag = abs(self.im)
+        imag = "i" if mag == 1 else "%s*i" % mag
+        return "%s %s %s" % (self.re, sign, imag)

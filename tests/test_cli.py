@@ -643,6 +643,12 @@ _LONG_WORD = "(%s)*(%s)" % ("*".join(["a"] * 35), "*".join(["ad"] * 35))
     pytest.param(["op", "apply", "--operator", "{dir}/huge-coeff.json",
                   "--vector", "0,1"], "too large to convert to float",
                  id="op-apply-float-overflow"),
+    # 1 + A*A is positive definite, but the float64 Cholesky of its
+    # truncation is not
+    pytest.param(["op", "invert", "--expr", "*".join(["(a + ad + 1)"] * 8),
+                  "--vector", "1,0,0"],
+                 "float64 conditioning fails the Cholesky of the truncation "
+                 "at N = 134", id="op-invert-float64-cholesky"),
 ])
 def test_malformed_invocations_exit_with_code_2(tmp_path, capsys, argv,
                                                 message):

@@ -263,6 +263,28 @@ def test_reduction_equals_reference_reduction():
     assert zero_diagonal_failures > 20 and tied > 50
 
 
+def test_reduction_and_quads_build_no_fraction(monkeypatch):
+    # the exact layers read each Scalar's integer triple: reducing the
+    # largest gns-build vector-state Gram, and reading reduced and
+    # unreduced quads, construct no fractions.Fraction
+    G, grades = _vector_state_gram(random.Random(27), 5, 4)
+    quads = [[1, 2, -3, 4], [6, 4, 10, -6], [-3, 1, 5, 1], [0, 7, 0, 3],
+             [12, 18, 0, 1], [1, 3, 2, 3]]
+    made = []
+    new = Rational.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Rational, "__new__", counted)
+    report = graded_hermitian_reduce(G, grades)
+    scalars = [Scalar.from_quad(q) for q in quads]
+    assert made == []
+    assert report.psd and len(report.pivots) == 5 and report.kernel
+    assert scalars[1] == Scalar(Rational(3, 2), Rational(-5, 3))
+
+
 def _hankel(rng, n):
     """A full-rank n x n Hankel moment matrix m_(i+j): of the standard
     Gaussian, or of a measure on at least n rational atoms."""

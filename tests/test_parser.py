@@ -16,7 +16,8 @@ from ores.exprparse import (MAX_NESTING, Dagger, Neg, ParseError, Paren, Prod,
 from ores.localization import Fraction, SProduct, eq_fraction
 from ores.scalars import Scalar
 
-from oracles import reference_ast_to_element
+from oracles import (reference_ast_to_element,
+                     reference_match_one_plus_dagger_product)
 
 
 def test_commutator_shape():
@@ -138,6 +139,70 @@ def test_sproduct_text_rejects_wrong_shapes():
     q = load_preset("poly_xy")
     with pytest.raises(ExpressionError):
         parse_sproduct_text("1 + x*y", q)
+
+
+@pytest.mark.parametrize("factor", ["1", "(a*ad - ad*a)", "(a - a + 1)"])
+def test_denominator_cuts_evaluate_each_factor_a_bounded_number_of_times(
+        factor, monkeypatch):
+    # each cut of a product q*p used to evaluate both of its sides from
+    # scratch, about n^2 evaluations for n factors of value 1, be the
+    # value a Scalar or the element 1
+    p = load_preset("heisenberg")
+    n = 1000
+    calls = []
+    evaluate = ores.exprparse._eval
+
+    def counted(node, presentation):
+        calls.append(node)
+        return evaluate(node, presentation)
+
+    monkeypatch.setattr(ores.exprparse, "_eval", counted)
+    assert ast_to_element(parse(factor), p).is_one()
+    per_factor = len(calls)
+    s = parse_sproduct_text("(1 + " + (factor + "*") * n + "a'*a)", p)
+    assert s.ps == (p.generator("a"),)
+    assert len(calls) < 4 * n * per_factor
+
+
+def _dagger_product(rng, names):
+    """The factors of a product q*p, q written as the dagger of p factor
+    by factor, with scalars strewn among them, and now and then a factor
+    changed or an unknown symbol."""
+    ps = [rng.choice(names) + rng.choice(("", "'")) for _ in
+          range(rng.randint(1, 3))]
+    ps += [rng.choice(("(%s + 1)" % rng.choice(names), "2"))
+           for _ in range(rng.randint(0, 1))]
+    qs = [f[:-1] if f.endswith("'") else
+          f if f == "2" else f + "'" for f in reversed(ps)]
+    fs = qs + ps
+    for _ in range(rng.randint(0, 4)):
+        fs.insert(rng.randint(0, len(fs)),
+                  rng.choice(("1", "1", "2", "1/2", "i", "0", "(1 + i)")))
+    if rng.random() < 0.3:
+        fs[rng.randrange(len(fs))] = rng.choice(names + ["z", "1", "x*y"])
+    return fs
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "free_xy", "lowering"])
+def test_denominator_cuts_match_the_cut_by_cut_reference(name, monkeypatch):
+    p = _lowering() if name == "lowering" else load_preset(name)
+    rng = random.Random("cuts/" + name)
+    names = list(p.generators)
+    texts = []
+    for _ in range(150):
+        fs = _dagger_product(rng, names)
+        texts.append(rng.choice(("(1 + %s)", "(%s + 1)")) % "*".join(fs))
+    got = [_outcome(parse_sproduct_text, text, p) for text in texts]
+    monkeypatch.setattr(ores.exprparse, "_match_one_plus_dagger_product",
+                        reference_match_one_plus_dagger_product)
+    for text, outcome in zip(texts, got):
+        assert outcome == _outcome(parse_sproduct_text, text, p), text
+    # the draw finds parameters and meets each error
+    errors = {o[0] for o in got
+              if isinstance(o, tuple) and o and isinstance(o[0], type)}
+    assert sum(not isinstance(o[0], type) for o in got) > 20
+    assert ExpressionError in errors
+    assert DegreeOverflow in errors or name != "lowering"
 
 
 def test_fraction_text_round_trip():

@@ -1,11 +1,14 @@
 """Exact Gaussian-rational scalar arithmetic."""
 
+import operator
 import random
 from fractions import Fraction as Rational
 
 import pytest
 
 from ores.scalars import IMAG, ONE, ZERO, Scalar
+
+from oracles import ReferenceScalar
 
 
 def _random_scalar(rng):
@@ -131,3 +134,90 @@ def test_integral_fraction_is_the_same_scalar():
     assert c == d and hash(c) == hash(d)
     assert c.to_quad() == d.to_quad() == [-2, 1, 5, 1]
     assert str(c) == str(d) == "-2 + 5*i"
+
+
+# -- differential check against the int-or-Fraction pair --------------------------
+
+
+def _reading(x):
+    """What a caller sees of a scalar: each part with its type."""
+    return type(x.re), x.re, type(x.im), x.im
+
+
+def _outcome(fn, *args):
+    """fn(*args) read as above, or the type and message it raised."""
+    try:
+        v = fn(*args)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(v, (Scalar, ReferenceScalar)):
+        return _reading(v)
+    return type(v), v
+
+
+def _random_part(rng):
+    r = rng.random()
+    if r < 0.3:
+        return rng.randint(-9, 9)
+    if r < 0.5:
+        return 0
+    if r < 0.9:
+        return Rational(rng.randint(-30, 30), rng.randint(1, 12))
+    return rng.choice((10 ** 400, -(10 ** 400), Rational(10 ** 400, 3),
+                       Rational(1, 10 ** 400), 2 ** 1023 + 2 ** 970))
+
+
+def test_operations_match_the_reference_pair():
+    rng = random.Random(105)
+    for _ in range(400):
+        parts = [(_random_part(rng), _random_part(rng)) for _ in range(2)]
+        (x, y), (u, v) = ([Scalar(re, im) for re, im in parts],
+                          [ReferenceScalar(re, im) for re, im in parts])
+        assert _reading(x) == _reading(u) and _reading(y) == _reading(v)
+        k = rng.choice((0, 1, -3, Rational(2, 7)))
+        for op in (operator.add, operator.sub, operator.mul,
+                   operator.truediv):
+            assert _outcome(op, x, y) == _outcome(op, u, v)
+            assert _outcome(op, x, k) == _outcome(op, u, k)
+            assert _outcome(op, k, x) == _outcome(op, k, u)
+        assert _outcome(operator.neg, x) == _outcome(operator.neg, u)
+        assert _outcome(Scalar.conjugate, x) \
+            == _outcome(ReferenceScalar.conjugate, u)
+        assert (x == y) == (u == v) and (x != y) == (u != v)
+        assert (x == k) == (u == k) and (k == x) == (k == u)
+        assert (x == u.re) == (u == u.re)
+        assert hash(x) == hash(u) and bool(x) == bool(u)
+        assert str(x) == str(u) and repr(x) == repr(u)
+        assert x.to_quad() == u.to_quad()
+        assert _outcome(Scalar.to_complex, x) \
+            == _outcome(ReferenceScalar.to_complex, u)
+
+
+def test_unreduced_quads_and_constructor_inputs_match_the_reference():
+    rng = random.Random(106)
+    quads = [[rng.randint(-40, 40), rng.choice((1, 2, 4, 6, -6, 12, 0)),
+              rng.randint(-40, 40), rng.choice((1, 3, 6, -4, 9, 0))]
+             for _ in range(300)]
+    quads += [[10 ** 400, 1, 0, 1], [3 * 10 ** 400, 3, 1, 3], [5, 10, 7, 14],
+              ["3", "6", 2.0, 4]]
+    for quad in quads:
+        assert _outcome(Scalar.from_quad, quad) \
+            == _outcome(ReferenceScalar.from_quad, quad), quad
+        got = Scalar.from_quad(quad) if quad[1] and quad[3] else None
+        if got is not None:
+            assert _outcome(Scalar.to_complex, got) == _outcome(
+                ReferenceScalar.to_complex, ReferenceScalar.from_quad(quad))
+    inputs = [3, -7, True, Rational(6, 4), Rational(-5, 1), 0.5, -1.25,
+              1e300, 0.1, float("nan"), float("inf"), "2/3", 10 ** 400,
+              Rational(10 ** 400 + 1, 10 ** 400)]
+    for re in inputs:
+        for im in (0, Rational(1, 3), 2.5, 10 ** 400):
+            want = _outcome(ReferenceScalar, re, im)
+            assert _outcome(Scalar, re, im) == want, (re, im)
+            if isinstance(want[0], type) and issubclass(want[0], Exception):
+                continue
+            x, u = Scalar(re, im), ReferenceScalar(re, im)
+            assert hash(x) == hash(u) and str(x) == str(u)
+            assert x.to_quad() == u.to_quad()
+            assert _outcome(Scalar.to_complex, x) \
+                == _outcome(ReferenceScalar.to_complex, u)
