@@ -27,6 +27,7 @@ equal data always means equal formulas.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction as Rational
 
@@ -335,7 +336,7 @@ class CPoly(_Poly):
 class Formula:
     """A finite sum of amplitude * sqrt(radicand) terms in the index n."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
         # terms: dict mapping radicand QPoly -> amplitude CPoly
@@ -346,6 +347,7 @@ class Formula:
                     continue
                 fixed[rad] = amp
         self.terms = fixed
+        self._hash = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -446,14 +448,17 @@ class Formula:
         return all(not amp.eval(n) or not rad.eval(n)
                    for rad, amp in self.terms.items())
 
-    def eval(self, n: int, stop: int | None = None, rows=None):
-        """The value at index n, a complex.  With stop, the values at
-        n <= k < stop as a read-only complex array, or at the sorted
-        indices rows within that range only: sampled by a Sampler, bit
-        for bit the values index by index, and raising the error the
-        first requested index raises."""
+    def eval(self, n: int, stop: int | None = None, inputs=None):
+        """The value at index n, a complex; OverflowError where it is too
+        large for a float.  With stop, the values at n <= k < stop as a
+        read-only complex array: sampled by a Sampler, bit for bit the
+        values index by index, and raising the error the first index that
+        raises.  With inputs too, the stop - n values that these samples
+        will multiply: only an index whose input is nonzero raises, and
+        an index that would raise under a zero input gets 0, so every
+        sample returned is finite."""
         if stop is not None:
-            return _sample(self, n, stop, rows)
+            return _sample(self, n, stop, inputs)
         total = 0j
         for rad, amp in self.sorted_terms():
             a = amp.eval(n)
@@ -464,6 +469,9 @@ class Formula:
                 raise FormulaDomainError(
                     "radicand %r is negative at n = %d" % (rad, n))
             total += complex(a.to_complex()) * math.sqrt(r)
+        if not cmath.isfinite(total):
+            raise OverflowError(
+                "formula value at n = %d is too large for a float" % n)
         return total
 
     # -- identity -------------------------------------------------------------------
@@ -475,7 +483,9 @@ class Formula:
         return isinstance(o, Formula) and self.terms == o.terms
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def __repr__(self):
         if not self.terms:
@@ -547,7 +557,8 @@ class Sampler:
     skipping terms whose amplitude is exactly zero).  So every sample is
     bit-identical to Formula.eval.  The samples of 0 <= n < size are kept
     for size up to PREFIX_LIMIT, the solvers' default size cap, in
-    read-only arrays, with a mask of the indices where eval raises.
+    read-only arrays, with the indices where eval raises; the sample
+    kept at such an index is 0.
     """
 
     PREFIX_LIMIT = 4096
@@ -561,7 +572,7 @@ class Sampler:
             terms.append(((re, D), (im, D),
                           _over_common_denominator(rad.coeffs)))
         self.terms = tuple(terms)
-        self.prefix = (np.zeros(0, dtype=complex), np.zeros(0, dtype=bool))
+        self.prefix = (np.zeros(0, dtype=complex), np.zeros(0, dtype=np.intp))
 
     def _evaluate(self, lo: int, hi: int):
         re = np.zeros(hi - lo)
@@ -581,24 +592,27 @@ class Sampler:
                 # CPython's complex(ar, ai) * s multiplies by (s, 0.0)
                 np.add(re, ar * s - ai * 0.0, out=re, where=live)
                 np.add(im, ar * 0.0 + ai * s, out=im, where=live)
+        # and at a value that is too large for a float
+        bad |= ~(np.isfinite(re) & np.isfinite(im))
+        re[bad] = im[bad] = 0.0
         values = np.empty(hi - lo, dtype=complex)
         values.real = re
         values.imag = im
-        return values, bad
+        return values, lo + np.flatnonzero(bad)
 
     def samples(self, hi: int):
-        """(values, bad) for 0 <= n < hi, read-only: values[n] is f(n)
-        wherever bad[n] is False, and bad[n] is True where eval raises."""
+        """(values, bad) for 0 <= n < len(values), read-only, where
+        len(values) >= hi: bad holds the ascending indices where eval
+        raises, and values[n] is f(n) elsewhere and 0 there."""
         values, bad = self.prefix
         size = len(values)
-        if hi <= size:
-            return values[:hi], bad[:hi]
-        more, more_bad = self._evaluate(size, hi)
-        values = np.concatenate((values, more))
-        bad = np.concatenate((bad, more_bad))
-        values.flags.writeable = bad.flags.writeable = False
-        if hi <= self.PREFIX_LIMIT:
-            self.prefix = values, bad
+        if hi > size:
+            more, more_bad = self._evaluate(size, hi)
+            values = np.concatenate((values, more))
+            bad = np.concatenate((bad, more_bad))
+            values.flags.writeable = bad.flags.writeable = False
+            if hi <= self.PREFIX_LIMIT:
+                self.prefix = values, bad
         return values, bad
 
 
@@ -606,7 +620,7 @@ _SAMPLER_LIMIT = 128   # band formulas whose compiled form and samples are kept
 _SAMPLERS = {}
 
 
-def _sample(f: Formula, lo: int, hi: int, rows=None) -> np.ndarray:
+def _sample(f: Formula, lo: int, hi: int, inputs=None) -> np.ndarray:
     """Formula.eval on a range: samplers are kept per formula, keyed by
     equality, so freshly built copies of an operator reuse them; a full
     cache keeps what it has and takes nothing new."""
@@ -617,10 +631,12 @@ def _sample(f: Formula, lo: int, hi: int, rows=None) -> np.ndarray:
         if len(_SAMPLERS) < _SAMPLER_LIMIT:
             _SAMPLERS[f] = sampler
     values, bad = sampler.samples(hi)
-    at = slice(lo, hi) if rows is None else rows
-    hit = np.flatnonzero(bad[at])
-    if len(hit):
-        n = int(lo + hit[0] if rows is None else rows[hit[0]])
-        f.eval(n)   # raises the error of the scalar path at n
-        raise AssertionError("Sampler and eval disagree at n = %d" % n)
-    return values[at]
+    if len(bad):
+        bad = bad[np.searchsorted(bad, lo):np.searchsorted(bad, hi)]
+        if inputs is not None:
+            bad = bad[inputs[bad - lo] != 0]
+        if len(bad):
+            n = int(bad[0])
+            f.eval(n)   # raises the error of the scalar path at n
+            raise AssertionError("Sampler and eval disagree at n = %d" % n)
+    return values[lo:hi]

@@ -7,18 +7,25 @@ exact radical-formula algebra, so adjoints, sums, and products are
 computed symbolically and identities between operators are decidable as
 data equality; floating point enters only when a formula is evaluated at
 a concrete index, where each exact rational is rounded once, correctly,
-before the square root and the sum of the terms.  Bands are sampled on
-whole index ranges by Formula.eval(lo, hi), bit-identical to evaluating
-index by index; the compiled bands and their samples are kept per
-formula, so repeated solves and freshly built copies of an operator
-reuse them.  Built products of factors 1 + A*A are kept too, keyed by
-the factor operators compared as band data.  Every cache here has a
+before the square root and the sum of the terms, and a value too large
+for a float raises OverflowError.  Bands are sampled on whole index
+ranges by Formula.eval(lo, hi), bit-identical to evaluating index by
+index.  The action reads each band's samples and its input as one
+contiguous slice, and its sums are bit-identical to adding only the
+terms with a nonzero input: an index where a band formula raises (a
+negative radicand, a value too large for a float) raises only under a
+nonzero input, and adds 0 otherwise.  The compiled bands and their
+samples are kept per formula, so repeated solves and freshly built
+copies of an operator reuse them.  Built products of factors 1 + A*A
+are kept too, keyed by the factor operators compared as band data;
+formulas and operators hash that data once.  Every cache here has a
 fixed size and stops taking entries when full.
 
 Truncated inversion of 1 + A*A uses the positive-definite banded solver
-and reports the global residual recomputed from the band formulas; the
-error bound ||x - x_true|| <= residual holds because the inverse has
-norm at most 1.
+and reports the global residual recomputed from the band formulas.  In
+exact arithmetic ||x - x_true|| <= residual, as the inverse has norm at
+most 1; the residual is computed in float64 and its rounding is not
+counted, so it estimates that bound and does not certify it.
 """
 
 from __future__ import annotations
@@ -37,10 +44,11 @@ from .localization import DEFAULT_BUDGET, SProduct, ore_solve_left
 class BandedOperator:
     """Finitely many bands of closed formulas; immutable."""
 
-    __slots__ = ("bands",)
+    __slots__ = ("bands", "_hash")
 
     def __init__(self, bands: dict):
         self.bands = {int(k): f for k, f in bands.items() if not f.is_zero()}
+        self._hash = None
 
     # -- constructors -----------------------------------------------------------
 
@@ -91,25 +99,28 @@ class BandedOperator:
         """Exact banded action on a finitely supported vector.
 
         The input is zero-extended conceptually; the output has length
-        len(xi) + max(0, -min_offset) so no support is lost.
+        len(xi) + max(0, -min_offset) so no support is lost.  A band
+        raises the error of its formula at the first row whose input is
+        nonzero and where the formula raises; other rows where it raises
+        add nothing.
         """
         xi = np.asarray(xi, dtype=complex)
         L = len(xi)
         out_len = L + max(0, -self.min_offset)
         out = np.zeros(out_len, dtype=complex)
+        re, im = out.real, out.imag
         for k, f in sorted(self.bands.items()):
             lo = max(0, -k)
             hi = min(out_len, L - k)
-            rows = lo + np.flatnonzero(xi[lo + k:hi + k])
-            if not len(rows):
+            if hi <= lo:
                 continue
-            c = f.eval(lo, hi, rows)
-            x = xi[rows + k]
-            # the complex product of numpy's scalar type, part by part
-            term = np.empty(len(rows), dtype=complex)
-            term.real = c.real * x.real - c.imag * x.imag
-            term.imag = c.real * x.imag + c.imag * x.real
-            out[rows] += term
+            x = xi[lo + k:hi + k]
+            c = f.eval(lo, hi, x)
+            # the complex product of numpy's scalar type, part by part; a
+            # zero input adds +-0 to a sum that is never -0, a bit-exact
+            # no-op, as the samples under it are finite
+            re[lo:hi] += c.real * x.real - c.imag * x.imag
+            im[lo:hi] += c.real * x.imag + c.imag * x.real
         return out
 
     def matrix(self, N: int) -> np.ndarray:
@@ -180,7 +191,9 @@ class BandedOperator:
         return isinstance(o, BandedOperator) and self.bands == o.bands
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def __repr__(self):
         if not self.bands:
@@ -253,13 +266,12 @@ class FockAssignment:
     def operator_of(self, el: AlgebraElement) -> BandedOperator:
         """The banded operator of an algebra element, linear over words."""
         _check_same(self.presentation, el.presentation)
-        key = el.key()
-        cached = self._el_cache.get(key)
+        cached = self._el_cache.get(el)
         if cached is None:
             cached = BandedOperator.zero()
             for w, c in el.sorted_terms():
                 cached = cached + self._word_operator(w).scale(c)
-            _remember(self._el_cache, key, cached, _ELEMENT_LIMIT)
+            _remember(self._el_cache, el, cached, _ELEMENT_LIMIT)
         return cached
 
 

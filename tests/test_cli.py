@@ -634,7 +634,7 @@ _LONG_WORD = "(%s)*(%s)" % ("*".join(["a"] * 35), "*".join(["ad"] * 35))
     pytest.param(["normalize", "--presentation", "{dir}/heisenberg80.json",
                   _LONG_WORD], "nests too deeply", id="normalize-deep-chain"),
     # damaged files that got past the loaders' handlers, and a band
-    # coefficient too large for a float
+    # coefficient and a band value too large for a float
     pytest.param(["normalize", "--presentation", "{dir}/list-names.json",
                   "1"], "malformed presentation file",
                  id="presentation-unhashable-generator"),
@@ -643,6 +643,11 @@ _LONG_WORD = "(%s)*(%s)" % ("*".join(["a"] * 35), "*".join(["ad"] * 35))
     pytest.param(["op", "apply", "--operator", "{dir}/huge-coeff.json",
                   "--vector", "0,1"], "too large to convert to float",
                  id="op-apply-float-overflow"),
+    # 10^308 sqrt(n + 1), a float at n = 2 and too large for one at n = 3
+    pytest.param(["op", "apply", "--expr", "1%s*a" % ("0" * 308),
+                  "--vector", "0,0,0,0,1"],
+                 "formula value at n = 3 is too large for a float",
+                 id="op-apply-band-value-overflow"),
     # 1 + A*A is positive definite, but the float64 Cholesky of its
     # truncation is not
     pytest.param(["op", "invert", "--expr", "*".join(["(a + ad + 1)"] * 8),

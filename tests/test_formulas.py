@@ -9,6 +9,7 @@ from fractions import Fraction as Rational
 
 import pytest
 
+import ores.formulas
 from ores.errors import FormulaDomainError
 from ores.formulas import (_PRIME_BOUND, CPoly, Formula, QPoly,
                            _square_split_int, nonneg_on_naturals,
@@ -300,6 +301,26 @@ def test_formula_zero_and_domain():
     m3 = QPoly.of(-3, 1)
     g = Formula.sqrt(m3 * m3)
     assert abs(g.eval(1) - 2.0) <= 1e-12
+
+
+def test_value_too_large_for_a_float_raises(monkeypatch):
+    monkeypatch.setattr(ores.formulas, "_SAMPLERS", {})
+    # 10^308 sqrt(n + 1) is a float up to n = 2 and not from n = 3 on;
+    # the sum of the two floats 10^308 and 10^308 sqrt(2) is not a float
+    band = Formula.sqrt(QPoly.of(1, 1)).scale(10 ** 308)
+    total = Formula.poly([10 ** 308]) + Formula.sqrt(QPoly.of(2)).scale(
+        10 ** 308)
+    assert band.eval(0) == 1e308
+    for f, n in ((band, 3), (band, 8), (total, 0), (total, 5)):
+        message = "formula value at n = %d is too large for a float" % n
+        with pytest.raises(OverflowError, match=message):
+            f.eval(n)
+    # a range raises the error of its first index, as the scalar path
+    assert band.eval(0, 3).tolist() == [band.eval(n) for n in range(3)]
+    with pytest.raises(OverflowError, match="at n = 3 is too large"):
+        band.eval(1, 6)
+    with pytest.raises(OverflowError, match="at n = 2 is too large"):
+        total.eval(2, 4)
 
 
 def test_cpoly_complex_coefficients():

@@ -3,6 +3,7 @@ probes, and fraction extension."""
 
 import math
 import random
+import warnings
 from fractions import Fraction as Rational
 
 import numpy as np
@@ -438,6 +439,10 @@ def test_apply_is_bit_identical_to_the_index_loop():
             xi[rng.random(L) < 0.1] *= 1e-300
             assert np.array_equal(_bits(op.apply(xi)),
                                   _bits(_loop_apply(op, xi)))
+        for L in (0, 1, 9, 300):
+            for xi in (np.zeros(L, dtype=complex), -np.zeros(L)):
+                assert np.array_equal(_bits(op.apply(xi)),
+                                      _bits(_loop_apply(op, xi)))
 
 
 def _domain_message(f, n):
@@ -515,6 +520,86 @@ def test_overflow_only_at_requested_rows(monkeypatch, f, first):
     with pytest.raises(OverflowError) as err:
         op.apply(xi)
     assert str(err.value) == str(scalar.value)
+
+
+def test_apply_under_bands_too_large_for_a_float(monkeypatch):
+    monkeypatch.setattr(ores.formulas, "_SAMPLERS", {})
+    # 10^250 sqrt(M607), about 1.6e341, overflows at every n
+    f = Formula.poly([10 ** 250]) * Formula.sqrt(QPoly.of(2 ** 607 - 1))
+    with pytest.raises(OverflowError) as scalar:
+        f.eval(2)
+    op = BandedOperator.weighted_shift(1, f) + BandedOperator.identity()
+    # band +1 reads xi[n+1], and every input it reads is zero
+    for xi in ([], [3 + 1j], [3 + 1j, 0, -0.0, 0, complex(0, -0.0)],
+               np.zeros(40, dtype=complex)):
+        xi = np.asarray(xi, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = op.apply(xi)
+        assert not np.isnan(got).any()
+        assert np.array_equal(_bits(got), _bits(_loop_apply(op, xi)))
+    xi = np.array([3.0, 0.0, 0.0, 2.0, 5.0], dtype=complex)
+    with pytest.raises(OverflowError) as err:
+        op.apply(xi)
+    assert str(err.value) == str(scalar.value)
+
+
+def _count_key_calls(monkeypatch, calls):
+    for cls in (Formula, BandedOperator):
+        def counted(self, key=cls.key):
+            calls.append(type(self).__name__)
+            return key(self)
+        monkeypatch.setattr(cls, "key", counted)
+
+
+def test_equal_band_data_hashes_once_and_shares_the_caches(monkeypatch):
+    monkeypatch.setattr(ores.formulas, "_SAMPLERS", {})
+    monkeypatch.setattr(ores.operators, "_PRODUCTS", {})
+    p = load_preset("heisenberg")
+    a, ad = p.generator("a"), p.generator("ad")
+    A, C = BandedOperator.annihilation(), BandedOperator.creation()
+    pairs = [(C * A, fock_assignment(p).operator_of(ad * a)),
+             (BandedOperator.weighted_shift(1, Formula.poly([2, 3, 1])),
+              BandedOperator.weighted_shift(1, Formula.poly([2, 3, 1])))]
+    xi = np.arange(1, 12, dtype=complex)
+    for u, v in pairs:
+        assert u is not v and u == v
+        assert hash(u) == hash(v) == hash(u.key())
+        for k, f in u.bands.items():
+            assert hash(f) == hash(v.bands[k]) == hash(f.key())
+        calls = []
+        with monkeypatch.context() as m:
+            _count_key_calls(m, calls)
+            assert hash(u) == hash(v) == hash(u.key())
+        # only the explicit u.key() keys band data
+        assert calls == ["BandedOperator"] + ["Formula"] * len(u.bands)
+        products = len(ores.operators._PRODUCTS)
+        M = one_plus_AstarA(u)
+        assert len(ores.operators._PRODUCTS) == products + 1
+        assert one_plus_AstarA(v) is M
+        assert len(ores.operators._PRODUCTS) == products + 1
+        samplers = len(ores.formulas._SAMPLERS)
+        want = u.apply(xi)
+        assert len(ores.formulas._SAMPLERS) == samplers + len(u.bands)
+        assert np.array_equal(_bits(v.apply(xi)), _bits(want))
+        assert len(ores.formulas._SAMPLERS) == samplers + len(u.bands)
+
+
+def test_a_second_chain_solve_keys_no_band_data(monkeypatch):
+    monkeypatch.setattr(ores.formulas, "_SAMPLERS", {})
+    monkeypatch.setattr(ores.operators, "_PRODUCTS", {})
+    p = load_preset("heisenberg")
+    a, ad = p.generator("a"), p.generator("ad")
+    asg = fock_assignment(p)
+    chains = [SProduct(p, (a, a)), SProduct(p, (a, a + ad))]
+    y = np.random.default_rng(3).normal(size=40) + 0j
+    calls = []
+    _count_key_calls(monkeypatch, calls)
+    for _ in range(2):
+        calls.clear()
+        for s in chains:
+            assert chain_solve(asg, s, y, 1e-8).residual <= 1e-8
+    assert calls == []
 
 
 def test_operator_layer_caches_are_bounded(monkeypatch):
