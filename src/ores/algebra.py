@@ -10,6 +10,12 @@ Because rule right-hand sides never exceed the left-hand side in degree,
 rewriting never lengthens a word, so the degree cap is enforced purely
 at word-construction sites (raw input and products).
 
+Each presentation also carries its weight grading: integer weights per
+generator under which the left side of every rule and every term on its
+right have one weight, so that rewriting keeps the weight of a word
+(Bergman, "The diamond lemma for ring theory", Adv. Math. 29, 1978).
+The moment layer reads it to skip words whose value is zero by weight.
+
 Elements are immutable linear combinations of irreducible words over
 the Gaussian rationals.  Words are tuples of generator indices.
 """
@@ -17,6 +23,7 @@ the Gaussian rationals.  Words are tuples of generator indices.
 from __future__ import annotations
 
 import itertools
+from math import gcd, lcm
 
 from .errors import (DegreeOverflow, PresentationError, PresentationMismatch)
 from .scalars import ONE, Scalar, as_scalar
@@ -61,6 +68,10 @@ class Presentation:
                  and rhs_terms as a list of (coeff, word) pairs
     degree_cap   hard bound on word length; exceeding it raises
                  DegreeOverflow rather than silently truncating
+
+    grading      integer weight vectors over the generators, a basis of
+                 the gradings that every rule keeps (see _grading); the
+                 weight of a word is read by weight()
     """
 
     def __init__(self, generators, dagger_pairs, relations, degree_cap,
@@ -128,6 +139,7 @@ class Presentation:
         self._check_dagger_closure()
         self._check_confluence()
         self.commutative = self._detect_commutative()
+        self.grading = self._grading()
 
     # -- construction helpers ------------------------------------------------
 
@@ -266,6 +278,34 @@ class Presentation:
                             "embedded critical pair in %s does not resolve"
                             % self.word_str(l1))
 
+    def _grading(self):
+        """A basis of the integer weightings of the generators under
+        which every rule is homogeneous: the kernel of the matrix with
+        one row per rule and right-hand term, holding the letter counts
+        of the left side minus those of the term.  A rule with no
+        right-hand terms adds no row, and without rules the basis is the
+        letter counts.  Two words have equal weights under one basis of
+        the kernel exactly when they do under any other, so any basis
+        serves."""
+        n = len(self.generators)
+        rows = set()
+        for rule in self.rules:
+            lhs = [0] * n
+            for g in rule.lhs:
+                lhs[g] += 1
+            for w in rule.rhs:
+                row = list(lhs)
+                for g in w:
+                    row[g] -= 1
+                if any(row):
+                    rows.add(tuple(row))
+        return _integer_kernel(rows, n)
+
+    def weight(self, w: Word):
+        """The weight of the word w under the grading, one integer per
+        grading vector; every word of its normal form has it too."""
+        return tuple(sum(v[g] for g in w) for v in self.grading)
+
     def _detect_commutative(self) -> bool:
         n = len(self.generators)
         for i in range(n):
@@ -333,6 +373,48 @@ class Presentation:
     def __repr__(self):
         label = self.name or ",".join(self.generators)
         return "Presentation(%s)" % label
+
+
+def _integer_kernel(rows, n: int):
+    """A basis of the kernel of the integer matrix with the given rows
+    and n columns, as primitive integer vectors, one per column that is
+    not a pivot of the reduced echelon form.  Integer steps only: to
+    clear column c of a row r against the row e with pivot c, r becomes
+    e[c] r - r[c] e, divided by the gcd of its entries; each pivot
+    column ends up zero in every other row.
+    """
+    echelon = []        # (pivot column, row)
+    for row in rows:
+        for c, e in echelon:
+            if row[c]:
+                row = _primitive([e[c] * a - row[c] * b
+                                  for a, b in zip(row, e)])
+        c = next((j for j, a in enumerate(row) if a), None)
+        if c is None:
+            continue
+        row = _primitive(row)
+        echelon = [(c2, _primitive([row[c] * a - e[c] * b
+                                    for a, b in zip(e, row)]))
+                   if e[c] else (c2, e) for c2, e in echelon]
+        echelon.append((c, row))
+    scale = lcm(*(e[c] for c, e in echelon))
+    pivots = {c for c, _ in echelon}
+    kernel = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        x = [0] * n
+        x[j] = scale
+        for c, e in echelon:
+            x[c] = -scale // e[c] * e[j]
+        kernel.append(tuple(_primitive(x)))
+    return tuple(kernel)
+
+
+def _primitive(v):
+    """The integer vector v divided by the gcd of its entries."""
+    g = gcd(*v)
+    return v if g in (0, 1) else [a // g for a in v]
 
 
 def _check_same(p: Presentation, q: Presentation):

@@ -5,9 +5,12 @@ reduced by exact graded hermitian pivoting, fraction-free over the
 Gaussian integers, which certifies positivity, yields the null ideal,
 and selects a pivot set that is nested along the degree filtration.
 The moment table keeps that reduction, so a state whose axioms were
-checked is not reduced a second time here.  Orthonormalization and
-generator matrices are then computed in floating point on the
-certified-positive pivot block.
+checked is not reduced a second time here.  Entries that the weight
+grading proves zero are never evaluated, and the all-zero Gram rows
+(15 of 21 for the oscillator vacuum at degree 5) are null from the start
+and take no part in the elimination.  Orthonormalization and generator
+matrices are then computed in floating point on the certified-positive
+pivot block.
 
 Truncation convention: generator matrices map the degree-(d-1) block
 into the degree-d block, so adjoint identities are only claimed on the
@@ -20,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegreeOverflow, InsufficientDegree, StateAxiomError
+from .scalars import ZERO
 from .states import MomentFunctional
 
 
@@ -122,11 +126,22 @@ def _adjoint_gap(p, matrices, r_in: int, gen_name: str) -> np.ndarray:
 def generator_entries(f: MomentFunctional, words, cols: int, g: int):
     """Exact F[k][l] = f(w_k' g w_l) for the normal words w_k and the
     first cols of them, as phi(w_k' g, w_l): the recursion first takes
-    the normal form of g w_l."""
+    the normal form of g w_l.  Only the entries whose weight the table
+    supports are evaluated (MomentFunctional.live_columns, which the
+    Gram assembly reads too); the others are exact zeros."""
     p = f.presentation
     right = words[:cols]
-    return [[f.phi(u, wl) for wl in right]
-            for u in [p.dagger_word(wk) + (g,) for wk in words]]
+    lefts = [p.dagger_word(wk) + (g,) for wk in words]
+    live = f.live_columns(lefts, right)
+    if live is None:
+        return [[f.phi(u, wl) for wl in right] for u in lefts]
+    F = []
+    for u, js in zip(lefts, live):
+        row = [ZERO] * cols
+        for j in js:
+            row[j] = f.phi(u, right[j])
+        F.append(row)
+    return F
 
 
 def gns(f: MomentFunctional) -> GnsRepresentation:
@@ -135,13 +150,15 @@ def gns(f: MomentFunctional) -> GnsRepresentation:
     Exact steps: Gram assembly and graded hermitian reduction (positivity
     verdict, nested pivots, null ideal), both taken from the functional,
     which makes them once, and the generator entries f(w_k' g w_l) =
-    phi(w_k' g, w_l) (generator_entries), which reuse the values the Gram
-    assembly memoized.  Floating steps: Cholesky of the pivot block and
+    phi(w_k' g, w_l) (generator_entries) at the pairs the weight grading
+    leaves live, which reuse the values the Gram assembly memoized where
+    their words meet.  Floating steps: Cholesky of the pivot block and
     the generator matrices, with invariants holding to 1e-10 on the
-    inner window.  Raises DegreeOverflow when the certified pivot block
-    is not positive definite in float64, or when a generator's adjoint
-    defect on the inner window (adjoint_defect) passes 1e-10, as
-    high-degree moment matrices can be too ill-conditioned for float64.
+    inner window.
+    Raises DegreeOverflow when the certified pivot block is not positive
+    definite in float64, or when a generator's adjoint defect on the
+    inner window (adjoint_defect) passes 1e-10, as high-degree moment
+    matrices can be too ill-conditioned for float64.
     """
     p = f.presentation
     d = f.degree

@@ -5,6 +5,16 @@ A MomentFunctional stores f on every irreducible word of degree at most
 and to evaluate f on any element of degree at most 2d.  All stored
 values are Gaussian rationals, so positivity can be decided exactly.
 
+Rewriting keeps the weight of a word under the presentation's grading
+(Presentation.grading), so f(NF(u x)) is zero wherever the weight of
+u x is not the weight of a table word with a nonzero value.  On a
+presentation with rules, the Gram matrix and the generator entries
+evaluate only the pairs whose weight the table supports, found by
+grouping the words by weight once per matrix; every other entry is an
+exact zero.  The vacuum table is nonzero at one weight only, so at
+degree 9 on the oscillator 10 of the 55 Gram rows are nonzero.  Without
+rules every evaluation is one table read, and nothing is pruned.
+
 Shipped states: the Dirac/vacuum table (1 on the empty word, 0 on every
 other normal word; on the normal-ordered oscillator presentation this is
 exactly the vacuum expectation), the Gaussian moment state on the one
@@ -15,21 +25,22 @@ moments to nearby rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Rational
+from math import isfinite
 
 from .algebra import (_NF_LIMIT, AlgebraElement, Presentation, _check_same,
                       _remember)
 from .errors import DegreeOverflow, InsufficientDegree, StateAxiomError
 from .linalg import PsdReport, graded_hermitian_reduce
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, ZERO, Scalar, as_scalar, gaussian_over
 
 
 # The largest Gram matrix gram() builds, in rows: the basis words of
-# degree <= d.  On a 2-CPU machine `gns build` of the heisenberg vacuum
-# state at degree 16 (153 words) takes under 1 s.  It bounds rows, not
-# work: the exact reduction of the Gaussian Hankel table on one variable
-# takes about 0.8 s at 81 rows and 3.6 s at 101, as its entries grow
-# with the degree.
+# degree <= d.  On a 2-CPU machine (Python 3.11) the axiom check and GNS
+# build of the heisenberg vacuum state at degree 16 (153 words, 17 rows
+# nonzero) take about 0.03 s.  It bounds rows, not work: the exact
+# reduction of the Gaussian Hankel table on one variable takes about
+# 0.8 s at 81 rows and 3.6 s at 101, as its entries grow with the
+# degree.
 _GRAM_LIMIT = 160
 
 
@@ -63,7 +74,8 @@ class MomentFunctional:
     normalized and hermitian.
     """
 
-    __slots__ = ("presentation", "degree", "table", "_phi", "_reduction")
+    __slots__ = ("presentation", "degree", "table", "_phi", "_reduction",
+                 "_support")
 
     def __init__(self, presentation: Presentation, degree: int, table: dict):
         if degree < 1:
@@ -106,6 +118,11 @@ class MomentFunctional:
         self.table = fixed
         self._phi = {}      # f at words outside the table, filled by phi
         self._reduction = None
+        # the weights of the nonzero table words, where they can prune
+        self._support = None
+        if presentation.rules and presentation.grading:
+            weight = presentation.weight
+            self._support = {weight(w) for w, c in fixed.items() if c}
 
     @classmethod
     def from_function(cls, presentation, degree, fn):
@@ -148,15 +165,45 @@ class MomentFunctional:
                 acc = acc + (val if c == ONE else c * val)
         return _remember(self._phi, w, acc, _NF_LIMIT)
 
+    def live_columns(self, lefts, rights):
+        """For each word u of lefts, the indices j of the normal words
+        rights where f(u rights[j]) can be nonzero, or None where every
+        index can be.
+
+        Normal forms keep the weight of a word, and phi reads a normal
+        word outside the table as 0, so f(NF(u x)) = 0 unless weight(u)
+        + weight(x) is the weight of a nonzero table word.  The rights
+        are grouped by weight once per call.  Without rules every phi
+        call is one table read, and the answer is None.
+        """
+        support = self._support
+        if support is None:
+            return None
+        weight = self.presentation.weight
+        by_weight = {}
+        for j, x in enumerate(rights):
+            by_weight.setdefault(weight(x), []).append(j)
+        live = []
+        for u in lefts:
+            wu = weight(u)
+            cols = []
+            for s in support:
+                cols += by_weight.get(
+                    tuple(a - b for a, b in zip(s, wu)), ())
+            live.append(cols)
+        return live
+
     def gram(self):
         """Exact Gram matrix G[i][j] = f(w_i' w_j) = phi(w_i', w_j) on the
         words of degree <= the table's degree.
 
-        Only the entries with j >= i are evaluated; the others are
-        G[i][j] = conj(G[j][i]).  That is exact: the presentation's rules
-        are dagger-closed and confluent, so NF(x') = NF(NF(x)'), and the
-        constructor checked conj f(w) = f(NF(w')) on every table word,
-        so f(x') = conj f(x) for every x of degree <= 2d.
+        Only the entries with j >= i that live_columns allows are
+        evaluated; the others below the diagonal are G[i][j] =
+        conj(G[j][i]), and the rest are zero.  That is exact: the
+        presentation's rules are dagger-closed and confluent, so NF(x') =
+        NF(NF(x)'), and the constructor checked conj f(w) = f(NF(w')) on
+        every table word, so f(x') = conj f(x) for every x of degree <=
+        2d.
 
         Raises DegreeOverflow when the matrix would have more than
         _GRAM_LIMIT rows.
@@ -168,14 +215,16 @@ class MomentFunctional:
             raise DegreeOverflow(
                 "moment degree %d needs a Gram matrix of dimension %d > %d"
                 % (self.degree, n, _GRAM_LIMIT))
-        G = [[None] * n for _ in range(n)]
-        for i, wi in enumerate(words):
-            wd = p.dagger_word(wi)
+        lefts = [p.dagger_word(w) for w in words]
+        live = self.live_columns(lefts, words)
+        G = [[ZERO] * n for _ in range(n)]
+        for i, u in enumerate(lefts):
             row = G[i]
-            for j in range(i):
-                row[j] = G[j][i].conjugate()
-            for j in range(i, n):
-                row[j] = self.phi(wd, words[j])
+            for j in (range(i, n) if live is None
+                      else [j for j in live[i] if j >= i]):
+                v = self.phi(u, words[j])
+                G[j][i] = v.conjugate()
+                row[j] = v
         return words, G
 
     def _reduced(self):
@@ -251,31 +300,67 @@ _SNAP_TOL = 1e-9
 _SNAP_DENOMINATOR = 10 ** 6
 
 
+def _snap(x: float):
+    """(p, q): the fraction p / q closest to the finite float x with 1 <=
+    q <= _SNAP_DENOMINATOR, in lowest terms; the pair that
+    Fraction(x).limit_denominator(_SNAP_DENOMINATOR) gives, found in
+    integer steps on x.as_integer_ratio() = n / den.
+
+    Past the limit, the continued fraction of n / den runs to the last
+    convergent p1 / q1 within it; the other candidate is the
+    semiconvergent (p0 + k p1) / (q0 + k q1) with the largest k allowed.
+    The two lie 1 / (q1 (q0 + k q1)) apart, and p1 / q1 lies d / (q1 den)
+    from x, with d the remainder the expansion stopped at, so p1 / q1 is
+    at least as close exactly when 2 d (q0 + k q1) <= den; it wins ties.
+    """
+    n, den = x.as_integer_ratio()
+    limit = _SNAP_DENOMINATOR
+    if den <= limit:
+        return n, den
+    d = den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > limit:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (limit - q0) // q1
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def from_numeric(presentation: Presentation, degree: int,
                  values: dict) -> MomentFunctional:
     """Build an exact table from floating moments.
 
     Each value is snapped to the nearest rational with denominator up to
-    10**6; the snap must land within 1e-9 or the value is
-    rejected.  The table is then hermitian-symmetrized exactly (averaging
-    w against the conjugate at the normal form of w'), so tiny float
-    asymmetries cannot fail the state axioms.
+    10**6 (_snap); the snap must land within 1e-9 or the value is
+    rejected, and so is a value that is not finite.  The table is then
+    hermitian-symmetrized exactly (averaging w against the conjugate at
+    the normal form of w'), so tiny float asymmetries cannot fail the
+    state axioms.
     """
-    def snap(x: float) -> Rational:
-        r = Rational(x).limit_denominator(_SNAP_DENOMINATOR)
-        if abs(float(r) - x) > _SNAP_TOL:
+    def snap(x: float):
+        n, d = _snap(x)
+        if abs(n / d - x) > _SNAP_TOL:
             raise StateAxiomError(
                 "moment %r does not snap to a rational within %g"
                 % (x, _SNAP_TOL))
-        return r
+        return n, d
 
     raw = {}
     for w, v in values.items():
         if w and isinstance(w[0], str):
             w = presentation._word(tuple(w))
         v = complex(v)
-        raw[w] = Scalar(snap(v.real), snap(v.imag))
-    half = Scalar(Rational(1, 2))
+        if not (isfinite(v.real) and isfinite(v.imag)):
+            raise StateAxiomError("moment %r at word %s is not finite"
+                                  % (v, presentation.word_str(w)))
+        raw[w] = Scalar.from_quad(snap(v.real) + snap(v.imag))
+    half = gaussian_over(1, 0, 2)
     table = {}
     for w in presentation.basis_words(2 * degree):
         nf = _dagger_nf(presentation, w)

@@ -7,7 +7,7 @@ from fractions import Fraction as Rational
 import pytest
 
 from ores.linalg import RowSpace, graded_hermitian_reduce, nullspace
-from ores.scalars import IMAG, Scalar
+from ores.scalars import IMAG, ONE, Scalar
 
 from oracles import (ReferenceRowSpace, exact_rank, gaussian_moment,
                      hermitian_quadratic_form, random_scalar_matrix,
@@ -354,6 +354,64 @@ def test_triangle_reduction_equals_reference_reduction():
         else:
             assert got.psd and got.kernel
     assert min(sides.values()) > 15
+
+
+def _with_zero_rows(rng, L, n):
+    """L placed on a random set of len(L) indices of an n x n matrix,
+    zero elsewhere."""
+    at = sorted(rng.sample(range(n), len(L)))
+    G = [[ZERO] * n for _ in range(n)]
+    for a, i in enumerate(at):
+        for b, j in enumerate(at):
+            G[i][j] = L[a][b]
+    return G
+
+
+def test_zero_rows_keep_the_reference_report():
+    """All-zero rows are null from the start and take no part in the
+    elimination: the report, failure index and witness on the full index
+    range included, equals the reference's with the zero rows
+    interleaved among live parts that fail by a negative diagonal or by
+    a zero diagonal with a nonzero entry, that are PSD with complex
+    entries, or that are empty."""
+    rng = random.Random(31)
+    cases = [("empty", [[ZERO] * n for _ in range(n)], [g % 3 for g in
+                                                       range(n)])
+             for n in (1, 4, 7)]
+    for _ in range(40):
+        n = rng.randint(4, 10)
+        m = rng.randint(2, n - 1)
+        # grades cover every stage, so zero rows sit at each of them
+        grades = [rng.randint(0, 3) for _ in range(n)]
+        B = random_scalar_matrix(rng, rng.randint(1, m), m, 2)
+        cases.append(("psd", _with_zero_rows(rng, _gram(B), n), grades))
+        L = _hermitian(rng, m, 2)
+        L[0][0] = Scalar(-rng.randint(1, 3))
+        cases.append(("negative", _with_zero_rows(rng, L, n), grades))
+        B = [[ZERO] + [_gaussian_rational(rng, "complex")
+                       for _ in range(m - 1)] for _ in range(m)]
+        L = _gram(B)
+        c = rng.randrange(1, m)
+        L[0][c] = Scalar(rng.randint(1, 2), rng.choice((-1, 1)))
+        L[c][0] = L[0][c].conjugate()
+        cases.append(("zero", _with_zero_rows(rng, L, n), grades))
+    kinds = dict.fromkeys(("empty", "psd", "negative", "zero"), 0)
+    for kind, G, grades in cases:
+        want = reference_hermitian_reduce(G, grades)
+        got = graded_hermitian_reduce(G, grades)
+        assert got == want
+        zero = [i for i, row in enumerate(G) if not any(row)]
+        assert zero and not set(zero) & set(got.pivots)
+        if got.psd:
+            for i in zero:
+                assert [ONE if j == i else ZERO for j in range(len(G))] \
+                    in got.kernel
+        else:
+            assert got.failure_index not in zero
+            assert not any(got.witness[i] for i in zero)
+        kinds[kind] += got.psd == (kind in ("empty", "psd"))
+    assert min(kinds.values()) >= 3 and kinds["zero"] > 20
+    assert kinds["negative"] > 20
 
 
 def test_quadratic_form_known_value():

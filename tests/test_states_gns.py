@@ -8,7 +8,7 @@ from fractions import Fraction as Rational
 import numpy as np
 import pytest
 
-from ores import states
+from ores import linalg, states
 from ores.algebra import PRESETS, Presentation, load_preset
 from ores.errors import InsufficientDegree, StateAxiomError
 from ores.gns import generator_entries, gns
@@ -255,6 +255,110 @@ def test_generator_entries_equal_naive_rewriting_oracle():
                                   B.conj().T @ F @ B[:r_in, :r_in])
 
 
+def _matrix_units(cap):
+    """M_2(C) by matrix units: e11 hermitian, e21 = e12', the nine rules
+    e_ij e_kl -> delta_jk e_il, and e21 e12 -> 1 - e11."""
+    unit = {"e11": (1, 1), "e12": (1, 2), "e21": (2, 1)}
+    rules = []
+    for u, (i, j) in unit.items():
+        for v, (k, m) in unit.items():
+            if j != k:
+                rhs = ()
+            elif (i, m) == (2, 2):
+                rhs = ((1, ()), (-1, ("e11",)))
+            else:
+                rhs = ((1, ("e%d%d" % (i, m),)),)
+            rules.append(((u, v), rhs))
+    return Presentation(("e11", "e12", "e21"), (("e11",), ("e12", "e21")),
+                        rules, cap)
+
+
+def _graded_presentations():
+    """Every preset, the twisted plane and M_2(C), with the grading each
+    must have, up to sign; None where it is the letter counts."""
+    cases = [(load_preset(name), {"heisenberg": (1, -1)}.get(name))
+             for name in PRESETS]
+    cases.append((_twisted_plane_state(3).presentation, (1, -1)))
+    cases.append((_matrix_units(8), (0, 1, -1)))
+    return cases
+
+
+def test_every_rule_is_homogeneous_under_the_grading():
+    for p, want in _graded_presentations():
+        n = len(p.generators)
+        if want is None:
+            assert p.grading == tuple(
+                tuple(int(g == h) for h in range(n)) for g in range(n))
+        else:
+            assert p.grading in ((want,), (tuple(-c for c in want),))
+        # on M_2(C), e12 * e12 -> 0 adds no row: a row (0, 2, 0) would
+        # leave only the zero weighting
+        for rule in p.rules:
+            for w in rule.rhs:
+                assert p.weight(w) == p.weight(rule.lhs)
+
+
+def test_normal_forms_keep_the_weight():
+    rng = random.Random(29)
+    for p, _ in _graded_presentations():
+        seen = 0
+        for _ in range(150):
+            w = tuple(rng.randrange(len(p.generators))
+                      for _ in range(rng.randint(0, p.degree_cap)))
+            nf = p.normal_form_word(w)
+            assert all(p.weight(u) == p.weight(w) for u in nf)
+            seen += len(nf)
+        assert seen > 50
+
+
+def test_pruned_entries_equal_naive_rewriting_oracle():
+    # Gram matrices and generator entries where the weight grading
+    # prunes: the vacuum, a table nonzero at the weights 0 and +-2 only,
+    # and a state on M_2(C) nonzero at weight 0 only
+    p = Presentation(*PRESETS["heisenberg"])
+    rng = random.Random(30)
+    values = {(): 1.0}
+    for w in p.basis_words(8):
+        if w and abs(p.weight(w)[0]) in (0, 2):
+            values[w] = complex(rng.randint(-4, 4), rng.randint(-4, 4)) / 4
+    m2 = _matrix_units(8)
+    cases = [dirac_state(Presentation(*PRESETS["heisenberg"]), 6),
+             from_numeric(p, 4, values),
+             from_numeric(m2, 3, {(): 1.0, ("e11",): 0.75})]
+    assert {abs(p.weight(w)[0]) for w, c in cases[1].table.items()
+            if c} == {0, 2}
+    for f in cases:
+        p = f.presentation
+        words = p.basis_words(f.degree)
+        cols = len(p.basis_words(f.degree - 1))
+        assert f.gram() == _naive_gram(f)
+        live = f.live_columns([p.dagger_word(w) for w in words], words)
+        assert sum(map(len, live)) < len(words) ** 2
+        for g in range(len(p.generators)):
+            assert generator_entries(f, words, cols, g) == \
+                _naive_generator_entries(f, words, cols, g)
+
+
+def test_vacuum_work_stays_on_the_live_weights(monkeypatch):
+    # the degree-9 vacuum Gram has 10 nonzero rows of 55: its axiom
+    # check and GNS build evaluate few entries, and the elimination
+    # never holds a zero row
+    seen = []
+    step = linalg._bareiss_step
+
+    def counted(rows, t, prev):
+        seen.append(len(rows))
+        return step(rows, t, prev)
+
+    monkeypatch.setattr(linalg, "_bareiss_step", counted)
+    f = dirac_state(Presentation(*PRESETS["heisenberg"]), 9)
+    assert check_state_axioms(f).ok
+    rep = gns(f)
+    assert rep.gram_rank == 10 and len(rep.kernel) == 45
+    assert len(f._phi) <= 200
+    assert seen and max(seen) <= 10
+
+
 def test_gaussian_gns_structure():
     p = load_preset("poly_x")
     rep = gns(gaussian_state(p, 6))
@@ -341,6 +445,76 @@ def test_from_numeric_snapping():
     with pytest.raises(StateAxiomError):
         # 1/3 is the nearest snap, 1.0e-8 away
         from_numeric(p, 1, {(): 1.0, (0,): 1 / 3 + 1e-8})
+
+
+def _snap_inputs(rng):
+    """Seeded floats for the snap: signed zeros, subnormals, integers,
+    values near and far past the float range's ends, ratios with
+    denominators near 10**6, and random magnitudes."""
+    xs = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+          1e300, -1e300, 1.7976931348623157e308, 0.5, -1 / 3, 2 ** 53 + 1.0]
+    xs += [float(rng.randint(-10 ** 6, 10 ** 6)) for _ in range(500)]
+    for _ in range(3000):
+        d = rng.choice((rng.randint(999_000, 1_001_000),
+                        rng.randint(1, 10 ** 7)))
+        xs.append(rng.randint(-3 * d, 3 * d) / d)
+    for _ in range(3000):
+        xs.append(rng.uniform(-1, 1) * 10.0 ** rng.randint(-320, 300))
+    for _ in range(3000):
+        a, b = rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)
+        xs.append(a / b + rng.choice((-1, 1)) * rng.random() * 1e-12)
+    xs += [-x for x in xs[:1000]]
+    return xs
+
+
+def test_snap_equals_limit_denominator(monkeypatch):
+    rng = random.Random(32)
+    xs = _snap_inputs(rng)
+    assert len(xs) >= 10_000
+    for x in xs:
+        r = Rational(x).limit_denominator(10 ** 6)
+        assert states._snap(x) == (r.numerator, r.denominator), x
+    # no float lies halfway between the two candidates at 10**6, but
+    # at a power-of-two limit L, (2k + 1) / (2L) can: limit_denominator
+    # then keeps the convergent
+    ties = 0
+    for limit in (1, 2, 4, 64, 1024, 2 ** 19):
+        monkeypatch.setattr(states, "_SNAP_DENOMINATOR", limit)
+        for k in range(-40, 40):
+            x = (2 * k + 1) / (2 * limit) + rng.randint(-3, 3)
+            r = Rational(x).limit_denominator(limit)
+            assert states._snap(x) == (r.numerator, r.denominator), x
+            ties += (2 * Rational(x) - r).denominator <= limit
+    assert ties > 100
+
+
+def test_from_numeric_builds_no_fraction(monkeypatch):
+    # an atomic table snaps and symmetrizes in integers
+    p = load_preset("poly_x")
+    atoms = ((Rational(-3, 2), Rational(1, 3)),
+             (Rational(1, 2), Rational(1, 6)), (Rational(2), Rational(1, 2)))
+    values = {(0,) * j: float(sum(w * x ** j for x, w in atoms))
+              for j in range(9)}
+    made = []
+    new = Rational.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Rational, "__new__", counted)
+    f = from_numeric(p, 4, values)
+    assert made == []
+    assert f.table[(0, 0)] == Scalar(sum(w * x * x for x, w in atoms))
+
+
+def test_from_numeric_rejects_non_finite_values():
+    p = load_preset("poly_x")
+    for bad in (math.nan, math.inf, -math.inf, complex(0.5, math.nan)):
+        with pytest.raises(StateAxiomError, match="at word x is not finite"):
+            from_numeric(p, 1, {(): 1.0, (0,): bad, (0, 0): 1.0})
+    with pytest.raises(StateAxiomError, match="at word x\\*x is not"):
+        from_numeric(p, 1, {(): 1.0, ("x", "x"): math.inf})
 
 
 def test_from_numeric_symmetrizes():
