@@ -14,7 +14,8 @@ Each presentation also carries its weight grading: integer weights per
 generator under which the left side of every rule and every term on its
 right have one weight, so that rewriting keeps the weight of a word
 (Bergman, "The diamond lemma for ring theory", Adv. Math. 29, 1978).
-The moment layer reads it to skip words whose value is zero by weight.
+It comes from linalg's exact kernel, on first use by the moment layer,
+which reads it to skip words whose value is zero by weight.
 
 Elements are immutable linear combinations of irreducible words over
 the Gaussian rationals.  Words are tuples of generator indices.
@@ -23,10 +24,11 @@ the Gaussian rationals.  Words are tuples of generator indices.
 from __future__ import annotations
 
 import itertools
-from math import gcd, lcm
+from functools import cached_property
 
 from .errors import (DegreeOverflow, PresentationError, PresentationMismatch)
-from .scalars import ONE, Scalar, as_scalar
+from .linalg import nullspace
+from .scalars import ONE, ZERO, Scalar, as_scalar, over_common_denominator
 
 Word = tuple
 
@@ -46,6 +48,23 @@ def _remember(cache: dict, key, value, limit: int):
     if key in cache or len(cache) < limit:
         cache[key] = value
     return value
+
+
+def _add_into(acc: dict, items, scale=None) -> dict:
+    """Add the (key, coefficient) pairs of items into the sparse sum acc,
+    each coefficient times scale where one is given, and drop every key
+    whose sum is zero; return acc."""
+    for k, c in items:
+        if scale is not None:
+            c = scale * c
+        prev = acc.get(k)
+        if prev is not None:
+            c = prev + c
+        if c:
+            acc[k] = c
+        elif k in acc:
+            del acc[k]
+    return acc
 
 
 class RewriteRule:
@@ -70,8 +89,9 @@ class Presentation:
                  DegreeOverflow rather than silently truncating
 
     grading      integer weight vectors over the generators, a basis of
-                 the gradings that every rule keeps (see _grading); the
-                 weight of a word is read by weight()
+                 the gradings that every rule keeps, from linalg's exact
+                 kernel on first use by the moment layer; the weight of a
+                 word is read by weight()
     """
 
     def __init__(self, generators, dagger_pairs, relations, degree_cap,
@@ -108,18 +128,8 @@ class Presentation:
                 raise PresentationError("rule left-hand side must be nonempty")
             if len(lhs) > self.degree_cap:
                 raise PresentationError("rule left-hand side exceeds degree cap")
-            rhs = {}
-            for coeff, word_names in rhs_pairs:
-                w = self._word(word_names)
-                c = as_scalar(coeff)
-                if not c:
-                    continue
-                prev = rhs.get(w)
-                c = c + prev if prev is not None else c
-                if c:
-                    rhs[w] = c
-                elif w in rhs:
-                    del rhs[w]
+            rhs = _add_into({}, ((self._word(word_names), as_scalar(coeff))
+                                 for coeff, word_names in rhs_pairs))
             for w in rhs:
                 if _deglex_key(w) >= _deglex_key(lhs):
                     raise PresentationError(
@@ -139,7 +149,6 @@ class Presentation:
         self._check_dagger_closure()
         self._check_confluence()
         self.commutative = self._detect_commutative()
-        self.grading = self._grading()
 
     # -- construction helpers ------------------------------------------------
 
@@ -151,6 +160,14 @@ class Presentation:
 
     def _word(self, names) -> Word:
         return tuple(self._gen_index(n) for n in names)
+
+    def as_word(self, word) -> Word:
+        """The word as a tuple of generator indices, given as indices or
+        as generator names."""
+        word = tuple(word)
+        if word and isinstance(word[0], str):
+            return self._word(word)
+        return word
 
     def word_str(self, w: Word) -> str:
         if not w:
@@ -196,7 +213,7 @@ class Presentation:
         else:
             pos, rule = hit
             u, v = w[:pos], w[pos + len(rule.lhs):]
-            acc = {}
+            result = {}
             for rw, rc in rule.rhs.items():
                 try:
                     nf = self.normal_form_word(u + rw + v)
@@ -204,33 +221,15 @@ class Presentation:
                     raise DegreeOverflow(
                         "rewriting a word of length %d nests too deeply"
                         % len(w)) from None
-                for w2, c2 in nf.items():
-                    c = rc * c2
-                    prev = acc.get(w2)
-                    if prev is not None:
-                        c = prev + c
-                    if c:
-                        acc[w2] = c
-                    elif w2 in acc:
-                        del acc[w2]
-            result = acc
+                _add_into(result, nf.items(), rc)
         return _remember(self._nf_cache, w, result, _NF_LIMIT)
 
     def normalize_raw(self, raw: dict) -> "AlgebraElement":
         """Normalize a raw word combination (dict word -> Scalar)."""
         acc = {}
         for w, c in raw.items():
-            if not c:
-                continue
-            for w2, c2 in self.normal_form_word(w).items():
-                v = c * c2
-                prev = acc.get(w2)
-                if prev is not None:
-                    v = prev + v
-                if v:
-                    acc[w2] = v
-                elif w2 in acc:
-                    del acc[w2]
+            if c:
+                _add_into(acc, self.normal_form_word(w).items(), c)
         return AlgebraElement(self, acc)
 
     # -- load-time checks ----------------------------------------------------
@@ -278,28 +277,28 @@ class Presentation:
                             "embedded critical pair in %s does not resolve"
                             % self.word_str(l1))
 
-    def _grading(self):
+    @cached_property
+    def grading(self):
         """A basis of the integer weightings of the generators under
-        which every rule is homogeneous: the kernel of the matrix with
-        one row per rule and right-hand term, holding the letter counts
-        of the left side minus those of the term.  A rule with no
-        right-hand terms adds no row, and without rules the basis is the
-        letter counts.  Two words have equal weights under one basis of
-        the kernel exactly when they do under any other, so any basis
-        serves."""
+        which every rule is homogeneous: the exact kernel of the matrix
+        with one row per rule and right-hand term, holding the letter
+        counts of the left side minus those of the term, each vector
+        scaled to integers by its common denominator.  Without rows the
+        kernel is that of one zero row, the letter counts.  Two words
+        have equal weights under one basis of the kernel exactly when
+        they do under any other, so any basis serves."""
         n = len(self.generators)
-        rows = set()
+        rows = []
         for rule in self.rules:
-            lhs = [0] * n
-            for g in rule.lhs:
-                lhs[g] += 1
             for w in rule.rhs:
-                row = list(lhs)
+                row = [0] * n
+                for g in rule.lhs:
+                    row[g] += 1
                 for g in w:
                     row[g] -= 1
-                if any(row):
-                    rows.add(tuple(row))
-        return _integer_kernel(rows, n)
+                rows.append([Scalar(a) for a in row])
+        return tuple(tuple(over_common_denominator([v])[1][0][0])
+                     for v in nullspace(rows or [[ZERO] * n]))
 
     def weight(self, w: Word):
         """The weight of the word w under the grading, one integer per
@@ -375,48 +374,6 @@ class Presentation:
         return "Presentation(%s)" % label
 
 
-def _integer_kernel(rows, n: int):
-    """A basis of the kernel of the integer matrix with the given rows
-    and n columns, as primitive integer vectors, one per column that is
-    not a pivot of the reduced echelon form.  Integer steps only: to
-    clear column c of a row r against the row e with pivot c, r becomes
-    e[c] r - r[c] e, divided by the gcd of its entries; each pivot
-    column ends up zero in every other row.
-    """
-    echelon = []        # (pivot column, row)
-    for row in rows:
-        for c, e in echelon:
-            if row[c]:
-                row = _primitive([e[c] * a - row[c] * b
-                                  for a, b in zip(row, e)])
-        c = next((j for j, a in enumerate(row) if a), None)
-        if c is None:
-            continue
-        row = _primitive(row)
-        echelon = [(c2, _primitive([row[c] * a - e[c] * b
-                                    for a, b in zip(e, row)]))
-                   if e[c] else (c2, e) for c2, e in echelon]
-        echelon.append((c, row))
-    scale = lcm(*(e[c] for c, e in echelon))
-    pivots = {c for c, _ in echelon}
-    kernel = []
-    for j in range(n):
-        if j in pivots:
-            continue
-        x = [0] * n
-        x[j] = scale
-        for c, e in echelon:
-            x[c] = -scale // e[c] * e[j]
-        kernel.append(tuple(_primitive(x)))
-    return tuple(kernel)
-
-
-def _primitive(v):
-    """The integer vector v divided by the gcd of its entries."""
-    g = gcd(*v)
-    return v if g in (0, 1) else [a // g for a in v]
-
-
 def _check_same(p: Presentation, q: Presentation):
     """Presentations compare by identity: two loads of one file are two
     presentations, and their elements do not mix."""
@@ -450,15 +407,8 @@ class AlgebraElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for w, c in o.terms.items():
-            prev = acc.get(w)
-            v = prev + c if prev is not None else c
-            if v:
-                acc[w] = v
-            elif w in acc:
-                del acc[w]
-        return AlgebraElement(self.presentation, acc)
+        return AlgebraElement(self.presentation,
+                              _add_into(dict(self.terms), o.terms.items()))
 
     __radd__ = __add__
 
@@ -520,14 +470,10 @@ class AlgebraElement:
         return out
 
     def dagger(self) -> "AlgebraElement":
+        # dagger_word is a bijection, so no two terms meet
         p = self.presentation
-        raw = {}
-        for w, c in self.terms.items():
-            wd = p.dagger_word(w)
-            cd = c.conjugate()
-            prev = raw.get(wd)
-            raw[wd] = cd + prev if prev is not None else cd
-        return p.normalize_raw(raw)
+        return p.normalize_raw({p.dagger_word(w): c.conjugate()
+                                for w, c in self.terms.items()})
 
     # -- inspection ------------------------------------------------------------
 
@@ -660,10 +606,6 @@ def random_element(presentation, rng, max_degree=2,
                    max_terms=3) -> AlgebraElement:
     """A deterministic pseudo-random element driven by the given rng."""
     words = presentation.basis_words(max_degree)
-    raw = {}
-    for _ in range(rng.randint(1, max_terms)):
-        w = words[rng.randrange(len(words))]
-        c = random_scalar(rng)
-        prev = raw.get(w)
-        raw[w] = c + prev if prev is not None else c
-    return presentation.normalize_raw(raw)
+    return presentation.normalize_raw(_add_into(
+        {}, ((words[rng.randrange(len(words))], random_scalar(rng))
+             for _ in range(rng.randint(1, max_terms)))))

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraElement, Presentation, format_element
+from .algebra import AlgebraElement, Presentation, _add_into, format_element
 from .errors import DegreeOverflow, ExpressionError, OresError
 from .localization import Fraction, SProduct
 from .scalars import ONE, ZERO, Scalar, as_scalar, gaussian_over
@@ -307,24 +307,14 @@ def _eval_sum(terms, p):
     acc = None       # the terms of the sum from the first element on
     for node in terms:
         v = _eval(node, p)
-        if isinstance(v, Scalar):
-            if acc is None:
-                total = total + v
-                continue
-            if not v:
-                continue
-            items = (((), v),)
-        else:
+        if not isinstance(v, Scalar):
             if acc is None:
                 acc = {(): total} if total else {}
-            items = v.terms.items()
-        for w, c in items:
-            prev = acc.get(w)
-            c = prev + c if prev is not None else c
-            if c:
-                acc[w] = c
-            elif w in acc:
-                del acc[w]
+            _add_into(acc, v.terms.items())
+        elif acc is None:
+            total = total + v
+        else:
+            _add_into(acc, (((), v),))
     return total if acc is None else AlgebraElement(p, acc)
 
 

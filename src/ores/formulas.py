@@ -33,6 +33,7 @@ from fractions import Fraction as Rational
 
 import numpy as np
 
+from .algebra import _add_into, _remember
 from .errors import FormulaDomainError
 from .scalars import Scalar, as_scalar, over_common_denominator
 
@@ -60,6 +61,9 @@ class _Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -380,18 +384,13 @@ class Formula:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     # -- algebra ----------------------------------------------------------------
 
     def __add__(self, o: "Formula") -> "Formula":
-        acc = dict(self.terms)
-        for rad, amp in o.terms.items():
-            prev = acc.get(rad)
-            amp = amp + prev if prev is not None else amp
-            if amp.is_zero():
-                acc.pop(rad, None)
-            else:
-                acc[rad] = amp
-        return Formula(acc)
+        return Formula(_add_into(dict(self.terms), o.terms.items()))
 
     def __neg__(self) -> "Formula":
         return Formula({rad: -amp for rad, amp in self.terms.items()})
@@ -627,9 +626,7 @@ def _sample(f: Formula, lo: int, hi: int, inputs=None) -> np.ndarray:
     hi = max(lo, hi)
     sampler = _SAMPLERS.get(f)
     if sampler is None:
-        sampler = Sampler(f)
-        if len(_SAMPLERS) < _SAMPLER_LIMIT:
-            _SAMPLERS[f] = sampler
+        sampler = _remember(_SAMPLERS, f, Sampler(f), _SAMPLER_LIMIT)
     values, bad = sampler.samples(hi)
     if len(bad):
         bad = bad[np.searchsorted(bad, lo):np.searchsorted(bad, hi)]

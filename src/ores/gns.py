@@ -80,10 +80,7 @@ class GnsRepresentation:
         The word must have degree <= degree-1 so every intermediate stays
         inside the faithful inner block.
         """
-        p = self.presentation
-        if word and isinstance(tuple(word)[0], str):
-            word = p._word(tuple(word))
-        word = tuple(word)
+        word = self.presentation.as_word(word)
         if len(word) > self.degree - 1:
             raise InsufficientDegree(
                 "word of degree %d leaves the inner block (max %d)"
@@ -101,9 +98,7 @@ class GnsRepresentation:
         """<Omega, pi(word) Omega> for words of degree <= 2*(degree-1),
         computed through the matrices by splitting the word in half."""
         p = self.presentation
-        if word and isinstance(tuple(word)[0], str):
-            word = p._word(tuple(word))
-        word = tuple(word)
+        word = p.as_word(word)
         if len(word) > 2 * (self.degree - 1):
             raise InsufficientDegree(
                 "word of degree %d is not representable at degree %d"
@@ -133,12 +128,10 @@ def generator_entries(f: MomentFunctional, words, cols: int, g: int):
     right = words[:cols]
     lefts = [p.dagger_word(wk) + (g,) for wk in words]
     live = f.live_columns(lefts, right)
-    if live is None:
-        return [[f.phi(u, wl) for wl in right] for u in lefts]
     F = []
-    for u, js in zip(lefts, live):
+    for i, u in enumerate(lefts):
         row = [ZERO] * cols
-        for j in js:
+        for j in (range(cols) if live is None else live[i]):
             row[j] = f.phi(u, right[j])
         F.append(row)
     return F

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalars import ONE, ZERO, gaussian_over, over_common_denominator
+from .scalars import (ONE, ZERO, Scalar, gaussian_over,
+                      over_common_denominator)
 
 
 def _combine(p, x, q, y, d):
@@ -193,20 +194,17 @@ def graded_hermitian_reduce(G, grades) -> PsdReport:
     """
     n = len(G)
     nonzero = [False] * n
+    conjugate_of = Scalar.is_conjugate_of
     for i, row in enumerate(G):
         for j in range(i, n):
-            x, y = row[j], G[j][i]
-            if x.a != y.a or x.b != -y.b or x.d != y.d:
+            x = row[j]
+            if not conjugate_of(x, G[j][i]):
                 raise ValueError("matrix is not hermitian")
             if x.a or x.b:
                 nonzero[i] = nonzero[j] = True
     live = [i for i in range(n) if nonzero[i]]
-    if len(live) == n:
-        D, rows = over_common_denominator([row[i:]
-                                           for i, row in enumerate(G)])
-    else:
-        D, rows = over_common_denominator([[G[i][j] for j in live[k:]]
-                                           for k, i in enumerate(live)])
+    D, rows = over_common_denominator([[G[i][j] for j in live[k:]]
+                                       for k, i in enumerate(live)])
     open_ = list(live)       # row k of rows is index open_[k], from column k
     pivots = []
     prev = 1                 # det((D G)_PP), the last pivot taken

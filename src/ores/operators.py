@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, Presentation, _check_same, _remember
+from .algebra import (AlgebraElement, Presentation, _add_into, _check_same,
+                      _remember)
 from .errors import (FormulaDomainError, PresentationError,
                      TruncationLimit)
 from .formulas import Formula, QPoly
@@ -140,15 +141,7 @@ class BandedOperator:
             {-k: f.shift(-k).conj() for k, f in self.bands.items()})
 
     def __add__(self, o: "BandedOperator") -> "BandedOperator":
-        acc = dict(self.bands)
-        for k, f in o.bands.items():
-            prev = acc.get(k)
-            f = f + prev if prev is not None else f
-            if f.is_zero():
-                acc.pop(k, None)
-            else:
-                acc[k] = f
-        return BandedOperator(acc)
+        return BandedOperator(_add_into(dict(self.bands), o.bands.items()))
 
     def __neg__(self) -> "BandedOperator":
         return BandedOperator({k: -f for k, f in self.bands.items()})
@@ -177,9 +170,7 @@ class BandedOperator:
                             "band %+d times band %+d is nonzero at row %d, "
                             "where the right factor has no row %d"
                             % (j, l, n, n + j))
-                prev = acc.get(k)
-                term = term + prev if prev is not None else term
-                acc[k] = term
+                _add_into(acc, ((k, term),))
         return BandedOperator(acc)
 
     # -- identity --------------------------------------------------------------------------

@@ -353,15 +353,15 @@ def from_numeric(presentation: Presentation, degree: int,
 
     raw = {}
     for w, v in values.items():
-        if w and isinstance(w[0], str):
-            w = presentation._word(tuple(w))
+        w = presentation.as_word(w)
         v = complex(v)
         if not (isfinite(v.real) and isfinite(v.imag)):
             raise StateAxiomError("moment %r at word %s is not finite"
                                   % (v, presentation.word_str(w)))
         raw[w] = Scalar.from_quad(snap(v.real) + snap(v.imag))
     half = gaussian_over(1, 0, 2)
-    table = {}
+    # a word outside the basis stays in, for the constructor to refuse
+    table = dict(raw)
     for w in presentation.basis_words(2 * degree):
         nf = _dagger_nf(presentation, w)
         a = raw.get(w, ZERO)

@@ -672,3 +672,62 @@ def test_malformed_invocations_exit_with_code_2(tmp_path, capsys, argv,
     assert code == 2
     [line] = err.splitlines()
     assert line.startswith("error: ") and message in line
+
+
+# Runs in a child process: every numeric flag of the commands below, at
+# each extreme value, through cli.main; one JSON line per case holds the
+# argv, the exit code (None for an exception out of main) and stderr.
+_EXTREME_FLAGS_CHILD = r"""
+import contextlib, io, json, sys, traceback
+from ores.cli import main
+
+out_dir = sys.argv[1]
+values = ("0", "-1", "nan", "inf", str(10 ** 9), str(10 ** 400))
+budget = ("budget-factors", "budget-degree")
+scenario = budget + ("tol", "probe-tol", "seed")
+frac = "(x) / (1 + x*x)"
+commands = [
+    (["ore", "solve", "a", "(1 + ad'*ad)"], budget),
+    (["frac", "add", "--presentation", "poly_x", "2", frac, frac], budget),
+    (["frac", "mul", "--presentation", "poly_x", frac, frac], budget),
+    (["frac", "dagger", "(a) / (1 + a'*a)"], budget),
+    (["frac", "eq", "--presentation", "poly_x", frac, frac], budget),
+    (["op", "invert", "--expr", "a", "--vector", "1"], ("tol",)),
+    (["op", "probe", "--den", "(1 + a'*a)"], ("probe-tol", "targets")),
+    (["gns", "build", "--state", "vacuum"], ("degree",)),
+    (["scenario", "run", "cofinality", "--out", out_dir], scenario),
+    (["scenario", "run", "gaussian-gns", "--out", out_dir], scenario),
+]
+for base, flags in commands:
+    for flag in flags:
+        for value in values:
+            argv = base + ["--" + flag, value]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                except Exception:
+                    traceback.print_exc()
+                    code = None
+            print(json.dumps([argv, code, err.getvalue()]))
+"""
+
+
+def test_numeric_flags_at_extreme_values_exit_cleanly(tmp_path):
+    # 0, -1, nan, inf, 10**9 and 10**400 for each numeric flag: a clean
+    # exit with code 0, 1 or 2, in bounded memory and time
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXTREME_FLAGS_CHILD, str(tmp_path)], env=env,
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (2 << 30, 2 << 30)))
+    assert proc.returncode == 0, proc.stderr
+    cases = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(cases) == 6 * (2 * 5 + 1 + 2 + 1 + 5 * 2)
+    for argv, code, err in cases:
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)

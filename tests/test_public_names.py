@@ -102,3 +102,25 @@ def test_every_public_method_has_a_caller_outside_the_tests():
             uncalled.append("%s.%s" % (stem, name))
     assert not uncalled, "public methods without a caller: %s" % uncalled
     assert {name for name in ALLOWED if "." in name} <= defined
+
+
+def test_every_private_name_is_read_outside_its_own_body():
+    # a private module-level function or class that nothing reads, such
+    # as a second implementation left behind by a refactor, is dead code
+    trees = _package_trees()
+    refs = {stem: _references(tree) for stem, tree in trees.items()}
+    bench_text = _benchmark_text()
+    unread = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or not node.name.startswith("_")):
+                continue
+            name = node.name
+            own = _references(node)[name]
+            if (any(counts[name] > (own if other == stem else 0)
+                    for other, counts in refs.items())
+                    or re.search(r"\b%s\b" % name, bench_text)):
+                continue
+            unread.append("%s.%s" % (stem, name))
+    assert not unread, "private names nothing reads: %s" % unread

@@ -273,13 +273,22 @@ def _matrix_units(cap):
                         rules, cap)
 
 
+def _two_weights(cap):
+    """x hermitian, z = y', and z*y -> x: the rule row (-1, 1, 1) leaves
+    a two-dimensional kernel."""
+    return Presentation(("x", "y", "z"), (("x",), ("y", "z")),
+                        ((("z", "y"), ((1, ("x",)),)),), cap)
+
+
 def _graded_presentations():
-    """Every preset, the twisted plane and M_2(C), with the grading each
-    must have, up to sign; None where it is the letter counts."""
+    """Every preset, the twisted plane, M_2(C) and _two_weights, with the
+    grading each must have, up to sign; None where it is the letter
+    counts, and a list of the rule rows where the kernel is not pinned."""
     cases = [(load_preset(name), {"heisenberg": (1, -1)}.get(name))
              for name in PRESETS]
     cases.append((_twisted_plane_state(3).presentation, (1, -1)))
     cases.append((_matrix_units(8), (0, 1, -1)))
+    cases.append((_two_weights(8), [(-1, 1, 1)]))
     return cases
 
 
@@ -289,6 +298,16 @@ def test_every_rule_is_homogeneous_under_the_grading():
         if want is None:
             assert p.grading == tuple(
                 tuple(int(g == h) for h in range(n)) for g in range(n))
+        elif isinstance(want, list):
+            # integer vectors in the kernel of the rows, n - rank of
+            # them and independent: a basis, whichever one
+            rank = np.linalg.matrix_rank(np.array(want))
+            assert len(p.grading) == n - rank
+            assert np.linalg.matrix_rank(np.array(p.grading)) == n - rank
+            for v in p.grading:
+                assert all(type(c) is int for c in v)
+                assert all(sum(a * c for a, c in zip(row, v)) == 0
+                           for row in want)
         else:
             assert p.grading in ((want,), (tuple(-c for c in want),))
         # on M_2(C), e12 * e12 -> 0 adds no row: a row (0, 2, 0) would
@@ -314,7 +333,8 @@ def test_normal_forms_keep_the_weight():
 def test_pruned_entries_equal_naive_rewriting_oracle():
     # Gram matrices and generator entries where the weight grading
     # prunes: the vacuum, a table nonzero at the weights 0 and +-2 only,
-    # and a state on M_2(C) nonzero at weight 0 only
+    # a state on M_2(C) nonzero at weight 0 only, and a table on
+    # _two_weights nonzero at three of its two-integer weights
     p = Presentation(*PRESETS["heisenberg"])
     rng = random.Random(30)
     values = {(): 1.0}
@@ -324,7 +344,10 @@ def test_pruned_entries_equal_naive_rewriting_oracle():
     m2 = _matrix_units(8)
     cases = [dirac_state(Presentation(*PRESETS["heisenberg"]), 6),
              from_numeric(p, 4, values),
-             from_numeric(m2, 3, {(): 1.0, ("e11",): 0.75})]
+             from_numeric(m2, 3, {(): 1.0, ("e11",): 0.75}),
+             from_numeric(_two_weights(8), 3,
+                          {(): 1.0, ("x",): 0.5, ("y", "z"): 0.25,
+                           ("x", "y", "z"): -1.5 + 0.5j})]
     assert {abs(p.weight(w)[0]) for w, c in cases[1].table.items()
             if c} == {0, 2}
     for f in cases:
@@ -515,6 +538,15 @@ def test_from_numeric_rejects_non_finite_values():
             from_numeric(p, 1, {(): 1.0, (0,): bad, (0, 0): 1.0})
     with pytest.raises(StateAxiomError, match="at word x\\*x is not"):
         from_numeric(p, 1, {(): 1.0, ("x", "x"): math.inf})
+
+
+def test_from_numeric_refuses_words_outside_the_table():
+    # a word past degree 2d, or one that is not normal, is refused as
+    # MomentFunctional refuses it, not dropped
+    for name, word in (("poly_x", (0, 0, 0)), ("poly_xy", ("y", "x"))):
+        p = load_preset(name)
+        with pytest.raises(StateAxiomError, match="non-basis words"):
+            from_numeric(p, 1, {(): 1.0, word: 5.0, (0, 0): 2.0})
 
 
 def test_from_numeric_symmetrizes():
