@@ -145,6 +145,8 @@ class Presentation:
 
         self._nf_cache = {}
         self._basis_cache = {}
+        # the lowest degree whose basis passed _BASIS_LIMIT, if any
+        self._basis_overflow = self.degree_cap + 1
 
         self._check_dagger_closure()
         self._check_confluence()
@@ -337,7 +339,7 @@ class Presentation:
         """All irreducible words of length <= max_degree, deglex sorted.
 
         A table of more than _BASIS_LIMIT words raises DegreeOverflow
-        as soon as the count passes the limit."""
+        as soon as the count passes the limit, and at once from then on."""
         if max_degree < 0:
             return ()
         if max_degree > self.degree_cap:
@@ -347,6 +349,10 @@ class Presentation:
         cached = self._basis_cache.get(max_degree)
         if cached is not None:
             return cached
+        if max_degree >= self._basis_overflow:
+            raise DegreeOverflow(
+                "basis up to degree %d has more than %d words"
+                % (max_degree, _BASIS_LIMIT))
         layers = [[()]]
         ngen = len(self.generators)
         count = 1
@@ -361,9 +367,8 @@ class Presentation:
                         layer.append(w2)
                         count += 1
                 if count > _BASIS_LIMIT:
-                    raise DegreeOverflow(
-                        "basis up to degree %d has more than %d words"
-                        % (max_degree, _BASIS_LIMIT))
+                    self._basis_overflow = d
+                    return self.basis_words(max_degree)  # raises
             layers.append(layer)
         words = tuple(itertools.chain.from_iterable(layers))
         self._basis_cache[max_degree] = words

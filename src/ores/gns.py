@@ -8,9 +8,9 @@ The moment table keeps that reduction, so a state whose axioms were
 checked is not reduced a second time here.  Entries that the weight
 grading proves zero are never evaluated, and the all-zero Gram rows
 (15 of 21 for the oscillator vacuum at degree 5) are null from the start
-and take no part in the elimination.  Orthonormalization and generator
-matrices are then computed in floating point on the certified-positive
-pivot block.
+and take no part in the elimination.  The generator entries are read
+off the Gram rows, and are orthonormalized on the certified-positive
+pivot block in floating point.
 
 Truncation convention: generator matrices map the degree-(d-1) block
 into the degree-d block, so adjoint identities are only claimed on the
@@ -119,21 +119,30 @@ def _adjoint_gap(p, matrices, r_in: int, gen_name: str) -> np.ndarray:
 
 
 def generator_entries(f: MomentFunctional, words, cols: int, g: int):
-    """Exact F[k][l] = f(w_k' g w_l) for the normal words w_k and the
-    first cols of them, as phi(w_k' g, w_l): the recursion first takes
-    the normal form of g w_l.  Only the entries whose weight the table
-    supports are evaluated (MomentFunctional.live_columns, which the
-    Gram assembly reads too); the others are exact zeros."""
-    p = f.presentation
-    right = words[:cols]
-    lefts = [p.dagger_word(wk) + (g,) for wk in words]
-    live = f.live_columns(lefts, right)
+    """Exact F[k][l] = f(w_k' g w_l) for the words w_k and the first cols
+    of them, read off the Gram matrix G[u][v] = f(u' v) of f._reduced():
+    with NF(g w_l) = sum_y c_y y, F[k][l] = sum_y c_y G[w_k][y], as
+    pi(g)[w] = [g w] in the GNS representation (Schmuedgen, Unbounded
+    Operator Algebras and Representation Theory, 1990).  The words must
+    be basis words of degree <= f.degree, the first cols of them of
+    degree < f.degree; rewriting never raises degree, so each y is a
+    basis word of degree <= f.degree, a row of G."""
+    all_words, G, _ = f._reduced()
+    index = {w: i for i, w in enumerate(all_words)}
+    columns = [[(index[y], c) for y, c in
+                f.presentation.normal_form_word((g,) + w).items()]
+               for w in words[:cols]]
     F = []
-    for i, u in enumerate(lefts):
-        row = [ZERO] * cols
-        for j in (range(cols) if live is None else live[i]):
-            row[j] = f.phi(u, right[j])
-        F.append(row)
+    for w in words:
+        row = G[index[w]]
+        out = []
+        for column in columns:
+            acc = ZERO
+            for j, c in column:
+                if row[j]:
+                    acc = acc + c * row[j]
+            out.append(acc)
+        F.append(out)
     return F
 
 
@@ -142,12 +151,10 @@ def gns(f: MomentFunctional) -> GnsRepresentation:
 
     Exact steps: Gram assembly and graded hermitian reduction (positivity
     verdict, nested pivots, null ideal), both taken from the functional,
-    which makes them once, and the generator entries f(w_k' g w_l) =
-    phi(w_k' g, w_l) (generator_entries) at the pairs the weight grading
-    leaves live, which reuse the values the Gram assembly memoized where
-    their words meet.  Floating steps: Cholesky of the pivot block and
-    the generator matrices, with invariants holding to 1e-10 on the
-    inner window.
+    which makes them once, and the generator entries f(w_k' g w_l), read
+    off the Gram rows (generator_entries), so f is not evaluated again.
+    Floating steps: Cholesky of the pivot block and the generator
+    matrices, with invariants holding to 1e-10 on the inner window.
     Raises DegreeOverflow when the certified pivot block is not positive
     definite in float64, or when a generator's adjoint defect on the
     inner window (adjoint_defect) passes 1e-10, as high-degree moment
@@ -164,14 +171,10 @@ def gns(f: MomentFunctional) -> GnsRepresentation:
     pivots = report.pivots
     r = len(pivots)
     piv_words = tuple(all_words[i] for i in pivots)
-    ranks = []
-    for g in range(d + 1):
-        ranks.append(sum(1 for w in piv_words if len(w) <= g))
+    ranks = [sum(1 for w in piv_words if len(w) <= g) for g in range(d + 1)]
 
-    GP = np.empty((r, r), dtype=complex)
-    for i, pi in enumerate(pivots):
-        for j, pj in enumerate(pivots):
-            GP[i, j] = G[pi][pj].to_complex()
+    GP = np.array([[G[i][j].to_complex() for j in pivots] for i in pivots],
+                  dtype=complex)
     try:
         L = np.linalg.cholesky(GP)
     except np.linalg.LinAlgError:

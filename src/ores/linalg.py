@@ -187,7 +187,9 @@ def graded_hermitian_reduce(G, grades) -> PsdReport:
     another null row, and every other kernel vector or witness is zero
     at i.  A moment matrix has many such rows where the state is
     supported on few weights (45 of 55 for the oscillator vacuum at
-    degree 9).
+    degree 9).  A row found null at a later stage stays open and zero,
+    since _combine returns a zero row as it is, so it is never a pivot
+    and never names a witness.
 
     The staging makes the pivot set nested along grades, which downstream
     code uses to build nested orthonormal bases.
@@ -226,7 +228,6 @@ def graded_hermitian_reduce(G, grades) -> PsdReport:
             pivots.append(open_.pop(best))
             rows, prev = _bareiss_step(rows, best, prev)
         # zero-diagonal entries of this stage must have fully zero rows
-        nulls = set()
         for k, i in enumerate(open_):
             if grades[i] > stage:
                 continue
@@ -240,16 +241,6 @@ def graded_hermitian_reduce(G, grades) -> PsdReport:
                 u_i, u_bad = _transform_columns(G, pivots, [i, open_[bad]])
                 witness = [a - zc * b for a, b in zip(u_i, u_bad)]
                 return PsdReport(False, pivots, [], witness, i)
-            nulls.add(k)
-        if nulls:
-            keep = [k for k in range(len(open_)) if k not in nulls]
-            kept = []
-            for x, a in enumerate(keep):
-                re, im = rows[a]
-                kept.append(([re[b - a] for b in keep[x:]],
-                             [im[b - a] for b in keep[x:]]))
-            rows = kept
-            open_ = [open_[k] for k in keep]
     # every index is now a pivot or null; a null i's column is the same
     # for every later pivot prefix, since its Schur row stays zero, and
     # a zero row's is e_i

@@ -244,14 +244,8 @@ def embed(a: AlgebraElement) -> Fraction:
 
 @dataclass(frozen=True)
 class OreWitness:
-    """Witness (b, t) for the right Ore condition: a t = s b."""
-    b: AlgebraElement
-    t: SProduct
-
-
-@dataclass(frozen=True)
-class LeftOreWitness:
-    """Witness (b, t) for the left Ore condition: t a = b s."""
+    """Witness (b, t), t in S, for one Ore condition on (a, s): a t = s b
+    from ore_solve_right, t a = b s from ore_solve_left."""
     b: AlgebraElement
     t: SProduct
 
@@ -792,7 +786,8 @@ class _Screen:
         annihilator of s * A at the bound for a*t; None where the screen
         is off, and all of them pass.  It is None too where a basis it
         needs passes the basis limit (DegreeOverflow): the exact check
-        then decides each such candidate, as it would without a screen."""
+        then decides each such candidate, as it would without a screen,
+        or skips it where its own span passes the limit."""
         if self.off or self.a_deg + t_deg > self.cap:
             return None
         state = self.state
@@ -862,12 +857,13 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
             tried += 1
             if t_deg is None or not survives:
                 continue
+            # a product past the cap or a span past the basis limit skips t
             try:
                 r = a * t.value
+                b = state.subspace(s_value, s_key, max(r.degree() - s_deg, 0),
+                                   False).solve(r)
             except DegreeOverflow:
                 continue
-            b = state.subspace(s_value, s_key, max(r.degree() - s_deg, 0),
-                               False).solve(r)
             if b is None:
                 continue
             _verify(r, s_value * b, "right Ore witness")
@@ -886,7 +882,7 @@ def ore_solve_left(a: AlgebraElement, s: SProduct,
     if not res.found:
         return OreSolveResult(None, res.candidates_tried)
     w = res.witness
-    left = LeftOreWitness(w.b.dagger(), w.t.dagger())
+    left = OreWitness(w.b.dagger(), w.t.dagger())
     _verify(left.t.value * a, left.b * s.value, "left Ore witness")
     return OreSolveResult(left, res.candidates_tried)
 

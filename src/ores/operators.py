@@ -330,16 +330,17 @@ class InversionResult:
 
 def _banded_cholesky_solve(M: BandedOperator, rhs: np.ndarray) -> np.ndarray:
     """Solve the N x N truncation of the hermitian positive definite
-    banded operator M against rhs (length N).  scipy is imported here, its
-    only use, so commands that solve nothing do not pay its import.  A
-    float64 Cholesky can fail on such a truncation when it is too badly
-    conditioned; the LinAlgError then names N and that cause."""
-    import scipy.linalg
-
+    banded operator M against rhs (length N).  A diagonal M is one
+    division; scipy is imported past it, its only use, so commands that
+    solve no banded system do not pay its import.  A float64 Cholesky can
+    fail on such a truncation when it is too badly conditioned; the
+    LinAlgError then names N and that cause."""
     N = len(rhs)
     K = M.max_offset
     if K == 0:
         return rhs / M.bands[0].eval(0, N)
+    import scipy.linalg
+
     ab = np.zeros((K + 1, N), dtype=complex)
     for k, f in M.bands.items():
         if k >= 0:

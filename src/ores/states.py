@@ -8,10 +8,9 @@ values are Gaussian rationals, so positivity can be decided exactly.
 Rewriting keeps the weight of a word under the presentation's grading
 (Presentation.grading), so f(NF(u x)) is zero wherever the weight of
 u x is not the weight of a table word with a nonzero value.  On a
-presentation with rules, the Gram matrix and the generator entries
-evaluate only the pairs whose weight the table supports, found by
-grouping the words by weight once per matrix; every other entry is an
-exact zero.  The vacuum table is nonzero at one weight only, so at
+presentation with rules, the Gram matrix evaluates only the pairs whose
+weight the table supports, found by grouping the words by weight once;
+every other entry is an exact zero.  The vacuum table is nonzero at one weight only, so at
 degree 9 on the oscillator 10 of the 55 Gram rows are nonzero.  Without
 rules every evaluation is one table read, and nothing is pruned.
 

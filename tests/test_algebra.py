@@ -74,6 +74,21 @@ def test_basis_words_stop_at_the_size_limit(monkeypatch):
     assert sorted(q._basis_cache) == [3]
 
 
+def test_basis_words_past_the_limit_raise_at_once(monkeypatch):
+    # the first degree whose basis passed the limit is kept, so a later
+    # call at or above it raises without building the basis again; with
+    # the limit raised, a fresh build would succeed
+    q = Presentation(("x", "y", "z"), (("x",), ("y",), ("z",)), (), 60)
+    monkeypatch.setattr(algebra, "_BASIS_LIMIT", 40)
+    with pytest.raises(DegreeOverflow):
+        q.basis_words(9)
+    monkeypatch.setattr(algebra, "_BASIS_LIMIT", 10 ** 6)
+    for degree in (4, 9):
+        with pytest.raises(DegreeOverflow):
+            q.basis_words(degree)
+    assert len(q.basis_words(3)) == 40
+
+
 def test_basis_words_sorted_by_graded_order():
     for name in PRESET_NAMES:
         p = load_preset(name)

@@ -62,15 +62,19 @@ def test_python_dash_m_runs_the_cli():
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.linalg took about half of the CLI's import time, and only the
-    # banded solve uses it
+    # banded solve uses it; inverting 1 + a*a, which is diagonal, is one
+    # division and needs no banded solve
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, ores.cli; "
-         "print('scipy.linalg' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    for command in ("", "ores.cli.main(['op', 'invert', '--expr', 'a', "
+                        "'--vector', '1,2']); "):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, ores.cli; " + command +
+             "print('scipy.linalg' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False", proc.stdout
+
 
 def test_normalize_usage_errors(capsys):
     code, _, err = run(capsys, ["normalize", "a +"])
@@ -131,6 +135,22 @@ def test_ore_solve_on_a_large_free_algebra_stays_in_memory(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ("no witness within budget (factors <= 1, "
                            "degree <= 6); candidates tried: 15877\n")
+
+
+def test_ore_solve_past_the_basis_limit_is_not_within_budget(
+        tmp_path, capsys):
+    # at degree cap 16 the exact check of a late candidate needs the basis
+    # of all 2^17 - 1 words up to degree 16, past the basis limit: that
+    # candidate is undecided, and the search still ends not within budget
+    path = tmp_path / "free16.json"
+    save_presentation(Presentation(("x", "y"), (("x",), ("y",)), (), 16),
+                      path)
+    code, out, err = run(capsys, [
+        "ore", "solve", "--presentation", str(path), "--budget-factors", "1",
+        "--budget-degree", "4", "x*x*x*x*y*y*y*y", "(1 + x'*x)"])
+    assert (code, err) == (1, "")
+    assert out == ("no witness within budget (factors <= 1, degree <= 4); "
+                   "candidates tried: 901\n")
 
 
 def test_far_band_offset_is_a_usage_error(tmp_path):

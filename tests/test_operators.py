@@ -9,12 +9,13 @@ from fractions import Fraction as Rational
 import numpy as np
 import pytest
 
-from ores.algebra import load_preset
-from ores.errors import (FormulaDomainError, PresentationError,
-                         TruncationLimit)
+from ores.algebra import load_preset, random_element
+from ores.errors import (FormulaDomainError, OreWitnessNotFound,
+                         PresentationError, TruncationLimit)
 from ores.formulas import CPoly, Formula, QPoly
-from ores.localization import Fraction, SProduct
-from ores.operators import (BandedOperator, FockAssignment, chain_solve,
+from ores.localization import (Fraction, SProduct, frac_add, frac_dagger,
+                                frac_mul)
+from ores.operators import (BandedOperator, FockAssignment, _gap, chain_solve,
                             core_density_probe, extend_representation,
                             fock_assignment,
                             invert_one_plus_AstarA, lemma_pis_equals_S_check,
@@ -709,3 +710,61 @@ def test_failed_factor_product_is_not_kept(monkeypatch):
             ores.operators._factor_product(
                 (BandedOperator.annihilation(), bad))
     assert ores.operators._PRODUCTS == {}
+
+
+def test_fraction_arithmetic_agrees_with_the_extended_representation():
+    # pi([a, s]) xi = pi(a) pi(s)^-1 xi on the Fock assignment, so the
+    # exact fraction layer and the float64 operator layer must agree on
+    # products, sums and the involution.  S is not Ore on heisenberg, so
+    # a pair without a witness within budget is skipped, never failed;
+    # so is a chain whose float64 residual cannot reach the tolerance
+    # (three factors 1 + (a + ad)'(a + ad) do not), which the solver
+    # reports as TruncationLimit.
+    p = load_preset("heisenberg")
+    fock = fock_assignment(p)
+    a, ad = p.generator("a"), p.generator("ad")
+    pool = (a, ad, a + ad)
+    rng = random.Random(10)
+
+    def fraction():
+        return Fraction(random_element(p, rng, max_degree=2, max_terms=2),
+                        SProduct(p, (pool[rng.randrange(3)],)))
+
+    def vector():
+        return np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                         for _ in range(6)])
+
+    def pi(f, xi):
+        x = chain_solve(fock, f.den, xi, 1e-12).x
+        return fock.operator_of(f.num).apply(x)
+
+    def inner(u, v):
+        n = min(len(u), len(v))
+        return np.vdot(u[:n], v[:n])
+
+    def identity(kind, f, g, xi, eta):
+        """The two sides of the identity and the scale of their gap."""
+        if kind == "mul":
+            lhs, rhs = pi(frac_mul(f, g), xi), pi(f, pi(g, xi))
+            return lhs, rhs, np.linalg.norm(rhs)
+        if kind == "add":
+            lhs, rhs = pi(frac_add(1, f, g), xi), _gap(pi(f, xi), -pi(g, xi))
+            return lhs, rhs, np.linalg.norm(rhs)
+        fxi = pi(f, xi)
+        lhs, rhs = inner(fxi, eta), inner(xi, pi(frac_dagger(f), eta))
+        return [lhs], [rhs], np.linalg.norm(fxi) * np.linalg.norm(eta)
+
+    checked = {"mul": 0, "add": 0, "dagger": 0}
+    skipped = dict(checked)
+    for _ in range(60):
+        f, g, xi, eta = fraction(), fraction(), vector(), vector()
+        for kind in checked:
+            try:
+                lhs, rhs, scale = identity(kind, f, g, xi, eta)
+            except (OreWitnessNotFound, TruncationLimit):
+                skipped[kind] += 1
+                continue
+            gap = np.linalg.norm(_gap(np.asarray(lhs), np.asarray(rhs)))
+            assert gap <= 1e-12 * scale, (kind, gap / scale)
+            checked[kind] += 1
+    assert min(checked.values()) >= 15, (checked, skipped)

@@ -362,6 +362,30 @@ def test_pruned_entries_equal_naive_rewriting_oracle():
                 _naive_generator_entries(f, words, cols, g)
 
 
+def test_gns_reads_f_only_through_the_gram_matrix(monkeypatch):
+    # the generator entries are the Gram rows times left multiplication
+    # by g, so once the Gram matrix is built gns() evaluates f nowhere
+    p = load_preset("free_xy")
+    mats = (np.array([[0.5, 1 - 1j], [1 + 1j, 0]]),
+            np.array([[-1, 0.25j], [-0.25j, 2]]))
+    cases = [dirac_state(Presentation(*PRESETS["heisenberg"]), 6),
+             gaussian_state(Presentation(*PRESETS["poly_x"]), 5),
+             from_numeric(p, 3, _vector_moments(p, mats, 3))]
+    for f in cases:
+        f._reduced()
+    calls = []
+    phi = MomentFunctional.phi
+
+    def counted(self, u, x):
+        calls.append(u + x)
+        return phi(self, u, x)
+
+    monkeypatch.setattr(MomentFunctional, "phi", counted)
+    for f in cases:
+        assert gns(f).gram_rank > 1
+    assert calls == []
+
+
 def test_vacuum_work_stays_on_the_live_weights(monkeypatch):
     # the degree-9 vacuum Gram has 10 nonzero rows of 55: its axiom
     # check and GNS build evaluate few entries, and the elimination
