@@ -18,8 +18,11 @@ same value.
 Parentheses nest at most MAX_NESTING deep, and deeper text is a
 ParseError that names the limit, so neither the parser nor the evaluator
 runs out of stack.  Since x'' = x, a run of postfix daggers folds by
-parity: one Dagger node for an odd run, two for an even one, so that the
-tree of ``a''`` and every check of a node's shape stay as they were.
+parity: one Dagger node for an odd run, two for an even one, so a run of
+any length adds at most two nodes.  An even run keeps its nodes because
+the fraction syntax reads the shape of the numerator and of each
+denominator factor, and refuses a dagger there: ``(a)'' / (1)`` is not a
+fraction, though ``a''`` is the element a.
 
 Evaluation is exact, and it computes what the left-to-right product of
 one element per factor computes, with less work:

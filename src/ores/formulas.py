@@ -117,9 +117,6 @@ class _Poly:
             acc = acc * n + c
         return acc
 
-    def key(self):
-        return self.coeffs
-
     def __eq__(self, o):
         return type(o) is type(self) and self.coeffs == o.coeffs
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .algebra import AlgebraElement
 from .errors import DegreeOverflow, InsufficientDegree, StateAxiomError
 from .scalars import ZERO
 from .states import MomentFunctional
@@ -208,10 +209,10 @@ def gns(f: MomentFunctional) -> GnsRepresentation:
     col = np.array([G[pi][0].to_complex() for pi in pivots])
     cyclic = B.conj().T @ col
 
-    kernel = []
-    for vec in report.kernel:
-        raw = {all_words[i]: c for i, c in enumerate(vec) if c}
-        kernel.append(p.normalize_raw(raw))
+    # the kernel vectors are over basis words, which are already normal
+    kernel = [AlgebraElement(p, {all_words[i]: c for i, c in enumerate(vec)
+                                 if c})
+              for vec in report.kernel]
 
     return GnsRepresentation(f, piv_words, ranks, B, matrices, cyclic, kernel)
 

@@ -149,9 +149,6 @@ class PsdReport:
     witness: list | None = None
     failure_index: int | None = None
 
-    def __bool__(self):
-        return self.psd
-
 
 def graded_hermitian_reduce(G, grades) -> PsdReport:
     """Pivoted exact reduction of a hermitian matrix.

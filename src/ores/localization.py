@@ -165,9 +165,6 @@ class RegularityResult:
     regular: bool
     witness: AlgebraElement | None = None
 
-    def __bool__(self):
-        return self.regular
-
 
 def is_regular_up_to(s: AlgebraElement, depth: int) -> RegularityResult:
     """Search for zero divisors of s among elements of degree <= depth.
@@ -230,9 +227,6 @@ class Fraction:
     def presentation(self) -> Presentation:
         return self.num.presentation
 
-    def key(self):
-        return (self.num.key(), self.den.key())
-
     def __repr__(self):
         return "[%s | %s]" % (self.num, self.den)
 
@@ -258,9 +252,6 @@ class OreSolveResult:
     @property
     def found(self) -> bool:
         return self.witness is not None
-
-    def __bool__(self):
-        return self.found
 
 
 # -- the search state: bounded caches and the modular images -----------------
@@ -701,13 +692,14 @@ class _MulSubspace:
         self._screened = not self.small     # past _ARRAY_LIMIT: no screen
 
     def _vector(self, el: AlgebraElement):
+        """The coordinates of el, of degree at most bound + deg s, on the
+        target words.  Rewriting never raises the degree, and the basis
+        words are deglex sorted, so each word of el has an index below
+        ntarget."""
         index = self.state.index(self.bound + max(self.s_value.degree(), 0))
         vec = [Scalar(0)] * self.ntarget
         for w, c in el.terms.items():
-            i = index.get(w)
-            if i is None or i >= self.ntarget:
-                return None
-            vec[i] = c
+            vec[index[w]] = c
         return vec
 
     def rowspace(self) -> RowSpace:
@@ -737,11 +729,11 @@ class _MulSubspace:
         return self._annihilator
 
     def solve(self, el: AlgebraElement) -> AlgebraElement | None:
-        """Exact b with s*b = el and deg b <= bound, or None."""
-        vec = self._vector(el) if self.small else None
-        if vec is None:
+        """Exact b with s*b = el and deg b <= bound, or None; el has
+        degree at most bound + deg s."""
+        if not self.small:
             return None
-        coeffs = self.rowspace().represent(vec)
+        coeffs = self.rowspace().represent(self._vector(el))
         if coeffs is None:
             return None
         raw = {w: c for w, c in zip(self.basis, coeffs) if c}

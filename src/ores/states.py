@@ -10,9 +10,10 @@ Rewriting keeps the weight of a word under the presentation's grading
 u x is not the weight of a table word with a nonzero value.  On a
 presentation with rules, the Gram matrix evaluates only the pairs whose
 weight the table supports, found by grouping the words by weight once;
-every other entry is an exact zero.  The vacuum table is nonzero at one weight only, so at
-degree 9 on the oscillator 10 of the 55 Gram rows are nonzero.  Without
-rules every evaluation is one table read, and nothing is pruned.
+every other entry is an exact zero.  The vacuum table is nonzero at one
+weight only, so at degree 9 on the oscillator 10 of the 55 Gram rows are
+nonzero.  Without rules every evaluation is one table read, and nothing
+is pruned.
 
 Shipped states: the Dirac/vacuum table (1 on the empty word, 0 on every
 other normal word; on the normal-ordered oscillator presentation this is
@@ -73,8 +74,7 @@ class MomentFunctional:
     normalized and hermitian.
     """
 
-    __slots__ = ("presentation", "degree", "table", "_phi", "_reduction",
-                 "_support")
+    __slots__ = ("presentation", "degree", "table", "_phi", "_reduction")
 
     def __init__(self, presentation: Presentation, degree: int, table: dict):
         if degree < 1:
@@ -117,11 +117,6 @@ class MomentFunctional:
         self.table = fixed
         self._phi = {}      # f at words outside the table, filled by phi
         self._reduction = None
-        # the weights of the nonzero table words, where they can prune
-        self._support = None
-        if presentation.rules and presentation.grading:
-            weight = presentation.weight
-            self._support = {weight(w) for w, c in fixed.items() if c}
 
     @classmethod
     def from_function(cls, presentation, degree, fn):
@@ -164,45 +159,25 @@ class MomentFunctional:
                 acc = acc + (val if c == ONE else c * val)
         return _remember(self._phi, w, acc, _NF_LIMIT)
 
-    def live_columns(self, lefts, rights):
-        """For each word u of lefts, the indices j of the normal words
-        rights where f(u rights[j]) can be nonzero, or None where every
-        index can be.
-
-        Normal forms keep the weight of a word, and phi reads a normal
-        word outside the table as 0, so f(NF(u x)) = 0 unless weight(u)
-        + weight(x) is the weight of a nonzero table word.  The rights
-        are grouped by weight once per call.  Without rules every phi
-        call is one table read, and the answer is None.
-        """
-        support = self._support
-        if support is None:
-            return None
-        weight = self.presentation.weight
-        by_weight = {}
-        for j, x in enumerate(rights):
-            by_weight.setdefault(weight(x), []).append(j)
-        live = []
-        for u in lefts:
-            wu = weight(u)
-            cols = []
-            for s in support:
-                cols += by_weight.get(
-                    tuple(a - b for a, b in zip(s, wu)), ())
-            live.append(cols)
-        return live
-
     def gram(self):
         """Exact Gram matrix G[i][j] = f(w_i' w_j) = phi(w_i', w_j) on the
         words of degree <= the table's degree.
 
-        Only the entries with j >= i that live_columns allows are
-        evaluated; the others below the diagonal are G[i][j] =
-        conj(G[j][i]), and the rest are zero.  That is exact: the
-        presentation's rules are dagger-closed and confluent, so NF(x') =
-        NF(NF(x)'), and the constructor checked conj f(w) = f(NF(w')) on
-        every table word, so f(x') = conj f(x) for every x of degree <=
-        2d.
+        Only the entries with j >= i that can be nonzero are evaluated;
+        the others below the diagonal are G[i][j] = conj(G[j][i]).  That
+        is exact: the presentation's rules are dagger-closed and
+        confluent, so NF(x') = NF(NF(x)'), and the constructor checked
+        conj f(w) = f(NF(w')) on every table word, so f(x') = conj f(x)
+        for every x of degree <= 2d.
+
+        On a graded presentation with rules, normal forms keep the weight
+        of a word, and phi reads a normal word outside the table as 0, so
+        f(NF(u x)) = 0 unless weight(u) + weight(x) is the weight of a
+        nonzero table word.  The words are grouped by weight once, and
+        row i evaluates only the columns whose weight completes weight(u)
+        to such a weight; the rest are zero.  Without rules every phi
+        call is one table read, and nothing is pruned: weighing every
+        table word would cost more than it saves.
 
         Raises DegreeOverflow when the matrix would have more than
         _GRAM_LIMIT rows.
@@ -214,13 +189,24 @@ class MomentFunctional:
             raise DegreeOverflow(
                 "moment degree %d needs a Gram matrix of dimension %d > %d"
                 % (self.degree, n, _GRAM_LIMIT))
-        lefts = [p.dagger_word(w) for w in words]
-        live = self.live_columns(lefts, words)
+        support = None
+        if p.rules and p.grading:
+            weight = p.weight
+            support = {weight(w) for w, c in self.table.items() if c}
+            by_weight = {}
+            for j, x in enumerate(words):
+                by_weight.setdefault(weight(x), []).append(j)
         G = [[ZERO] * n for _ in range(n)]
-        for i, u in enumerate(lefts):
+        for i, w in enumerate(words):
+            u = p.dagger_word(w)
+            if support is None:
+                cols = range(i, n)
+            else:
+                wu = weight(u)
+                cols = [j for s in support for j in by_weight.get(
+                    tuple(a - b for a, b in zip(s, wu)), ()) if j >= i]
             row = G[i]
-            for j in (range(i, n) if live is None
-                      else [j for j in live[i] if j >= i]):
+            for j in cols:
                 v = self.phi(u, words[j])
                 G[j][i] = v.conjugate()
                 row[j] = v
@@ -245,9 +231,6 @@ class StateReport:
     @property
     def ok(self) -> bool:
         return self.psd.psd
-
-    def __bool__(self):
-        return self.ok
 
 
 def check_state_axioms(f: MomentFunctional) -> StateReport:

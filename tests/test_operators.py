@@ -266,6 +266,30 @@ def test_chain_solve_two_factors():
     assert np.array_equal(triv.x, y)
 
 
+def test_a_failed_chain_solves_no_round_twice(monkeypatch):
+    # three factors 1 + (a + ad)'(a + ad) on a length-6 vector: the first
+    # round's inner residuals, about 5e-16 to 9e-16, already meet the
+    # second round's inner tol, so that round would repeat the first and
+    # is not solved; the third round's first inner solve reaches the size
+    # cap, and the chain reports its own residual, not the inner one
+    p = load_preset("heisenberg")
+    asg = fock_assignment(p)
+    q = p.generator("a") + p.generator("ad")
+    tols = []
+    invert = ores.operators.invert_one_plus_AstarA
+
+    def counted(A, y, tol):
+        tols.append(tol)
+        return invert(A, y, tol)
+
+    monkeypatch.setattr(ores.operators, "invert_one_plus_AstarA", counted)
+    with pytest.raises(TruncationLimit,
+                       match=r"^chained residual \S+ did not reach tol 1e-11$"):
+        chain_solve(asg, SProduct(p, (q, q, q)), np.ones(6), 1e-11)
+    inner = 1e-11 / 30
+    assert tols == [inner] * 3 + [inner / 100 / 100]
+
+
 def test_surjectivity_probe():
     p = load_preset("heisenberg")
     asg = fock_assignment(p)
@@ -312,12 +336,33 @@ def test_lemma_check_gap_pads_with_zeros(monkeypatch):
 
 
 def test_core_density_probe():
+    # one solve of pi(s) x = xi[:N], N = max(8, min(len(xi), 4096)), and
+    # the graph distance of pi(s) x from the whole of xi in the graph
+    # norm of the operator of a
     p = load_preset("heisenberg")
     asg = fock_assignment(p)
-    a = p.generator("a")
-    xi = np.array([0.5 ** n for n in range(12)], dtype=complex)
-    report = core_density_probe(asg, a, SProduct(p, (a,)), xi, 1e-6)
-    assert report.ok
+    a, ad = p.generator("a"), p.generator("ad")
+    for xi, s, N in ((np.array([1, 0.5, 0.25]), SProduct(p, (a,)), 8),
+                     (0.5 ** np.arange(40), SProduct(p, (a, ad)), 40)):
+        tol = 1e-6
+        report = core_density_probe(asg, a, s, xi, tol)
+        assert report.probe == "core_density" and report.ok
+        (item,) = report.items
+        x = chain_solve(asg, s, xi[:N], tol / 4).x
+        diff = _gap(sproduct_operator(asg, s).apply(x), xi)
+        dist = (float(np.linalg.norm(diff)) ** 2 + float(
+            np.linalg.norm(asg.operator_of(a).apply(diff))) ** 2) ** 0.5
+        assert (item.label, item.residual, item.truncation, item.passed) \
+            == ("graph_distance", dist, N, True)
+    # a chain that cannot reach tol / 4 gives an infinite distance at the
+    # size cap
+    q = a + ad
+    report = core_density_probe(asg, a, SProduct(p, (q, q, q)), np.ones(6),
+                                4e-11)
+    assert not report.ok
+    (item,) = report.items
+    assert (item.label, item.residual, item.truncation, item.passed) \
+        == ("graph_distance", float("inf"), 4096, False)
 
 
 def test_extension_known_value():
