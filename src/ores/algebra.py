@@ -23,6 +23,7 @@ the Gaussian rationals.  Words are tuples of generator indices.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from functools import cached_property
 
@@ -338,17 +339,27 @@ class Presentation:
     def basis_words(self, max_degree: int):
         """All irreducible words of length <= max_degree, deglex sorted.
 
-        A table of more than _BASIS_LIMIT words raises DegreeOverflow
-        as soon as the count passes the limit, and at once from then on."""
+        Tables are sorted by length first, so the table of a lower degree
+        is a prefix of any larger one; it is cut from a larger cached
+        table where there is one, not enumerated again.  A table of more
+        than _BASIS_LIMIT words raises DegreeOverflow as soon as the count
+        passes the limit, and at once from then on."""
         if max_degree < 0:
             return ()
         if max_degree > self.degree_cap:
             raise DegreeOverflow(
                 "basis up to degree %d exceeds degree cap %d"
                 % (max_degree, self.degree_cap))
-        cached = self._basis_cache.get(max_degree)
+        cache = self._basis_cache
+        cached = cache.get(max_degree)
         if cached is not None:
             return cached
+        larger = [d for d in cache if d > max_degree]
+        if larger:
+            table = cache[min(larger)]
+            words = table[:bisect.bisect_right(table, max_degree, key=len)]
+            cache[max_degree] = words
+            return words
         if max_degree >= self._basis_overflow:
             raise DegreeOverflow(
                 "basis up to degree %d has more than %d words"

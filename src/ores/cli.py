@@ -205,6 +205,10 @@ def _parse_vector(text: str) -> np.ndarray:
             "vector must be comma-separated complex numbers") from None
     if not np.isfinite(vec).all():
         raise ConfigError("vector entries must be finite")
+    if len(vec) > SIZE_CAP:
+        # the solvers truncate at the cap, so a longer tail is never solved
+        raise ConfigError("vector must have at most %d entries, the "
+                          "solvers' size cap" % SIZE_CAP)
     return vec
 
 

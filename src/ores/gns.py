@@ -6,9 +6,10 @@ Gaussian integers, which certifies positivity, yields the null ideal,
 and selects a pivot set that is nested along the degree filtration.
 The moment table keeps that reduction, so a state whose axioms were
 checked is not reduced a second time here.  Entries that the weight
-grading proves zero are never evaluated, and the all-zero Gram rows
-(15 of 21 for the oscillator vacuum at degree 5) are null from the start
-and take no part in the elimination.  The generator entries are read
+grading proves zero are never evaluated, nor are the rows of words that
+end in a generator the state kills, and the all-zero Gram rows (15 of 21
+for the oscillator vacuum at degree 5) are null from the start and take
+no part in the elimination.  The generator entries are read
 off the Gram rows, and are orthonormalized on the certified-positive
 pivot block in floating point.
 

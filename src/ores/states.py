@@ -13,7 +13,21 @@ weight the table supports, found by grouping the words by weight once;
 every other entry is an exact zero.  The vacuum table is nonzero at one
 weight only, so at degree 9 on the oscillator 10 of the 55 Gram rows are
 nonzero.  Without rules every evaluation is one table read, and nothing
-is pruned.
+is pruned by weight.
+
+A state also kills whole rows.  The null space {x : f(x'x) = 0} of a
+state is a left ideal (Schmuedgen, Unbounded Operator Algebras and
+Representation Theory, 1990), and a generator g with f(NF(y g)) = 0 for
+every basis word y of degree < 2d puts every word x0 g of degree <= d
+in it: NF(u x0 g) = sum_y c_y NF(y g) over the words y of NF(u x0), so
+f(u x0 g) = 0 for every u of degree <= d.  gram() finds these killed
+generators once, with one table read per irreducible y g, and evaluates
+no entry in the row or column of a word that ends in one.  The vacuum
+kills a, which leaves 6 of the 21 rows at degree 5 to evaluate; the
+Dirac state at 0 kills every generator.
+
+The hermitian check reads f at the dagger of a word directly where that
+dagger word is a basis word, and rewrites only a reducible one.
 
 Shipped states: the Dirac/vacuum table (1 on the empty word, 0 on every
 other normal word; on the normal-ordered oscillator presentation this is
@@ -37,20 +51,25 @@ from .scalars import ONE, ZERO, Scalar, as_scalar, gaussian_over
 # The largest Gram matrix gram() builds, in rows: the basis words of
 # degree <= d.  On a 2-CPU machine (Python 3.11) the axiom check and GNS
 # build of the heisenberg vacuum state at degree 16 (153 words, 17 rows
-# nonzero) take about 0.03 s.  It bounds rows, not work: the exact
-# reduction of the Gaussian Hankel table on one variable takes about
-# 0.8 s at 81 rows and 3.6 s at 101, as its entries grow with the
-# degree.
+# evaluated, as the vacuum kills a) take about 0.013 s.  It bounds rows,
+# not work: the exact reduction of the Gaussian Hankel table on one
+# variable takes about 0.9 s at 81 rows and 4.1 s at 101, as its entries
+# grow with the degree.
 _GRAM_LIMIT = 160
 
 
-def _dagger_nf(p: Presentation, w) -> dict:
+def _dagger_nf(p: Presentation, w, basis) -> dict:
     """The normal form of the dagger of the word w.
 
     The dagger word need not be normal (in poly_xy the dagger of x*y is
     y*x), so hermitian symmetry compares f(w)* with f at this normal form.
+    A dagger word found in basis, a container of the basis words, is
+    irreducible and its own normal form, so only the others are rewritten.
     """
-    return p.normal_form_word(p.dagger_word(w))
+    w2 = p.dagger_word(w)
+    if w2 in basis:
+        return {w2: ONE}
+    return p.normal_form_word(w2)
 
 
 def _at(table: dict, nf: dict) -> Scalar:
@@ -74,7 +93,8 @@ class MomentFunctional:
     normalized and hermitian.
     """
 
-    __slots__ = ("presentation", "degree", "table", "_phi", "_reduction")
+    __slots__ = ("presentation", "degree", "table", "_phi", "_killed",
+                 "_reduction")
 
     def __init__(self, presentation: Presentation, degree: int, table: dict):
         if degree < 1:
@@ -103,7 +123,7 @@ class MomentFunctional:
         for w in words:
             if w in checked:
                 continue
-            nf = _dagger_nf(presentation, w)
+            nf = _dagger_nf(presentation, w, fixed)
             if len(nf) == 1:
                 (w2, c), = nf.items()
                 if c == ONE:
@@ -116,6 +136,7 @@ class MomentFunctional:
                     % presentation.word_str(w))
         self.table = fixed
         self._phi = {}      # f at words outside the table, filled by phi
+        self._killed = None  # the generators f kills, found by gram()
         self._reduction = None
 
     @classmethod
@@ -142,6 +163,12 @@ class MomentFunctional:
         the table, where f is taken as 0.  The value depends on the word
         u x only, so values are memoized per functional on it, up to the
         normal-form cache limit.  The recursion is len(u) deep.
+
+        Once gram() has found the generators f kills (_killed_generators),
+        phi(u, x) is zero at once where x ends in one of them and u x has
+        degree <= 2d: with x = x0 g, NF(u x) = sum_y c_y NF(y g) over the
+        normal words y of NF(u x0), of degree < 2d, and f(NF(y g)) = 0 for
+        each.
         """
         w = u + x
         got = self.table.get(w)
@@ -151,6 +178,9 @@ class MomentFunctional:
             return got
         if not u:
             return ZERO
+        killed = self._killed
+        if killed and x and x[-1] in killed and len(w) <= 2 * self.degree:
+            return ZERO
         v = u[:-1]
         acc = ZERO
         for y, c in self.presentation.normal_form_word(u[-1:] + x).items():
@@ -158,6 +188,27 @@ class MomentFunctional:
             if val:
                 acc = acc + (val if c == ONE else c * val)
         return _remember(self._phi, w, acc, _NF_LIMIT)
+
+    def _killed_generators(self):
+        """The generators g with f(NF(y g)) = 0 for every basis word y of
+        degree < 2d, found once.  f is read from the table where y g is
+        irreducible and at NF(y g) only where it is not; the scan of a
+        generator stops at its first nonzero value."""
+        if self._killed is None:
+            p = self.presentation
+            table = self.table
+
+            def value(w):
+                got = table.get(w)
+                if got is None:
+                    return _at(table, p.normal_form_word(w))
+                return got
+
+            ys = p.basis_words(2 * self.degree - 1)
+            self._killed = frozenset(
+                g for g in range(len(p.generators))
+                if not any(value(y + (g,)) for y in ys))
+        return self._killed
 
     def gram(self):
         """Exact Gram matrix G[i][j] = f(w_i' w_j) = phi(w_i', w_j) on the
@@ -179,6 +230,14 @@ class MomentFunctional:
         call is one table read, and nothing is pruned: weighing every
         table word would cost more than it saves.
 
+        A generator g that f kills (_killed_generators) zeroes the row and
+        column of every word x0 g: NF(w' x0) = sum_y c_y y with deg y <
+        2d, so f(w' x0 g) = sum_y c_y f(NF(y g)) = 0, and the row is the
+        conjugate of the column.  The null space of a state is a left
+        ideal (Schmuedgen, Unbounded Operator Algebras and Representation
+        Theory, 1990); these words lie in it, and none of their entries is
+        evaluated.
+
         Raises DegreeOverflow when the matrix would have more than
         _GRAM_LIMIT rows.
         """
@@ -189,18 +248,21 @@ class MomentFunctional:
             raise DegreeOverflow(
                 "moment degree %d needs a Gram matrix of dimension %d > %d"
                 % (self.degree, n, _GRAM_LIMIT))
+        killed = self._killed_generators()
+        live = [j for j, x in enumerate(words)
+                if not (x and x[-1] in killed)]
         support = None
         if p.rules and p.grading:
             weight = p.weight
             support = {weight(w) for w, c in self.table.items() if c}
             by_weight = {}
-            for j, x in enumerate(words):
-                by_weight.setdefault(weight(x), []).append(j)
+            for j in live:
+                by_weight.setdefault(weight(words[j]), []).append(j)
         G = [[ZERO] * n for _ in range(n)]
-        for i, w in enumerate(words):
-            u = p.dagger_word(w)
+        for k, i in enumerate(live):
+            u = p.dagger_word(words[i])
             if support is None:
-                cols = range(i, n)
+                cols = live[k:]
             else:
                 wu = weight(u)
                 cols = [j for s in support for j in by_weight.get(
@@ -344,8 +406,10 @@ def from_numeric(presentation: Presentation, degree: int,
     half = gaussian_over(1, 0, 2)
     # a word outside the basis stays in, for the constructor to refuse
     table = dict(raw)
-    for w in presentation.basis_words(2 * degree):
-        nf = _dagger_nf(presentation, w)
+    words = presentation.basis_words(2 * degree)
+    basis = set(words)
+    for w in words:
+        nf = _dagger_nf(presentation, w, basis)
         a = raw.get(w, ZERO)
         b = _at(raw, nf).conjugate()
         has_b = all(w2 in raw for w2 in nf)

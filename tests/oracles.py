@@ -14,6 +14,7 @@ denominator.  Tests freeze or compare against these, never against the
 code under test.
 """
 
+import heapq
 from fractions import Fraction as Rational
 
 import numpy as np
@@ -45,25 +46,37 @@ def _find_redex(p, w):
 
 
 def naive_normal_form(p, terms: dict) -> dict:
-    """Normalize a raw word->coef dict by worklist rewriting."""
+    """Normalize a raw word->coef dict by worklist rewriting.
+
+    A rewrite only makes words smaller in the deglex order, so taking the
+    largest pending word first, with equal words merged, rewrites each
+    word once, with all its coefficient."""
     out = {}
-    work = [(tuple(w), c) for w, c in terms.items()]
-    while work:
-        w, c = work.pop()
+    work = {}
+    heap = []
+
+    def push(w, c):
+        if w in work:
+            work[w] = work[w] + c
+        else:
+            work[w] = c
+            heapq.heappush(heap, (-len(w), tuple(-g for g in w), w))
+
+    for w, c in terms.items():
+        push(tuple(w), c)
+    while heap:
+        w = heapq.heappop(heap)[2]
+        c = work.pop(w)
         if not c:
             continue
         red = _find_redex(p, w)
         if red is None:
-            acc = out.get(w, ZERO) + c
-            if acc:
-                out[w] = acc
-            else:
-                out.pop(w, None)
+            out[w] = c
         else:
             i, rule = red
             L = len(rule.lhs)
             for w2, c2 in rule.rhs.items():
-                work.append((w[:i] + w2 + w[i + L:], c * c2))
+                push(w[:i] + w2 + w[i + L:], c * c2)
     return out
 
 

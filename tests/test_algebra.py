@@ -89,6 +89,22 @@ def test_basis_words_past_the_limit_raise_at_once(monkeypatch):
     assert len(q.basis_words(3)) == 40
 
 
+def test_lower_tables_are_cut_from_a_larger_one():
+    # each lower table equals a fresh enumeration and holds the very word
+    # objects of the larger table, so nothing was enumerated again
+    for name in PRESET_NAMES:
+        p = Presentation(*algebra.PRESETS[name])
+        big = p.basis_words(6)
+        degrees = list(range(-1, 6))
+        random.Random(name).shuffle(degrees)
+        for d in degrees:
+            q = Presentation(*algebra.PRESETS[name])
+            words = p.basis_words(d)
+            assert words == q.basis_words(d)
+            assert all(w is v for w, v in zip(words, big))
+            assert p.basis_words(d) is words
+
+
 def test_basis_words_sorted_by_graded_order():
     for name in PRESET_NAMES:
         p = load_preset(name)

@@ -620,6 +620,8 @@ def test_scenario_usage_errors(tmp_path, capsys):
 
 
 _LONG_WORD = "(%s)*(%s)" % ("*".join(["a"] * 35), "*".join(["ad"] * 35))
+# xi_n = 0.999^n for n < 5,000, past the solvers' size cap of 4,096
+_LONG_VECTOR = ",".join(repr(0.999 ** n) for n in range(5000))
 
 
 # malformed invocations that printed a traceback, ran to the size cap
@@ -645,6 +647,15 @@ _LONG_WORD = "(%s)*(%s)" % ("*".join(["a"] * 35), "*".join(["ad"] * 35))
     pytest.param(["op", "probe", "--probe", "core-density", "--den",
                   "(1 + a'*a)", "--num", "a", "--vector", "nan"],
                  "entries must be finite", id="op-probe-nan-vector"),
+    # a vector whose tail past the size cap no solver reaches
+    pytest.param(["op", "probe", "--probe", "core-density", "--den",
+                  "(1 + a'*a)", "--num", "a", "--vector", _LONG_VECTOR],
+                 "at most 4096 entries", id="op-probe-core-density-long"),
+    pytest.param(["op", "probe", "--probe", "surjectivity", "--den",
+                  "(1 + a'*a)", "--vector", _LONG_VECTOR],
+                 "at most 4096 entries", id="op-probe-surjectivity-long"),
+    pytest.param(["op", "invert", "--expr", "a", "--vector", _LONG_VECTOR],
+                 "at most 4096 entries", id="op-invert-long-vector"),
     pytest.param(["op", "invert", "--expr", "a", "--vector", "1,0,0",
                   "--tol", "inf"], "tol must be positive", id="op-invert-inf"),
     pytest.param(["op", "probe", "--den", "(1 + a'*a)", "--targets", "1",

@@ -334,7 +334,13 @@ def test_pruned_entries_equal_naive_rewriting_oracle(monkeypatch):
     # Gram matrices and generator entries where the weight grading
     # prunes: the vacuum, a table nonzero at the weights 0 and +-2 only,
     # a state on M_2(C) nonzero at weight 0 only, and a table on
-    # _two_weights nonzero at three of its two-integer weights
+    # _two_weights nonzero at three of its two-integer weights.  Where a
+    # generator is killed: the vacuum at degree 9 (a) and the Dirac
+    # states on poly_x (x) and poly_xy (x and y).  Nearly killed, where
+    # one value alone keeps the generator live: a poly_x table nonzero at
+    # 1 and x^(2d) only, read at the last word of the scan, and a
+    # heisenberg table nonzero at 1 and ad*a only, where ad is kept live
+    # by the reducible word a*ad alone
     p = Presentation(*PRESETS["heisenberg"])
     rng = random.Random(30)
     values = {(): 1.0}
@@ -347,9 +353,18 @@ def test_pruned_entries_equal_naive_rewriting_oracle(monkeypatch):
              from_numeric(m2, 3, {(): 1.0, ("e11",): 0.75}),
              from_numeric(_two_weights(8), 3,
                           {(): 1.0, ("x",): 0.5, ("y", "z"): 0.25,
-                           ("x", "y", "z"): -1.5 + 0.5j})]
+                           ("x", "y", "z"): -1.5 + 0.5j}),
+             dirac_state(Presentation(*PRESETS["heisenberg"]), 9),
+             dirac_state(Presentation(*PRESETS["poly_x"]), 5),
+             dirac_state(Presentation(*PRESETS["poly_xy"]), 3),
+             from_numeric(Presentation(*PRESETS["poly_x"]), 5,
+                          {(): 1.0, ("x",) * 10: 2.0}),
+             from_numeric(Presentation(*PRESETS["heisenberg"]), 4,
+                          {(): 1.0, ("ad", "a"): 0.5})]
     assert {abs(p.weight(w)[0]) for w, c in cases[1].table.items()
             if c} == {0, 2}
+    killed = [f._killed_generators() for f in cases]
+    assert killed[4:] == [{1}, {0}, {0, 1}, set(), set()]
     calls = []
     phi = MomentFunctional.phi
 
@@ -412,6 +427,58 @@ def test_vacuum_work_stays_on_the_live_weights(monkeypatch):
     assert rep.gram_rank == 10 and len(rep.kernel) == 45
     assert len(f._phi) <= 200
     assert seen and max(seen) <= 10
+
+
+def test_gram_evaluates_no_entry_of_a_killed_word(monkeypatch):
+    # the vacuum kills a, so at degree 9 the Gram build makes no
+    # top-level phi call for a row or a column whose word ends in a, and
+    # those rows are zero
+    p = Presentation(*PRESETS["heisenberg"])
+    f = dirac_state(p, 9)
+    a = p._word(("a",))
+    top = []
+    depth = [0]
+    phi = MomentFunctional.phi
+
+    def counted(self, u, x):
+        if not depth[0]:
+            top.append((p.dagger_word(u), x))
+        depth[0] += 1
+        try:
+            return phi(self, u, x)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(MomentFunctional, "phi", counted)
+    words, G = f.gram()
+    assert top
+    assert all(w[-1:] != a and x[-1:] != a for w, x in top)
+    assert all(not any(G[i]) for i, w in enumerate(words) if w[-1:] == a)
+
+
+def test_constructor_rewrites_only_reducible_dagger_words(monkeypatch):
+    # every dagger word of the heisenberg vacuum (ad^j a^k to ad^k a^j)
+    # and of a free_xy table is a basis word, read from the table without
+    # rewriting; on poly_xy the dagger of x*y is y*x, which is rewritten
+    heis = Presentation(*PRESETS["heisenberg"])
+    free = Presentation(*PRESETS["free_xy"])
+    poly = Presentation(*PRESETS["poly_xy"])
+    mats = (np.array([[0.5, 1 - 1j], [1 + 1j, 0]]),
+            np.array([[-1, 0.25j], [-0.25j, 2]]))
+    values = _vector_moments(free, mats, 3)
+    calls = []
+    nf = Presentation.normal_form_word
+
+    def counted(self, w):
+        calls.append(w)
+        return nf(self, w)
+
+    monkeypatch.setattr(Presentation, "normal_form_word", counted)
+    dirac_state(heis, 5)
+    from_numeric(free, 3, values)
+    assert calls == []
+    dirac_state(poly, 3)
+    assert calls
 
 
 def test_gaussian_gns_structure():
