@@ -43,13 +43,14 @@ class _Poly:
     with trailing zeros trimmed.  A subclass fixes the coefficient type
     through _coerce and _zero."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs=()):
         fixed = [self._coerce(c) for c in coeffs]
         while fixed and not fixed[-1]:
             fixed.pop()
         self.coeffs = tuple(fixed)
+        self._hash = None
 
     @classmethod
     def const(cls, c):
@@ -121,7 +122,11 @@ class _Poly:
         return type(o) is type(self) and self.coeffs == o.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # the coefficients never change, and a tuple of Fractions is slow
+        # to hash: a formula compares its terms dicts by their radicands
+        if self._hash is None:
+            self._hash = hash(self.coeffs)
+        return self._hash
 
     def __repr__(self):
         terms = " + ".join(self._term % (c, i)

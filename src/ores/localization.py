@@ -20,19 +20,30 @@ must lie in the span of s*A mod p.  Reduction mod p can only lower the
 rank of a subspace, so the screen is used only where s*A has full rank
 mod p, and so the same exact rank; then it never rejects a true member
 (the argument is in _MulSubspace).  The screen works on blocks of
-candidates in scan order: when the scan reaches a block, one matrix
-K*M_a mod p (K an annihilator of s*A mod p, M_a left multiplication by
-a) is applied at once to the vectors of all of its candidates of one
-degree, for each degree.  These are dense float64 products of residues in [0, p), cut
-into chunks of at most 2,048 terms so that every partial sum stays
-below 2**53 and is exact (Dumas, Giorgi and Pernet, "Dense linear
-algebra over word-size prime fields: the FFLAS and FFPACK packages",
-ACM TOMS 35(3), 2008).  Only survivors get the exact
-products t and a*t and the exact solve, so the scan order, the witness
-and the number of candidates tried are those of the exact scan.  Each
-candidate's vector mod p is kept once, in its block's stack; a block
-past the stacks' limit of 2**22 residues is built again from the cached
-values and word maps when a search reaches it.
+candidates in scan order: one matrix K*M_a mod p (K an annihilator of
+s*A mod p, M_a left multiplication by a) is applied at once to the
+vectors of all candidates of one degree.  When the scan reaches the
+second block of a factor count, that product takes in every later block
+of the count that is cached, and the survivors are kept for the rest of
+the scan; a block not cached yet is built and screened alone, so a
+search that ends in a count's first block screens no more.  These are
+dense float64 products of residues in [0, p), cut into chunks of at
+most 2,048 terms so that every partial sum stays below 2**53 and is
+exact (Dumas, Giorgi and Pernet, "Dense linear algebra over word-size
+prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008).
+One M_a serves a query: a candidate of a higher degree adds its new
+columns, and the first build goes as far as the cached word maps of a
+reach, so a query after a search that went as far builds it once.
+Only survivors get the exact products t and a*t and the exact solve;
+the scan visits them alone and counts the candidates between them, so
+the scan order, the witness and the number of candidates tried are
+those of the exact scan.  Each candidate's vector mod p is written
+once, straight into the stack of its degree; the cached blocks of a
+factor count are row ranges of one stack per degree, counted once
+against the stacks' limit of 2**22 residues, and a block past it is
+built again from the cached values and word maps when a search reaches
+it.  No vector is built for a degree whose stack would pass the limit
+of one dense matrix, where M_a is past it too and the screen is off.
 Returned witnesses are always re-verified exactly.
 
 The bounded regularity check of a denominator s reads the same spans:
@@ -350,6 +361,7 @@ class _SearchState:
         self.params = {}       # max_degree -> (parameters, key -> position)
         self.values = {}       # SProduct key -> value
         self.blocks = {}       # key -> _Block (see first_block, block)
+        self.stacks = {}       # factor count or "1, s" key -> _Stacks
         self.stacked = 0       # residues in the cached blocks' stacks
         self.left = {}         # word -> (degree, map mod p)
         self.subspaces = {}    # (s key, bound, right) -> _MulSubspace
@@ -380,9 +392,8 @@ class _SearchState:
         key = ("1, s", s.key())
         hit = self.blocks.get(key)
         if hit is None:
-            one = SProduct.one(self.presentation)
-            hit = self._keep(key, _Block((None, None), [
-                (one,) + self.vector(one), (s,) + self.vector(s)]))
+            hit = self._build(key, (None, None), *_singles(
+                (SProduct.one(self.presentation), s), 0))
         return hit
 
     def block(self, max_degree: int, count: int, start: int, stop: int):
@@ -394,69 +405,112 @@ class _SearchState:
             n = len(self.factor_parameters(max_degree)[0])
             combos = list(itertools.islice(
                 itertools.product(range(n), repeat=count), start, stop))
-            hit = self._keep(key, _Block(
-                combos, self.candidates_at(max_degree, combos)))
+            hit = self._build(key, combos,
+                              *self.candidates_at(max_degree, combos))
         return hit
 
-    def _keep(self, key, block):
-        """Cache the block while the stacks of all cached blocks hold at
-        most _STACK_LIMIT residues; a full stack of free_xy at
-        max_degree 10 would hold 16,384 x 2,047."""
-        if self.stacked + block.size <= _STACK_LIMIT:
-            self.blocks[key] = block
-            self.stacked += block.size
-        return block
-
     def candidates_at(self, max_degree: int, combos):
-        """(t, degree, vector mod p) for the product t of the factor
-        parameters at the positions in each combo, in order; for two or
-        more factors the degree is a bound (see _products).  Nothing is
-        cached here; the vectors are kept in the blocks (see _Block)."""
-        out = []
-        # the scan runs through every last factor of one head in a row
-        for head, run in itertools.groupby(combos, lambda c: c[:-1]):
-            out += self._products(max_degree, head, [c[-1] for c in run])
-        return out
-
-    def _products(self, max_degree: int, head: tuple, lasts):
-        """(t, degree, vector mod p) for each t = u * f, u the product of
-        the factor parameters at the positions in head and f the factor
-        at each position in lasts.  For a nonempty head the vector of t
-        is left multiplication by u mod p applied to the vector of f,
-        over the words of degree <= deg u + deg f >= deg t, without the
-        exact product: one product M_u F mod p per degree of f, the
-        columns of F the vectors of those f.  Degree and vector are None
+        """(t, degree) for the product t of the factor parameters at the
+        positions in each combo, in order, and the runs that give their
+        vectors mod p (see _build).  The scan runs through every last
+        factor of one head in a row, and each head is one run (u, [(i,
+        f)]): u the value of the product of the head's factors and f
+        that of the last factor of the candidate at position i, so t =
+        u * f; for one factor u is None and f is t.value.  For two or
+        more factors the degree is deg u + deg f >= deg t.  It is None
         exactly when t.value passes the degree cap: the left fold that
-        builds t.value passes it at u.value, or at the product
-        u.value * (1 + q'q) with the last parameter q, which the single
-        factor's value shows."""
+        builds t.value passes it at u, or at the product u * (1 + q'q)
+        with the last parameter q, which the single factor's value
+        shows."""
         p = self.presentation
         ps = self.factor_parameters(max_degree)[0]
-        ts = [SProduct(p, tuple(ps[i] for i in head + (j,))) for j in lasts]
-        if not head:
-            return [(t,) + self.vector(t) for t in ts]
-        try:
-            u = SProduct(p, ts[0].ps[:-1]).value
-        except DegreeOverflow:
-            return [(t, None, None) for t in ts]
-        out = []
-        columns = {}           # deg f -> (position in out, vector of f)
-        factors = self._products(max_degree, (), lasts)
-        for k, (t, (_, f_deg, f_vec)) in enumerate(zip(ts, factors)):
-            if f_deg is None or u.degree() + f_deg > p.degree_cap:
-                out.append((t, None, None))
+        entries, runs = [], []
+        for head, run in itertools.groupby(combos, lambda c: c[:-1]):
+            ts = [SProduct(p, tuple(ps[i] for i in c)) for c in run]
+            if not head:
+                more, singles = _singles(ts, len(entries))
+                entries += more
+                runs += singles
                 continue
-            out.append((t, u.degree() + f_deg, None))
-            if f_vec is not None:
-                columns.setdefault(f_deg, []).append((k, f_vec))
-        for f_deg, items in columns.items():
-            m = self.left_matrix(u, f_deg)
-            if m is None:
+            u = _value(SProduct(p, ts[0].ps[:-1]))
+            items = []
+            for t in ts:
+                f = None if u is None else _value(SProduct(p, t.ps[-1:]))
+                degree = None
+                if f is not None and u.degree() + f.degree() <= p.degree_cap:
+                    degree = u.degree() + f.degree()
+                    items.append((len(entries), f))
+                entries.append((t, degree))
+            runs.append((u, items))
+        return entries, runs
+
+    def _build(self, key, combos, entries, runs):
+        """The _Block of these candidates, cached while the stacks of all
+        cached blocks hold at most _STACK_LIMIT residues (a full stack of
+        free_xy at max_degree 10 would hold 16,384 x 2,047).  A cached
+        block adds its vectors to the stacks of its factor count, so a
+        count's cached blocks are row ranges of one stack per degree.
+        No vector is built for a degree whose basis passes the basis
+        limit, or whose stack would pass _ARRAY_LIMIT: a block holds at
+        most _LAST_BLOCK candidates, so that degree has more than 4,096
+        words, and M_a on them passes _ARRAY_LIMIT too.  The screen is
+        off on such a degree, and its candidates are unscreened.  Each
+        vector is written into its row: the coefficients of f mod p for
+        a run without head, and for the run of a head u one product M_u
+        F mod p per degree of f, the columns of F the vectors of those
+        f.  A row stays zero where p divides a denominator, and a zero
+        vector passes every screen."""
+        positions = {}         # degree -> positions in the block
+        for i, (_, degree) in enumerate(entries):
+            if degree is not None:
+                positions.setdefault(degree, []).append(i)
+        widths = {}
+        for degree, found in positions.items():
+            try:
+                width = self.dim(degree)
+            except DegreeOverflow:
                 continue
-            vecs = self.matmul(m, np.stack([v for _, v in items], axis=1)).T
-            for (k, _), vec in zip(items, vecs):
-                out[k] = out[k][:2] + (vec,)
-        return out
+            if width * len(found) <= _ARRAY_LIMIT:
+                widths[degree] = width
+        size = sum(w * len(positions[d]) for d, w in widths.items())
+        cached = self.stacked + size <= _STACK_LIMIT
+        stacks = self.stacks.setdefault(key[:2], _Stacks()) if cached \
+            else _Stacks()
+        block = _Block(key, combos, entries, stacks, sorted(
+            itertools.chain.from_iterable(
+                found for d, found in positions.items() if d not in widths)))
+        rows = {}              # position -> (array, row)
+        for degree, width in widths.items():
+            first = stacks.reserve(degree, width, len(positions[degree]))
+            block.groups.append((degree, positions[degree], first))
+            array = stacks.arrays[degree]
+            rows.update((i, (array, first + k))
+                        for k, i in enumerate(positions[degree]))
+        for u, items in runs:
+            items = [(i, f) for i, f in items if i in rows]
+            if u is None:
+                for i, f in items:
+                    array, row = rows[i]
+                    self._write(array[row], f)
+                continue
+            by_degree = {}     # deg f -> [(i, f)]
+            for i, f in items:
+                by_degree.setdefault(f.degree(), []).append((i, f))
+            for f_deg, group in by_degree.items():
+                m = self.left_matrix(u, f_deg)
+                if m is None:
+                    continue
+                factors = np.zeros((len(group), m.shape[1]))
+                for vec, (_, f) in zip(factors, group):
+                    self._write(vec, f)
+                array = rows[group[0][0]][0]
+                array[[rows[i][1] for i, _ in group]] = self.matmul(
+                    m, factors.T).T
+        if cached:
+            stacks.blocks.append(block)
+            self.blocks[key] = block
+            self.stacked += size
+        return block
 
     def subspace(self, s_value: AlgebraElement, s_key, bound: int,
                  right: bool):
@@ -478,6 +532,8 @@ class _SearchState:
         dimension is cut into chunks of at most max_dot terms, and each
         chunk's product is reduced mod p before it is added."""
         step, prime = self.max_dot, self.prime
+        if a.shape[1] <= step:
+            return _mod(a @ b, prime)
         out = _mod(a[:, :step] @ b[:step], prime)
         for i in range(step, a.shape[1], step):
             out = _mod(out + _mod(a[:, i:i + step] @ b[i:i + step], prime),
@@ -506,24 +562,17 @@ class _SearchState:
         num = c.a + self.imag * c.b
         return num % prime if d == 1 else num * pow(d, -1, prime) % prime
 
-    def vector(self, t: SProduct):
-        """(degree, coefficient vector mod p over the words of degree <=
-        that degree) of t.value; the vector is None when p divides a
-        denominator, and both are None when t.value passes the degree
-        cap (the search skips such a t, as the exact scan does)."""
-        try:
-            val = t.value
-        except DegreeOverflow:
-            return None, None
-        degree = val.degree()
-        index = self.index(degree)
-        vec = np.zeros(self.dim(degree))
-        for w, c in val.terms.items():
+    def _write(self, vec, value: AlgebraElement):
+        """Write the coefficients of value mod p into the zero vector vec
+        over the basis words; vec stays zero where p divides a
+        denominator."""
+        index = self.index(value.degree())
+        for w, c in value.terms.items():
             v = self.reduce(c)
             if v is None:
-                return degree, None
+                vec[:] = 0
+                return
             vec[index[w]] = v
-        return degree, vec
 
     def left_word(self, u, degree: int):
         """Left multiplication by the word u mod p on the words of degree
@@ -554,20 +603,30 @@ class _SearchState:
         return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
                 np.array(vals, dtype=np.int64))
 
-    def left_matrix(self, el: AlgebraElement, degree: int):
+    def left_matrix(self, el: AlgebraElement, degree: int, known=None):
         """Dense float64 matrix mod p of left multiplication by el from
         the words of degree <= degree to those of degree <= deg el +
-        degree; None when p divides a denominator or past _ARRAY_LIMIT."""
+        degree; None when p divides a denominator or past _ARRAY_LIMIT.
+        Given known, the matrix for a lower degree, only the new columns
+        are built: the basis words are deglex sorted, so known is the
+        leading block."""
         shape = (self.dim(max(el.degree(), 0) + degree), self.dim(degree))
         if shape[0] * shape[1] > _ARRAY_LIMIT:
             return None
         out = np.zeros(shape)
+        done = 0
+        if known is not None:
+            done = known.shape[1]
+            out[:known.shape[0], :done] = known
         for u, c in el.terms.items():
             cu = self.reduce(c)
             triples = None if cu is None else self.left_word(u, degree)
             if triples is None:
                 return None
             rows, cols, vals = triples
+            if done:
+                k = np.searchsorted(cols, done)
+                rows, cols, vals = rows[k:], cols[k:], vals[k:]
             # the (row, col) pairs of one word's map are distinct
             out[rows, cols] = _mod(out[rows, cols] + cu * vals, self.prime)
         return out
@@ -583,28 +642,77 @@ def _search_state(presentation: Presentation) -> _SearchState:
 # -- candidate enumeration ---------------------------------------------------
 
 
+def _value(t: SProduct):
+    """t.value, or None where it passes the degree cap."""
+    try:
+        return t.value
+    except DegreeOverflow:
+        return None
+
+
+def _singles(ts, offset: int):
+    """(t, degree) for candidates whose vector is that of t.value, and
+    their one run without head (see candidates_at), the positions
+    counted from offset."""
+    entries, items = [], []
+    for i, t in enumerate(ts, offset):
+        f = _value(t)
+        entries.append((t, None if f is None else f.degree()))
+        if f is not None:
+            items.append((i, f))
+    return entries, [(None, items)]
+
+
+class _Stacks:
+    """Vectors mod p in stacks, one per degree, and the cached blocks
+    they belong to, in the order they were added.  The stack of a degree
+    is held transposed, one vector per row of a float64 array, and
+    grows by doubling; rows past the filled ones are zero.  The cached
+    blocks of one factor count share one _Stacks, so each is a row
+    range of it; a block left uncached has its own."""
+
+    __slots__ = ("arrays", "filled", "blocks")
+
+    def __init__(self):
+        self.arrays = {}       # degree -> array, a vector per row
+        self.filled = {}       # degree -> rows in use
+        self.blocks = []       # cached only: an uncached block is freed
+
+    def reserve(self, degree: int, width: int, n: int) -> int:
+        """The first of n new zero rows for vectors of this degree."""
+        array = self.arrays.get(degree)
+        first = self.filled.get(degree, 0)
+        if array is None or first + n > len(array):
+            grown = np.zeros((max(first + n, 2 * first), width))
+            if array is not None:
+                grown[:first] = array[:first]
+            self.arrays[degree] = grown
+        self.filled[degree] = first + n
+        return first
+
+
 class _Block:
-    """Candidates screened together: their combos (None for 1 and s) and
-    (t, degree) in scan order, and their vectors mod p in groups, one per
-    degree: (degree, positions in the block, float64 stack whose columns
-    are the vectors, of length dim(degree)).  A degree is None where
-    t.value passes the degree cap; a candidate without a vector is in no
-    group.  The stacks are the only copy of the vectors: a block that
-    _keep leaves uncached is built again when a search reaches it."""
+    """Candidates screened together: their key in the search state,
+    their combos (None for 1 and s), (t, degree) in scan order, and
+    their vectors mod p in groups, one per degree: (degree, positions
+    in the block, first row), the vectors in consecutive rows of the
+    stack of that degree in stacks.  A degree is None where t.value
+    passes the degree cap, and such a candidate is in no group; the
+    positions of a degree whose vectors are not built (see
+    _SearchState._build) are unscreened.  The stacks hold the only copy
+    of the vectors: a block that the stack limit leaves uncached is
+    built again when a search reaches it."""
 
-    __slots__ = ("combos", "entries", "groups", "size")
+    __slots__ = ("key", "combos", "entries", "stacks", "groups",
+                 "unscreened")
 
-    def __init__(self, combos, candidates):
+    def __init__(self, key, combos, entries, stacks, unscreened):
+        self.key = key
         self.combos = combos
-        self.entries = [(t, degree) for t, degree, _ in candidates]
-        degrees = {}           # degree -> positions in the block
-        for i, (_, degree, vec) in enumerate(candidates):
-            if vec is not None:
-                degrees.setdefault(degree, []).append(i)
-        self.groups = [(degree, positions, np.stack(
-            [candidates[i][2] for i in positions], axis=1))
-            for degree, positions in degrees.items()]
-        self.size = sum(stack.size for _, _, stack in self.groups)
+        self.entries = entries
+        self.stacks = stacks
+        self.groups = []
+        self.unscreened = unscreened
 
 
 def _candidate_blocks(state: _SearchState, s: SProduct, budget: OreBudget):
@@ -741,9 +849,14 @@ class _MulSubspace:
 
 
 class _Screen:
-    """The modular screen of one query a t = s b, one pass per block.
-    survivors() gives False only for a candidate t with a*t mod p
-    outside s*A mod p, so a*t is not in s*A."""
+    """The modular screen of one query a t = s b.  survivors() leaves
+    out only a candidate t with a*t mod p outside s*A mod p, so a*t is
+    not in s*A.  The second block of a factor count is screened with
+    every later cached block of the count, one product per degree over
+    the rows they share, and the walk reads the kept survivors of the
+    later ones.  One matrix M_a serves the whole query: a candidate of
+    a higher degree extends it by the new columns (see _reach for how
+    far the first build goes)."""
 
     def __init__(self, state: _SearchState, a: AlgebraElement,
                  s_value: AlgebraElement, s_key):
@@ -758,20 +871,47 @@ class _Screen:
         self.matrix = None     # left multiplication by a mod p, built lazily
         self.degree = -1       # the matrix covers t of degree <= this
         self.off = False       # p divides a denominator of a or the rules
+        self.kept = {}         # block -> its survivors, from a merged product
 
     def survivors(self, block: _Block):
-        """Whether each candidate of the block passes, in scan order: one
-        product (K M_a) T mod p screens each stack T of the block."""
-        passes = [True] * len(block.entries)
-        for t_deg, positions, stack in block.groups:
+        """The positions, in scan order, of the candidates of the block
+        under the degree cap that pass: one product (K M_a) T mod p
+        screens the vectors T of one degree.  At the second block of a
+        factor count the product takes in the rows of every later block
+        of the count that is cached, which share its stacks, and their
+        survivors are kept until the walk reaches them; a search that
+        ends in a count's first block screens no block it does not
+        reach."""
+        passing = self.kept.pop(block, None)
+        if passing is not None:
+            return passing
+        batch = [block]
+        cached = block.stacks.blocks
+        if block.key[2:3] == (_FIRST_BLOCK,) and block in cached:
+            batch = cached[cached.index(block):]
+        spans = {}             # degree -> [first row, last row + 1]
+        for b in batch:
+            for t_deg, positions, first in b.groups:
+                spans.setdefault(t_deg, [first, 0])[1] = first + len(positions)
+        passes = {}            # degree -> (first row, whether each row passes)
+        for t_deg, (first, stop) in spans.items():
             if t_deg not in self.precomposed:
                 self.precomposed[t_deg] = self._precompose(t_deg)
             q = self.precomposed[t_deg]
             if q is not None:
-                hits = self.state.matmul(q, stack).any(axis=0).tolist()
-                for i, hit in zip(positions, hits):
-                    passes[i] = not hit
-        return passes
+                stack = block.stacks.arrays[t_deg][first:stop].T
+                passes[t_deg] = first, (~self.state.matmul(q, stack).any(
+                    axis=0)).tolist()
+        for b in batch:
+            passing = list(b.unscreened)
+            for t_deg, positions, first in b.groups:
+                if t_deg in passes:
+                    start, flags = passes[t_deg]
+                    positions = itertools.compress(positions,
+                                                   flags[first - start:])
+                passing += positions
+            self.kept[b] = sorted(passing)
+        return self.kept.pop(block)
 
     def _precompose(self, t_deg: int):
         """K M_a mod p for candidates t of degree at most t_deg, K the
@@ -789,9 +929,11 @@ class _Screen:
             kernel = state.subspace(self.s_value, self.s_key, bound,
                                     False).annihilator()
             if kernel is not None and t_deg > self.degree:
-                # the first build covers s too, the scan's second candidate
-                degree = max(t_deg, min(self.s_deg, self.cap - self.a_deg))
-                self.matrix = state.left_matrix(self.a, degree)
+                # the first build covers s too, the scan's second
+                # candidate, and goes as far as the cached word maps
+                degree = max(t_deg, min(self.s_deg, self.cap - self.a_deg),
+                             self._reach())
+                self.matrix = state.left_matrix(self.a, degree, self.matrix)
                 self.degree = degree
                 self.off = self.matrix is None
         except DegreeOverflow:
@@ -801,6 +943,29 @@ class _Screen:
         # no larger than the span's target basis, so neither passes the limit
         nrows, ncols = state.dim(self.a_deg + t_deg), state.dim(t_deg)
         return state.matmul(kernel[:, :nrows], self.matrix[:nrows, :ncols])
+
+    def _reach(self) -> int:
+        """The highest degree on which the word maps of every word of a
+        are cached, within the degree cap and with M_a within
+        _ARRAY_LIMIT, or -1: M_a built that far costs no normal form,
+        and a query after a search that went as far builds it once."""
+        state = self.state
+        reach = min(min(state.left[u][0] if u in state.left else -1
+                        for u in self.a.terms), self.cap - self.a_deg)
+        if reach < 0 or state.dim(self.a_deg + reach) * state.dim(
+                reach) > _ARRAY_LIMIT:
+            return -1
+        return reach
+
+
+def _place(block: _Block, count: int, index: int) -> int:
+    """The position in the block of the product at this index of the
+    scan order of products of count factors, or -1 where the block does
+    not hold it."""
+    key = block.key
+    if len(key) == 4 and key[1] == count and key[2] <= index < key[3]:
+        return index - key[2]
+    return -1
 
 
 def _verify(lhs: AlgebraElement, rhs: AlgebraElement, what: str):
@@ -836,19 +1001,22 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
     s_key = s_value.key()
     s_deg = s_value.degree()
     position = state.factor_parameters(budget.max_degree)[1]
-    s_combo = tuple(position.get(k) for k in s.key())
+    # the product equal to s is skipped: its place in its count's scan
+    s_count, s_index = len(s.ps), 0
+    for k in s.key():
+        s_index = -1 if s_index < 0 or k not in position \
+            else s_index * len(position) + position[k]
     screen = _Screen(state, a, s_value, s_key)
     tried = 0
     for block in _candidate_blocks(state, s, budget):
-        for combo, (t, t_deg), survives in zip(block.combos, block.entries,
-                                               screen.survivors(block)):
-            if combo == s_combo:
+        skip = _place(block, s_count, s_index)
+        for i in screen.survivors(block):
+            if i == skip:
                 continue
-            if tried == MAX_CANDIDATES:
-                return OreSolveResult(None, tried)
-            tried += 1
-            if t_deg is None or not survives:
-                continue
+            number = tried + i + 1 - (0 <= skip < i)
+            if number > MAX_CANDIDATES:
+                return OreSolveResult(None, MAX_CANDIDATES)
+            t = block.entries[i][0]
             # a product past the cap or a span past the basis limit skips t
             try:
                 r = a * t.value
@@ -859,8 +1027,9 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
             if b is None:
                 continue
             _verify(r, s_value * b, "right Ore witness")
-            return OreSolveResult(OreWitness(b, t), tried)
-    return OreSolveResult(None, tried)
+            return OreSolveResult(OreWitness(b, t), number)
+        tried += len(block.entries) - (skip >= 0)
+    return OreSolveResult(None, min(tried, MAX_CANDIDATES))
 
 
 def ore_solve_left(a: AlgebraElement, s: SProduct,

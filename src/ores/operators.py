@@ -201,6 +201,17 @@ def _gap(u, v) -> np.ndarray:
     return r
 
 
+def _residual(out, y) -> float:
+    """||out - y||, as _gap pads it, for a fresh output vector out, from
+    which y is subtracted in place where out is not the shorter; it is
+    not shorter unless y passes SIZE_CAP."""
+    if len(out) < len(y):
+        out = _gap(out, y)
+    else:
+        out[:len(y)] -= y
+    return float(np.linalg.norm(out))
+
+
 # -- assignments -----------------------------------------------------------------
 
 _WORD_LIMIT = 1024      # word operators kept per assignment
@@ -378,7 +389,7 @@ def invert_one_plus_AstarA(A: BandedOperator, y, tol: float) -> InversionResult:
         rhs = np.zeros(N, dtype=complex)
         rhs[:min(L, N)] = y[:min(L, N)]
         x = _banded_cholesky_solve(M, rhs)
-        residual = float(np.linalg.norm(_gap(M.apply(x), y)))
+        residual = _residual(M.apply(x), y)
         if residual <= tol:
             return InversionResult(x, residual, N)
         if N >= SIZE_CAP:
@@ -434,7 +445,7 @@ def chain_solve(assignment: FockAssignment, s: SProduct, y,
                 if last is None:
                     raise
                 break
-            residual = float(np.linalg.norm(_gap(total.apply(z), y)))
+            residual = _residual(total.apply(z), y)
             last = ChainSolveResult(z, residual, tuple(sizes), tuple(inner))
             if residual <= tol:
                 return last

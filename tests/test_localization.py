@@ -11,6 +11,8 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from collections import Counter
 from fractions import Fraction as Rational
 
 import numpy as np
@@ -517,6 +519,18 @@ def test_screen_passes_a_group_past_the_basis_limit(monkeypatch):
     assert ore_solve_right(a, s, budget).candidates_tried == 3
 
 
+def test_candidates_past_the_basis_limit_are_not_within_budget(monkeypatch):
+    # pairs of degree-4 factors have degree 8, and with at most 15 words a
+    # heisenberg basis reaches degree 4: such a candidate gets no vector
+    # and no exact check, and the search ends not within budget; building
+    # its vector raised DegreeOverflow out of the search
+    monkeypatch.setattr(algebra, "_BASIS_LIMIT", 15)
+    p = _fresh_heisenberg()
+    a = p.generator("a")
+    res = ore_solve_right(a, _sproduct(p, (a,)), DEFAULT_BUDGET)
+    assert not res.found and res.candidates_tried == 651
+
+
 def test_screen_falls_back_where_the_prime_is_unlucky(monkeypatch):
     fifth = Scalar(Rational(1, 5))
 
@@ -593,17 +607,39 @@ def test_chunked_product_mod_p_is_exact():
         x % prime for x in xs]
 
 
+def _block_vectors(block):
+    """(t, degree, vector mod p) of each candidate of the block that has a
+    vector, read from its stacks."""
+    out = []
+    for degree, positions, first in block.groups:
+        rows = block.stacks.arrays[degree][first:first + len(positions)]
+        out += [(block.entries[i][0], degree, row)
+                for i, row in zip(positions, rows)]
+    return out
+
+
+def _exact_vector(state, t):
+    """The coefficients of t.value reduced mod p one by one, over the
+    words of degree <= deg t."""
+    val = t.value
+    words = state.presentation.basis_words(val.degree())
+    return val.degree(), [state.reduce(val.terms[w]) if w in val.terms
+                          else 0 for w in words]
+
+
 def test_product_vectors_are_images_of_the_exact_products():
     # the vector of u * f is built as M_u F mod p, without the product
     for name in ("heisenberg", "free_xy"):
         state = localization._search_state(load_preset(name))
         n = len(state.factor_parameters(1)[0])
         for count in (2, 3):
-            combos = list(itertools.product(range(n), repeat=count))
-            for t, degree, vec in state.candidates_at(1, combos):
-                exact_degree, exact = state.vector(t)
+            block = state.block(1, count, 0, n ** count)
+            vectors = _block_vectors(block)
+            assert len(vectors) == n ** count
+            for t, degree, vec in vectors:
+                exact_degree, exact = _exact_vector(state, t)
                 assert degree >= exact_degree
-                assert vec[:len(exact)].tolist() == exact.tolist()
+                assert vec[:len(exact)].tolist() == exact
                 assert not vec[len(exact):].any()
 
 
@@ -711,6 +747,137 @@ def test_block_cache_is_bounded_and_lazy(monkeypatch):
                     if key[0] != "1, s")
         blocks = _blocks(p, _sproduct(p, ps), DEFAULT_BUDGET)
         assert built == sum(b[2] for b in blocks if b[0] <= tried)
+
+
+def _fresh(name):
+    # a new object, with empty normal-form caches and no search state
+    return Presentation(*algebra.PRESETS[name], name=name)
+
+
+# (preset, a, parameter of s) of searches that end not within the default
+# budget; the last heisenberg one has an s that is no product of factor
+# parameters, so the scan skips nothing and tries 652 candidates
+_MISS_QUERIES = [
+    ("heisenberg", "a", "a"), ("heisenberg", "a*a", "a"),
+    ("heisenberg", "ad*a + a", "a"), ("heisenberg", "a", "a*a"),
+    ("heisenberg", "a*a*a", "ad*a"), ("heisenberg", "ad*a*a", "a + ad*a"),
+    ("heisenberg", "a*a", "ad - a"), ("heisenberg", "a", "a + 1"),
+    ("free_xy", "x", "x*y - y*x"), ("free_xy", "x*x", "x*y"),
+    ("free_xy", "y*x*y", "x + y"), ("free_xy", "x*y*x", "y"),
+]
+
+
+def _search_outcomes(presentation, queries):
+    """candidates_tried and the witness of each query, on the
+    presentation that presentation(name) gives."""
+    out = []
+    for name, a_text, q_text, budget in queries:
+        p = presentation(name)
+        a = ores.parse_element(a_text, p)
+        s = _sproduct(p, (ores.parse_element(q_text, p),))
+        res = ore_solve_right(a, s, budget)
+        out.append((res.candidates_tried, res.found
+                    and (res.witness.b.key(), res.witness.t.key())))
+    return out
+
+
+def _count_stacks(p):
+    """The cached blocks of each factor count, as keys."""
+    return [[b.key for b in st.blocks]
+            for key, st in p._ore_search.stacks.items() if key[0] != "1, s"]
+
+
+def test_warm_and_cold_screens_agree(monkeypatch):
+    # a warm search screens the cached blocks of a count from its second
+    # on in one product per degree: cold, warm and partly cached searches
+    # must try the same candidates and return the same witnesses
+    queries = [(name, a, q, budget)
+               for name, a, q, budget, _, _ in _BLOCK_QUERIES]
+    queries += [(name, a, q, DEFAULT_BUDGET) for name, a, q in _MISS_QUERIES]
+    cold = _search_outcomes(_fresh, queries)
+    assert [tried for tried, _ in cold[len(_BLOCK_QUERIES):]] == \
+        [651] * 7 + [652] + [1333] * 4
+    assert not any(found for _, found in cold[len(_BLOCK_QUERIES):])
+    shared = {}
+
+    def warm(name):
+        return shared.setdefault(name, _fresh(name))
+
+    assert _search_outcomes(warm, queries) == cold
+    assert _search_outcomes(warm, queries) == cold
+    # the second pass screened at least three blocks of one count at once
+    assert all(any(len(keys) >= 4 for keys in _count_stacks(p))
+               for p in shared.values())
+    # with the stacks half as large only the first blocks of the count of
+    # pairs are cached, and later ones are built and screened alone
+    limit = min(p._ore_search.stacked for p in shared.values()) // 2
+    monkeypatch.setattr(localization, "_STACK_LIMIT", limit)
+    shared.clear()
+    assert _search_outcomes(warm, queries) == cold
+    assert _search_outcomes(warm, queries) == cold
+    for p in shared.values():
+        [pairs] = [keys for keys in _count_stacks(p) if keys[0][:2] == (2, 2)]
+        n = len(p._ore_search.factor_parameters(2)[0])
+        # a miss reaches every block of the count, and the last are left out
+        assert len(pairs) >= 2 and pairs[-1][3] < n ** 2
+
+
+def test_a_warm_miss_screens_each_count_in_one_product_per_degree(
+        monkeypatch):
+    # on a warm presentation a miss screens 1 and s, the first block of
+    # singles, the rest of the singles, the first block of pairs and the
+    # rest of the pairs: 10 products over the degrees 0-8, after the 5 of
+    # K with M_a, which is built once; block by block it took 21 + 5
+    # products and 4 builds of M_a
+    p = _fresh_heisenberg()
+    a = p.generator("a")
+    s = _sproduct(p, (a,))
+    assert ore_solve_right(a, s).candidates_tried == 651
+    calls = Counter()
+    state = localization._SearchState
+    matmul, left_matrix = state.matmul, state.left_matrix
+
+    def count_matmul(self, *args):
+        calls["matmul"] += 1
+        return matmul(self, *args)
+
+    def count_left_matrix(self, el, *args):
+        calls["M_a"] += el is a
+        return left_matrix(self, el, *args)
+
+    monkeypatch.setattr(state, "matmul", count_matmul)
+    monkeypatch.setattr(state, "left_matrix", count_left_matrix)
+    assert ore_solve_right(a, s).candidates_tried == 651
+    assert calls == {"matmul": 15, "M_a": 1}
+
+
+def test_a_block_holds_each_vector_once(monkeypatch):
+    # each vector is written straight into its stack; none is built for a
+    # degree whose stack would pass _ARRAY_LIMIT, where M_a is past the
+    # limit too and the screen is off
+    monkeypatch.setattr(localization, "_STACK_LIMIT", 0)   # never cached
+    state = localization._search_state(_fresh("free_xy"))
+    key = (2, 2, 504, 1016)        # heads 14 to 27, a block of 512 pairs
+    block = state.block(*key)      # the values and normal forms, cached
+    sizes = Counter()              # degree -> residues of its stack
+    for _, degree in block.entries:
+        sizes[degree] += state.dim(degree)
+    assert sorted(sizes) == [6, 8]
+    peaks, groups = [], []
+    for limit in (localization._ARRAY_LIMIT, 100_000):
+        monkeypatch.setattr(localization, "_ARRAY_LIMIT", limit)
+        tracemalloc.start()
+        block = state.block(*key)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        groups.append([(d, len(positions))
+                       for d, positions, _ in block.groups])
+    # a list of the vectors besides the stack took twice their bytes
+    full = 8 * sum(sizes.values())
+    assert peaks[0] < 1.5 * full
+    # the degree-8 stack of 452 vectors of 511 residues is not built
+    assert sizes[8] > 100_000 and peaks[1] < full / 4
+    assert groups == [[(6, 60), (8, 452)], [(6, 60)]]
 
 
 def test_factor_parameters_stop_at_the_candidate_cap(monkeypatch):
