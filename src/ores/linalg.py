@@ -56,27 +56,10 @@ def nullspace(rows):
     """Basis of the exact kernel of the matrix given as a list of rows:
     the kernel vectors of a RowSpace of the columns, added in order,
     padded with zeros to the full width.  This is the reduced-echelon
-    basis, one vector per column j that does not enlarge the span.  With
-    at most one nonzero row r, as a presentation's grading mostly has,
-    that basis is written down: the first column j0 with r[j0] != 0 is
-    the one pivot, and every other column j gives e_j - (r[j] / r[j0])
-    e_j0, or e_j before j0."""
+    basis, one vector per column j that does not enlarge the span."""
     if not rows:
         return []
     ncols = len(rows[0])
-    live = [row for row in rows if any(row)]
-    if len(live) <= 1:
-        row = live[0] if live else [ZERO] * ncols
-        pivot = next((j for j, c in enumerate(row) if c), ncols)
-        out = []
-        for j in range(ncols):
-            if j != pivot:
-                vec = [ZERO] * ncols
-                vec[j] = ONE
-                if j > pivot and row[j]:
-                    vec[pivot] = -(row[j] / row[pivot])
-                out.append(vec)
-        return out
     space = RowSpace(len(rows))
     for j in range(ncols):
         space.add([row[j] for row in rows])

@@ -39,11 +39,13 @@ the scan visits them alone and counts the candidates between them, so
 the scan order, the witness and the number of candidates tried are
 those of the exact scan.  Each candidate's vector mod p is written
 once, straight into the stack of its degree; the cached blocks of a
-factor count are row ranges of one stack per degree, counted once
-against the stacks' limit of 2**22 residues, and a block past it is
-built again from the cached values and word maps when a search reaches
-it.  No vector is built for a degree whose stack would pass the limit
-of one dense matrix, where M_a is past it too and the screen is off.
+factor count are row ranges of one stack per degree, counted once,
+spare rows included, against the stacks' limit of 2**22 residues (a
+stack that grows holds its old rows twice while it copies them), and a
+block past it is built again from the cached values and word maps when
+a search reaches it.  No vector is built for a degree whose stack
+would pass the limit of one dense matrix, where M_a is past it too and
+the screen is off.
 Returned witnesses are always re-verified exactly.
 
 The bounded regularity check of a denominator s reads the same spans:
@@ -283,7 +285,7 @@ _VALUE_LIMIT = 4096      # values of denominators in S
 _SUBSPACE_LIMIT = 512    # spans s * A_{<=bound} and A_{<=bound} * s
 _LEFT_LIMIT = 256        # left multiplications by single words, mod p
 _PARAM_LIMIT = 8         # candidate factor parameters per max_degree
-_STACK_LIMIT = 2 ** 22   # residues in the blocks' stacked vectors, 32 MB
+_STACK_LIMIT = 2 ** 22   # residues in the cached blocks' stacks, 32 MB
 _ARRAY_LIMIT = 2 ** 22   # residues in one dense matrix mod p, 32 MB
 
 # The products of each factor count are screened in blocks of
@@ -446,10 +448,11 @@ class _SearchState:
 
     def _build(self, key, combos, entries, runs):
         """The _Block of these candidates, cached while the stacks of all
-        cached blocks hold at most _STACK_LIMIT residues (a full stack of
-        free_xy at max_degree 10 would hold 16,384 x 2,047).  A cached
-        block adds its vectors to the stacks of its factor count, so a
-        count's cached blocks are row ranges of one stack per degree.
+        cached blocks hold at most _STACK_LIMIT residues, spare rows
+        included (a full stack of free_xy at max_degree 10 would hold
+        16,384 x 2,047).  A cached block adds its vectors to the stacks
+        of its factor count, so a count's cached blocks are row ranges
+        of one stack per degree.
         No vector is built for a degree whose basis passes the basis
         limit, or whose stack would pass _ARRAY_LIMIT: a block holds at
         most _LAST_BLOCK candidates, so that degree has more than 4,096
@@ -472,16 +475,22 @@ class _SearchState:
                 continue
             if width * len(found) <= _ARRAY_LIMIT:
                 widths[degree] = width
-        size = sum(w * len(positions[d]) for d, w in widths.items())
-        cached = self.stacked + size <= _STACK_LIMIT
-        stacks = self.stacks.setdefault(key[:2], _Stacks()) if cached \
-            else _Stacks()
+        stacks = self.stacks.get(key[:2], _Stacks())
+        room = _STACK_LIMIT - self.stacked - sum(
+            w * stacks.lack(d, len(positions[d])) for d, w in widths.items())
+        cached = room >= 0
+        if cached:
+            self.stacks[key[:2]] = stacks
+        else:
+            stacks, room = _Stacks(), 0
         block = _Block(key, combos, entries, stacks, sorted(
             itertools.chain.from_iterable(
                 found for d, found in positions.items() if d not in widths)))
         rows = {}              # position -> (array, row)
         for degree, width in widths.items():
-            first = stacks.reserve(degree, width, len(positions[degree]))
+            first, spare = stacks.reserve(
+                degree, width, len(positions[degree]), room // width)
+            room -= spare * width
             block.groups.append((degree, positions[degree], first))
             array = stacks.arrays[degree]
             rows.update((i, (array, first + k))
@@ -509,7 +518,7 @@ class _SearchState:
         if cached:
             stacks.blocks.append(block)
             self.blocks[key] = block
-            self.stacked += size
+            self.stacked = _STACK_LIMIT - room
         return block
 
     def subspace(self, s_value: AlgebraElement, s_key, bound: int,
@@ -532,8 +541,6 @@ class _SearchState:
         dimension is cut into chunks of at most max_dot terms, and each
         chunk's product is reduced mod p before it is added."""
         step, prime = self.max_dot, self.prime
-        if a.shape[1] <= step:
-            return _mod(a @ b, prime)
         out = _mod(a[:, :step] @ b[:step], prime)
         for i in range(step, a.shape[1], step):
             out = _mod(out + _mod(a[:, i:i + step] @ b[i:i + step], prime),
@@ -667,9 +674,10 @@ class _Stacks:
     """Vectors mod p in stacks, one per degree, and the cached blocks
     they belong to, in the order they were added.  The stack of a degree
     is held transposed, one vector per row of a float64 array, and
-    grows by doubling; rows past the filled ones are zero.  The cached
-    blocks of one factor count share one _Stacks, so each is a row
-    range of it; a block left uncached has its own."""
+    grows by doubling as far as the stack limit allows; the rows past
+    the filled ones are zero, and they count against the limit too.
+    The cached blocks of one factor count share one _Stacks, so each is
+    a row range of it; a block left uncached has its own."""
 
     __slots__ = ("arrays", "filled", "blocks")
 
@@ -678,17 +686,27 @@ class _Stacks:
         self.filled = {}       # degree -> rows in use
         self.blocks = []       # cached only: an uncached block is freed
 
-    def reserve(self, degree: int, width: int, n: int) -> int:
-        """The first of n new zero rows for vectors of this degree."""
+    def lack(self, degree: int, n: int) -> int:
+        """The rows the stack of this degree must add to hold n more."""
+        array = self.arrays.get(degree)
+        have = 0 if array is None else len(array)
+        return max(self.filled.get(degree, 0) + n - have, 0)
+
+    def reserve(self, degree: int, width: int, n: int, room: int):
+        """The first of n new zero rows for vectors of this degree, and
+        the spare rows past them that the stack took on growing: it
+        doubles, but by at most room spare rows."""
         array = self.arrays.get(degree)
         first = self.filled.get(degree, 0)
-        if array is None or first + n > len(array):
-            grown = np.zeros((max(first + n, 2 * first), width))
-            if array is not None:
-                grown[:first] = array[:first]
-            self.arrays[degree] = grown
         self.filled[degree] = first + n
-        return first
+        if array is not None and first + n <= len(array):
+            return first, 0
+        spare = min(max(first - n, 0), room)
+        grown = np.zeros((first + n + spare, width))
+        if array is not None:
+            grown[:first] = array[:first]
+        self.arrays[degree] = grown
+        return first, spare
 
 
 class _Block:
@@ -958,16 +976,6 @@ class _Screen:
         return reach
 
 
-def _place(block: _Block, count: int, index: int) -> int:
-    """The position in the block of the product at this index of the
-    scan order of products of count factors, or -1 where the block does
-    not hold it."""
-    key = block.key
-    if len(key) == 4 and key[1] == count and key[2] <= index < key[3]:
-        return index - key[2]
-    return -1
-
-
 def _verify(lhs: AlgebraElement, rhs: AlgebraElement, what: str):
     """The exact re-check of a witness before it is returned."""
     if lhs.terms != rhs.terms:
@@ -1001,19 +1009,20 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
     s_key = s_value.key()
     s_deg = s_value.degree()
     position = state.factor_parameters(budget.max_degree)[1]
-    # the product equal to s is skipped: its place in its count's scan
-    s_count, s_index = len(s.ps), 0
-    for k in s.key():
-        s_index = -1 if s_index < 0 or k not in position \
-            else s_index * len(position) + position[k]
+    s_combo = tuple(position.get(k) for k in s.key())
     screen = _Screen(state, a, s_value, s_key)
     tried = 0
     for block in _candidate_blocks(state, s, budget):
-        skip = _place(block, s_count, s_index)
+        # the walk visits the candidates that pass, numbered by their
+        # place in the scan; the product equal to s, in a block of its
+        # factor count (key[1]), is skipped and not counted
+        size = skip = len(block.entries)
+        if block.key[1] == len(s_combo) and s_combo in block.combos:
+            skip = block.combos.index(s_combo)
         for i in screen.survivors(block):
             if i == skip:
                 continue
-            number = tried + i + 1 - (0 <= skip < i)
+            number = tried + i + (i < skip)
             if number > MAX_CANDIDATES:
                 return OreSolveResult(None, MAX_CANDIDATES)
             t = block.entries[i][0]
@@ -1028,7 +1037,7 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
                 continue
             _verify(r, s_value * b, "right Ore witness")
             return OreSolveResult(OreWitness(b, t), number)
-        tried += len(block.entries) - (skip >= 0)
+        tried += size - (skip < size)
     return OreSolveResult(None, min(tried, MAX_CANDIDATES))
 
 

@@ -47,28 +47,6 @@ def test_nullspace():
     assert [_matvec(rows, k) for k in nullspace(rows)] == [[ZERO, ZERO]]
 
 
-def test_one_nonzero_row_gives_the_rowspace_basis():
-    # nullspace writes down the kernel of a matrix with at most one
-    # nonzero row; it must be the basis that the RowSpace of its columns
-    # gives, scalar for scalar, zero rows and zero entries included
-    rng = random.Random(29)
-    for case in range(300):
-        nrows, ncols = rng.randint(1, 3), rng.randint(1, 6)
-        rows = [[ZERO] * ncols for _ in range(nrows)]
-        if case % 10:
-            row = random_scalar_matrix(rng, 1, ncols)[0]
-            rows[rng.randrange(nrows)] = [c if rng.random() < 0.7 else ZERO
-                                          for c in row]
-        space = RowSpace(nrows)
-        for j in range(ncols):
-            space.add([r[j] for r in rows])
-        want = [vec + [ZERO] * (ncols - len(vec)) for vec in space.kernel]
-        got = nullspace(rows)
-        assert [[(c.a, c.b, c.d) for c in vec] for vec in got] == \
-            [[(c.a, c.b, c.d) for c in vec] for vec in want]
-        assert got == reference_nullspace(rows)
-
-
 def test_rowspace_matches_exact_rank():
     rng = random.Random(22)
     for _ in range(25):

@@ -790,37 +790,78 @@ def _count_stacks(p):
 def test_warm_and_cold_screens_agree(monkeypatch):
     # a warm search screens the cached blocks of a count from its second
     # on in one product per degree: cold, warm and partly cached searches
-    # must try the same candidates and return the same witnesses
+    # must pass the same candidates of each block they reach, and so try
+    # the same candidates and return the same witnesses
     queries = [(name, a, q, budget)
                for name, a, q, budget, _, _ in _BLOCK_QUERIES]
     queries += [(name, a, q, DEFAULT_BUDGET) for name, a, q in _MISS_QUERIES]
-    cold = _search_outcomes(_fresh, queries)
-    assert [tried for tried, _ in cold[len(_BLOCK_QUERIES):]] == \
+    screened = []
+    survivors = localization._Screen.survivors
+
+    def record(screen, block):
+        out = survivors(screen, block)
+        screened.append((block.key, list(out)))
+        return out
+
+    monkeypatch.setattr(localization._Screen, "survivors", record)
+
+    def outcomes(presentation):
+        screened.clear()
+        return _search_outcomes(presentation, queries), screened[:]
+
+    cold = outcomes(_fresh)
+    assert [tried for tried, _ in cold[0][len(_BLOCK_QUERIES):]] == \
         [651] * 7 + [652] + [1333] * 4
-    assert not any(found for _, found in cold[len(_BLOCK_QUERIES):])
+    assert not any(found for _, found in cold[0][len(_BLOCK_QUERIES):])
     shared = {}
 
     def warm(name):
         return shared.setdefault(name, _fresh(name))
 
-    assert _search_outcomes(warm, queries) == cold
-    assert _search_outcomes(warm, queries) == cold
+    assert outcomes(warm) == cold
+    assert outcomes(warm) == cold
     # the second pass screened at least three blocks of one count at once
     assert all(any(len(keys) >= 4 for keys in _count_stacks(p))
                for p in shared.values())
-    # with the stacks half as large only the first blocks of the count of
-    # pairs are cached, and later ones are built and screened alone
+    # with the stacks half as large only some blocks of the count of
+    # pairs are cached, the first ones among them, and the others are
+    # built and screened alone
     limit = min(p._ore_search.stacked for p in shared.values()) // 2
     monkeypatch.setattr(localization, "_STACK_LIMIT", limit)
     shared.clear()
-    assert _search_outcomes(warm, queries) == cold
-    assert _search_outcomes(warm, queries) == cold
+    assert outcomes(warm) == cold
+    assert outcomes(warm) == cold
     for p in shared.values():
         [pairs] = [keys for keys in _count_stacks(p) if keys[0][:2] == (2, 2)]
         n = len(p._ore_search.factor_parameters(2)[0])
-        # a miss reaches every block of the count, and the last are left out
-        assert len(pairs) >= 2 and pairs[-1][3] < n ** 2
+        # a miss reaches every block of the count, and some are left out
+        assert pairs[:2] == [(2, 2, 0, 8), (2, 2, 8, 24)]
+        assert sum(stop - start for _, _, start, stop in pairs) < n ** 2
 
+
+
+def _stack_residues(p):
+    """The residues the cached stacks hold, spare rows included."""
+    return sum(array.size for st in p._ore_search.stacks.values()
+               for array in st.arrays.values())
+
+
+def test_cached_stacks_count_their_spare_rows(monkeypatch):
+    # a count's stack grows by doubling; its spare rows count against
+    # _STACK_LIMIT, so the cached stacks never hold more than the limit,
+    # and a tight limit only caps the growth or leaves blocks uncached
+    queries = [(name, a, q, DEFAULT_BUDGET)
+               for name, a, q in _MISS_QUERIES if name == "heisenberg"]
+    p = _fresh("heisenberg")
+    want = _search_outcomes(lambda name: p, queries)
+    full = _stack_residues(p)
+    assert full == p._ore_search.stacked
+    for eighths in range(2, 8):
+        limit = full * eighths // 8
+        monkeypatch.setattr(localization, "_STACK_LIMIT", limit)
+        p = _fresh("heisenberg")
+        assert _search_outcomes(lambda name: p, queries) == want
+        assert _stack_residues(p) == p._ore_search.stacked <= limit
 
 def test_a_warm_miss_screens_each_count_in_one_product_per_degree(
         monkeypatch):
