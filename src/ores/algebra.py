@@ -120,6 +120,9 @@ class Presentation:
         if any(d is None for d in dag):
             raise PresentationError("every generator needs a dagger pairing")
         self.dagger_map = tuple(dag)
+        # None where every generator is its own dagger
+        self._dagger_of = (None if all(d == g for g, d in enumerate(dag))
+                           else self.dagger_map.__getitem__)
         self._dagger_pairs = tuple(tuple(p) for p in dagger_pairs)
 
         rules = []
@@ -178,8 +181,13 @@ class Presentation:
         return "*".join(self.generators[g] for g in w)
 
     def dagger_word(self, w: Word) -> Word:
-        dag = self.dagger_map
-        return tuple(dag[g] for g in reversed(w))
+        """The word w' = dagger(w_n) ... dagger(w_1), not rewritten: the
+        reversed word where every generator is its own dagger, as in
+        poly_x, poly_xy and free_xy."""
+        dagger_of = self._dagger_of
+        if dagger_of is None:
+            return w[::-1]
+        return tuple(map(dagger_of, reversed(w)))
 
     # -- rewriting -----------------------------------------------------------
 
@@ -339,6 +347,14 @@ class Presentation:
     def basis_words(self, max_degree: int):
         """All irreducible words of length <= max_degree, deglex sorted.
 
+        Each layer extends the words of the one before, which are
+        irreducible, so a redex of a new word is a suffix.  A word is
+        extended only by the letters allowed after its last letter: a
+        rule of one letter removes that letter, and a rule of two
+        letters forbids its second letter after its first.  Only the
+        rules of three or more letters are checked as suffixes, and only
+        on the words that end in their last letter.
+
         Tables are sorted by length first, so the table of a lower degree
         is a prefix of any larger one; it is cut from a larger cached
         table where there is one, not enumerated again.  A table of more
@@ -364,22 +380,38 @@ class Presentation:
             raise DegreeOverflow(
                 "basis up to degree %d has more than %d words"
                 % (max_degree, _BASIS_LIMIT))
+        removed, forbidden, longer = set(), set(), {}
+        for r in self.rules:
+            lhs = r.lhs
+            if len(lhs) == 1:
+                removed.add(lhs)
+            elif len(lhs) == 2:
+                forbidden.add(lhs)
+            else:
+                longer.setdefault(lhs[-1:], []).append(lhs)
+        letters = [(g,) for g in range(len(self.generators))
+                   if (g,) not in removed]
+        # keyed by a word's last letter as a slice, () for the empty word:
+        # the letters allowed next, each as a one-letter word with the
+        # left sides of three or more letters that end in it, or None
+        after = {last: [(g, longer.get(g)) for g in letters
+                        if last + g not in forbidden]
+                 for last in [()] + letters}
         layers = [[()]]
-        ngen = len(self.generators)
         count = 1
         for d in range(1, max_degree + 1):
             layer = []
+            append = layer.append
             for w in layers[d - 1]:
-                for g in range(ngen):
-                    w2 = w + (g,)
-                    # the prefix is irreducible, so any redex is a suffix
-                    if all(w2[-len(r.lhs):] != r.lhs
-                           for r in self.rules if len(r.lhs) <= d):
-                        layer.append(w2)
-                        count += 1
-                if count > _BASIS_LIMIT:
+                for g, lhss in after[w[-1:]]:
+                    w2 = w + g
+                    if not (lhss and any(w2[-len(lhs):] == lhs
+                                         for lhs in lhss)):
+                        append(w2)
+                if count + len(layer) > _BASIS_LIMIT:
                     self._basis_overflow = d
                     return self.basis_words(max_degree)  # raises
+            count += len(layer)
             layers.append(layer)
         words = tuple(itertools.chain.from_iterable(layers))
         self._basis_cache[max_degree] = words

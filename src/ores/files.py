@@ -119,19 +119,24 @@ def moments_to_dict(f: MomentFunctional) -> dict:
 
 
 def moments_from_dict(d: dict, presentation: Presentation) -> MomentFunctional:
+    """The moment table of a dict of the file format, its words read with
+    one split each and looked up name by name in the generator index; a
+    malformed dict or an unknown name is a ConfigError."""
     index = {g: i for i, g in enumerate(presentation.generators)}
+    position = index.__getitem__
     try:
         degree = int(d["degree"])
         raw = d["moments"]
         table = {}
         for k, v in raw.items():
             names = str_to_word(k)
-            unknown = [g for g in names if g not in index]
-            if unknown:
+            try:
+                w = tuple(map(position, names))
+            except KeyError:
                 raise ConfigError(
                     "moment word %r uses unknown generator %r"
-                    % (k, unknown[0]))
-            table[tuple(index[g] for g in names)] = Scalar.from_quad(v)
+                    % (k, next(g for g in names if g not in index))) from None
+            table[w] = Scalar.from_quad(v)
     except (KeyError, TypeError, ValueError, ArithmeticError,
             AttributeError) as exc:
         raise ConfigError("malformed moment file: %s" % exc) from None

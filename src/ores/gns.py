@@ -212,7 +212,7 @@ def gns(f: MomentFunctional) -> GnsRepresentation:
 
     # the kernel vectors are over basis words, which are already normal
     kernel = [AlgebraElement(p, {all_words[i]: c for i, c in enumerate(vec)
-                                 if c})
+                                 if c.a or c.b})
               for vec in report.kernel]
 
     return GnsRepresentation(f, piv_words, ranks, B, matrices, cyclic, kernel)

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalars import (ONE, ZERO, Scalar, gaussian_over,
-                      over_common_denominator)
+from .scalars import ONE, ZERO, gaussian_over, over_common_denominator
 
 
 def _combine(p, x, q, y, d):
@@ -193,11 +192,10 @@ def graded_hermitian_reduce(G, grades) -> PsdReport:
     """
     n = len(G)
     nonzero = [False] * n
-    conjugate_of = Scalar.is_conjugate_of
     for i, row in enumerate(G):
         for j in range(i, n):
-            x = row[j]
-            if not conjugate_of(x, G[j][i]):
+            x, y = row[j], G[j][i]
+            if x.a != y.a or x.b != -y.b or x.d != y.d:
                 raise ValueError("matrix is not hermitian")
             if x.a or x.b:
                 nonzero[i] = nonzero[j] = True

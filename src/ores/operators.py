@@ -36,7 +36,7 @@ import numpy as np
 
 from .algebra import (AlgebraElement, Presentation, _add_into, _check_same,
                       _remember)
-from .errors import (FormulaDomainError, PresentationError,
+from .errors import (ConfigError, FormulaDomainError, PresentationError,
                      TruncationLimit)
 from .formulas import Formula, QPoly
 from .localization import DEFAULT_BUDGET, SProduct, ore_solve_left
@@ -515,13 +515,17 @@ def core_density_probe(assignment: FockAssignment, a: AlgebraElement,
                        s: SProduct, xi, tol: float) -> ProbeReport:
     """Approximate xi from pi(s) applied to finitely supported vectors in
     the graph norm of the operator of a: solve pi(s) x = xi[:N] for N =
-    max(8, min(len(xi), SIZE_CAP)) and measure the graph distance of
-    pi(s) x from the whole of xi.  A solve that raises TruncationLimit
-    gives an infinite distance at SIZE_CAP."""
+    max(8, len(xi)) and measure the graph distance of pi(s) x from the
+    whole of xi.  A solve that raises TruncationLimit gives an infinite
+    distance at SIZE_CAP.  A xi longer than SIZE_CAP raises ConfigError:
+    the solves stop at the cap, so its tail would be measured unsolved."""
     xi = np.asarray(xi, dtype=complex)
+    if len(xi) > SIZE_CAP:
+        raise ConfigError("vector must have at most %d entries, the "
+                          "solvers' size cap" % SIZE_CAP)
     Aop = assignment.operator_of(a)
     total = sproduct_operator(assignment, s)
-    N = max(8, min(len(xi), SIZE_CAP))
+    N = max(8, len(xi))
     try:
         res = chain_solve(assignment, s, xi[:N], tol / 4)
     except TruncationLimit:

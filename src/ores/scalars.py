@@ -96,13 +96,14 @@ class Scalar:
         """The Scalar of [re_num, re_den, im_num, im_den], normalized by
         one gcd; a zero denominator raises ZeroDivisionError."""
         rn, rd, im_n, im_d = map(int, quad)
-        for n, d in ((rn, rd), (im_n, im_d)):
-            if not d:
-                raise ZeroDivisionError("Fraction(%s, 0)" % n)
-        if rd < 0:
-            rn, rd = -rn, -rd
-        if im_d < 0:
-            im_n, im_d = -im_n, -im_d
+        if rd <= 0 or im_d <= 0:
+            for n, d in ((rn, rd), (im_n, im_d)):
+                if not d:
+                    raise ZeroDivisionError("Fraction(%s, 0)" % n)
+            if rd < 0:
+                rn, rd = -rn, -rd
+            if im_d < 0:
+                im_n, im_d = -im_n, -im_d
         return _from_parts(rn, rd, im_n, im_d)
 
     def to_quad(self):
@@ -187,11 +188,6 @@ class Scalar:
         s = _new(Scalar)
         s.a, s.b, s.d = self.a, -self.b, self.d
         return s
-
-    def is_conjugate_of(self, other: "Scalar") -> bool:
-        """self == other.conjugate(), read off the canonical triples."""
-        return (self.a == other.a and self.b == -other.b
-                and self.d == other.d)
 
     def is_positive_real(self) -> bool:
         return not self.b and self.a > 0

@@ -49,27 +49,13 @@ from .scalars import ONE, ZERO, Scalar, as_scalar, gaussian_over
 
 
 # The largest Gram matrix gram() builds, in rows: the basis words of
-# degree <= d.  On a 2-CPU machine (Python 3.11) the axiom check and GNS
-# build of the heisenberg vacuum state at degree 16 (153 words, 17 rows
-# evaluated, as the vacuum kills a) take about 0.013 s.  It bounds rows,
-# not work: the exact reduction of the Gaussian Hankel table on one
-# variable takes about 0.9 s at 81 rows and 4.1 s at 101, as its entries
+# degree <= d.  On a 2-CPU machine (Python 3.11) the state, axiom check
+# and GNS build of the heisenberg vacuum at degree 16 (153 words, 17 rows
+# evaluated, as the vacuum kills a) take about 0.010 s.  It bounds rows,
+# not work: the Gaussian Hankel table on one variable and its exact
+# reduction take about 0.9 s at 81 rows and 4.3 s at 101, as its entries
 # grow with the degree.
 _GRAM_LIMIT = 160
-
-
-def _dagger_nf(p: Presentation, w, basis) -> dict:
-    """The normal form of the dagger of the word w.
-
-    The dagger word need not be normal (in poly_xy the dagger of x*y is
-    y*x), so hermitian symmetry compares f(w)* with f at this normal form.
-    A dagger word found in basis, a container of the basis words, is
-    irreducible and its own normal form, so only the others are rewritten.
-    """
-    w2 = p.dagger_word(w)
-    if w2 in basis:
-        return {w2: ONE}
-    return p.normal_form_word(w2)
 
 
 def _at(table: dict, nf: dict) -> Scalar:
@@ -90,7 +76,12 @@ class MomentFunctional:
 
     The constructor refuses a table with words outside the basis, without
     f(1) = 1, or without hermitian symmetry, so every MomentFunctional is
-    normalized and hermitian.
+    normalized and hermitian.  It reads the table once per basis word,
+    keeping a value that is already a Scalar as it is.  Hermitian
+    symmetry conj f(w) = f(NF(w')) compares the triples of f(w) and
+    f(w') where the dagger word w' is a basis word, its own normal form,
+    and rewrites w' only where it is not; each pair is compared from both
+    ends, which names the first word of the pair that fails.
     """
 
     __slots__ = ("presentation", "degree", "table", "_phi", "_killed",
@@ -106,31 +97,24 @@ class MomentFunctional:
         self.presentation = presentation
         self.degree = int(degree)
         words = presentation.basis_words(2 * degree)
-        fixed = {}
-        for w in words:
-            fixed[w] = as_scalar(table.get(w, ZERO))
-        extra = set(table) - set(words)
-        if extra:
-            raise StateAxiomError(
-                "table contains non-basis words: %s" % sorted(extra)[:3])
+        fixed = {w: as_scalar(table.get(w, ZERO)) for w in words}
+        if not table.keys() <= fixed.keys():
+            raise StateAxiomError("table contains non-basis words: %s"
+                                  % sorted(k for k in table
+                                           if k not in fixed)[:3])
         if fixed[()] != ONE:
             raise StateAxiomError("state normalization f(1) = 1 fails")
-        # conj f(w) = f(NF(w')).  Where NF(w') is one word w2 with
-        # coefficient 1, NF(w2') = w (the rules are dagger-closed and
-        # confluent, see gram()), so the pair {w, w2} is checked once, at
-        # whichever of the two comes first
-        checked = set()
-        for w in words:
-            if w in checked:
-                continue
-            nf = _dagger_nf(presentation, w, fixed)
-            if len(nf) == 1:
-                (w2, c), = nf.items()
-                if c == ONE:
-                    checked.add(w2)
-                    if fixed[w].is_conjugate_of(fixed[w2]):
-                        continue
-            if fixed[w].conjugate() != _at(fixed, nf):
+        # conj f(w) = f(NF(w'))
+        dagger = presentation.dagger_word
+        for w, x in fixed.items():
+            wd = dagger(w)
+            y = fixed.get(wd)
+            if y is None:
+                ok = x.conjugate() == _at(
+                    fixed, presentation.normal_form_word(wd))
+            else:
+                ok = x.a == y.a and x.b == -y.b and x.d == y.d
+            if not ok:
                 raise StateAxiomError(
                     "hermitian symmetry fails at word %s"
                     % presentation.word_str(w))
@@ -408,8 +392,12 @@ def from_numeric(presentation: Presentation, degree: int,
     table = dict(raw)
     words = presentation.basis_words(2 * degree)
     basis = set(words)
+    dagger = presentation.dagger_word
     for w in words:
-        nf = _dagger_nf(presentation, w, basis)
+        # the dagger word need not be normal: in poly_xy the dagger of
+        # x*y is y*x
+        wd = dagger(w)
+        nf = {wd: ONE} if wd in basis else presentation.normal_form_word(wd)
         a = raw.get(w, ZERO)
         b = _at(raw, nf).conjugate()
         has_b = all(w2 in raw for w2 in nf)

@@ -1,5 +1,6 @@
 """Presented *-algebras: normal forms, involution, regularity, presets."""
 
+import itertools
 import random
 
 import pytest
@@ -112,6 +113,41 @@ def test_basis_words_sorted_by_graded_order():
         keys = [(len(w), w) for w in words]
         assert keys == sorted(keys)
         assert len(set(words)) == len(words)
+
+
+def _brute_force_basis(p, degree):
+    """Every word up to degree with no rule left side as a factor, in
+    deglex order, from all words over the generators."""
+    lhss = [r.lhs for r in p.rules]
+    words = [w for d in range(degree + 1) for w in itertools.product(
+                 range(len(p.generators)), repeat=d)
+             if not any(w[i:i + len(lhs)] == lhs for lhs in lhss
+                        for i in range(d - len(lhs) + 1))]
+    return tuple(sorted(words, key=lambda w: (len(w), w)))
+
+
+def test_basis_words_equal_a_brute_force_enumeration(monkeypatch):
+    # left sides of one letter (z -> 0), two (y*x -> x*y) and three
+    # (x*x*x -> 0, and a*a*a -> 0 with its dagger b*b*b -> 0)
+    mixed = (("x", "y", "z"), (("x",), ("y",), ("z",)),
+             ((("z",), ()), (("y", "x"), ((1, ("x", "y")),)),
+              (("x", "x", "x"), ())), 8)
+    cubes = (("a", "b"), (("a", "b"),),
+             ((("a", "a", "a"), ()), (("b", "b", "b"), ())), 8)
+    cases = [mixed, cubes] + [algebra.PRESETS[name] for name in PRESET_NAMES]
+    for data in cases:
+        p = Presentation(*data)
+        assert p.basis_words(6) == _brute_force_basis(p, 6)
+    # the overflow degree: the limit admits every word up to degree 4 and
+    # not those up to degree 5
+    for data in (mixed, cubes):
+        limit = len(_brute_force_basis(Presentation(*data), 4))
+        monkeypatch.setattr(algebra, "_BASIS_LIMIT", limit)
+        p = Presentation(*data)
+        with pytest.raises(DegreeOverflow):
+            p.basis_words(5)
+        assert p._basis_overflow == 5
+        assert p.basis_words(4) == _brute_force_basis(p, 4)
 
 
 def test_element_operations():

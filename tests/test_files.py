@@ -9,7 +9,12 @@ reproduce the exact double.
 
 import copy
 import json
+import os
+import pickle
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction as Rational
 
 from ores.algebra import load_preset, random_element
@@ -281,6 +286,93 @@ def test_damaged_fields_load_or_raise_ores_errors(loader, valid):
                     and any(abs(k) > SIZE_CAP for k in loaded.bands)):
                 escaped.append((path, value, "band past the size cap"))
     assert not escaped
+
+
+# Loads each pickled moment dict on poly_x: from a JSON file where every
+# key is a string, else as a dict; prints one JSON line per dict.
+_MOMENT_LIMITS_CHILD = """
+import json, pickle, sys
+from ores.algebra import load_preset
+from ores.errors import ConfigError
+from ores.files import load_moments, moments_from_dict
+p = load_preset("poly_x")
+for i, (key, d) in enumerate(pickle.load(sys.stdin.buffer)):
+    try:
+        if all(isinstance(k, str) for k in d["moments"]):
+            path = "%s/%d.json" % (sys.argv[1], i)
+            with open(path, "w") as fh:
+                json.dump(d, fh)
+            f = load_moments(path, p)
+        else:
+            f = moments_from_dict(d, p)
+    except ConfigError as exc:
+        out = ["ConfigError", str(exc)]
+    except Exception as exc:
+        out = [type(exc).__name__, str(exc)]
+    else:
+        out = ["loaded", f.table[key].to_quad()]
+    print(json.dumps(out))
+"""
+
+
+def test_moment_files_under_limits_load_or_raise_config_errors(tmp_path):
+    # damaged keys and extreme quads, in a child process under a 2 GiB
+    # address space and a time bound: each file loads, with the exact
+    # value, or raises ConfigError with the message of the reader
+    valid = moments_to_dict(gaussian_state(load_preset("poly_x"), 2))
+    words = [k for k in valid["moments"] if k != "1"]
+    cases, expected = [], []
+    for k in list(valid["moments"]):
+        for bad in ("", "x..x", "y", 7):
+            d = copy.deepcopy(valid)
+            d["moments"] = {bad if key == k else key: v
+                            for key, v in valid["moments"].items()}
+            cases.append(((), d))
+            if bad == 7:
+                message = "'int' object has no attribute 'split'"
+                expected.append(["ConfigError",
+                                 "malformed moment file: %s" % message])
+            else:
+                expected.append(["ConfigError",
+                                 "moment word %r uses unknown generator %r"
+                                 % (bad, "y" if bad == "y" else "")])
+    try:
+        int([1])
+    except TypeError as exc:
+        nested = "malformed moment file: %s" % exc
+    big = 10 ** 400
+    quads = [([big, 1, 0, 1], Rational(big)),
+             ([1, big, 0, 1], Rational(1, big)),
+             ([-big, -3, 0, 1], Rational(big, 3)),
+             ([2, -4, 0, -7], Rational(-1, 2)),
+             ([6, 4, 0, big], Rational(3, 2)),
+             ([1, 0, 0, 1], "malformed moment file: Fraction(1, 0)"),
+             ([1, 1, 0, 0], "malformed moment file: Fraction(0, 0)"),
+             ([big, 0, 0, 0], "malformed moment file: Fraction(%d, 0)" % big),
+             ([[1], 1, 0, 1], nested),
+             ([1, [[[1]]], 0, 1], nested),
+             ([1, 1, 0], "malformed moment file: not enough values to "
+                         "unpack (expected 4, got 3)")]
+    for k in words:
+        for quad, want in quads:
+            d = copy.deepcopy(valid)
+            d["moments"][k] = quad
+            cases.append(((0,) * len(str_to_word(k)), d))
+            if isinstance(want, Rational):
+                expected.append(["loaded",
+                                 [want.numerator, want.denominator, 0, 1]])
+            else:
+                expected.append(["ConfigError", want])
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MOMENT_LIMITS_CHILD, str(tmp_path)],
+        input=pickle.dumps(cases), env=env, capture_output=True,
+        timeout=60, preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (2 << 30, 2 << 30)))
+    assert proc.returncode == 0, proc.stderr.decode()
+    outcomes = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert outcomes == expected
 
 
 def test_representation_dump_structure(tmp_path):

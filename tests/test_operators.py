@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from ores.algebra import load_preset, random_element
-from ores.errors import (FormulaDomainError, OreWitnessNotFound,
-                         PresentationError, TruncationLimit)
+from ores.errors import (ConfigError, FormulaDomainError,
+                         OreWitnessNotFound, PresentationError,
+                         TruncationLimit)
 from ores.formulas import CPoly, Formula, QPoly
 from ores.localization import (Fraction, SProduct, frac_add, frac_dagger,
                                 frac_mul)
-from ores.operators import (BandedOperator, FockAssignment, _gap, chain_solve,
-                            core_density_probe, extend_representation,
+from ores.operators import (SIZE_CAP, BandedOperator, FockAssignment, _gap,
+                            chain_solve, core_density_probe, extend_representation,
                             fock_assignment,
                             invert_one_plus_AstarA, lemma_pis_equals_S_check,
                             one_plus_AstarA, pi_s_surjectivity_probe,
@@ -336,7 +337,7 @@ def test_lemma_check_gap_pads_with_zeros(monkeypatch):
 
 
 def test_core_density_probe():
-    # one solve of pi(s) x = xi[:N], N = max(8, min(len(xi), 4096)), and
+    # one solve of pi(s) x = xi[:N], N = max(8, len(xi)), and
     # the graph distance of pi(s) x from the whole of xi in the graph
     # norm of the operator of a
     p = load_preset("heisenberg")
@@ -363,6 +364,23 @@ def test_core_density_probe():
     (item,) = report.items
     assert (item.label, item.residual, item.truncation, item.passed) \
         == ("graph_distance", float("inf"), 4096, False)
+
+
+def test_core_density_probe_refuses_a_vector_past_the_size_cap():
+    # the solves stop at the size cap, so the tail of a longer xi would be
+    # measured unsolved and the probe would report FAIL; a xi of exactly
+    # SIZE_CAP entries is solved whole
+    p = load_preset("heisenberg")
+    asg = fock_assignment(p)
+    a = p.generator("a")
+    s = SProduct(p, (a,))
+    xi = 0.999 ** np.arange(SIZE_CAP + 1)
+    with pytest.raises(ConfigError) as err:
+        core_density_probe(asg, a, s, xi, 1e-6)
+    assert str(err.value) == ("vector must have at most 4096 entries, the "
+                              "solvers' size cap")
+    (item,) = core_density_probe(asg, a, s, xi[:SIZE_CAP], 1e-6).items
+    assert item.passed and item.truncation == SIZE_CAP
 
 
 def test_extension_known_value():

@@ -159,10 +159,12 @@ def _first_asymmetric_word(p, table, words):
 
 
 def test_symmetry_error_names_the_first_asymmetric_word():
-    # the constructor checks a pair {w, NF(w')} of single words once; the
-    # word it names must still be the first whose check fails, whichever
-    # word of a pair is broken, and on tables whose NF(w') has several
-    # terms (the twisted plane) too
+    # the word the constructor names must be the first whose check
+    # fails, whichever word of a pair {w, NF(w')} is broken: where w' is
+    # the reversed word (free_xy), where it is mapped through a dagger
+    # pair (heisenberg, a coherent state f(ad^m a^n) = conj(z)^m z^n),
+    # and where it is rewritten (poly_xy, and the twisted plane, whose
+    # NF(w') has several terms)
     p = load_preset("free_xy")
     mats = (np.array([[1, (1 + 1j) / 2], [(1 - 1j) / 2, -1]]),
             np.array([[0, 1j], [-1j, 0.5]]))
@@ -171,8 +173,13 @@ def test_symmetry_error_names_the_first_asymmetric_word():
     points = ((Rational(1, 2), Rational(-1, 3)), (Rational(2), Rational(1)))
     poly = MomentFunctional.from_function(p, 3, lambda w: Scalar(sum(
         math.prod(pt[g] for g in w) for pt in points) / 2))
+    p = load_preset("heisenberg")
+    z = Scalar(Rational(1, 2), Rational(-1, 3))
+    coherent = MomentFunctional.from_function(
+        p, 3, lambda w: math.prod([z.conjugate()] * w.count(0)
+                                  + [z] * w.count(1), start=Scalar(1)))
     named_partner = accepted = 0
-    for f in (free, poly, _twisted_plane_state(3)):
+    for f in (free, coherent, poly, _twisted_plane_state(3)):
         p = f.presentation
         words = p.basis_words(2 * f.degree)
         assert _first_asymmetric_word(p, f.table, words) is None
