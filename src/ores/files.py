@@ -9,7 +9,8 @@ reports contain no timestamps; the text rendering carries a single
 
 Each loader turns a malformed file into a ConfigError in one handler,
 and refuses an operator band further from the diagonal than SIZE_CAP;
-a file nested too deeply for the JSON reader is a ConfigError too.
+a file nested too deeply for the JSON reader, or one it cannot read, is
+a ConfigError too.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ def _read_json(path):
             return json.load(fh)
         except RecursionError:
             raise ConfigError("%s nests too deeply to read" % path) from None
+        except ValueError as exc:
+            # not JSON, not UTF-8, or an integer past Python's digit limit
+            raise ConfigError("%s is not readable JSON: %s"
+                              % (path, exc)) from None
 
 
 # -- presentations ---------------------------------------------------------------

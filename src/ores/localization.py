@@ -19,18 +19,20 @@ p = 1 mod 4, with i sent to a square root of -1 mod p, and a*t mod p
 must lie in the span of s*A mod p.  Reduction mod p can only lower the
 rank of a subspace, so the screen is used only where s*A has full rank
 mod p, and so the same exact rank; then it never rejects a true member
-(the argument is in _MulSubspace).  The screen works on blocks of
+(the argument is in _MulSubspace).  The screen works on ranges of
 candidates in scan order: one matrix K*M_a mod p (K an annihilator of
 s*A mod p, M_a left multiplication by a) is applied at once to the
-vectors of all candidates of one degree.  When the scan reaches the
-second block of a factor count, that product takes in every later block
-of the count that is cached, and the survivors are kept for the rest of
-the scan; a block not cached yet is built and screened alone, so a
-search that ends in a count's first block screens no more.  These are
-dense float64 products of residues in [0, p), cut into chunks of at
-most 2,048 terms so that every partial sum stays below 2**53 and is
-exact (Dumas, Giorgi and Pernet, "Dense linear algebra over word-size
-prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008).
+vectors of all candidates of one degree in the range.  The products of
+a factor count are taken in chunks of 8, 16, 32 and so on up to 1,024
+candidates, so a search that ends early screens few it never reaches.
+Every search reads a count in scan order, so the search state caches a
+prefix of each count; from the count's second chunk on, a range runs to
+the end of that prefix, and a warm search screens it in one product per
+degree.  These are dense float64 products of residues in [0, p), cut
+into chunks of at most 2,048 terms so that every partial sum stays
+below 2**53 and is exact (Dumas, Giorgi and Pernet, "Dense linear
+algebra over word-size prime fields: the FFLAS and FFPACK packages", ACM
+TOMS 35(3), 2008).
 One M_a serves a query: a candidate of a higher degree adds its new
 columns, and the first build goes as far as the cached word maps of a
 reach, so a query after a search that went as far builds it once.
@@ -38,14 +40,16 @@ Only survivors get the exact products t and a*t and the exact solve;
 the scan visits them alone and counts the candidates between them, so
 the scan order, the witness and the number of candidates tried are
 those of the exact scan.  Each candidate's vector mod p is written
-once, straight into the stack of its degree; the cached blocks of a
-factor count are row ranges of one stack per degree, counted once,
-spare rows included, against the stacks' limit of 2**22 residues (a
-stack that grows holds its old rows twice while it copies them), and a
-block past it is built again from the cached values and word maps when
-a search reaches it.  No vector is built for a degree whose stack
-would pass the limit of one dense matrix, where M_a is past it too and
-the screen is off.
+once, straight into the stack of its degree; the cached prefixes hold
+one stack per degree and count, counted, spare rows included, against
+the stacks' limit of 2**22 residues (a stack that grows holds its old
+rows twice while it copies them).  A prefix grows by a chunk only while
+the stacks fit under the limit; from the first chunk that does not fit,
+the count caches nothing more, and each later chunk is built again from
+the cached values and word maps whenever a search reaches it, even where
+a smaller one would still fit.  No vector is built for a degree whose
+chunk would pass the limit of one dense matrix, where M_a is past it
+too and the screen is off.
 Returned witnesses are always re-verified exactly.
 
 The bounded regularity check of a denominator s reads the same spans:
@@ -56,6 +60,7 @@ Warfield, An Introduction to Noncommutative Noetherian Rings, ch. 10).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, fields
 
@@ -285,13 +290,17 @@ _VALUE_LIMIT = 4096      # values of denominators in S
 _SUBSPACE_LIMIT = 512    # spans s * A_{<=bound} and A_{<=bound} * s
 _LEFT_LIMIT = 256        # left multiplications by single words, mod p
 _PARAM_LIMIT = 8         # candidate factor parameters per max_degree
-_STACK_LIMIT = 2 ** 22   # residues in the cached blocks' stacks, 32 MB
 _ARRAY_LIMIT = 2 ** 22   # residues in one dense matrix mod p, 32 MB
 
-# The products of each factor count are screened in blocks of
-# _FIRST_BLOCK candidates, then twice as many each time up to
-# _LAST_BLOCK: a search that succeeds early screens few candidates it
-# never reaches, and a long one takes few blocks.
+# Residues in the cached counts' stacks, spare rows included, 32 MB.  A
+# count's cached prefix grows by whole chunks and stops at the first
+# chunk that would pass the limit: every search that reaches the rest of
+# the count builds it again, although a smaller later chunk may still fit.
+_STACK_LIMIT = 2 ** 22
+
+# The products of each factor count are screened in chunks of
+# _FIRST_BLOCK candidates, then twice as many each time up to _LAST_BLOCK
+# (see _ranges).
 _FIRST_BLOCK = 8
 _LAST_BLOCK = 1024
 
@@ -362,9 +371,8 @@ class _SearchState:
         self.max_dot = (2 ** 53 - 1) // (_PRIME - 1) ** 2
         self.params = {}       # max_degree -> (parameters, key -> position)
         self.values = {}       # SProduct key -> value
-        self.blocks = {}       # key -> _Block (see first_block, block)
-        self.stacks = {}       # factor count or "1, s" key -> _Stacks
-        self.stacked = 0       # residues in the cached blocks' stacks
+        self.counts = {}       # (max_degree, count) or "1, s" key -> _Count
+        self.stacked = 0       # residues in the cached counts' stacks
         self.left = {}         # word -> (degree, map mod p)
         self.subspaces = {}    # (s key, bound, right) -> _MulSubspace
         self._index = {}
@@ -389,36 +397,40 @@ class _SearchState:
                             _PARAM_LIMIT)
         return hit
 
-    def first_block(self, s: SProduct):
-        """The _Block of the candidates 1 and s."""
+    def pair(self, s: SProduct):
+        """The _Count of the candidates 1 and s."""
         key = ("1, s", s.key())
-        hit = self.blocks.get(key)
+        hit = self.counts.get(key)
         if hit is None:
-            hit = self._build(key, (None, None), *_singles(
+            hit = self._fill(key, _Count(), *_singles(
                 (SProduct.one(self.presentation), s), 0))
         return hit
 
-    def block(self, max_degree: int, count: int, start: int, stop: int):
-        """The _Block of the products of count factor parameters at
-        positions start..stop-1 of their scan order."""
-        key = (max_degree, count, start, stop)
-        hit = self.blocks.get(key)
-        if hit is None:
-            n = len(self.factor_parameters(max_degree)[0])
-            combos = list(itertools.islice(
-                itertools.product(range(n), repeat=count), start, stop))
-            hit = self._build(key, combos,
-                              *self.candidates_at(max_degree, combos))
-        return hit
+    def count(self, max_degree: int, count: int, start: int, stop: int):
+        """A _Count that holds the products of count factor parameters at
+        positions start..stop-1 of their scan order: the cached prefix of
+        the count, extended to stop when it ends at start and the stacks
+        have room, or else one of that range alone."""
+        key = (max_degree, count)
+        cached = self.counts.get(key)
+        if cached is None:
+            cached = _Count()
+        elif stop <= cached.stop:
+            return cached
+        if start != cached.stop:
+            key, cached = None, _Count(start)
+        return self._fill(key, cached,
+                          *self.candidates_at(max_degree, count, start, stop))
 
-    def candidates_at(self, max_degree: int, combos):
-        """(t, degree) for the product t of the factor parameters at the
-        positions in each combo, in order, and the runs that give their
-        vectors mod p (see _build).  The scan runs through every last
-        factor of one head in a row, and each head is one run (u, [(i,
-        f)]): u the value of the product of the head's factors and f
-        that of the last factor of the candidate at position i, so t =
-        u * f; for one factor u is None and f is t.value.  For two or
+    def candidates_at(self, max_degree: int, count: int, start: int,
+                      stop: int):
+        """(t, degree) for the products t of count factor parameters at
+        positions start..stop-1 of their scan order, and the runs that
+        give their vectors mod p (see _fill).  The scan runs through
+        every last factor of one head in a row, and each head is one run
+        (u, [(i, f)]): u the value of the product of the head's factors
+        and f that of the last factor of the candidate at position i, so
+        t = u * f; for one factor u is None and f is t.value.  For two or
         more factors the degree is deg u + deg f >= deg t.  It is None
         exactly when t.value passes the degree cap: the left fold that
         builds t.value passes it at u, or at the product u * (1 + q'q)
@@ -426,11 +438,13 @@ class _SearchState:
         shows."""
         p = self.presentation
         ps = self.factor_parameters(max_degree)[0]
+        combos = itertools.islice(
+            itertools.product(range(len(ps)), repeat=count), start, stop)
         entries, runs = [], []
         for head, run in itertools.groupby(combos, lambda c: c[:-1]):
             ts = [SProduct(p, tuple(ps[i] for i in c)) for c in run]
             if not head:
-                more, singles = _singles(ts, len(entries))
+                more, singles = _singles(ts, start + len(entries))
                 entries += more
                 runs += singles
                 continue
@@ -441,30 +455,29 @@ class _SearchState:
                 degree = None
                 if f is not None and u.degree() + f.degree() <= p.degree_cap:
                     degree = u.degree() + f.degree()
-                    items.append((len(entries), f))
+                    items.append((start + len(entries), f))
                 entries.append((t, degree))
             runs.append((u, items))
         return entries, runs
 
-    def _build(self, key, combos, entries, runs):
-        """The _Block of these candidates, cached while the stacks of all
-        cached blocks hold at most _STACK_LIMIT residues, spare rows
-        included (a full stack of free_xy at max_degree 10 would hold
-        16,384 x 2,047).  A cached block adds its vectors to the stacks
-        of its factor count, so a count's cached blocks are row ranges
-        of one stack per degree.
+    def _fill(self, key, count, entries, runs):
+        """count with these candidates appended, cached under key while
+        the stacks of all cached counts hold at most _STACK_LIMIT
+        residues, spare rows included (a full stack of free_xy at
+        max_degree 10 would hold 16,384 x 2,047); past it, or without a
+        key, a new _Count of these candidates alone.
         No vector is built for a degree whose basis passes the basis
-        limit, or whose stack would pass _ARRAY_LIMIT: a block holds at
-        most _LAST_BLOCK candidates, so that degree has more than 4,096
-        words, and M_a on them passes _ARRAY_LIMIT too.  The screen is
-        off on such a degree, and its candidates are unscreened.  Each
+        limit, or whose new rows would pass _ARRAY_LIMIT: a range holds at
+        most _LAST_BLOCK new candidates, so that degree has more than
+        4,096 words, and M_a on them passes _ARRAY_LIMIT too.  The screen
+        is off on such a degree, and its candidates are unscreened.  Each
         vector is written into its row: the coefficients of f mod p for
         a run without head, and for the run of a head u one product M_u
         F mod p per degree of f, the columns of F the vectors of those
         f.  A row stays zero where p divides a denominator, and a zero
         vector passes every screen."""
-        positions = {}         # degree -> positions in the block
-        for i, (_, degree) in enumerate(entries):
+        positions = {}         # degree -> the new positions
+        for i, (_, degree) in enumerate(entries, count.stop):
             if degree is not None:
                 positions.setdefault(degree, []).append(i)
         widths = {}
@@ -475,24 +488,20 @@ class _SearchState:
                 continue
             if width * len(found) <= _ARRAY_LIMIT:
                 widths[degree] = width
-        stacks = self.stacks.get(key[:2], _Stacks())
-        room = _STACK_LIMIT - self.stacked - sum(
-            w * stacks.lack(d, len(positions[d])) for d, w in widths.items())
-        cached = room >= 0
-        if cached:
-            self.stacks[key[:2]] = stacks
+        room = -1 if key is None else _STACK_LIMIT - self.stacked - sum(
+            w * count.lack(d, len(positions[d])) for d, w in widths.items())
+        if room < 0:
+            key, count, room = None, _Count(count.stop), 0
         else:
-            stacks, room = _Stacks(), 0
-        block = _Block(key, combos, entries, stacks, sorted(
-            itertools.chain.from_iterable(
-                found for d, found in positions.items() if d not in widths)))
+            self.counts[key] = count
+        count.entries += entries
+        count.unscreened += sorted(itertools.chain.from_iterable(
+            found for d, found in positions.items() if d not in widths))
         rows = {}              # position -> (array, row)
         for degree, width in widths.items():
-            first, spare = stacks.reserve(
-                degree, width, len(positions[degree]), room // width)
+            array, first, spare = count.reserve(
+                degree, width, positions[degree], room // width)
             room -= spare * width
-            block.groups.append((degree, positions[degree], first))
-            array = stacks.arrays[degree]
             rows.update((i, (array, first + k))
                         for k, i in enumerate(positions[degree]))
         for u, items in runs:
@@ -515,11 +524,9 @@ class _SearchState:
                 array = rows[group[0][0]][0]
                 array[[rows[i][1] for i, _ in group]] = self.matmul(
                     m, factors.T).T
-        if cached:
-            stacks.blocks.append(block)
-            self.blocks[key] = block
+        if key is not None:
             self.stacked = _STACK_LIMIT - room
-        return block
+        return count
 
     def subspace(self, s_value: AlgebraElement, s_key, bound: int,
                  right: bool):
@@ -670,88 +677,93 @@ def _singles(ts, offset: int):
     return entries, [(None, items)]
 
 
-class _Stacks:
-    """Vectors mod p in stacks, one per degree, and the cached blocks
-    they belong to, in the order they were added.  The stack of a degree
-    is held transposed, one vector per row of a float64 array, and
-    grows by doubling as far as the stack limit allows; the rows past
-    the filled ones are zero, and they count against the limit too.
-    The cached blocks of one factor count share one _Stacks, so each is
-    a row range of it; a block left uncached has its own."""
+class _Count:
+    """Candidates of one factor count, or the pair 1 and s, from
+    position start on in their scan order: (t, degree) at each position,
+    one stack of vectors mod p per degree with the ascending positions
+    of its rows, and the positions left unscreened (see
+    _SearchState._fill).  A degree is None where t.value passes the
+    degree cap, and such a candidate is in no stack.  A cached count
+    starts at 0 and grows as the scan reaches further; one that the
+    stack limit leaves uncached holds one range and is built again when
+    a search reaches it.  A stack is held transposed, one vector per row
+    of a float64 array, and grows by doubling as far as the stack limit
+    allows; the rows past the filled ones are zero, and they count
+    against the limit too."""
 
-    __slots__ = ("arrays", "filled", "blocks")
+    __slots__ = ("start", "entries", "stacks", "unscreened")
 
-    def __init__(self):
-        self.arrays = {}       # degree -> array, a vector per row
-        self.filled = {}       # degree -> rows in use
-        self.blocks = []       # cached only: an uncached block is freed
+    def __init__(self, start: int = 0):
+        self.start = start
+        self.entries = []      # (t, degree) at each position from start
+        self.stacks = {}       # degree -> (array, positions of its rows)
+        self.unscreened = []
+
+    @property
+    def stop(self) -> int:
+        return self.start + len(self.entries)
 
     def lack(self, degree: int, n: int) -> int:
         """The rows the stack of this degree must add to hold n more."""
-        array = self.arrays.get(degree)
-        have = 0 if array is None else len(array)
-        return max(self.filled.get(degree, 0) + n - have, 0)
+        array, positions = self.stacks.get(degree, ((), ()))
+        return max(len(positions) + n - len(array), 0)
 
-    def reserve(self, degree: int, width: int, n: int, room: int):
-        """The first of n new zero rows for vectors of this degree, and
-        the spare rows past them that the stack took on growing: it
-        doubles, but by at most room spare rows."""
-        array = self.arrays.get(degree)
-        first = self.filled.get(degree, 0)
-        self.filled[degree] = first + n
-        if array is not None and first + n <= len(array):
-            return first, 0
-        spare = min(max(first - n, 0), room)
-        grown = np.zeros((first + n + spare, width))
-        if array is not None:
-            grown[:first] = array[:first]
-        self.arrays[degree] = grown
-        return first, spare
-
-
-class _Block:
-    """Candidates screened together: their key in the search state,
-    their combos (None for 1 and s), (t, degree) in scan order, and
-    their vectors mod p in groups, one per degree: (degree, positions
-    in the block, first row), the vectors in consecutive rows of the
-    stack of that degree in stacks.  A degree is None where t.value
-    passes the degree cap, and such a candidate is in no group; the
-    positions of a degree whose vectors are not built (see
-    _SearchState._build) are unscreened.  The stacks hold the only copy
-    of the vectors: a block that the stack limit leaves uncached is
-    built again when a search reaches it."""
-
-    __slots__ = ("key", "combos", "entries", "stacks", "groups",
-                 "unscreened")
-
-    def __init__(self, key, combos, entries, stacks, unscreened):
-        self.key = key
-        self.combos = combos
-        self.entries = entries
-        self.stacks = stacks
-        self.groups = []
-        self.unscreened = unscreened
+    def reserve(self, degree: int, width: int, found, room: int):
+        """The stack of this degree with zero rows for the vectors at the
+        positions found, the first of those rows, and the spare rows past
+        them that the stack took on growing: it doubles, but by at most
+        room spare rows."""
+        array, positions = self.stacks.get(degree, (None, []))
+        first, n = len(positions), len(found)
+        spare = 0
+        if array is None or first + n > len(array):
+            spare = min(max(first - n, 0), room)
+            grown = np.zeros((first + n + spare, width))
+            if array is not None:
+                grown[:first] = array[:first]
+            array = grown
+        self.stacks[degree] = array, positions + found
+        return array, first, spare
 
 
-def _candidate_blocks(state: _SearchState, s: SProduct, budget: OreBudget):
-    """The candidates in scan order, as _Blocks: 1 and s, then the
-    products of one to max_factors parameters, as far as the scan can
-    reach.  It tries at most MAX_CANDIDATES candidates, 1 and s among
-    them, and skips the product equal to s (the parameters are
-    distinct, so no other product repeats), so it reaches at most
-    MAX_CANDIDATES - 1 products."""
-    yield state.first_block(s)
-    n = len(state.factor_parameters(budget.max_degree)[0])
+def _ranges(state: _SearchState, s: SProduct, budget: OreBudget):
+    """The candidates in scan order, as ranges (count, start, stop, skip)
+    of a _Count: 1 and s, then the products of one to max_factors
+    parameters, as far as the scan can reach.  A range takes
+    min(start + _FIRST_BLOCK, _LAST_BLOCK) candidates, so the chunks of
+    a count double from _FIRST_BLOCK up to _LAST_BLOCK: a search that
+    succeeds early screens few candidates it never reaches, and a long
+    one takes few ranges.  From a count's second chunk on, a range runs
+    at least to the end of the count's cached prefix, which is screened
+    in one product per degree.  skip is the position of the product
+    equal to s, or stop where it is not in the range; s's combo c is at
+    position sum(c_k n**k) of itertools.product, its last factor k = 0.
+    It tries at most MAX_CANDIDATES candidates, 1 and s among them, and
+    skips the product equal to s (the parameters are distinct, so no
+    other product repeats), so it reaches at most MAX_CANDIDATES - 1
+    products."""
+    yield state.pair(s), 0, 2, 2
+    ps, position = state.factor_parameters(budget.max_degree)
+    n = len(ps)
+    s_combo = [position.get(k) for k in s.key()]
     left = MAX_CANDIDATES - 1
     for count in range(1, budget.max_factors + 1):
         if not n or left <= 0:
             return
-        start, size, total = 0, _FIRST_BLOCK, n ** count
+        at = total = n ** count
+        if len(s_combo) == count and None not in s_combo:
+            at = sum(c * n ** k for k, c in enumerate(reversed(s_combo)))
+        cached = state.counts.get((budget.max_degree, count))
+        start = 0
         while start < total and left > 0:
-            stop = min(start + size, total, start + left)
-            yield state.block(budget.max_degree, count, start, stop)
+            stop = start + min(start + _FIRST_BLOCK, _LAST_BLOCK)
+            if start and cached is not None:
+                stop = max(stop, cached.stop)
+            stop = min(stop, total, start + left)
+            yield (state.count(budget.max_degree, count, start, stop),
+                   start, stop, at if start <= at < stop else stop)
             left -= stop - start
-            start, size = stop, min(2 * size, _LAST_BLOCK)
+            start = stop
 
 
 # -- the spans s * A and A * s of bounded degree ----------------------------
@@ -869,12 +881,9 @@ class _MulSubspace:
 class _Screen:
     """The modular screen of one query a t = s b.  survivors() leaves
     out only a candidate t with a*t mod p outside s*A mod p, so a*t is
-    not in s*A.  The second block of a factor count is screened with
-    every later cached block of the count, one product per degree over
-    the rows they share, and the walk reads the kept survivors of the
-    later ones.  One matrix M_a serves the whole query: a candidate of
-    a higher degree extends it by the new columns (see _reach for how
-    far the first build goes)."""
+    not in s*A.  One matrix M_a serves the whole query: a candidate of a
+    higher degree extends it by the new columns (see _reach for how far
+    the first build goes)."""
 
     def __init__(self, state: _SearchState, a: AlgebraElement,
                  s_value: AlgebraElement, s_key):
@@ -889,47 +898,28 @@ class _Screen:
         self.matrix = None     # left multiplication by a mod p, built lazily
         self.degree = -1       # the matrix covers t of degree <= this
         self.off = False       # p divides a denominator of a or the rules
-        self.kept = {}         # block -> its survivors, from a merged product
 
-    def survivors(self, block: _Block):
-        """The positions, in scan order, of the candidates of the block
-        under the degree cap that pass: one product (K M_a) T mod p
-        screens the vectors T of one degree.  At the second block of a
-        factor count the product takes in the rows of every later block
-        of the count that is cached, which share its stacks, and their
-        survivors are kept until the walk reaches them; a search that
-        ends in a count's first block screens no block it does not
-        reach."""
-        passing = self.kept.pop(block, None)
-        if passing is not None:
-            return passing
-        batch = [block]
-        cached = block.stacks.blocks
-        if block.key[2:3] == (_FIRST_BLOCK,) and block in cached:
-            batch = cached[cached.index(block):]
-        spans = {}             # degree -> [first row, last row + 1]
-        for b in batch:
-            for t_deg, positions, first in b.groups:
-                spans.setdefault(t_deg, [first, 0])[1] = first + len(positions)
-        passes = {}            # degree -> (first row, whether each row passes)
-        for t_deg, (first, stop) in spans.items():
+    def survivors(self, count: _Count, start: int, stop: int):
+        """The positions start..stop-1 of the count, in scan order, of
+        the candidates under the degree cap that pass: one product
+        (K M_a) T mod p screens the vectors T of one degree in the
+        range, consecutive rows of its stack."""
+        passing = count.unscreened[bisect.bisect_left(count.unscreened, start):
+                                   bisect.bisect_left(count.unscreened, stop)]
+        for t_deg, (array, positions) in count.stacks.items():
+            lo = bisect.bisect_left(positions, start)
+            hi = bisect.bisect_left(positions, stop, lo)
+            if lo == hi:
+                continue
             if t_deg not in self.precomposed:
                 self.precomposed[t_deg] = self._precompose(t_deg)
             q = self.precomposed[t_deg]
+            found = positions[lo:hi]
             if q is not None:
-                stack = block.stacks.arrays[t_deg][first:stop].T
-                passes[t_deg] = first, (~self.state.matmul(q, stack).any(
-                    axis=0)).tolist()
-        for b in batch:
-            passing = list(b.unscreened)
-            for t_deg, positions, first in b.groups:
-                if t_deg in passes:
-                    start, flags = passes[t_deg]
-                    positions = itertools.compress(positions,
-                                                   flags[first - start:])
-                passing += positions
-            self.kept[b] = sorted(passing)
-        return self.kept.pop(block)
+                found = itertools.compress(found, (~self.state.matmul(
+                    q, array[lo:hi].T).any(axis=0)).tolist())
+            passing += found
+        return sorted(passing)
 
     def _precompose(self, t_deg: int):
         """K M_a mod p for candidates t of degree at most t_deg, K the
@@ -1008,24 +998,19 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
     state = _search_state(p)
     s_key = s_value.key()
     s_deg = s_value.degree()
-    position = state.factor_parameters(budget.max_degree)[1]
-    s_combo = tuple(position.get(k) for k in s.key())
     screen = _Screen(state, a, s_value, s_key)
     tried = 0
-    for block in _candidate_blocks(state, s, budget):
+    for count, start, stop, skip in _ranges(state, s, budget):
         # the walk visits the candidates that pass, numbered by their
-        # place in the scan; the product equal to s, in a block of its
-        # factor count (key[1]), is skipped and not counted
-        size = skip = len(block.entries)
-        if block.key[1] == len(s_combo) and s_combo in block.combos:
-            skip = block.combos.index(s_combo)
-        for i in screen.survivors(block):
+        # place in the scan; the product equal to s is skipped and not
+        # counted
+        for i in screen.survivors(count, start, stop):
             if i == skip:
                 continue
-            number = tried + i + (i < skip)
+            number = tried + i - start + (i < skip)
             if number > MAX_CANDIDATES:
                 return OreSolveResult(None, MAX_CANDIDATES)
-            t = block.entries[i][0]
+            t = count.entries[i - count.start][0]
             # a product past the cap or a span past the basis limit skips t
             try:
                 r = a * t.value
@@ -1037,7 +1022,7 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
                 continue
             _verify(r, s_value * b, "right Ore witness")
             return OreSolveResult(OreWitness(b, t), number)
-        tried += size - (skip < size)
+        tried += stop - start - (skip < stop)
     return OreSolveResult(None, min(tried, MAX_CANDIDATES))
 
 

@@ -220,6 +220,22 @@ def test_malformed_operator_file_rejected():
         operator_from_dict({"rows": []})
 
 
+def test_unreadable_json_files_are_config_errors(tmp_path):
+    # the JSON reader's own ValueErrors escaped every loader: a file that
+    # is not JSON raised JSONDecodeError, one with an integer literal past
+    # Python's 4,300-digit limit a plain ValueError
+    p = load_preset("heisenberg")
+    texts = ["{not json", '{"degree": %s, "moments": {}}' % ("9" * 5000)]
+    loaders = (load_presentation, load_operator,
+               lambda path: load_moments(path, p))
+    for i, text in enumerate(texts):
+        path = tmp_path / ("case%d.json" % i)
+        path.write_text(text)
+        for load in loaders:
+            with pytest.raises(ConfigError, match="case%d.json" % i):
+                load(path)
+
+
 def test_two_loads_of_one_file_are_two_presentations(tmp_path):
     path = tmp_path / "heisenberg.json"
     save_presentation(load_preset("heisenberg"), path)

@@ -607,14 +607,13 @@ def test_chunked_product_mod_p_is_exact():
         x % prime for x in xs]
 
 
-def _block_vectors(block):
-    """(t, degree, vector mod p) of each candidate of the block that has a
-    vector, read from its stacks."""
+def _count_vectors(count):
+    """(t, degree, vector mod p) of each candidate of the _Count that has
+    a vector, read from its stacks."""
     out = []
-    for degree, positions, first in block.groups:
-        rows = block.stacks.arrays[degree][first:first + len(positions)]
-        out += [(block.entries[i][0], degree, row)
-                for i, row in zip(positions, rows)]
+    for degree, (array, positions) in count.stacks.items():
+        out += [(count.entries[i - count.start][0], degree, row)
+                for i, row in zip(positions, array)]
     return out
 
 
@@ -633,8 +632,7 @@ def test_product_vectors_are_images_of_the_exact_products():
         state = localization._search_state(load_preset(name))
         n = len(state.factor_parameters(1)[0])
         for count in (2, 3):
-            block = state.block(1, count, 0, n ** count)
-            vectors = _block_vectors(block)
+            vectors = _count_vectors(state.count(1, count, 0, n ** count))
             assert len(vectors) == n ** count
             for t, degree, vec in vectors:
                 exact_degree, exact = _exact_vector(state, t)
@@ -644,24 +642,32 @@ def test_product_vectors_are_images_of_the_exact_products():
 
 
 def _blocks(p, s, budget):
-    """The blocks the scan for s screens, as (first, last, products,
+    """The ranges the scan for s screens, as (first, last, products,
     past): the first and last candidate, numbered as candidates_tried
     counts them, the number of products of factor parameters in the
-    block, and the candidates in it whose value passes the degree cap."""
+    range, and the candidates in it whose value passes the degree cap.
+    Walked to the end, so on a presentation with no search state the
+    ranges are the chunks of a cold scan.  The position skipped holds
+    the product equal to s."""
     state = localization._search_state(p)
-    position = state.factor_parameters(budget.max_degree)[1]
-    s_combo = tuple(position.get(k) for k in s.key())
     out, tried = [], 0
-    for i, block in enumerate(localization._candidate_blocks(
-            state, s, budget)):
+    for k, (count, start, stop, skip) in enumerate(
+            localization._ranges(state, s, budget)):
+        if skip < stop:
+            assert count.entries[skip - count.start][0].key() == s.key()
         first, past = tried + 1, []
-        for combo, (_, degree) in zip(block.combos, block.entries):
-            if combo != s_combo:
+        for i in range(start, stop):
+            if i != skip:
                 tried += 1
-                if degree is None:
+                if count.entries[i - count.start][1] is None:
                     past.append(tried)
-        out.append((first, tried, len(block.combos) if i else 0, past))
+        out.append((first, tried, stop - start if k else 0, past))
     return out
+
+
+def _query(p, a_text, q_text):
+    return (ores.parse_element(a_text, p),
+            _sproduct(p, (ores.parse_element(q_text, p),)))
 
 
 # (preset, a, parameter of s, budget, candidates tried, edge of its block)
@@ -687,28 +693,39 @@ _BLOCK_QUERIES = [
 
 
 def test_screen_matches_exact_scan_at_block_boundaries():
+    # each search runs cold first, on chunks of 8, 16, ... products, then
+    # warm, where a count's second range runs to the end of its prefix
     for name, a_text, q_text, budget, tried, edge in _BLOCK_QUERIES:
-        p = load_preset(name)
-        a = ores.parse_element(a_text, p)
-        s = _sproduct(p, (ores.parse_element(q_text, p),))
-        assert _assert_same_as_exact_scan(a, s, budget)
+        p = _fresh(name)
+        a, s = _query(p, a_text, q_text)
         assert ore_solve_right(a, s, budget).candidates_tried == tried
+        assert _assert_same_as_exact_scan(a, s, budget)
         [(k, first, last)] = [(k, b[0], b[1]) for k, b in enumerate(
-            _blocks(p, s, budget)) if b[0] <= tried <= b[1]]
+            _blocks(_fresh(name), _query(_fresh(name), a_text, q_text)[1],
+                    budget)) if b[0] <= tried <= b[1]]
         if edge is not None:
-            # blocks 0 and 1 are (1, s) and the first block of products
+            # ranges 0 and 1 are (1, s) and the first chunk of products
             assert k >= 2 and tried == (first if edge == "first" else last)
-    # at cap 5 the witness's block holds products past the cap before the
+    # at cap 5 the witness's chunk holds products past the cap before the
     # witness, which the scan counts and skips
-    p = _fresh_heisenberg(cap=5)
-    a, ad = p.generator("a"), p.generator("ad")
-    for x, q, tried in ((a, ad + a, 157), (p.one() + a, ad - a, 183)):
-        s = _sproduct(p, (q,))
-        assert _assert_same_as_exact_scan(x, s, DEFAULT_BUDGET)
-        assert ore_solve_right(x, s, DEFAULT_BUDGET).candidates_tried == tried
-        [past] = [b[3] for b in _blocks(p, s, DEFAULT_BUDGET)
+    for x, q, tried in (("a", "ad + a", 157), ("1 + a", "ad - a", 183)):
+        p = _fresh_heisenberg(cap=5)
+        a, s = _query(p, x, q)
+        assert ore_solve_right(a, s, DEFAULT_BUDGET).candidates_tried == tried
+        assert _assert_same_as_exact_scan(a, s, DEFAULT_BUDGET)
+        p = _fresh_heisenberg(cap=5)
+        [past] = [b[3] for b in _blocks(p, _query(p, x, q)[1], DEFAULT_BUDGET)
                   if b[0] <= tried <= b[1]]
         assert past and past[0] < tried
+    # an s of two factor parameters is skipped at its place in the count
+    # of pairs: 1, s, 4 singles and 16 pairs, one of them s
+    p = _fresh("heisenberg")
+    ps = localization._search_state(p).factor_parameters(1)[0]
+    for i, j in ((1, 2), (2, 1)):
+        s = _sproduct(p, (ps[i], ps[j]))
+        assert not _assert_same_as_exact_scan(p.generator("a"), s,
+                                              SMALL_BUDGETS[0])
+        assert _blocks(p, s, SMALL_BUDGETS[0])[-1][1] == 21
 
 
 def _block_cache_queries(p):
@@ -733,19 +750,21 @@ def test_block_cache_is_bounded_and_lazy(monkeypatch):
     monkeypatch.setattr(localization, "_STACK_LIMIT", 1)
     p = _fresh_heisenberg()
     assert _outcomes(p, DEFAULT_BUDGET) == want
-    assert not p._ore_search.blocks and not p._ore_search.stacked
+    assert not p._ore_search.counts and not p._ore_search.stacked
     monkeypatch.undo()
     p = _fresh_heisenberg()
     assert _outcomes(p, DEFAULT_BUDGET) == want
     assert 0 < p._ore_search.stacked <= localization._STACK_LIMIT
-    # a search builds the candidates of the blocks it reaches, no more
+    # a search builds the candidates of the chunks it reaches, no more
     for k, (tried, _) in enumerate(want):
         p = _fresh_heisenberg()
         a, ps = _block_cache_queries(p)[k]
         ore_solve_right(a, _sproduct(p, ps), DEFAULT_BUDGET)
-        built = sum(len(b.combos) for key, b in p._ore_search.blocks.items()
+        built = sum(len(c.entries) for key, c in p._ore_search.counts.items()
                     if key[0] != "1, s")
-        blocks = _blocks(p, _sproduct(p, ps), DEFAULT_BUDGET)
+        q = _fresh_heisenberg()
+        blocks = _blocks(q, _sproduct(q, _block_cache_queries(q)[k][1]),
+                         DEFAULT_BUDGET)
         assert built == sum(b[2] for b in blocks if b[0] <= tried)
 
 
@@ -781,75 +800,83 @@ def _search_outcomes(presentation, queries):
     return out
 
 
-def _count_stacks(p):
-    """The cached blocks of each factor count, as keys."""
-    return [[b.key for b in st.blocks]
-            for key, st in p._ore_search.stacks.items() if key[0] != "1, s"]
-
-
 def test_warm_and_cold_screens_agree(monkeypatch):
-    # a warm search screens the cached blocks of a count from its second
-    # on in one product per degree: cold, warm and partly cached searches
-    # must pass the same candidates of each block they reach, and so try
-    # the same candidates and return the same witnesses
+    # a warm search screens a count from its second chunk to the end of
+    # the cached prefix in one product per degree: cold, warm and partly
+    # cached searches must pass the same candidates at each position they
+    # reach, and so try the same candidates and return the same witnesses
     queries = [(name, a, q, budget)
                for name, a, q, budget, _, _ in _BLOCK_QUERIES]
     queries += [(name, a, q, DEFAULT_BUDGET) for name, a, q in _MISS_QUERIES]
-    screened = []
+    fates, ranges = [], []
     survivors = localization._Screen.survivors
 
-    def record(screen, block):
-        out = survivors(screen, block)
-        screened.append((block.key, list(out)))
+    def record(screen, count, start, stop):
+        out = survivors(screen, count, start, stop)
+        ranges.append((count, start, stop))
+        fates.extend((count.entries[i - count.start][0].key(), i in out)
+                     for i in range(start, stop))
         return out
 
     monkeypatch.setattr(localization._Screen, "survivors", record)
 
     def outcomes(presentation):
-        screened.clear()
-        return _search_outcomes(presentation, queries), screened[:]
+        out = []
+        for query in queries:
+            fates.clear()
+            out.append((_search_outcomes(presentation, [query]), fates[:]))
+        return out
+
+    def agree(got, want):
+        # a warm range may run past the cold search's last chunk
+        for (res, seen), (cold_res, cold_seen) in zip(got, want):
+            assert res == cold_res and seen[:len(cold_seen)] == cold_seen
+            assert cold_res[0][1] or seen == cold_seen
 
     cold = outcomes(_fresh)
-    assert [tried for tried, _ in cold[0][len(_BLOCK_QUERIES):]] == \
+    assert [out[0][0] for out, _ in cold[len(_BLOCK_QUERIES):]] == \
         [651] * 7 + [652] + [1333] * 4
-    assert not any(found for _, found in cold[0][len(_BLOCK_QUERIES):])
+    assert not any(out[0][1] for out, _ in cold[len(_BLOCK_QUERIES):])
     shared = {}
 
     def warm(name):
         return shared.setdefault(name, _fresh(name))
 
-    assert outcomes(warm) == cold
-    assert outcomes(warm) == cold
-    # the second pass screened at least three blocks of one count at once
-    assert all(any(len(keys) >= 4 for keys in _count_stacks(p))
-               for p in shared.values())
-    # with the stacks half as large only some blocks of the count of
-    # pairs are cached, the first ones among them, and the others are
-    # built and screened alone
+    agree(outcomes(warm), cold)
+    ranges.clear()
+    agree(outcomes(warm), cold)
+    # the second pass screened at least three chunks of a count at once,
+    # [8, 24), [24, 56) and [56, 120)
+    assert any(start == 8 and stop >= 120 for _, start, stop in ranges)
+    # with the stacks half as large each count of pairs caches a prefix of
+    # its first chunks, and the later ones are built and screened alone
     limit = min(p._ore_search.stacked for p in shared.values()) // 2
     monkeypatch.setattr(localization, "_STACK_LIMIT", limit)
     shared.clear()
-    assert outcomes(warm) == cold
-    assert outcomes(warm) == cold
+    ranges.clear()
+    agree(outcomes(warm), cold)
+    agree(outcomes(warm), cold)
     for p in shared.values():
-        [pairs] = [keys for keys in _count_stacks(p) if keys[0][:2] == (2, 2)]
+        counts = p._ore_search.counts
         n = len(p._ore_search.factor_parameters(2)[0])
-        # a miss reaches every block of the count, and some are left out
-        assert pairs[:2] == [(2, 2, 0, 8), (2, 2, 8, 24)]
-        assert sum(stop - start for _, _, start, stop in pairs) < n ** 2
-
+        assert all(c.start == 0 for c in counts.values())
+        assert 24 <= counts[2, 2].stop < n ** 2
+    cached = [id(c) for p in shared.values()
+              for c in p._ore_search.counts.values()]
+    alone = [c for c, _, _ in ranges if c.start]
+    assert alone and not any(id(c) in cached for c in alone)
 
 
 def _stack_residues(p):
     """The residues the cached stacks hold, spare rows included."""
-    return sum(array.size for st in p._ore_search.stacks.values()
-               for array in st.arrays.values())
+    return sum(array.size for c in p._ore_search.counts.values()
+               for array, _ in c.stacks.values())
 
 
 def test_cached_stacks_count_their_spare_rows(monkeypatch):
     # a count's stack grows by doubling; its spare rows count against
     # _STACK_LIMIT, so the cached stacks never hold more than the limit,
-    # and a tight limit only caps the growth or leaves blocks uncached
+    # and a tight limit only caps the growth or leaves chunks uncached
     queries = [(name, a, q, DEFAULT_BUDGET)
                for name, a, q in _MISS_QUERIES if name == "heisenberg"]
     p = _fresh("heisenberg")
@@ -862,6 +889,7 @@ def test_cached_stacks_count_their_spare_rows(monkeypatch):
         p = _fresh("heisenberg")
         assert _search_outcomes(lambda name: p, queries) == want
         assert _stack_residues(p) == p._ore_search.stacked <= limit
+
 
 def test_a_warm_miss_screens_each_count_in_one_product_per_degree(
         monkeypatch):
@@ -898,21 +926,21 @@ def test_a_block_holds_each_vector_once(monkeypatch):
     # limit too and the screen is off
     monkeypatch.setattr(localization, "_STACK_LIMIT", 0)   # never cached
     state = localization._search_state(_fresh("free_xy"))
-    key = (2, 2, 504, 1016)        # heads 14 to 27, a block of 512 pairs
-    block = state.block(*key)      # the values and normal forms, cached
+    key = (2, 2, 504, 1016)        # heads 14 to 27, a range of 512 pairs
+    count = state.count(*key)      # the values and normal forms, cached
     sizes = Counter()              # degree -> residues of its stack
-    for _, degree in block.entries:
+    for _, degree in count.entries:
         sizes[degree] += state.dim(degree)
     assert sorted(sizes) == [6, 8]
     peaks, groups = [], []
     for limit in (localization._ARRAY_LIMIT, 100_000):
         monkeypatch.setattr(localization, "_ARRAY_LIMIT", limit)
         tracemalloc.start()
-        block = state.block(*key)
+        count = state.count(*key)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
         groups.append([(d, len(positions))
-                       for d, positions, _ in block.groups])
+                       for d, (_, positions) in count.stacks.items()])
     # a list of the vectors besides the stack took twice their bytes
     full = 8 * sum(sizes.values())
     assert peaks[0] < 1.5 * full
