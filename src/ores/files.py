@@ -9,8 +9,8 @@ reports contain no timestamps; the text rendering carries a single
 
 Each loader turns a malformed file into a ConfigError in one handler,
 and refuses an operator band further from the diagonal than SIZE_CAP;
-a file nested too deeply for the JSON reader, or one it cannot read, is
-a ConfigError too.
+a file nested too deeply for the JSON reader, one it cannot read, or one
+that holds a float literal, is a ConfigError too.
 """
 
 from __future__ import annotations
@@ -37,9 +37,16 @@ def _write_text(path, text: str):
 
 
 def _read_json(path):
+    """The JSON value of the file; a float literal is a ConfigError, since
+    every number of the file formats is an integer and int() would
+    truncate it."""
+    def refuse(literal):
+        raise ConfigError("%s holds the float %s where an integer belongs"
+                          % (path, literal))
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_float=refuse)
         except RecursionError:
             raise ConfigError("%s nests too deeply to read" % path) from None
         except ValueError as exc:

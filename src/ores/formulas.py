@@ -505,12 +505,6 @@ class Formula:
 _EXACT = 2 ** 53   # every integer of smaller magnitude is a float exactly
 
 
-def _over_common_denominator(coeffs):
-    """(integer coefficients, their positive common denominator)."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
-
-
 def _quotient(num: int, den: int) -> float:
     """num / den correctly rounded, or nan where it is too large for a
     float (int / int raises OverflowError there)."""
@@ -570,8 +564,9 @@ class Sampler:
         terms = []
         for rad, amp in f.sorted_terms():
             D, ((re, im),) = over_common_denominator([amp.coeffs])
-            terms.append(((re, D), (im, D),
-                          _over_common_denominator(rad.coeffs)))
+            R, ((rad_num, _),) = over_common_denominator(
+                [CPoly.from_qpoly(rad).coeffs])
+            terms.append(((re, D), (im, D), (rad_num, R)))
         self.terms = tuple(terms)
         self.prefix = (np.zeros(0, dtype=complex), np.zeros(0, dtype=np.intp))
 

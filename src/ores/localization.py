@@ -14,9 +14,11 @@ The witness solver enumerates candidate denominators t deterministically
 and decides membership of a*t in s*A by exact linear algebra over the
 span of bounded-degree words.  Before that exact product, every
 candidate passes a modular screen (von zur Gathen and Gerhard, Modern
-Computer Algebra, ch. 5): t, a*t and s*A are reduced modulo a fixed prime
-p = 1 mod 4, with i sent to a square root of -1 mod p, and a*t mod p
-must lie in the span of s*A mod p.  Reduction mod p can only lower the
+Computer Algebra, ch. 5): t, a*t and s*A are reduced modulo a prime
+p = 1 mod 4 that the rules choose (see _PRIMES), with i sent to a square
+root of -1 mod p, and a*t mod p must lie in the span of s*A mod p; a, s
+and t are read up to a nonzero scalar, which keeps that membership, as
+coprime Gaussian integers.  Reduction mod p can only lower the
 rank of a subspace, so the screen is used only where s*A has full rank
 mod p, and so the same exact rank; then it never rejects a true member
 (the argument is in _MulSubspace).  The screen works on ranges of
@@ -63,6 +65,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, fields
+from math import gcd
 
 import numpy as np
 
@@ -70,7 +73,7 @@ from .algebra import AlgebraElement, Presentation, _check_same, _remember
 from .errors import (DegreeOverflow, IrregularDenominator, OreWitnessNotFound,
                      WitnessCheckError)
 from .linalg import RowSpace
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -274,13 +277,16 @@ class OreSolveResult:
 
 # -- the search state: bounded caches and the modular images -----------------
 
-# The screen works modulo this prime.  p = 1 mod 4 gives i an image in
-# F_p.  Residues are held as float64 in [0, p).  A product of two is below
-# p**2 < 2**53, and a dot product of n of them is exact while
-# n (p - 1)**2 < 2**53, that is for n <= 2,048 (_SearchState.max_dot);
-# _SearchState.matmul cuts longer ones into chunks of that many terms and
-# reduces each chunk mod p (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
-_PRIME = 2097133
+# A presentation's screen works modulo the first of these primes that
+# divides no rule denominator, and it has none where each divides one (a,
+# s and t are read up to a scalar: _SearchState.residues).  p = 1 mod 4
+# gives i an image in F_p.  Residues are held as float64 in [0, p).  A
+# product of two is below p**2 < 2**53, and a dot product of n of them is
+# exact while n (p - 1)**2 < 2**53, for n <= 2,048 as p < 2**21
+# (_SearchState.max_dot); _SearchState.matmul cuts longer ones into chunks
+# of that many terms and reduces each chunk mod p (Dumas, Giorgi and
+# Pernet, ACM TOMS 35(3), 2008).
+_PRIMES = (2097133, 2097097, 2097041)
 
 # Cache limits, sized so that a few hundred searches on one presentation
 # at the default budget never fill them.  A full cache keeps what it has
@@ -365,10 +371,12 @@ class _SearchState:
 
     def __init__(self, presentation: Presentation):
         self.presentation = presentation
-        self.prime = _PRIME
-        self.imag = _sqrt_minus_one(_PRIME)
+        dens = {c.d for rule in presentation.rules for c in rule.rhs.values()}
+        self.prime = next((q for q in _PRIMES if all(d % q for d in dens)),
+                          None)
+        self.imag = self.prime and _sqrt_minus_one(self.prime)
         # the most terms of an exact float64 dot product of residues
-        self.max_dot = (2 ** 53 - 1) // (_PRIME - 1) ** 2
+        self.max_dot = (2 ** 53 - 1) // (max(_PRIMES) - 1) ** 2
         self.params = {}       # max_degree -> (parameters, key -> position)
         self.values = {}       # SProduct key -> value
         self.counts = {}       # (max_degree, count) or "1, s" key -> _Count
@@ -466,16 +474,17 @@ class _SearchState:
         residues, spare rows included (a full stack of free_xy at
         max_degree 10 would hold 16,384 x 2,047); past it, or without a
         key, a new _Count of these candidates alone.
-        No vector is built for a degree whose basis passes the basis
-        limit, or whose new rows would pass _ARRAY_LIMIT: a range holds at
-        most _LAST_BLOCK new candidates, so that degree has more than
-        4,096 words, and M_a on them passes _ARRAY_LIMIT too.  The screen
-        is off on such a degree, and its candidates are unscreened.  Each
-        vector is written into its row: the coefficients of f mod p for
-        a run without head, and for the run of a head u one product M_u
-        F mod p per degree of f, the columns of F the vectors of those
-        f.  A row stays zero where p divides a denominator, and a zero
-        vector passes every screen."""
+        No vector is built without a prime, for a degree whose basis
+        passes the basis limit, or for one whose new rows would pass
+        _ARRAY_LIMIT: a range holds at most _LAST_BLOCK new candidates, so
+        that degree has more than 4,096 words, and M_a on them passes
+        _ARRAY_LIMIT too.  The screen is off on such a degree, and its
+        candidates are unscreened.  Each vector is written into its row:
+        the residues of f for a run without head, and for the run of a
+        head u one product M_u F mod p per degree of f, the columns of F
+        the vectors of those f: the image of a multiple of t.value.  A
+        row stays zero where M_u passes _ARRAY_LIMIT, and a zero vector
+        passes every screen."""
         positions = {}         # degree -> the new positions
         for i, (_, degree) in enumerate(entries, count.stop):
             if degree is not None:
@@ -486,7 +495,7 @@ class _SearchState:
                 width = self.dim(degree)
             except DegreeOverflow:
                 continue
-            if width * len(found) <= _ARRAY_LIMIT:
+            if self.prime and width * len(found) <= _ARRAY_LIMIT:
                 widths[degree] = width
         room = -1 if key is None else _STACK_LIMIT - self.stacked - sum(
             w * count.lack(d, len(positions[d])) for d, w in widths.items())
@@ -566,64 +575,58 @@ class _SearchState:
     def dim(self, degree: int) -> int:
         return len(self.presentation.basis_words(degree))
 
-    def reduce(self, c: Scalar):
-        """c mod p, or None when p divides the denominator of c: with c =
-        (a + b i) / d, the residue (a + imag b) / d."""
-        prime = self.prime
-        d = c.d % prime
-        if not d:
-            return None
-        num = c.a + self.imag * c.b
-        return num % prime if d == 1 else num * pow(d, -1, prime) % prime
+    def residues(self, el: AlgebraElement):
+        """(word, residue mod p) of each term of r el, r > 0 the rational
+        that makes its coefficients coprime Gaussian integers: they all
+        reduce, and r keeps whether a*t lies in s*A.  They may still all
+        be zero, where the Gaussian prime over p that sends i to imag
+        divides each: a zero t passes the screen, and a zero s gets none."""
+        _, ((re, im),) = over_common_denominator([el.terms.values()])
+        g, prime, imag = gcd(*re, *im), self.prime, self.imag
+        return [(w, (x + imag * y) // g % prime)
+                for w, x, y in zip(el.terms, re, im)]
 
     def _write(self, vec, value: AlgebraElement):
-        """Write the coefficients of value mod p into the zero vector vec
-        over the basis words; vec stays zero where p divides a
-        denominator."""
+        """Write the residues of value into the zero vector vec over the
+        basis words."""
         index = self.index(value.degree())
-        for w, c in value.terms.items():
-            v = self.reduce(c)
-            if v is None:
-                vec[:] = 0
-                return
+        for w, v in self.residues(value):
             vec[index[w]] = v
 
     def left_word(self, u, degree: int):
         """Left multiplication by the word u mod p on the words of degree
-        <= degree, as (rows, cols, values) in column order; None when p
-        divides a denominator of a normal form."""
+        <= degree, as (rows, cols, values) in column order; every normal
+        form reduces, as p divides no rule denominator."""
         hit = self.left.get(u)
         if hit is None or hit[0] < degree:
             hit = _remember(self.left, u, (degree, self._left_word(u, degree)),
                             _LEFT_LIMIT)
         built, triples = hit
-        if triples is None or built == degree:
+        if built == degree:
             return triples
         k = np.searchsorted(triples[1], self.dim(degree))
         return tuple(arr[:k] for arr in triples)
 
     def _left_word(self, u, degree: int):
-        p = self.presentation
+        p, prime, imag = self.presentation, self.prime, self.imag
         index = self.index(len(u) + degree)
         rows, cols, vals = [], [], []
         for j, w in enumerate(p.basis_words(degree)):
             for w2, c in p.normal_form_word(u + w).items():
-                v = self.reduce(c)
-                if v is None:
-                    return None
                 rows.append(index[w2])
                 cols.append(j)
-                vals.append(v)
+                # (a + b i) / d mod p is (a + imag b) / d
+                vals.append((c.a + imag * c.b) * pow(c.d, -1, prime) % prime)
         return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
                 np.array(vals, dtype=np.int64))
 
     def left_matrix(self, el: AlgebraElement, degree: int, known=None):
-        """Dense float64 matrix mod p of left multiplication by el from
-        the words of degree <= degree to those of degree <= deg el +
-        degree; None when p divides a denominator or past _ARRAY_LIMIT.
-        Given known, the matrix for a lower degree, only the new columns
-        are built: the basis words are deglex sorted, so known is the
-        leading block."""
+        """Dense float64 matrix mod p of left multiplication by the
+        multiple of el that residues reads, from the words of degree <=
+        degree to those of degree <= deg el + degree; None past
+        _ARRAY_LIMIT.  Given known, the matrix for a lower degree, only
+        the new columns are built: the basis words are deglex sorted, so
+        known is the leading block."""
         shape = (self.dim(max(el.degree(), 0) + degree), self.dim(degree))
         if shape[0] * shape[1] > _ARRAY_LIMIT:
             return None
@@ -632,12 +635,8 @@ class _SearchState:
         if known is not None:
             done = known.shape[1]
             out[:known.shape[0], :done] = known
-        for u, c in el.terms.items():
-            cu = self.reduce(c)
-            triples = None if cu is None else self.left_word(u, degree)
-            if triples is None:
-                return None
-            rows, cols, vals = triples
+        for u, cu in self.residues(el):
+            rows, cols, vals = self.left_word(u, degree)
             if done:
                 k = np.searchsorted(cols, done)
                 rows, cols, vals = rows[k:], cols[k:], vals[k:]
@@ -781,20 +780,20 @@ class _MulSubspace:
     its transpose or K could pass _ARRAY_LIMIT: each holds up to
     ntarget**2 residues.  Why a rejection is safe:
 
-    - Reduction mod p is a ring map from the Gaussian rationals whose
-      real and imaginary denominators p does not divide onto F_p.  The
-      screen runs only when the coefficients of s, of the rewrite rules,
-      of a and of the factors of t are all of that kind; otherwise it is
-      off for that subspace, query or candidate.  a*t mod p is then
-      computed as the matrix of left multiplication by a mod p applied
-      to t mod p, which is the image of a*t; t mod p of a product u*f is
-      likewise left multiplication by u mod p applied to f mod p.
+    - Reduction mod p is a ring map onto F_p from the Gaussian
+      rationals whose denominators p does not divide, as it divides no
+      rule's, so every normal form reduces.  a, s and the factors of t
+      are read through residues, as nonzero multiples whose coefficients
+      reduce, which keeps membership (M is that of the multiple of s).
+      a*t mod p is then computed as the matrix of left multiplication by
+      a mod p applied to t mod p, the image of a multiple of a*t; t mod p
+      of a product u*f is likewise M_u mod p applied to f mod p.
     - The rank of M mod p is at most the exact rank, since a minor that
       is nonzero mod p is nonzero.  K is built only when the rank mod p
       is the number of columns; then the exact rank is the same, and no
       exact work is needed.  Otherwise this subspace gets no screen:
       s has a zero divisor at this bound, which Fraction refuses, or p
-      divides every maximal minor of M.
+      divides every maximal minor of M, as where s mod p is zero.
     - With equal ranks k, some k x k minor of M is a unit mod p, so its k
       columns span the column space of M, and by Cramer's rule a member
       r with reducible coefficients is a combination of them whose
@@ -807,7 +806,7 @@ class _MulSubspace:
       for the exact bound is a member for B.
     - Every product mod p is exact in float64: residues lie in [0, p),
       and a dot product is cut into chunks of at most 2,048 terms, each
-      reduced mod p, since 2,048 (p - 1)**2 < 2**53 (see _PRIME; Dumas,
+      reduced mod p, since 2,048 (p - 1)**2 < 2**53 (see _PRIMES; Dumas,
       Giorgi and Pernet, ACM TOMS 35(3), 2008).
 
     This is the modular method of von zur Gathen and Gerhard, Modern
@@ -827,7 +826,7 @@ class _MulSubspace:
         self.small = self.ntarget ** 2 <= _ARRAY_LIMIT
         self._rowspace = None
         self._annihilator = None
-        self._screened = not self.small     # past _ARRAY_LIMIT: no screen
+        self._screened = not self.small or state.prime is None  # no screen
 
     def _vector(self, el: AlgebraElement):
         """The coordinates of el, of degree at most bound + deg s, on the
@@ -897,7 +896,7 @@ class _Screen:
         self.precomposed = {}  # degree -> K M_a mod p, or None
         self.matrix = None     # left multiplication by a mod p, built lazily
         self.degree = -1       # the matrix covers t of degree <= this
-        self.off = False       # p divides a denominator of a or the rules
+        self.off = False       # M_a is past _ARRAY_LIMIT
 
     def survivors(self, count: _Count, start: int, stop: int):
         """The positions start..stop-1 of the count, in scan order, of

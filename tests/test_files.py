@@ -236,6 +236,29 @@ def test_unreadable_json_files_are_config_errors(tmp_path):
                 load(path)
 
 
+def test_float_literals_in_files_are_config_errors(tmp_path):
+    # every number of the file formats is an integer, and int() truncated
+    # a float: the moment f(x) = 0.9 loaded as 0, the band coefficient
+    # 1.7 as 1 and the degree cap 4.9 as 4
+    p = load_preset("poly_x")
+    moments = moments_to_dict(gaussian_state(p, 2))
+    moments["moments"]["x"] = [0.9, 1, 0, 1]
+    operator = {"bands": [{"offset": 0, "kind": "const",
+                           "coeffs": [[1.7, 1]]}]}
+    presentation = presentation_to_dict(load_preset("heisenberg"))
+    presentation["degree_cap"] = 4.9
+    for name, d, load, literal in (
+            ("moments", moments, lambda path: load_moments(path, p), "0.9"),
+            ("operator", operator, load_operator, "1.7"),
+            ("presentation", presentation, load_presentation, "4.9")):
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(json.dumps(d))
+        with pytest.raises(ConfigError,
+                           match=r"%s\.json holds the float %s"
+                           % (name, literal)):
+            load(path)
+
+
 def test_two_loads_of_one_file_are_two_presentations(tmp_path):
     path = tmp_path / "heisenberg.json"
     save_presentation(load_preset("heisenberg"), path)

@@ -531,7 +531,31 @@ def test_candidates_past_the_basis_limit_are_not_within_budget(monkeypatch):
     assert not res.found and res.candidates_tried == 651
 
 
-def test_screen_falls_back_where_the_prime_is_unlucky(monkeypatch):
+def _exact_checks(monkeypatch, queries, budget):
+    """(candidates tried, witness, exact solves) of each query (a, s)."""
+    calls = []
+    solve = localization._MulSubspace.solve
+
+    def count_solve(self, el):
+        calls[-1] += 1
+        return solve(self, el)
+
+    out = []
+    with monkeypatch.context() as m:
+        m.setattr(localization._MulSubspace, "solve", count_solve)
+        for a, s in queries:
+            calls.append(0)
+            res = ore_solve_right(a, s, budget)
+            out.append((res.candidates_tried, res.found and
+                        (res.witness.b.key(), res.witness.t.key()),
+                        calls[-1]))
+    return out
+
+
+def test_screen_reads_a_s_and_t_up_to_a_scalar(monkeypatch):
+    # the screen reads a, s and t as multiples whose coefficients reduce
+    # mod p, so a denominator of a or s that p divides, or an s that is
+    # zero mod p, screens as well as any other
     fifth = Scalar(Rational(1, 5))
 
     def queries(p):
@@ -542,36 +566,65 @@ def test_screen_falls_back_where_the_prime_is_unlucky(monkeypatch):
             # p = 5 divides a denominator of a; the first is s1 (1/5 + a'a)
             (s1.scale(fifth) + s1 * ad * a, (a + ad,)),
             (a.scale(fifth), (a,)),
+            (a, (a,)),
             # p = 5 divides a denominator of s; the first is s2 (25 a')
             ((s2 * ad).scale(Scalar(25)), (ad + a.scale(fifth),)),
             (ad * ad, (a.scale(fifth),)),
-            # s = 5 (1 + a'a) is zero mod 5, so every span drops rank
+            # s = 5 (1 + a'a) is zero mod 5
             (a, (p.scalar(2), ad)),
             (a * a, (p.scalar(2), a)),
         ]
 
-    budget = SMALL_BUDGETS[0]
-    reference = _fresh_heisenberg()
-    want = []
-    for a, ps in queries(reference):
-        res = ore_solve_right(a, _sproduct(reference, ps), budget)
-        want.append((res.candidates_tried, res.found and
-                     (res.witness.b.key(), res.witness.t.key())))
-    assert {found is not False for _, found in want} == {True, False}
+    def outcomes(p):
+        return _exact_checks(monkeypatch, [
+            (a, _sproduct(p, ps)) for a, ps in queries(p)], budget)
 
-    monkeypatch.setattr(localization, "_PRIME", 5)
+    budget = SMALL_BUDGETS[0]
+    want = outcomes(_fresh_heisenberg())
+    assert {found is not False for _, found, _ in want} == {True, False}
+    monkeypatch.setattr(localization, "_PRIMES", (5,))
     p = _fresh_heisenberg()
-    got = []
-    for a, ps in queries(p):
-        res = ore_solve_right(a, _sproduct(p, ps), budget)
-        got.append((res.candidates_tried, res.found and
-                    (res.witness.b.key(), res.witness.t.key())))
-    assert got == want
-    # the rank check, not luck, kept the zero-mod-5 denominator sound
-    five = _sproduct(p, (p.scalar(2), p.generator("ad"))).value.key()
-    subs = [sub for (key, _, right), sub in p._ore_search.subspaces.items()
-            if key == five and not right]
-    assert subs and all(sub.annihilator() is None for sub in subs)
+    got = outcomes(p)
+    assert p._ore_search.prime == 5
+    assert [out[:2] for out in got] == [out[:2] for out in want]
+    # a / 5 makes as many exact checks as a, and they screen some out
+    assert got[1] == got[2] and got[1][2] < got[1][0]
+    # the spans of s with a denominator 5 and of s = 0 mod 5 are screened
+    for ps in (queries(p)[4][1], (p.scalar(2), p.generator("ad"))):
+        key = _sproduct(p, ps).value.key()
+        subs = [sub for (k, _, right), sub in p._ore_search.subspaces.items()
+                if k == key and not right]
+        assert subs and all(sub.annihilator() is not None for sub in subs)
+
+    # a rule coefficient 1/5 takes the next prime; where every prime
+    # divides a rule denominator the presentation has no screen
+    def fifth_heisenberg():
+        return Presentation(("ad", "a"), (("a", "ad"),),
+                            ((("a", "ad"), ((1, ("ad", "a")),
+                                            (Rational(1, 5), ()))),),
+                            20, name="heisenberg")
+
+    for primes, prime in (((5, 13), 13), ((5,), None)):
+        monkeypatch.setattr(localization, "_PRIMES", primes)
+        p = fifth_heisenberg()
+        a, ad = p.generator("a"), p.generator("ad")
+        found = [_assert_same_as_exact_scan(x, _sproduct(p, (q,)), budget)
+                 for x, q in ((a, ad), (a, a), (ad * a, ad - a))]
+        assert True in found and False in found
+        assert p._ore_search.prime == prime
+        screened = [sub.annihilator() is not None
+                    for sub in p._ore_search.subspaces.values()]
+        assert any(screened) == (prime is not None)
+
+    # at the default prime, a * (1/2097133) / (1 + a'a) at the default
+    # budget makes as many exact checks as a / (1 + a'a)
+    monkeypatch.undo()
+    p = _fresh_heisenberg()
+    a = p.generator("a")
+    unlucky, lucky = _exact_checks(monkeypatch, [
+        (a.scale(Scalar(Rational(1, 2097133))), _sproduct(p, (a,))),
+        (a, _sproduct(p, (a,)))], DEFAULT_BUDGET)
+    assert unlucky == lucky and lucky[:2] == (651, False)
 
 
 # -- the blocked screen ----------------------------------------------------------
@@ -618,12 +671,13 @@ def _count_vectors(count):
 
 
 def _exact_vector(state, t):
-    """The coefficients of t.value reduced mod p one by one, over the
-    words of degree <= deg t."""
-    val = t.value
+    """The coefficients (a + b i) / d of t.value reduced mod p one by one,
+    to (a + imag b) / d, over the words of degree <= deg t."""
+    val, prime = t.value, state.prime
     words = state.presentation.basis_words(val.degree())
-    return val.degree(), [state.reduce(val.terms[w]) if w in val.terms
-                          else 0 for w in words]
+    return val.degree(), [
+        (c.a + state.imag * c.b) * pow(c.d, -1, prime) % prime
+        for c in (val.terms.get(w, Scalar(0)) for w in words)]
 
 
 def test_product_vectors_are_images_of_the_exact_products():
