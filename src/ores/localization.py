@@ -41,17 +41,18 @@ reach, so a query after a search that went as far builds it once.
 Only survivors get the exact products t and a*t and the exact solve;
 the scan visits them alone and counts the candidates between them, so
 the scan order, the witness and the number of candidates tried are
-those of the exact scan.  Each candidate's vector mod p is written
-once, straight into the stack of its degree; the cached prefixes hold
-one stack per degree and count, counted, spare rows included, against
-the stacks' limit of 2**22 residues (a stack that grows holds its old
-rows twice while it copies them).  A prefix grows by a chunk only while
-the stacks fit under the limit; from the first chunk that does not fit,
-the count caches nothing more, and each later chunk is built again from
-the cached values and word maps whenever a search reaches it, even where
-a smaller one would still fit.  No vector is built for a degree whose
-chunk would pass the limit of one dense matrix, where M_a is past it
-too and the screen is off.
+those of the exact scan.  A candidate is its position in the scan, and
+t is rebuilt from the position only for a survivor.  Each candidate's
+vector mod p is written once, straight into the stack of its degree;
+the cached prefixes hold one stack per degree and count, counted
+against the stacks' limit of 2**22 residues (a stack that grows holds
+its old rows twice while it copies them).  A prefix grows by a chunk
+only while the stacks fit under the limit; from the first chunk that
+does not fit, the count caches nothing more, and each later chunk is
+built again from the cached values and word maps whenever a search
+reaches it, even where a smaller one would still fit.  No vector is
+built for a degree whose chunk would pass the limit of one dense
+matrix, where M_a is past it too and the screen is off.
 Returned witnesses are always re-verified exactly.
 
 The bounded regularity check of a denominator s reads the same spans:
@@ -159,15 +160,6 @@ class SProduct:
 
     def is_one(self) -> bool:
         return not self.ps
-
-    def __eq__(self, other):
-        if not isinstance(other, SProduct):
-            return NotImplemented
-        return (self.presentation is other.presentation
-                and self.key() == other.key())
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         if not self.ps:
@@ -298,10 +290,10 @@ _LEFT_LIMIT = 256        # left multiplications by single words, mod p
 _PARAM_LIMIT = 8         # candidate factor parameters per max_degree
 _ARRAY_LIMIT = 2 ** 22   # residues in one dense matrix mod p, 32 MB
 
-# Residues in the cached counts' stacks, spare rows included, 32 MB.  A
-# count's cached prefix grows by whole chunks and stops at the first
-# chunk that would pass the limit: every search that reaches the rest of
-# the count builds it again, although a smaller later chunk may still fit.
+# Residues in the cached counts' stacks, 32 MB.  A count's cached prefix
+# grows by whole chunks and stops at the first chunk that would pass the
+# limit: every search that reaches the rest of the count builds it again,
+# although a smaller later chunk may still fit.
 _STACK_LIMIT = 2 ** 22
 
 # The products of each factor count are screened in chunks of
@@ -410,8 +402,9 @@ class _SearchState:
         key = ("1, s", s.key())
         hit = self.counts.get(key)
         if hit is None:
-            hit = self._fill(key, _Count(), *_singles(
-                (SProduct.one(self.presentation), s), 0))
+            values = (self.presentation.one(), s.value)
+            hit = self._fill(key, _Count(), 2, [(None, [
+                (i, f.degree(), i) for i, f in enumerate(values)])], values)
         return hit
 
     def count(self, max_degree: int, count: int, start: int, stop: int):
@@ -427,52 +420,52 @@ class _SearchState:
             return cached
         if start != cached.stop:
             key, cached = None, _Count(start)
-        return self._fill(key, cached,
+        return self._fill(key, cached, stop,
                           *self.candidates_at(max_degree, count, start, stop))
 
     def candidates_at(self, max_degree: int, count: int, start: int,
                       stop: int):
-        """(t, degree) for the products t of count factor parameters at
-        positions start..stop-1 of their scan order, and the runs that
-        give their vectors mod p (see _fill).  The scan runs through
-        every last factor of one head in a row, and each head is one run
-        (u, [(i, f)]): u the value of the product of the head's factors
-        and f that of the last factor of the candidate at position i, so
-        t = u * f; for one factor u is None and f is t.value.  For two or
-        more factors the degree is deg u + deg f >= deg t.  It is None
-        exactly when t.value passes the degree cap: the left fold that
-        builds t.value passes it at u, or at the product u * (1 + q'q)
-        with the last parameter q, which the single factor's value
-        shows."""
+        """The runs that give the vectors mod p of the products t of count
+        factor parameters at positions start..stop-1 of their scan order
+        (see _fill), and the values of their last factors by parameter
+        index.  The scan runs through every last factor of one head in a
+        row, and each head is one run (u, [(i, degree, j)]): u the value
+        of the product of the head's factors and j the index of the last
+        factor f of the candidate at position i, so t = u * f and degree =
+        deg u + deg f >= deg t; for one factor u is None and t = f.  A
+        position is in no run exactly where t.value passes the degree cap:
+        the left fold that builds t.value passes it at u, or at the
+        product u * (1 + q'q) with the last parameter q, which f shows."""
         p = self.presentation
         ps = self.factor_parameters(max_degree)[0]
-        combos = itertools.islice(
-            itertools.product(range(len(ps)), repeat=count), start, stop)
-        entries, runs = [], []
-        for head, run in itertools.groupby(combos, lambda c: c[:-1]):
-            ts = [SProduct(p, tuple(ps[i] for i in c)) for c in run]
-            if not head:
-                more, singles = _singles(ts, start + len(entries))
-                entries += more
-                runs += singles
-                continue
-            u = _value(SProduct(p, ts[0].ps[:-1]))
+        n = len(ps)
+        lasts, runs = {}, []
+        for head in range(start // n, (stop - 1) // n + 1):
+            u = None
+            if count > 1:
+                u = _value(SProduct(p, _combo(ps, head, count - 1)))
+                if u is None:
+                    continue
             items = []
-            for t in ts:
-                f = None if u is None else _value(SProduct(p, t.ps[-1:]))
-                degree = None
-                if f is not None and u.degree() + f.degree() <= p.degree_cap:
-                    degree = u.degree() + f.degree()
-                    items.append((start + len(entries), f))
-                entries.append((t, degree))
+            for i in range(max(start, head * n), min(stop, head * n + n)):
+                j = i - head * n
+                if j not in lasts:
+                    lasts[j] = _value(SProduct(p, ps[j:j + 1]))
+                if lasts[j] is None:
+                    continue
+                degree = lasts[j].degree()
+                if u is not None:
+                    degree += u.degree()
+                if degree <= p.degree_cap:
+                    items.append((i, degree, j))
             runs.append((u, items))
-        return entries, runs
+        return runs, lasts
 
-    def _fill(self, key, count, entries, runs):
-        """count with these candidates appended, cached under key while
-        the stacks of all cached counts hold at most _STACK_LIMIT
-        residues, spare rows included (a full stack of free_xy at
-        max_degree 10 would hold 16,384 x 2,047); past it, or without a
+    def _fill(self, key, count, stop, runs, lasts):
+        """count extended to stop by the candidates of these runs (see
+        candidates_at), cached under key while the stacks of all cached
+        counts hold at most _STACK_LIMIT residues (a full stack of free_xy
+        at max_degree 10 would hold 16,384 x 2,047); past it, or without a
         key, a new _Count of these candidates alone.
         No vector is built without a prime, for a degree whose basis
         passes the basis limit, or for one whose new rows would pass
@@ -482,12 +475,12 @@ class _SearchState:
         candidates are unscreened.  Each vector is written into its row:
         the residues of f for a run without head, and for the run of a
         head u one product M_u F mod p per degree of f, the columns of F
-        the vectors of those f: the image of a multiple of t.value.  A
-        row stays zero where M_u passes _ARRAY_LIMIT, and a zero vector
-        passes every screen."""
+        the vectors of those f, each built once per call: the image of a
+        multiple of t.value.  A row stays zero where M_u passes
+        _ARRAY_LIMIT, and a zero vector passes every screen."""
         positions = {}         # degree -> the new positions
-        for i, (_, degree) in enumerate(entries, count.stop):
-            if degree is not None:
+        for _, items in runs:
+            for i, degree, _ in items:
                 positions.setdefault(degree, []).append(i)
         widths = {}
         for degree, found in positions.items():
@@ -497,44 +490,43 @@ class _SearchState:
                 continue
             if self.prime and width * len(found) <= _ARRAY_LIMIT:
                 widths[degree] = width
-        room = -1 if key is None else _STACK_LIMIT - self.stacked - sum(
-            w * count.lack(d, len(positions[d])) for d, w in widths.items())
-        if room < 0:
-            key, count, room = None, _Count(count.stop), 0
+        new = sum(w * len(positions[d]) for d, w in widths.items())
+        if key is None or self.stacked + new > _STACK_LIMIT:
+            count = _Count(count.stop)
         else:
             self.counts[key] = count
-        count.entries += entries
+            self.stacked += new
+        count.stop = stop
         count.unscreened += sorted(itertools.chain.from_iterable(
             found for d, found in positions.items() if d not in widths))
         rows = {}              # position -> (array, row)
         for degree, width in widths.items():
-            array, first, spare = count.reserve(
-                degree, width, positions[degree], room // width)
-            room -= spare * width
+            array, first = count.reserve(degree, width, positions[degree])
             rows.update((i, (array, first + k))
                         for k, i in enumerate(positions[degree]))
+        vectors = {}           # j -> the vector of lasts[j]
         for u, items in runs:
-            items = [(i, f) for i, f in items if i in rows]
+            items = [(i, j) for i, _, j in items if i in rows]
             if u is None:
-                for i, f in items:
+                for i, j in items:
                     array, row = rows[i]
-                    self._write(array[row], f)
+                    self._write(array[row], lasts[j])
                 continue
-            by_degree = {}     # deg f -> [(i, f)]
-            for i, f in items:
-                by_degree.setdefault(f.degree(), []).append((i, f))
+            by_degree = {}     # deg f -> [(i, j)]
+            for i, j in items:
+                by_degree.setdefault(lasts[j].degree(), []).append((i, j))
             for f_deg, group in by_degree.items():
                 m = self.left_matrix(u, f_deg)
                 if m is None:
                     continue
-                factors = np.zeros((len(group), m.shape[1]))
-                for vec, (_, f) in zip(factors, group):
-                    self._write(vec, f)
+                for _, j in group:
+                    if j not in vectors:
+                        vectors[j] = np.zeros(m.shape[1])
+                        self._write(vectors[j], lasts[j])
+                factors = np.array([vectors[j] for _, j in group])
                 array = rows[group[0][0]][0]
                 array[[rows[i][1] for i, _ in group]] = self.matmul(
                     m, factors.T).T
-        if key is not None:
-            self.stacked = _STACK_LIMIT - room
         return count
 
     def subspace(self, s_value: AlgebraElement, s_key, bound: int,
@@ -663,72 +655,51 @@ def _value(t: SProduct):
         return None
 
 
-def _singles(ts, offset: int):
-    """(t, degree) for candidates whose vector is that of t.value, and
-    their one run without head (see candidates_at), the positions
-    counted from offset."""
-    entries, items = [], []
-    for i, t in enumerate(ts, offset):
-        f = _value(t)
-        entries.append((t, None if f is None else f.degree()))
-        if f is not None:
-            items.append((i, f))
-    return entries, [(None, items)]
+def _combo(ps, i: int, count: int):
+    """The factor parameters of the product at position i of the scan of
+    count factors, the i-th element of itertools.product(ps, repeat=count):
+    the base-n digits of i, n = len(ps), most significant first."""
+    combo = []
+    for _ in range(count):
+        i, k = divmod(i, len(ps))
+        combo.append(ps[k])
+    return tuple(reversed(combo))
 
 
 class _Count:
-    """Candidates of one factor count, or the pair 1 and s, from
-    position start on in their scan order: (t, degree) at each position,
-    one stack of vectors mod p per degree with the ascending positions
-    of its rows, and the positions left unscreened (see
-    _SearchState._fill).  A degree is None where t.value passes the
-    degree cap, and such a candidate is in no stack.  A cached count
-    starts at 0 and grows as the scan reaches further; one that the
-    stack limit leaves uncached holds one range and is built again when
-    a search reaches it.  A stack is held transposed, one vector per row
-    of a float64 array, and grows by doubling as far as the stack limit
-    allows; the rows past the filled ones are zero, and they count
-    against the limit too."""
+    """Candidates of one factor count, or the pair 1 and s, at positions
+    start..stop-1 of their scan order: one stack of vectors mod p per
+    degree with the ascending positions of its rows, and the positions
+    left unscreened (see _SearchState._fill).  A position where t.value
+    passes the degree cap is in neither.  A cached count starts at 0 and
+    grows as the scan reaches further; one that the stack limit leaves
+    uncached holds one range and is built again when a search reaches it.
+    A stack is held transposed, one vector per row of a float64 array,
+    and grows by exactly the rows it adds."""
 
-    __slots__ = ("start", "entries", "stacks", "unscreened")
+    __slots__ = ("start", "stop", "stacks", "unscreened")
 
     def __init__(self, start: int = 0):
-        self.start = start
-        self.entries = []      # (t, degree) at each position from start
+        self.start = self.stop = start
         self.stacks = {}       # degree -> (array, positions of its rows)
         self.unscreened = []
 
-    @property
-    def stop(self) -> int:
-        return self.start + len(self.entries)
-
-    def lack(self, degree: int, n: int) -> int:
-        """The rows the stack of this degree must add to hold n more."""
-        array, positions = self.stacks.get(degree, ((), ()))
-        return max(len(positions) + n - len(array), 0)
-
-    def reserve(self, degree: int, width: int, found, room: int):
-        """The stack of this degree with zero rows for the vectors at the
-        positions found, the first of those rows, and the spare rows past
-        them that the stack took on growing: it doubles, but by at most
-        room spare rows."""
+    def reserve(self, degree: int, width: int, found):
+        """The stack of this degree with zero rows added for the vectors
+        at the positions found, and the first of those rows."""
         array, positions = self.stacks.get(degree, (None, []))
-        first, n = len(positions), len(found)
-        spare = 0
-        if array is None or first + n > len(array):
-            spare = min(max(first - n, 0), room)
-            grown = np.zeros((first + n + spare, width))
-            if array is not None:
-                grown[:first] = array[:first]
-            array = grown
-        self.stacks[degree] = array, positions + found
-        return array, first, spare
+        grown = np.zeros((len(positions) + len(found), width))
+        if array is not None:
+            grown[:len(array)] = array
+        self.stacks[degree] = grown, positions + found
+        return grown, len(positions)
 
 
 def _ranges(state: _SearchState, s: SProduct, budget: OreBudget):
-    """The candidates in scan order, as ranges (count, start, stop, skip)
-    of a _Count: 1 and s, then the products of one to max_factors
-    parameters, as far as the scan can reach.  A range takes
+    """The candidates in scan order, as ranges (count, start, stop, skip,
+    t_at) of a _Count: 1 and s, then the products of one to max_factors
+    parameters, as far as the scan can reach; t_at maps a position of the
+    range to its candidate t.  A range takes
     min(start + _FIRST_BLOCK, _LAST_BLOCK) candidates, so the chunks of
     a count double from _FIRST_BLOCK up to _LAST_BLOCK: a search that
     succeeds early screens few candidates it never reaches, and a long
@@ -736,12 +707,13 @@ def _ranges(state: _SearchState, s: SProduct, budget: OreBudget):
     at least to the end of the count's cached prefix, which is screened
     in one product per degree.  skip is the position of the product
     equal to s, or stop where it is not in the range; s's combo c is at
-    position sum(c_k n**k) of itertools.product, its last factor k = 0.
+    position sum(c_k n**k), its last factor k = 0, the inverse of _combo.
     It tries at most MAX_CANDIDATES candidates, 1 and s among them, and
     skips the product equal to s (the parameters are distinct, so no
     other product repeats), so it reaches at most MAX_CANDIDATES - 1
     products."""
-    yield state.pair(s), 0, 2, 2
+    p = state.presentation
+    yield state.pair(s), 0, 2, 2, (SProduct.one(p), s).__getitem__
     ps, position = state.factor_parameters(budget.max_degree)
     n = len(ps)
     s_combo = [position.get(k) for k in s.key()]
@@ -760,7 +732,8 @@ def _ranges(state: _SearchState, s: SProduct, budget: OreBudget):
                 stop = max(stop, cached.stop)
             stop = min(stop, total, start + left)
             yield (state.count(budget.max_degree, count, start, stop),
-                   start, stop, at if start <= at < stop else stop)
+                   start, stop, at if start <= at < stop else stop,
+                   lambda i, count=count: SProduct(p, _combo(ps, i, count)))
             left -= stop - start
             start = stop
 
@@ -999,7 +972,7 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
     s_deg = s_value.degree()
     screen = _Screen(state, a, s_value, s_key)
     tried = 0
-    for count, start, stop, skip in _ranges(state, s, budget):
+    for count, start, stop, skip, t_at in _ranges(state, s, budget):
         # the walk visits the candidates that pass, numbered by their
         # place in the scan; the product equal to s is skipped and not
         # counted
@@ -1009,7 +982,7 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
             number = tried + i - start + (i < skip)
             if number > MAX_CANDIDATES:
                 return OreSolveResult(None, MAX_CANDIDATES)
-            t = count.entries[i - count.start][0]
+            t = t_at(i)
             # a product past the cap or a span past the basis limit skips t
             try:
                 r = a * t.value

@@ -94,12 +94,17 @@ class Scalar:
     @classmethod
     def from_quad(cls, quad) -> "Scalar":
         """The Scalar of [re_num, re_den, im_num, im_den], normalized by
-        one gcd; a zero denominator raises ZeroDivisionError."""
+        one gcd; a zero denominator raises ZeroDivisionError, which names
+        the bit length of a numerator too long to print."""
         rn, rd, im_n, im_d = map(int, quad)
         if rd <= 0 or im_d <= 0:
             for n, d in ((rn, rd), (im_n, im_d)):
                 if not d:
-                    raise ZeroDivisionError("Fraction(%s, 0)" % n)
+                    try:
+                        text = str(n)
+                    except ValueError:   # past the int-to-str digit limit
+                        text = "<%d-bit integer>" % n.bit_length()
+                    raise ZeroDivisionError("Fraction(%s, 0)" % text)
             if rd < 0:
                 rn, rd = -rn, -rd
             if im_d < 0:

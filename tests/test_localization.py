@@ -660,13 +660,12 @@ def test_chunked_product_mod_p_is_exact():
         x % prime for x in xs]
 
 
-def _count_vectors(count):
+def _count_vectors(count, t_at):
     """(t, degree, vector mod p) of each candidate of the _Count that has
-    a vector, read from its stacks."""
+    a vector, read from its stacks; t_at maps a position to its t."""
     out = []
     for degree, (array, positions) in count.stacks.items():
-        out += [(count.entries[i - count.start][0], degree, row)
-                for i, row in zip(positions, array)]
+        out += [(t_at(i), degree, row) for i, row in zip(positions, array)]
     return out
 
 
@@ -683,10 +682,14 @@ def _exact_vector(state, t):
 def test_product_vectors_are_images_of_the_exact_products():
     # the vector of u * f is built as M_u F mod p, without the product
     for name in ("heisenberg", "free_xy"):
-        state = localization._search_state(load_preset(name))
-        n = len(state.factor_parameters(1)[0])
+        p = load_preset(name)
+        state = localization._search_state(p)
+        ps = state.factor_parameters(1)[0]
+        n = len(ps)
         for count in (2, 3):
-            vectors = _count_vectors(state.count(1, count, 0, n ** count))
+            vectors = _count_vectors(
+                state.count(1, count, 0, n ** count),
+                lambda i: _sproduct(p, localization._combo(ps, i, count)))
             assert len(vectors) == n ** count
             for t, degree, vec in vectors:
                 exact_degree, exact = _exact_vector(state, t)
@@ -695,28 +698,73 @@ def test_product_vectors_are_images_of_the_exact_products():
                 assert not vec[len(exact):].any()
 
 
+def test_combo_decodes_a_scan_position():
+    # position i of the scan of count factors is the i-th element of
+    # itertools.product, and the position formula of _ranges inverts it
+    for n in (1, 2, 5, 7):
+        ps = tuple(range(10, 10 + n))
+        for count in (1, 2, 3):
+            for i, combo in enumerate(itertools.product(ps, repeat=count)):
+                assert localization._combo(ps, i, count) == combo
+                assert sum((c - 10) * n ** k
+                           for k, c in enumerate(reversed(combo))) == i
+
+
+def test_a_cold_miss_reduces_each_last_factor_once_per_build(monkeypatch):
+    # each range's last factors are reduced mod p once, not once per
+    # head: 17,625 reductions for this miss when each (head, last factor)
+    # pair had its own
+    calls = []
+    residues = localization._SearchState.residues
+
+    def count_residues(self, el):
+        calls.append(el)
+        return residues(self, el)
+
+    monkeypatch.setattr(localization._SearchState, "residues",
+                        count_residues)
+    p = _fresh("heisenberg")
+    a = p.generator("a")
+    res = ore_solve_right(a, _sproduct(p, (a,)), OreBudget(3, 2))
+    assert not res.found and res.candidates_tried == 16276
+    assert len(calls) < 2500
+
+
 def _blocks(p, s, budget):
     """The ranges the scan for s screens, as (first, last, products,
     past): the first and last candidate, numbered as candidates_tried
     counts them, the number of products of factor parameters in the
     range, and the candidates in it whose value passes the degree cap.
     Walked to the end, so on a presentation with no search state the
-    ranges are the chunks of a cold scan.  The position skipped holds
-    the product equal to s."""
+    ranges are the chunks of a cold scan.  The position skipped decodes
+    to s, and a position has a vector or is unscreened exactly where its
+    candidate is under the cap."""
     state = localization._search_state(p)
     out, tried = [], 0
-    for k, (count, start, stop, skip) in enumerate(
+    for k, (count, start, stop, skip, t_at) in enumerate(
             localization._ranges(state, s, budget)):
         if skip < stop:
-            assert count.entries[skip - count.start][0].key() == s.key()
+            assert t_at(skip).key() == s.key()
+        held = set(count.unscreened).union(*(
+            positions for _, positions in count.stacks.values()))
         first, past = tried + 1, []
         for i in range(start, stop):
+            under = _under_cap(t_at(i))
+            assert under == (i in held)
             if i != skip:
                 tried += 1
-                if count.entries[i - count.start][1] is None:
+                if not under:
                     past.append(tried)
         out.append((first, tried, stop - start if k else 0, past))
     return out
+
+
+def _under_cap(t):
+    try:
+        t.value
+    except DegreeOverflow:
+        return False
+    return True
 
 
 def _query(p, a_text, q_text):
@@ -814,7 +862,8 @@ def test_block_cache_is_bounded_and_lazy(monkeypatch):
         p = _fresh_heisenberg()
         a, ps = _block_cache_queries(p)[k]
         ore_solve_right(a, _sproduct(p, ps), DEFAULT_BUDGET)
-        built = sum(len(c.entries) for key, c in p._ore_search.counts.items()
+        built = sum(c.stop - c.start
+                    for key, c in p._ore_search.counts.items()
                     if key[0] != "1, s")
         q = _fresh_heisenberg()
         blocks = _blocks(q, _sproduct(q, _block_cache_queries(q)[k][1]),
@@ -863,16 +912,21 @@ def test_warm_and_cold_screens_agree(monkeypatch):
                for name, a, q, budget, _, _ in _BLOCK_QUERIES]
     queries += [(name, a, q, DEFAULT_BUDGET) for name, a, q in _MISS_QUERIES]
     fates, ranges = [], []
-    survivors = localization._Screen.survivors
+    survivors, scan = localization._Screen.survivors, localization._ranges
 
     def record(screen, count, start, stop):
         out = survivors(screen, count, start, stop)
-        ranges.append((count, start, stop))
-        fates.extend((count.entries[i - count.start][0].key(), i in out)
-                     for i in range(start, stop))
+        t_at = ranges[-1][3]
+        fates.extend((t_at(i).key(), i in out) for i in range(start, stop))
         return out
 
+    def record_ranges(state, s, budget):
+        for count, start, stop, skip, t_at in scan(state, s, budget):
+            ranges.append((count, start, stop, t_at))
+            yield count, start, stop, skip, t_at
+
     monkeypatch.setattr(localization._Screen, "survivors", record)
+    monkeypatch.setattr(localization, "_ranges", record_ranges)
 
     def outcomes(presentation):
         out = []
@@ -901,7 +955,7 @@ def test_warm_and_cold_screens_agree(monkeypatch):
     agree(outcomes(warm), cold)
     # the second pass screened at least three chunks of a count at once,
     # [8, 24), [24, 56) and [56, 120)
-    assert any(start == 8 and stop >= 120 for _, start, stop in ranges)
+    assert any(start == 8 and stop >= 120 for _, start, stop, _ in ranges)
     # with the stacks half as large each count of pairs caches a prefix of
     # its first chunks, and the later ones are built and screened alone
     limit = min(p._ore_search.stacked for p in shared.values()) // 2
@@ -917,20 +971,23 @@ def test_warm_and_cold_screens_agree(monkeypatch):
         assert 24 <= counts[2, 2].stop < n ** 2
     cached = [id(c) for p in shared.values()
               for c in p._ore_search.counts.values()]
-    alone = [c for c, _, _ in ranges if c.start]
+    alone = [c for c, _, _, _ in ranges if c.start]
     assert alone and not any(id(c) in cached for c in alone)
 
 
 def _stack_residues(p):
-    """The residues the cached stacks hold, spare rows included."""
-    return sum(array.size for c in p._ore_search.counts.values()
-               for array, _ in c.stacks.values())
+    """The residues the cached stacks hold; each stack has one row per
+    position it holds."""
+    stacks = [s for c in p._ore_search.counts.values()
+              for s in c.stacks.values()]
+    assert all(len(array) == len(positions) for array, positions in stacks)
+    return sum(array.size for array, _ in stacks)
 
 
-def test_cached_stacks_count_their_spare_rows(monkeypatch):
-    # a count's stack grows by doubling; its spare rows count against
+def test_cached_stacks_count_their_rows(monkeypatch):
+    # a count's stack grows by the rows it adds, and they count against
     # _STACK_LIMIT, so the cached stacks never hold more than the limit,
-    # and a tight limit only caps the growth or leaves chunks uncached
+    # and a tight limit only leaves chunks uncached
     queries = [(name, a, q, DEFAULT_BUDGET)
                for name, a, q in _MISS_QUERIES if name == "heisenberg"]
     p = _fresh("heisenberg")
@@ -982,9 +1039,8 @@ def test_a_block_holds_each_vector_once(monkeypatch):
     state = localization._search_state(_fresh("free_xy"))
     key = (2, 2, 504, 1016)        # heads 14 to 27, a range of 512 pairs
     count = state.count(*key)      # the values and normal forms, cached
-    sizes = Counter()              # degree -> residues of its stack
-    for _, degree in count.entries:
-        sizes[degree] += state.dim(degree)
+    sizes = Counter({d: array.size        # degree -> residues of its stack
+                     for d, (array, _) in count.stacks.items()})
     assert sorted(sizes) == [6, 8]
     peaks, groups = [], []
     for limit in (localization._ARRAY_LIMIT, 100_000):

@@ -82,6 +82,17 @@ def test_quad_round_trip():
             Scalar.from_quad(quad)
 
 
+def test_a_zero_denominator_under_an_unprintable_numerator():
+    # a numerator past Python's 4,300-digit limit for int -> str once
+    # raised ValueError from the message instead of ZeroDivisionError
+    big = 10 ** 5000
+    for quad, bits in (([big, 0, 0, 1], big.bit_length()),
+                       ([1, 1, -big, 0], (-big).bit_length())):
+        with pytest.raises(ZeroDivisionError) as err:
+            Scalar.from_quad(quad)
+        assert str(err.value) == "Fraction(<%d-bit integer>, 0)" % bits
+
+
 def test_predicates_and_str():
     assert Scalar(2).is_positive_real()
     assert not Scalar(-2).is_positive_real()
