@@ -19,6 +19,11 @@ which reads it to skip words whose value is zero by weight.
 
 Elements are immutable linear combinations of irreducible words over
 the Gaussian rationals.  Words are tuples of generator indices.
+
+The presentation owns the coordinates of its words: basis_words lists
+the irreducible words up to a degree, and positions maps each of them to
+its place in that list, the one table by which the witness search and
+the GNS construction turn elements into vectors.
 """
 
 from __future__ import annotations
@@ -42,6 +47,14 @@ def _deglex_key(w: Word):
 # takes nothing new, so the words met first stay cached.
 _NF_LIMIT = 1 << 15        # normal forms of single words
 _BASIS_LIMIT = 1 << 16     # words in one basis_words table
+
+
+def _is_name(g) -> bool:
+    """Whether g is a str that the expression tokenizer reads as one
+    identifier other than the imaginary unit i."""
+    return (isinstance(g, str) and g != "i"
+            and (g[:1].isalpha() or g[:1] == "_")
+            and all(ch.isalnum() or ch == "_" for ch in g[1:]))
 
 
 def _remember(cache: dict, key, value, limit: int):
@@ -100,6 +113,11 @@ class Presentation:
         self.generators = tuple(generators)
         if len(set(self.generators)) != len(self.generators):
             raise PresentationError("duplicate generator names")
+        for g in self.generators:
+            if not _is_name(g):
+                raise PresentationError(
+                    "generator name %r is not an identifier of the "
+                    "expression grammar" % (g,))
         self.name = name
         if degree_cap < 1:
             raise PresentationError("degree_cap must be at least 1")
@@ -151,6 +169,7 @@ class Presentation:
         self._basis_cache = {}
         # the lowest degree whose basis passed _BASIS_LIMIT, if any
         self._basis_overflow = self.degree_cap + 1
+        self._positions = (-1, {})   # (degree, word -> position)
 
         self._check_dagger_closure()
         self._check_confluence()
@@ -255,38 +274,30 @@ class Presentation:
                     "relation %s is not dagger-closed" % self.word_str(rule.lhs))
 
     def _check_confluence(self):
-        cap = self.degree_cap
+        """Every ambiguity is a word w with the left side of r1 at 0 and
+        that of r2 at pos: an overlap w = l1 + l2[k:] with pos = len(l1)
+        - k, where a suffix of l1 is a prefix of l2, and an inclusion w =
+        l1, where l2 occurs inside l1."""
+        def check(w, pos, r1, r2, message):
+            left = self.normalize_raw(
+                {u + w[len(r1.lhs):]: c for u, c in r1.rhs.items()})
+            right = self.normalize_raw(
+                {w[:pos] + u + w[pos + len(r2.lhs):]: c
+                 for u, c in r2.rhs.items()})
+            if left.terms != right.terms:
+                raise PresentationError(message % self.word_str(w))
+
         for r1, r2 in itertools.product(self.rules, repeat=2):
             l1, l2 = r1.lhs, r2.lhs
-            # proper overlap: a suffix of l1 is a prefix of l2
             for k in range(1, min(len(l1), len(l2))):
-                if l1[-k:] != l2[:k]:
-                    continue
-                sup = l1 + l2[k:]
-                if len(sup) > cap:
-                    continue
-                left = self.normalize_raw(
-                    {w + l2[k:]: c for w, c in r1.rhs.items()})
-                right = self.normalize_raw(
-                    {l1[:-k] + w: c for w, c in r2.rhs.items()})
-                if left.terms != right.terms:
-                    raise PresentationError(
-                        "critical pair %s does not resolve" % self.word_str(sup))
-            # containment: l2 occurs inside l1
-            if len(l2) <= len(l1):
-                for pos in range(len(l1) - len(l2) + 1):
-                    if r1 is r2 and pos == 0 and len(l1) == len(l2):
-                        continue
-                    if l1[pos:pos + len(l2)] != l2:
-                        continue
-                    left = self.normalize_raw(dict(r1.rhs))
-                    right = self.normalize_raw(
-                        {l1[:pos] + w + l1[pos + len(l2):]: c
-                         for w, c in r2.rhs.items()})
-                    if left.terms != right.terms:
-                        raise PresentationError(
-                            "embedded critical pair in %s does not resolve"
-                            % self.word_str(l1))
+                if (l1[-k:] == l2[:k]
+                        and len(l1) + len(l2) - k <= self.degree_cap):
+                    check(l1 + l2[k:], len(l1) - k, r1, r2,
+                          "critical pair %s does not resolve")
+            for pos in range(len(l1) - len(l2) + 1):
+                if r1 is not r2 and l1[pos:pos + len(l2)] == l2:
+                    check(l1, pos, r1, r2,
+                          "embedded critical pair in %s does not resolve")
 
     @cached_property
     def grading(self):
@@ -416,6 +427,17 @@ class Presentation:
         words = tuple(itertools.chain.from_iterable(layers))
         self._basis_cache[max_degree] = words
         return words
+
+    def positions(self, max_degree: int) -> dict:
+        """word -> position in basis_words(max_degree) for each of its
+        words.  The presentation keeps one table, built from the largest
+        degree asked for: a lower basis table is a prefix of a higher
+        one, so a word has one position in all of them."""
+        degree, table = self._positions
+        if max_degree > degree:
+            table = {w: i for i, w in enumerate(self.basis_words(max_degree))}
+            self._positions = (max_degree, table)
+        return table
 
     def __repr__(self):
         label = self.name or ",".join(self.generators)

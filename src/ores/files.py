@@ -36,6 +36,14 @@ def _write_text(path, text: str):
         fh.write(text)
 
 
+def _int(x) -> int:
+    """x, which must be a JSON integer: a string or a boolean that int()
+    would read raises TypeError, which each loader reports as malformed."""
+    if type(x) is not int:
+        raise TypeError("%s where an integer belongs" % type(x).__name__)
+    return x
+
+
 def _read_json(path):
     """The JSON value of the file; a float literal is a ConfigError, since
     every number of the file formats is an integer and int() would
@@ -88,11 +96,11 @@ def presentation_from_dict(d: dict) -> Presentation:
         dagger_pairs = tuple(tuple(pair) for pair in d["dagger_pairs"])
         relations = tuple(
             (tuple(rel["lhs"]),
-             tuple((Scalar.from_quad(t["coeff"]), tuple(t["word"]))
+             tuple((Scalar.from_quad(map(_int, t["coeff"])), tuple(t["word"]))
                    for t in rel["rhs"]))
             for rel in d["relations"])
         return Presentation(generators, dagger_pairs, relations,
-                            int(d["degree_cap"]), name=d.get("name"))
+                            _int(d["degree_cap"]), name=d.get("name"))
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError("malformed presentation file: %s" % exc) from None
 
@@ -137,7 +145,7 @@ def moments_from_dict(d: dict, presentation: Presentation) -> MomentFunctional:
     index = {g: i for i, g in enumerate(presentation.generators)}
     position = index.__getitem__
     try:
-        degree = int(d["degree"])
+        degree = _int(d["degree"])
         raw = d["moments"]
         table = {}
         for k, v in raw.items():
@@ -148,7 +156,7 @@ def moments_from_dict(d: dict, presentation: Presentation) -> MomentFunctional:
                 raise ConfigError(
                     "moment word %r uses unknown generator %r"
                     % (k, next(g for g in names if g not in index))) from None
-            table[w] = Scalar.from_quad(v)
+            table[w] = Scalar.from_quad(map(_int, v))
     except (KeyError, TypeError, ValueError, ArithmeticError,
             AttributeError) as exc:
         raise ConfigError("malformed moment file: %s" % exc) from None
@@ -205,12 +213,12 @@ def operator_from_dict(d: dict) -> BandedOperator:
     bands = {}
     try:
         for band in d["bands"]:
-            offset = int(band["offset"])
+            offset = _int(band["offset"])
             if abs(offset) > SIZE_CAP:
                 raise ConfigError("band offset %+d exceeds the size cap %d"
                                   % (offset, SIZE_CAP))
             kind = band["kind"]
-            coeffs = [Rational(int(n), int(dn)) for n, dn in band["coeffs"]]
+            coeffs = [Rational(_int(n), _int(dn)) for n, dn in band["coeffs"]]
             if kind == "const":
                 if len(coeffs) > 1:
                     raise ConfigError("const band with several coefficients")

@@ -358,15 +358,8 @@ class Formula:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Formula":
-        return cls()
-
-    @classmethod
     def const(cls, c) -> "Formula":
-        c = as_scalar(c)
-        if not c:
-            return cls()
-        return cls({QP_ONE: CPoly.const(c)})
+        return cls.poly((c,))
 
     @classmethod
     def poly(cls, coeffs) -> "Formula":
@@ -410,16 +403,11 @@ class Formula:
         return Formula({rad: amp.conj() for rad, amp in self.terms.items()})
 
     def shift(self, k: int) -> "Formula":
-        """Compose with n -> n+k; radicands are re-normalized."""
+        """Compose with n -> n+k, as the product 1 * self(n + k); radicands
+        are re-normalized."""
         if not k:
             return self
-        out = Formula()
-        for rad, amp in self.terms.items():
-            amp2, rad2 = normalize_radicand(rad.shift(k))
-            term = Formula({rad2: amp.shift(k) * CPoly.from_qpoly(amp2)}
-                           if not rad2.is_zero() else {})
-            out = out + term
-        return out
+        return Formula.const(1).mul_shifted(self, k)
 
     def mul_shifted(self, o: "Formula", k: int) -> "Formula":
         """self(n) * o(n+k); square roots merge into one radicand, which

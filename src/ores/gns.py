@@ -129,8 +129,8 @@ def generator_entries(f: MomentFunctional, words, cols: int, g: int):
     be basis words of degree <= f.degree, the first cols of them of
     degree < f.degree; rewriting never raises degree, so each y is a
     basis word of degree <= f.degree, a row of G."""
-    all_words, G, _ = f._reduced()
-    index = {w: i for i, w in enumerate(all_words)}
+    _, G, _ = f._reduced()
+    index = f.presentation.positions(f.degree)
     columns = [[(index[y], c) for y, c in
                 f.presentation.normal_form_word((g,) + w).items()]
                for w in words[:cols]]

@@ -375,8 +375,6 @@ class _SearchState:
         self.stacked = 0       # residues in the cached counts' stacks
         self.left = {}         # word -> (degree, map mod p)
         self.subspaces = {}    # (s key, bound, right) -> _MulSubspace
-        self._index = {}
-        self._index_degree = -1
 
     def factor_parameters(self, max_degree: int):
         """(parameters p of the factors 1 + p'p, key -> position): the
@@ -555,15 +553,6 @@ class _SearchState:
                        prime)
         return out
 
-    def index(self, degree: int) -> dict:
-        """Positions of the basis words; covers every word of degree <=
-        degree (basis_words(d) is a prefix of basis_words(d + 1))."""
-        if degree > self._index_degree:
-            words = self.presentation.basis_words(degree)
-            self._index = {w: i for i, w in enumerate(words)}
-            self._index_degree = degree
-        return self._index
-
     def dim(self, degree: int) -> int:
         return len(self.presentation.basis_words(degree))
 
@@ -581,7 +570,7 @@ class _SearchState:
     def _write(self, vec, value: AlgebraElement):
         """Write the residues of value into the zero vector vec over the
         basis words."""
-        index = self.index(value.degree())
+        index = self.presentation.positions(value.degree())
         for w, v in self.residues(value):
             vec[index[w]] = v
 
@@ -601,7 +590,7 @@ class _SearchState:
 
     def _left_word(self, u, degree: int):
         p, prime, imag = self.presentation, self.prime, self.imag
-        index = self.index(len(u) + degree)
+        index = p.positions(len(u) + degree)
         rows, cols, vals = [], [], []
         for j, w in enumerate(p.basis_words(degree)):
             for w2, c in p.normal_form_word(u + w).items():
@@ -806,7 +795,8 @@ class _MulSubspace:
         target words.  Rewriting never raises the degree, and the basis
         words are deglex sorted, so each word of el has an index below
         ntarget."""
-        index = self.state.index(self.bound + max(self.s_value.degree(), 0))
+        index = self.state.presentation.positions(
+            self.bound + max(self.s_value.degree(), 0))
         vec = [Scalar(0)] * self.ntarget
         for w, c in el.terms.items():
             vec[index[w]] = c

@@ -77,9 +77,6 @@ class BandedOperator:
 
     # -- structure ----------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.bands
-
     @property
     def min_offset(self) -> int:
         return min(self.bands) if self.bands else 0
@@ -90,9 +87,7 @@ class BandedOperator:
 
     @property
     def bandwidth(self) -> int:
-        if not self.bands:
-            return 0
-        return max(abs(k) for k in self.bands)
+        return max(-self.min_offset, self.max_offset)
 
     # -- action ----------------------------------------------------------------------
 

@@ -8,20 +8,24 @@ kernels, row spaces and a hermitian reduction in Gaussian-rational
 Scalars (the reduction carrying its whole transform) instead of
 fraction-free elimination over Z[i], and expressions evaluated one
 element per AST node, multiplied left to right, instead of with
-constants and generator runs folded, and Gaussian rationals as a pair
-of an int or Fraction per part instead of one Gaussian integer over one
-denominator.  Tests freeze or compare against these, never against the
-code under test.
+constants and generator runs folded, Gaussian rationals as a pair of an
+int or Fraction per part instead of one Gaussian integer over one
+denominator, critical pairs checked by one loop for overlaps and one for
+inclusions instead of one check per ambiguous word, and a band shifted
+term by term instead of as a product with the constant 1.  Tests freeze
+or compare against these, never against the code under test.
 """
 
 import heapq
+import itertools
 from fractions import Fraction as Rational
 
 import numpy as np
 import scipy.sparse
 
-from ores.errors import ExpressionError
+from ores.errors import ExpressionError, PresentationError
 from ores.exprparse import Dagger, Neg, Paren, Prod, ScalarLit, Sum, Sym
+from ores.formulas import CPoly, Formula, normalize_radicand
 from ores.linalg import PsdReport
 from ores.scalars import Scalar
 
@@ -181,6 +185,61 @@ def rational_function_dagger_equal(f, g) -> bool:
     nf, df = fraction_as_rational_function(f)
     ng, dg = fraction_as_rational_function(g)
     return nf.conj() * dg == ng * df
+
+
+# -- critical pairs and band shifts, one loop per case ------------------------------------
+
+
+def reference_check_confluence(p):
+    """Check every critical pair of p's rules up to its degree cap, the
+    proper overlaps (a suffix of l1 is a prefix of l2) in one loop and
+    the inclusions (l2 inside l1) in another, for each ordered pair of
+    rules; raise the PresentationError of the first that does not
+    resolve."""
+    cap = p.degree_cap
+    for r1, r2 in itertools.product(p.rules, repeat=2):
+        l1, l2 = r1.lhs, r2.lhs
+        for k in range(1, min(len(l1), len(l2))):
+            if l1[-k:] != l2[:k]:
+                continue
+            sup = l1 + l2[k:]
+            if len(sup) > cap:
+                continue
+            left = p.normalize_raw({w + l2[k:]: c for w, c in r1.rhs.items()})
+            right = p.normalize_raw(
+                {l1[:-k] + w: c for w, c in r2.rhs.items()})
+            if left.terms != right.terms:
+                raise PresentationError(
+                    "critical pair %s does not resolve" % p.word_str(sup))
+        if len(l2) <= len(l1):
+            for pos in range(len(l1) - len(l2) + 1):
+                if r1 is r2 and pos == 0 and len(l1) == len(l2):
+                    continue
+                if l1[pos:pos + len(l2)] != l2:
+                    continue
+                left = p.normalize_raw(dict(r1.rhs))
+                right = p.normalize_raw(
+                    {l1[:pos] + w + l1[pos + len(l2):]: c
+                     for w, c in r2.rhs.items()})
+                if left.terms != right.terms:
+                    raise PresentationError(
+                        "embedded critical pair in %s does not resolve"
+                        % p.word_str(l1))
+
+
+def reference_formula_shift(f, k: int):
+    """f(n + k), term by term: each radicand shifted and split again into
+    a square and a radicand, the square's root multiplied into the
+    shifted amplitude."""
+    if not k:
+        return f
+    out = Formula()
+    for rad, amp in f.terms.items():
+        amp2, rad2 = normalize_radicand(rad.shift(k))
+        term = Formula({rad2: amp.shift(k) * CPoly.from_qpoly(amp2)}
+                       if not rad2.is_zero() else {})
+        out = out + term
+    return out
 
 
 # -- dense operator oracles ----------------------------------------------------------------

@@ -14,7 +14,8 @@ from ores.localization import is_regular_up_to
 from ores.scalars import IMAG, Scalar
 
 from oracles import (naive_normal_form, naive_product_normal_form,
-                     reference_nullspace, same_terms)
+                     reference_check_confluence, reference_nullspace,
+                     same_terms)
 
 PRESET_NAMES = ("poly_x", "poly_xy", "heisenberg", "free_xy")
 
@@ -104,6 +105,17 @@ def test_lower_tables_are_cut_from_a_larger_one():
             assert words == q.basis_words(d)
             assert all(w is v for w, v in zip(words, big))
             assert p.basis_words(d) is words
+
+
+def test_positions_index_every_basis_table():
+    # one table serves every degree, asked for rising or falling
+    for name in PRESET_NAMES:
+        for degrees in (range(-1, 7), range(6, -2, -1)):
+            p = Presentation(*algebra.PRESETS[name])
+            for d in degrees:
+                words = p.basis_words(d)
+                positions = p.positions(d)
+                assert all(positions[w] == words.index(w) for w in words)
 
 
 def test_basis_words_sorted_by_graded_order():
@@ -200,6 +212,82 @@ def test_non_confluent_system_rejected():
         Presentation(("z",), (("z",),),
                      ((("z", "z"), ((1, ("z",)),)),
                       (("z", "z", "z"), ((1, ()),))), 8)
+
+
+def _twin_rhs(rng, names, lhs):
+    """Up to two terms below lhs; on a palindrome lhs, a real coefficient
+    on a word and its reverse, so that the rule is its own twin."""
+    rhs = []
+    for _ in range(rng.randint(0, 2)):
+        w = tuple(rng.choice(names)
+                  for _ in range(rng.randint(0, len(lhs) - 1)))
+        if lhs == lhs[::-1]:
+            c = Scalar(rng.randint(-2, 2))
+            rhs += [(c, w), (c, w[::-1])]
+        else:
+            rhs.append((Scalar(rng.randint(-2, 2), rng.randint(-1, 1)), w))
+    return rhs
+
+
+def _twin_rule_set(rng):
+    """A presentation's data over 1-3 hermitian generators: rules with
+    left sides of 2-4 letters, each with its reversed twin.  In about a
+    third of the sets the first two rules are a*b*c*a and b*c -> const,
+    whose inclusion is the first ambiguity checked."""
+    rules = []
+    if rng.random() < 0.3:
+        names = "xyz"
+        a, b, c = rng.sample(names, 3)
+        rules = [((a, b, c, a), _twin_rhs(rng, names, (a, b, c, a))),
+                 ((b, c), [(Scalar(rng.randint(-1, 1)), ())])]
+    else:
+        names = "xyz"[:rng.randint(1, 3)]
+    for _ in range(rng.randint(0, 1) if rules else rng.randint(1, 2)):
+        lhs = tuple(rng.choice(names) for _ in range(rng.randint(2, 4)))
+        rules.append((lhs, _twin_rhs(rng, names, lhs)))
+    relations = []
+    for lhs, rhs in rules:
+        relations.append((lhs, rhs))
+        if lhs != lhs[::-1]:
+            relations.append((lhs[::-1], [(c.conjugate(), w[::-1])
+                                          for c, w in rhs]))
+    return names, [(g,) for g in names], relations, rng.randint(4, 8)
+
+
+def test_confluence_check_matches_the_two_loop_reference(monkeypatch):
+    # every seeded set gives the reference's verdict, or its exact
+    # message, with enough sets of each kind to see the three outcomes
+    def outcome(data):
+        try:
+            Presentation(*data)
+        except PresentationError as exc:
+            return str(exc)
+        return None
+
+    seen = {"resolves": 0, "critical pair": 0, "embedded critical pair": 0}
+    for seed in range(200):
+        data = _twin_rule_set(random.Random(seed))
+        got = outcome(data)
+        with monkeypatch.context() as m:
+            m.setattr(Presentation, "_check_confluence",
+                      reference_check_confluence)
+            assert got == outcome(data), seed
+        for kind in seen:
+            if (got or "resolves").startswith(kind):
+                seen[kind] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("names", [
+    # "1" is also the empty word of the moment file format
+    pytest.param(("1",), id="one"),
+    # i*x would read as the imaginary unit times x
+    pytest.param(("x", "i"), id="i"),
+])
+def test_generator_names_the_grammar_cannot_read_are_refused(names):
+    with pytest.raises(PresentationError,
+                       match="'%s' is not an identifier" % names[-1]):
+        Presentation(names, [(g,) for g in names], (), 4)
 
 
 def test_idempotent_presentation_has_zero_divisors():

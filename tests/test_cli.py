@@ -669,6 +669,9 @@ _LONG_VECTOR = ",".join(repr(0.999 ** n) for n in range(5000))
     pytest.param(["normalize", "--presentation", "{dir}/list-names.json",
                   "1"], "malformed presentation file",
                  id="presentation-unhashable-generator"),
+    pytest.param(["normalize", "--presentation", "{dir}/numbers.json", "x"],
+                 "generator name 1 is not an identifier",
+                 id="presentation-numeric-generators"),
     pytest.param(["gns", "build", "--moments", "{dir}/moment-list.json"],
                  "malformed moment file", id="moments-not-a-table"),
     pytest.param(["op", "apply", "--operator", "{dir}/huge-coeff.json",
@@ -695,6 +698,9 @@ def test_malformed_invocations_exit_with_code_2(tmp_path, capsys, argv,
     list_names = presentation_to_dict(load_preset("heisenberg"))
     list_names["generators"] = [["ad"], ["a"]]
     (tmp_path / "list-names.json").write_text(json.dumps(list_names))
+    (tmp_path / "numbers.json").write_text(json.dumps({
+        "generators": [1, 2], "dagger_pairs": [[1], [2]], "relations": [],
+        "degree_cap": 4}))
     (tmp_path / "moment-list.json").write_text(
         json.dumps({"degree": 1, "moments": [1, 2]}))
     (tmp_path / "huge-coeff.json").write_text(json.dumps({"bands": [

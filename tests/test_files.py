@@ -283,6 +283,12 @@ def _paths(node, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
+def _at(d, path):
+    for key in path:
+        d = d[key]
+    return d
+
+
 def _damaged(d, path, value):
     out = copy.deepcopy(d)
     node = out
@@ -325,6 +331,30 @@ def test_damaged_fields_load_or_raise_ores_errors(loader, valid):
                     and any(abs(k) > SIZE_CAP for k in loaded.bands)):
                 escaped.append((path, value, "band past the size cap"))
     assert not escaped
+
+
+@pytest.mark.parametrize("loader, valid, kind", [
+    pytest.param(presentation_from_dict,
+                 presentation_to_dict(load_preset("heisenberg")),
+                 "presentation", id="presentation"),
+    pytest.param(lambda d: moments_from_dict(d, load_preset("poly_x")),
+                 moments_to_dict(gaussian_state(load_preset("poly_x"), 2)),
+                 "moment", id="moments"),
+    pytest.param(operator_from_dict, operator_to_dict(BandedOperator({
+        -1: Formula.sqrt(QPoly([0, 1])),
+        0: Formula.poly([Scalar(1), Scalar(Rational(3, 2))])})),
+        "operator", id="operator"),
+])
+def test_integer_fields_take_json_integers_only(loader, valid, kind):
+    # every integer of a valid file in turn replaced by a string or a
+    # boolean that int() would read
+    paths = [path for path in _paths(valid) if type(_at(valid, path)) is int]
+    assert paths
+    for path in paths:
+        for value in ("1", True):
+            with pytest.raises(ConfigError,
+                               match="malformed %s file" % kind):
+                loader(_damaged(valid, path, value))
 
 
 # Loads each pickled moment dict on poly_x: from a JSON file where every
@@ -375,10 +405,7 @@ def test_moment_files_under_limits_load_or_raise_config_errors(tmp_path):
                 expected.append(["ConfigError",
                                  "moment word %r uses unknown generator %r"
                                  % (bad, "y" if bad == "y" else "")])
-    try:
-        int([1])
-    except TypeError as exc:
-        nested = "malformed moment file: %s" % exc
+    nested = "malformed moment file: list where an integer belongs"
     big = 10 ** 400
     quads = [([big, 1, 0, 1], Rational(big)),
              ([1, big, 0, 1], Rational(1, big)),

@@ -17,6 +17,8 @@ from ores.formulas import (_PRIME_BOUND, CPoly, Formula, QPoly,
                            rational_square_split, squarefree_decomposition)
 from ores.scalars import IMAG, Scalar
 
+from oracles import reference_formula_shift
+
 
 def _random_qpoly(rng, max_deg=3):
     return QPoly([Rational(rng.randint(-4, 4), rng.randint(1, 3))
@@ -279,6 +281,29 @@ def test_formula_shift_and_conj():
         assert abs(c.eval(n) - f.eval(n).conjugate()) <= 1e-12
 
 
+def test_formula_shift_matches_the_term_by_term_shift():
+    # the shift as a product with the constant 1 gives the term data of
+    # the shift taken term by term, radicands that fold only once shifted
+    # among them: (n - 3)^2 n is kept whole, n^2 (n + 3) is not
+    rng = random.Random(68)
+    folds = Formula.sqrt(QPoly.of(0, 9, -6, 1))
+    assert [rad.degree() for rad in folds.terms] == [3]
+    assert [rad.degree() for rad in folds.shift(3).terms] == [1]
+    formulas = [folds, Formula(), Formula.poly([1, 2])]
+    for _ in range(40):
+        f = Formula.poly([Scalar(rng.randint(-2, 2), rng.randint(-1, 1))
+                          for _ in range(rng.randint(0, 3))])
+        for _ in range(rng.randint(1, 3)):
+            f = f + Formula.sqrt(_random_qpoly(rng, 3)).scale(
+                Scalar(rng.randint(-2, 2), rng.randint(-1, 1)))
+        formulas.append(f)
+    for f in formulas:
+        for k in range(-3, 4):
+            got, want = f.shift(k), reference_formula_shift(f, k)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert got.key() == want.key()
+
+
 def test_formula_linearity():
     rng = random.Random(67)
     for _ in range(30):
@@ -287,12 +312,12 @@ def test_formula_linearity():
         lam = Scalar(rng.randint(-2, 2), rng.randint(-2, 2))
         h = f.scale(lam) + g
         assert h - g == f.scale(lam)
-        assert f - f == Formula.zero()
+        assert f - f == Formula()
         assert f + g == g + f
 
 
 def test_formula_zero_and_domain():
-    z = Formula.zero()
+    z = Formula()
     assert z.eval(0) == 0
     f = Formula.sqrt(QPoly.of(-1, -1))
     with pytest.raises(FormulaDomainError):

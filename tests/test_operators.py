@@ -131,7 +131,7 @@ def test_operator_equality_and_bandwidth():
     assert A.min_offset == 1 and A.max_offset == 1
     B = A + A.adjoint()
     assert B.bandwidth == 1
-    assert (A - A).is_zero()
+    assert A - A == BandedOperator.zero()
     assert hash(A) == hash(BandedOperator.annihilation())
 
 
