@@ -18,7 +18,12 @@ It comes from linalg's exact kernel, on first use by the moment layer,
 which reads it to skip words whose value is zero by weight.
 
 Elements are immutable linear combinations of irreducible words over
-the Gaussian rationals.  Words are tuples of generator indices.
+the Gaussian rationals.  Words are tuples of generator indices.  The
+degree cap bounds the length of a word, not the number of terms: a
+product of more than _BASIS_LIMIT word pairs raises DegreeOverflow
+before it is formed, as no layer could use it, and so does a normal
+form, of one word or of a sum, as soon as rules grow it past that many
+terms.
 
 The presentation owns the coordinates of its words: basis_words lists
 the irreducible words up to a degree, and positions maps each of them to
@@ -46,7 +51,9 @@ def _deglex_key(w: Word):
 # Cache limits of a presentation.  A full cache keeps what it has and
 # takes nothing new, so the words met first stay cached.
 _NF_LIMIT = 1 << 15        # normal forms of single words
-_BASIS_LIMIT = 1 << 16     # words in one basis_words table
+# words in one basis_words table, word pairs in one product and terms in
+# one normal form under construction: no layer can use more
+_BASIS_LIMIT = 1 << 16
 
 
 def _is_name(g) -> bool:
@@ -229,7 +236,8 @@ class Presentation:
         """Normal form of a single word as a dict word -> Scalar.
 
         Each rewrite step is one recursive call; a chain of steps deeper
-        than Python's recursion limit raises DegreeOverflow."""
+        than Python's recursion limit raises DegreeOverflow, and so does a
+        normal form that rules grow past _BASIS_LIMIT terms."""
         if len(w) > self.degree_cap:
             raise DegreeOverflow(
                 "word of length %d exceeds degree cap %d"
@@ -252,14 +260,19 @@ class Presentation:
                         "rewriting a word of length %d nests too deeply"
                         % len(w)) from None
                 _add_into(result, nf.items(), rc)
+                if len(result) > _BASIS_LIMIT:
+                    raise _past_terms()
         return _remember(self._nf_cache, w, result, _NF_LIMIT)
 
     def normalize_raw(self, raw: dict) -> "AlgebraElement":
-        """Normalize a raw word combination (dict word -> Scalar)."""
+        """Normalize a raw word combination (dict word -> Scalar); past
+        _BASIS_LIMIT terms, as rules add them, raise DegreeOverflow."""
         acc = {}
         for w, c in raw.items():
             if c:
                 _add_into(acc, self.normal_form_word(w).items(), c)
+                if len(acc) > _BASIS_LIMIT:
+                    raise _past_terms()
         return AlgebraElement(self, acc)
 
     # -- load-time checks ----------------------------------------------------
@@ -452,6 +465,15 @@ def _check_same(p: Presentation, q: Presentation):
             "operands belong to different presentations: %r vs %r" % (p, q))
 
 
+def _past_terms() -> DegreeOverflow:
+    return DegreeOverflow("normal form has more than %d terms" % _BASIS_LIMIT)
+
+
+def _past_cap(p: Presentation, w1: Word, w2: Word) -> DegreeOverflow:
+    return DegreeOverflow("product word %s * %s exceeds degree cap %d"
+                          % (p.word_str(w1), p.word_str(w2), p.degree_cap))
+
+
 class AlgebraElement:
     """An immutable normalized linear combination of irreducible words;
     the constructor stores terms as given (see Presentation.normalize_raw)."""
@@ -513,13 +535,23 @@ class AlgebraElement:
             return NotImplemented
         p = self.presentation
         cap = p.degree_cap
+        pairs = len(self.terms) * len(o.terms)
+        if pairs > _BASIS_LIMIT:
+            # checked before the pairs are formed; a pair past the cap
+            # raises first, as it does in the loop below
+            longest = o.degree()
+            for w1 in self.terms:
+                if len(w1) + longest > cap:
+                    raise _past_cap(p, w1, next(
+                        w2 for w2 in o.terms if len(w1) + len(w2) > cap))
+            raise DegreeOverflow(
+                "product of %d by %d terms has %d word pairs, more than %d"
+                % (len(self.terms), len(o.terms), pairs, _BASIS_LIMIT))
         raw = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in o.terms.items():
                 if len(w1) + len(w2) > cap:
-                    raise DegreeOverflow(
-                        "product word %s * %s exceeds degree cap %d"
-                        % (p.word_str(w1), p.word_str(w2), cap))
+                    raise _past_cap(p, w1, w2)
                 w = w1 + w2
                 c = c1 * c2
                 prev = raw.get(w)

@@ -142,7 +142,7 @@ def moments_from_dict(d: dict, presentation: Presentation) -> MomentFunctional:
     """The moment table of a dict of the file format, its words read with
     one split each and looked up name by name in the generator index; a
     malformed dict or an unknown name is a ConfigError."""
-    index = {g: i for i, g in enumerate(presentation.generators)}
+    index = presentation._index
     position = index.__getitem__
     try:
         degree = _int(d["degree"])

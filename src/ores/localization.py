@@ -14,19 +14,20 @@ The witness solver enumerates candidate denominators t deterministically
 and decides membership of a*t in s*A by exact linear algebra over the
 span of bounded-degree words.  Before that exact product, every
 candidate passes a modular screen (von zur Gathen and Gerhard, Modern
-Computer Algebra, ch. 5): t, a*t and s*A are reduced modulo a prime
-p = 1 mod 4 that the rules choose (see _PRIMES), with i sent to a square
-root of -1 mod p, and a*t mod p must lie in the span of s*A mod p; a, s
-and t are read up to a nonzero scalar, which keeps that membership, as
-coprime Gaussian integers.  Reduction mod p can only lower the
-rank of a subspace, so the screen is used only where s*A has full rank
-mod p, and so the same exact rank; then it never rejects a true member
-(the argument is in _MulSubspace).  The screen works on ranges of
-candidates in scan order: one matrix K*M_a mod p (K an annihilator of
-s*A mod p, M_a left multiplication by a) is applied at once to the
-vectors of all candidates of one degree in the range.  The products of
-a factor count are taken in chunks of 8, 16, 32 and so on up to 1,024
-candidates, so a search that ends early screens few it never reaches.
+Computer Algebra, ch. 5): t, a*t and s*A are reduced modulo the largest
+prime p = 1 mod 4 below 2**21 that divides no rule denominator (see
+_screen_prime), with i sent to a square root of -1 mod p, and a*t mod p
+must lie in the span of s*A mod p; a, s and t are read up to a nonzero
+scalar, which keeps that membership, as coprime Gaussian integers.
+Reduction mod p can only lower the rank of a subspace, so the screen is
+used only where s*A has full rank mod p, and so the same exact rank;
+then it never rejects a true member (the argument is in _MulSubspace).
+The screen works on ranges of candidates in scan order: one matrix
+K*M_a mod p (K an annihilator of s*A mod p, M_a left multiplication by
+a) is applied at once to the vectors of all candidates of one degree in
+the range.  The products of a factor count are taken in chunks of 8,
+16, 32 and so on up to 1,024 candidates, so a search that ends early
+screens few it never reaches.
 Every search reads a count in scan order, so the search state caches a
 prefix of each count; from the count's second chunk on, a range runs to
 the end of that prefix, and a warm search screens it in one product per
@@ -66,13 +67,13 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, fields
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
 from .algebra import AlgebraElement, Presentation, _check_same, _remember
 from .errors import (DegreeOverflow, IrregularDenominator, OreWitnessNotFound,
-                     WitnessCheckError)
+                     PresentationError, WitnessCheckError)
 from .linalg import RowSpace
 from .scalars import ONE, Scalar, over_common_denominator
 
@@ -127,10 +128,6 @@ class SProduct:
             _check_same(presentation, p.presentation)
         self.ps = ps
         self._value = None
-
-    @classmethod
-    def one(cls, presentation: Presentation) -> "SProduct":
-        return cls(presentation, ())
 
     @property
     def value(self) -> AlgebraElement:
@@ -193,9 +190,8 @@ def is_regular_up_to(s: AlgebraElement, depth: int) -> RegularityResult:
         raise ValueError("depth must be nonnegative")
     if s.is_zero():
         return RegularityResult(False, p.one())
-    state, key = _search_state(p), s.key()
     for right in (False, True):
-        sub = state.subspace(s, key, depth, right)
+        sub = _search_state(p).subspace(s, depth, right)
         kernel = sub.rowspace().kernel
         if kernel:
             return RegularityResult(False, p.normalize_raw(
@@ -246,7 +242,7 @@ class Fraction:
 
 def embed(a: AlgebraElement) -> Fraction:
     """The canonical map a -> [a, 1]."""
-    return Fraction(a, SProduct.one(a.presentation))
+    return Fraction(a, SProduct(a.presentation))
 
 
 @dataclass(frozen=True)
@@ -269,16 +265,17 @@ class OreSolveResult:
 
 # -- the search state: bounded caches and the modular images -----------------
 
-# A presentation's screen works modulo the first of these primes that
-# divides no rule denominator, and it has none where each divides one (a,
-# s and t are read up to a scalar: _SearchState.residues).  p = 1 mod 4
-# gives i an image in F_p.  Residues are held as float64 in [0, p).  A
-# product of two is below p**2 < 2**53, and a dot product of n of them is
-# exact while n (p - 1)**2 < 2**53, for n <= 2,048 as p < 2**21
-# (_SearchState.max_dot); _SearchState.matmul cuts longer ones into chunks
-# of that many terms and reduces each chunk mod p (Dumas, Giorgi and
-# Pernet, ACM TOMS 35(3), 2008).
-_PRIMES = (2097133, 2097097, 2097041)
+# A presentation's screen works modulo the largest prime p = 1 mod 4 below
+# _PRIME_BOUND that divides no rule denominator (_screen_prime; a, s and t
+# are read up to a scalar: _SearchState.residues): 2,097,133 where none
+# divides one.  p = 1 mod 4 gives i an image in F_p.  Residues are held as
+# float64 in [0, p).  A product of two is below p**2 < 2**53, and a dot
+# product of n of them is exact while n (p - 1)**2 < 2**53, for n <=
+# _MAX_DOT = 2,048 as p < 2**21; _SearchState.matmul cuts longer ones into
+# chunks of that many terms and reduces each chunk mod p (Dumas, Giorgi
+# and Pernet, ACM TOMS 35(3), 2008).  The bound is a multiple of 4.
+_PRIME_BOUND = 2 ** 21
+_MAX_DOT = (2 ** 53 - 1) // (_PRIME_BOUND - 1) ** 2
 
 # Cache limits, sized so that a few hundred searches on one presentation
 # at the default budget never fill them.  A full cache keeps what it has
@@ -301,6 +298,19 @@ _STACK_LIMIT = 2 ** 22
 # (see _ranges).
 _FIRST_BLOCK = 8
 _LAST_BLOCK = 1024
+
+
+def _screen_prime(presentation: Presentation) -> int:
+    """The largest prime = 1 mod 4 below _PRIME_BOUND that divides no
+    denominator of a rule, by trial division; a PresentationError where
+    there is none."""
+    dens = {c.d for rule in presentation.rules for c in rule.rhs.values()}
+    for q in range(_PRIME_BOUND - 3, 4, -4):
+        if (all(d % q for d in dens)
+                and all(q % k for k in range(3, isqrt(q) + 1, 2))):
+            return q
+    raise PresentationError("every prime = 1 mod 4 below %d divides a rule "
+                            "denominator: no screen" % _PRIME_BOUND)
 
 
 def _sqrt_minus_one(prime: int) -> int:
@@ -363,18 +373,15 @@ class _SearchState:
 
     def __init__(self, presentation: Presentation):
         self.presentation = presentation
-        dens = {c.d for rule in presentation.rules for c in rule.rhs.values()}
-        self.prime = next((q for q in _PRIMES if all(d % q for d in dens)),
-                          None)
-        self.imag = self.prime and _sqrt_minus_one(self.prime)
-        # the most terms of an exact float64 dot product of residues
-        self.max_dot = (2 ** 53 - 1) // (max(_PRIMES) - 1) ** 2
+        self.prime = _screen_prime(presentation)
+        self.imag = _sqrt_minus_one(self.prime)
         self.params = {}       # max_degree -> (parameters, key -> position)
         self.values = {}       # SProduct key -> value
-        self.counts = {}       # (max_degree, count) or "1, s" key -> _Count
+        self.counts = {}       # (max_degree, count) or ("1, s", s) -> _Count
         self.stacked = 0       # residues in the cached counts' stacks
+        self.pairs = 0         # cached counts of 1 and s
         self.left = {}         # word -> (degree, map mod p)
-        self.subspaces = {}    # (s key, bound, right) -> _MulSubspace
+        self.subspaces = {}    # (s, bound, right) -> _MulSubspace
 
     def factor_parameters(self, max_degree: int):
         """(parameters p of the factors 1 + p'p, key -> position): the
@@ -396,13 +403,16 @@ class _SearchState:
         return hit
 
     def pair(self, s: SProduct):
-        """The _Count of the candidates 1 and s."""
-        key = ("1, s", s.key())
+        """The _Count of the candidates 1 and s, cached for at most
+        _VALUE_LIMIT values of s: past it, built for this query alone."""
+        key = ("1, s", s.value)
         hit = self.counts.get(key)
         if hit is None:
             values = (self.presentation.one(), s.value)
-            hit = self._fill(key, _Count(), 2, [(None, [
-                (i, f.degree(), i) for i, f in enumerate(values)])], values)
+            run = [(i, f.degree(), i) for i, f in enumerate(values)]
+            hit = self._fill(key if self.pairs < _VALUE_LIMIT else None,
+                             _Count(), 2, [(None, run)], values)
+            self.pairs += self.counts.get(key) is hit
         return hit
 
     def count(self, max_degree: int, count: int, start: int, stop: int):
@@ -465,11 +475,10 @@ class _SearchState:
         counts hold at most _STACK_LIMIT residues (a full stack of free_xy
         at max_degree 10 would hold 16,384 x 2,047); past it, or without a
         key, a new _Count of these candidates alone.
-        No vector is built without a prime, for a degree whose basis
-        passes the basis limit, or for one whose new rows would pass
-        _ARRAY_LIMIT: a range holds at most _LAST_BLOCK new candidates, so
-        that degree has more than 4,096 words, and M_a on them passes
-        _ARRAY_LIMIT too.  The screen is off on such a degree, and its
+        No vector is built for a degree whose basis passes the basis
+        limit, or for one whose new rows would pass _ARRAY_LIMIT: a range
+        holds at most _LAST_BLOCK new candidates, so that degree has more
+        than 4,096 words, and M_a on them passes _ARRAY_LIMIT too.  The screen is off on such a degree, and its
         candidates are unscreened.  Each vector is written into its row:
         the residues of f for a run without head, and for the run of a
         head u one product M_u F mod p per degree of f, the columns of F
@@ -486,7 +495,7 @@ class _SearchState:
                 width = self.dim(degree)
             except DegreeOverflow:
                 continue
-            if self.prime and width * len(found) <= _ARRAY_LIMIT:
+            if width * len(found) <= _ARRAY_LIMIT:
                 widths[degree] = width
         new = sum(w * len(positions[d]) for d, w in widths.items())
         if key is None or self.stacked + new > _STACK_LIMIT:
@@ -527,12 +536,11 @@ class _SearchState:
                     m, factors.T).T
         return count
 
-    def subspace(self, s_value: AlgebraElement, s_key, bound: int,
-                 right: bool):
+    def subspace(self, s_value: AlgebraElement, bound: int, right: bool):
         """The _MulSubspace of the s*w, or of the w*s when right.  The
         search reads left maps, regularity both; every map is cached, and
         one past _ARRAY_LIMIT returns None from solve and annihilator."""
-        key = (s_key, bound, right)
+        key = (s_value, bound, right)
         sub = self.subspaces.get(key)
         if sub is None:
             sub = _remember(self.subspaces, key,
@@ -544,9 +552,9 @@ class _SearchState:
 
     def matmul(self, a, b):
         """a @ b mod p for float64 arrays of residues, exactly: the inner
-        dimension is cut into chunks of at most max_dot terms, and each
+        dimension is cut into chunks of at most _MAX_DOT terms, and each
         chunk's product is reduced mod p before it is added."""
-        step, prime = self.max_dot, self.prime
+        step, prime = _MAX_DOT, self.prime
         out = _mod(a[:, :step] @ b[:step], prime)
         for i in range(step, a.shape[1], step):
             out = _mod(out + _mod(a[:, i:i + step] @ b[i:i + step], prime),
@@ -702,7 +710,7 @@ def _ranges(state: _SearchState, s: SProduct, budget: OreBudget):
     other product repeats), so it reaches at most MAX_CANDIDATES - 1
     products."""
     p = state.presentation
-    yield state.pair(s), 0, 2, 2, (SProduct.one(p), s).__getitem__
+    yield state.pair(s), 0, 2, 2, (SProduct(p), s).__getitem__
     ps, position = state.factor_parameters(budget.max_degree)
     n = len(ps)
     s_combo = [position.get(k) for k in s.key()]
@@ -768,7 +776,7 @@ class _MulSubspace:
       for the exact bound is a member for B.
     - Every product mod p is exact in float64: residues lie in [0, p),
       and a dot product is cut into chunks of at most 2,048 terms, each
-      reduced mod p, since 2,048 (p - 1)**2 < 2**53 (see _PRIMES; Dumas,
+      reduced mod p, since 2,048 (p - 1)**2 < 2**53 (see _MAX_DOT; Dumas,
       Giorgi and Pernet, ACM TOMS 35(3), 2008).
 
     This is the modular method of von zur Gathen and Gerhard, Modern
@@ -788,7 +796,7 @@ class _MulSubspace:
         self.small = self.ntarget ** 2 <= _ARRAY_LIMIT
         self._rowspace = None
         self._annihilator = None
-        self._screened = not self.small or state.prime is None  # no screen
+        self._screened = not self.small  # no screen
 
     def _vector(self, el: AlgebraElement):
         """The coordinates of el, of degree at most bound + deg s, on the
@@ -848,11 +856,10 @@ class _Screen:
     the first build goes)."""
 
     def __init__(self, state: _SearchState, a: AlgebraElement,
-                 s_value: AlgebraElement, s_key):
+                 s_value: AlgebraElement):
         self.state = state
         self.a = a
         self.s_value = s_value
-        self.s_key = s_key
         self.a_deg = a.degree()
         self.s_deg = s_value.degree()
         self.cap = state.presentation.degree_cap
@@ -896,8 +903,7 @@ class _Screen:
         bound = min(max(self.a_deg + t_deg - self.s_deg, 0),
                     self.cap - self.s_deg)
         try:
-            kernel = state.subspace(self.s_value, self.s_key, bound,
-                                    False).annihilator()
+            kernel = state.subspace(self.s_value, bound, False).annihilator()
             if kernel is not None and t_deg > self.degree:
                 # the first build covers s too, the scan's second
                 # candidate, and goes as far as the cached word maps
@@ -948,9 +954,9 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
     p = a.presentation
     _check_same(p, s.presentation)
     if a.is_zero():
-        return OreSolveResult(OreWitness(p.zero(), SProduct.one(p)))
+        return OreSolveResult(OreWitness(p.zero(), SProduct(p)))
     if s.is_one():
-        return OreSolveResult(OreWitness(a, SProduct.one(p)))
+        return OreSolveResult(OreWitness(a, SProduct(p)))
     s_value = s.value
     if p.commutative:
         # a s = s a exactly, so (b, t) = (a, s) is always a witness
@@ -958,9 +964,8 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
         return OreSolveResult(OreWitness(a, s))
 
     state = _search_state(p)
-    s_key = s_value.key()
     s_deg = s_value.degree()
-    screen = _Screen(state, a, s_value, s_key)
+    screen = _Screen(state, a, s_value)
     tried = 0
     for count, start, stop, skip, t_at in _ranges(state, s, budget):
         # the walk visits the candidates that pass, numbered by their
@@ -976,7 +981,7 @@ def ore_solve_right(a: AlgebraElement, s: SProduct,
             # a product past the cap or a span past the basis limit skips t
             try:
                 r = a * t.value
-                b = state.subspace(s_value, s_key, max(r.degree() - s_deg, 0),
+                b = state.subspace(s_value, max(r.degree() - s_deg, 0),
                                    False).solve(r)
             except DegreeOverflow:
                 continue

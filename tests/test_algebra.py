@@ -182,6 +182,31 @@ def test_degree_cap_enforced():
         (x ** 2) * (x ** 3)
 
 
+def test_terms_past_the_limit_raise_before_they_are_formed(monkeypatch):
+    monkeypatch.setattr(algebra, "_BASIS_LIMIT", 64)
+    free = Presentation(("x", "y"), (("x",), ("y",)), (), 12)
+    xy = free.generator("x") + free.generator("y")
+    assert len((xy ** 6).terms) == 64
+    with pytest.raises(DegreeOverflow, match="^product of 64 by 2 terms has "
+                                             "128 word pairs, more than 64$"):
+        xy ** 7
+    # a pair past the degree cap raises first, as it does at any size
+    long = xy ** 6 * free.generator("x") ** 6
+    with pytest.raises(DegreeOverflow,
+                       match="^product word x\\*x\\*x\\*x\\*x\\*x\\*x\\*x\\*x"
+                             "\\*x\\*x\\*x \\* x exceeds degree cap 12$"):
+        long * xy
+    # c -> a + b doubles the terms of c^k with each letter
+    split = Presentation(("a", "b", "c"), (("a",), ("b",), ("c",)),
+                         ((("c",), ((1, ("a",)), (1, ("b",)))),), 12)
+    assert len(split.normal_form_word((2,) * 6)) == 64
+    # in one word, and in the sum of words of 64 and 32 terms
+    for raw in ({(2,) * 7: Scalar(1)}, {(2,) * k: Scalar(1) for k in (6, 5)}):
+        with pytest.raises(DegreeOverflow,
+                           match="^normal form has more than 64 terms$"):
+            split.normalize_raw(raw)
+
+
 def test_cross_presentation_operations_rejected():
     from ores.errors import PresentationMismatch
     x = load_preset("poly_x").generator("x")

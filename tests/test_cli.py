@@ -11,8 +11,11 @@ import os
 import resource
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import ores.algebra
+import ores.localization
 import ores.states
 from ores.cli import main
 from ores.errors import DegreeOverflow
@@ -385,6 +388,47 @@ def test_a_too_deep_json_file_exits_with_code_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ") and "nests too deeply" in err
     assert len(err.splitlines()) == 1
+
+
+def _limit_address_space_2gib():
+    limit = 2 * 2 ** 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_a_product_past_the_term_limit_exits_with_code_2(tmp_path):
+    # the product (x+y)*...*(x+y) of 22 factors has 2^22 terms under
+    # degree cap 60; it ran out of memory after about 33 s with exit code
+    # 1, and from 17 factors on a product is refused before it is formed
+    path = tmp_path / "free60.json"
+    save_presentation(Presentation(("x", "y"), (("x",), ("y",)), (), 60),
+                      path)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ores", "normalize", "--presentation",
+         str(path), "*".join(["(x+y)"] * 22)], env=env, capture_output=True,
+        text=True, timeout=20, preexec_fn=_limit_address_space_2gib)
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: product of 65536 by 2 terms has 131072 "
+                           "word pairs, more than 65536\n")
+
+
+def test_ore_solve_without_a_screen_prime_exits_with_code_2(
+        tmp_path, capsys, monkeypatch):
+    # with the primes drawn below 8, a rule coefficient 1/5 leaves none
+    monkeypatch.setattr(ores.localization, "_PRIME_BOUND", 8)
+    path = tmp_path / "fifth.json"
+    save_presentation(Presentation(
+        ("ad", "a"), (("a", "ad"),),
+        ((("a", "ad"), ((1, ("ad", "a")), (Fraction(1, 5), ()))),), 20),
+        path)
+    code, out, err = run(capsys, ["ore", "solve", "--presentation", str(path),
+                                  "a", "(1 + a'*a)"])
+    assert (code, out) == (2, "")
+    assert err == ("error: every prime = 1 mod 4 below 8 divides a rule "
+                   "denominator: no screen\n")
 
 
 def test_a_long_dagger_chain_folds_by_parity(capsys):

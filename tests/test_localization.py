@@ -22,7 +22,8 @@ import ores
 from ores import algebra, localization
 from ores.algebra import AlgebraElement, load_preset, random_element, \
     Presentation
-from ores.errors import DegreeOverflow, IrregularDenominator, OreWitnessNotFound
+from ores.errors import (DegreeOverflow, IrregularDenominator,
+                         OreWitnessNotFound, PresentationError)
 from ores.localization import (DEFAULT_BUDGET, Fraction, OreBudget, SProduct,
                                check_denominator, embed, eq_fraction,
                                factor_value, frac_add, frac_dagger, frac_mul,
@@ -66,7 +67,7 @@ def test_sproduct_structure():
     t = _sproduct(p, (ad, a + ad))
     assert s.value == 1 + ad * a
     assert not s.is_one()
-    assert SProduct.one(p).is_one()
+    assert SProduct(p).is_one()
     assert (s * t).key() == _sproduct(p, (a, ad, a + ad)).key()
     # factors are hermitian, so the dagger only reverses the list
     assert (s * t).dagger().key() == _sproduct(p, (a + ad, ad, a)).key()
@@ -370,7 +371,7 @@ def _exact_scan(a, s, budget):
     s_value = s.value
     s_deg = s_value.degree()
     ps = localization._search_state(p).factor_parameters(budget.max_degree)[0]
-    candidates = [SProduct.one(p), s]
+    candidates = [SProduct(p), s]
     for count in range(1, budget.max_factors + 1):
         candidates += [SProduct(p, tuple(ps[i] for i in combo))
                        for combo in itertools.product(range(len(ps)),
@@ -461,6 +462,13 @@ def _fresh_heisenberg(cap=20):
     return Presentation(("ad", "a"), (("a", "ad"),),
                         ((("a", "ad"), ((1, ("ad", "a")), (1, ()))),),
                         cap, name="heisenberg")
+
+
+def _heisenberg_plus(c):
+    # heisenberg with the rule a*ad -> ad*a + c
+    return Presentation(("ad", "a"), (("a", "ad"),),
+                        ((("a", "ad"), ((1, ("ad", "a")), (c, ()))),),
+                        20, name="heisenberg")
 
 
 def _first_past_cap(p, budget):
@@ -582,7 +590,8 @@ def test_screen_reads_a_s_and_t_up_to_a_scalar(monkeypatch):
     budget = SMALL_BUDGETS[0]
     want = outcomes(_fresh_heisenberg())
     assert {found is not False for _, found, _ in want} == {True, False}
-    monkeypatch.setattr(localization, "_PRIMES", (5,))
+    # the primes are drawn below 8: 5 is the only one
+    monkeypatch.setattr(localization, "_PRIME_BOUND", 8)
     p = _fresh_heisenberg()
     got = outcomes(p)
     assert p._ore_search.prime == 5
@@ -591,30 +600,26 @@ def test_screen_reads_a_s_and_t_up_to_a_scalar(monkeypatch):
     assert got[1] == got[2] and got[1][2] < got[1][0]
     # the spans of s with a denominator 5 and of s = 0 mod 5 are screened
     for ps in (queries(p)[4][1], (p.scalar(2), p.generator("ad"))):
-        key = _sproduct(p, ps).value.key()
+        s = _sproduct(p, ps).value
         subs = [sub for (k, _, right), sub in p._ore_search.subspaces.items()
-                if k == key and not right]
+                if k == s and not right]
         assert subs and all(sub.annihilator() is not None for sub in subs)
 
-    # a rule coefficient 1/5 takes the next prime; where every prime
-    # divides a rule denominator the presentation has no screen
-    def fifth_heisenberg():
-        return Presentation(("ad", "a"), (("a", "ad"),),
-                            ((("a", "ad"), ((1, ("ad", "a")),
-                                            (Rational(1, 5), ()))),),
-                            20, name="heisenberg")
-
-    for primes, prime in (((5, 13), 13), ((5,), None)):
-        monkeypatch.setattr(localization, "_PRIMES", primes)
-        p = fifth_heisenberg()
-        a, ad = p.generator("a"), p.generator("ad")
-        found = [_assert_same_as_exact_scan(x, _sproduct(p, (q,)), budget)
-                 for x, q in ((a, ad), (a, a), (ad * a, ad - a))]
-        assert True in found and False in found
-        assert p._ore_search.prime == prime
-        screened = [sub.annihilator() is not None
-                    for sub in p._ore_search.subspaces.values()]
-        assert any(screened) == (prime is not None)
+    # a rule coefficient 1/5 takes the next prime below the bound: 13
+    # below 16, where 9 is no prime; below 8 there is none
+    monkeypatch.setattr(localization, "_PRIME_BOUND", 16)
+    p = _heisenberg_plus(Rational(1, 5))
+    a, ad = p.generator("a"), p.generator("ad")
+    found = [_assert_same_as_exact_scan(x, _sproduct(p, (q,)), budget)
+             for x, q in ((a, ad), (a, a), (ad * a, ad - a))]
+    assert True in found and False in found
+    assert p._ore_search.prime == 13
+    assert all(sub.annihilator() is not None
+               for sub in p._ore_search.subspaces.values())
+    monkeypatch.setattr(localization, "_PRIME_BOUND", 8)
+    p = _heisenberg_plus(Rational(1, 5))
+    with pytest.raises(PresentationError, match="below 8 divides"):
+        ore_solve_right(p.generator("a"), _sproduct(p, (p.generator("a"),)))
 
     # at the default prime, a * (1/2097133) / (1 + a'a) at the default
     # budget makes as many exact checks as a / (1 + a'a)
@@ -635,7 +640,7 @@ def test_chunked_product_mod_p_is_exact():
     # an unreduced sum past 2**53 cannot be represented
     state = localization._search_state(load_preset("heisenberg"))
     prime = state.prime
-    assert state.max_dot == 2048
+    assert localization._MAX_DOT == 2048
     rng = random.Random(43)
     for n in (1, 2047, 2048, 2049, 5000):
         for fill in (prime - 1, prime - 2):
@@ -1000,6 +1005,39 @@ def test_cached_stacks_count_their_rows(monkeypatch):
         p = _fresh("heisenberg")
         assert _search_outcomes(lambda name: p, queries) == want
         assert _stack_residues(p) == p._ore_search.stacked <= limit
+
+
+def test_cached_pairs_are_bounded(monkeypatch):
+    # the count of 1 and s is cached once per denominator value, for at
+    # most _VALUE_LIMIT values; past it each query builds its own
+    queries = [("heisenberg", "a", "a + %d*ad" % k, SMALL_BUDGETS[0])
+               for k in range(20)]
+    want = _search_outcomes(lambda name: _fresh_heisenberg(), queries)
+    monkeypatch.setattr(localization, "_VALUE_LIMIT", 4)
+    p = _fresh_heisenberg()
+    assert _search_outcomes(lambda name: p, queries) == want
+    state = p._ore_search
+    pairs = [key for key in state.counts if key[0] == "1, s"]
+    assert len(pairs) == 4
+    assert state.pairs == 4
+    assert _stack_residues(p) == state.stacked
+    assert _search_outcomes(lambda name: p, queries) == want
+
+
+def test_rules_that_divide_the_first_primes_take_the_next():
+    for name in algebra.PRESETS:
+        assert localization._search_state(load_preset(name)).prime == 2097133
+    # a*ad -> ad*a + 1/D, D the product of the three largest primes = 1
+    # mod 4 below 2**21: the screen works mod the fourth
+    p = _heisenberg_plus(Rational(1, 2097133 * 2097097 * 2097041))
+    state = localization._search_state(p)
+    assert state.prime == 2097013
+    a, ad = p.generator("a"), p.generator("ad")
+    assert state.subspace(factor_value(a), 2, False).annihilator() is not None
+    found = [_assert_same_as_exact_scan(x, _sproduct(p, (q,)),
+                                        SMALL_BUDGETS[i % 2])
+             for i, (x, q) in enumerate(((a, ad), (a, a), (ad * a, ad - a)))]
+    assert True in found and False in found
 
 
 def test_a_warm_miss_screens_each_count_in_one_product_per_degree(

@@ -193,7 +193,7 @@ def test_sproduct_operator_and_factors():
     s = SProduct(p, (a, ad))
     prod = sproduct_operator(asg, s)
     assert prod == asg.operator_of(s.value)
-    one = sproduct_operator(asg, SProduct.one(p))
+    one = sproduct_operator(asg, SProduct(p))
     assert one == BandedOperator.identity()
 
 
@@ -262,7 +262,7 @@ def test_chain_solve_two_factors():
     r[:len(y)] -= y
     assert float(np.linalg.norm(r)) == res.residual
     # trivial chain
-    triv = chain_solve(asg, SProduct.one(p), y, 1e-10)
+    triv = chain_solve(asg, SProduct(p), y, 1e-10)
     assert triv.residual == 0.0
     assert np.array_equal(triv.x, y)
 
